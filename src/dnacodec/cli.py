@@ -14,7 +14,8 @@ Subcommands::
 Exit codes: 0 for a positive verdict, 1 for a negative one (witness
 printed), 2 for errors (parse failures, resource caps, refuted class
 assertions).  ``--language`` may name a directory, in which case every
-``*.fa`` file inside is checked on a worker-thread pool.
+``*.fa`` file inside is checked, one after another in sorted order; the
+descriptor's class assertion is checked once for all of them.
 
 Property descriptors are JSON documents::
 
@@ -32,9 +33,7 @@ import argparse
 import dataclasses
 import json
 import os
-import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from .alphabets import DNA, Alphabet, Permutation, dna_delta
@@ -171,15 +170,13 @@ def _verdict_payload(v: Verdict) -> dict:
     return {"satisfied": v.satisfied, "witness": witness, "decider": v.decider, "stats": v.stats}
 
 
-def _run_over_languages(args, p: PropertyDescriptor, fn) -> int:
-    files = _language_files(args.language)
-    def work(path: str):
-        return path, fn(p, _load_language(path, p.theta.alphabet))
-    if len(files) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(files))) as pool:
-            results = list(pool.map(work, files))
-    else:
-        results = [work(files[0])]
+def _run_over_languages(args, decide) -> int:
+    """Apply ``decide`` (``satisfies`` or ``is_maximal``) to each language file."""
+    p = _load_descriptor(args.property)
+    results = []
+    for path in _language_files(args.language):
+        lang = _load_language(path, p.theta.alphabet)
+        results.append((path, decide(p, lang, assertion_bound=args.assertion_bound)))
     if args.json:
         payload = [dict(_verdict_payload(v), file=path) for path, v in results]
         print(json.dumps(payload[0] if len(payload) == 1 else {"results": payload}, indent=2))
@@ -192,20 +189,6 @@ def _run_over_languages(args, p: PropertyDescriptor, fn) -> int:
                 noun = "not maximal, can add" if v.decider == "is_maximal" else "NOT satisfied, witness"
                 print(f"{prefix}{noun}: {v.witness!r}")
     return 0 if all(v.satisfied for _path, v in results) else 1
-
-
-def _cmd_satisfies(args) -> int:
-    p = _load_descriptor(args.property)
-    return _run_over_languages(
-        args, p, lambda desc, lang: satisfies(desc, lang, assertion_bound=args.assertion_bound)
-    )
-
-
-def _cmd_maximal(args) -> int:
-    p = _load_descriptor(args.property)
-    return _run_over_languages(
-        args, p, lambda desc, lang: is_maximal(desc, lang, assertion_bound=args.assertion_bound)
-    )
 
 
 def _theta_spec_payload(theta: Permutation) -> dict:
@@ -319,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dnacodec",
         description="Decide transducer-described code properties of regular languages.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized helpers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sat = sub.add_parser("satisfies", help="does a language satisfy a property?")
@@ -334,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=6,
             help="word length up to which class assertions are sanity-checked",
         )
-    p_sat.set_defaults(handler=_cmd_satisfies)
-    p_max.set_defaults(handler=_cmd_maximal)
+    p_sat.set_defaults(handler=lambda args: _run_over_languages(args, satisfies))
+    p_max.set_defaults(handler=lambda args: _run_over_languages(args, is_maximal))
 
     p_build = sub.add_parser("build-property", help="emit a descriptor for a built-in property")
     group = p_build.add_mutually_exclusive_group(required=True)
@@ -374,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.handler(args)
     except DnaCodecError as exc:

@@ -240,6 +240,7 @@ def satisfies_W_preserving(
         )
     s = _restriction(p.transducer, p.theta, l)
     stats = {"restriction_states": s.n_states, "restriction_edges": len(s.edges)}
+    stats["assertion_bound"] = assertion_bound
     ok, wit = is_functional(s)
     if not ok:
         assert wit is not None
@@ -592,6 +593,7 @@ def _altering_route(
         )
     s = _restriction(p.transducer, p.theta, l)
     stats = {"restriction_states": s.n_states, "restriction_edges": len(s.edges)}
+    stats["assertion_bound"] = assertion_bound
     decider = "satisfies_S"
     if relation_empty(s):
         return Verdict(True, None, decider, stats)

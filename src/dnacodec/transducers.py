@@ -8,7 +8,8 @@ single letters) and ``""`` stands for the empty word.  A transducer
 letter on exactly one tape — the *normal form* every decision procedure in
 this module works on.  Machines are immutable values; the normal form is
 memoized on the instance because the same machine is typically queried
-against many languages.
+against many languages; so is the outcome of each bounded class check
+(``bounded_counterexample``) made on it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class Transducer:
     initial: frozenset[int]
     final: frozenset[int]
     _norm: Optional["Transducer"] = field(default=None, repr=False, compare=False)
+    _checks: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.initial = frozenset(self.initial)
@@ -391,6 +393,11 @@ def accepts_pair(t: Transducer, x: str, y: str) -> bool:
     """Membership of the pair ``(x, y)`` in the realized relation."""
     tn = normalize(t)
     ins, outs = tn.grouped()
+    return _accepts_pair(tn, ins, outs, x, y)
+
+
+def _accepts_pair(tn: Transducer, ins, outs, x: str, y: str) -> bool:
+    """``accepts_pair`` on a normal form given its ``grouped()`` adjacency."""
     lx, ly = len(x), len(y)
     width = (lx + 1) * (ly + 1)
     seen = bytearray(tn.n_states * width)
@@ -806,19 +813,29 @@ def bounded_counterexample(
                        claim that theta(w) is always among the outputs.
 
     Words are tried in shortlex order; the first refutation is returned,
-    None when the bound is exhausted.
+    None when the bound is exhausted.  The outcome is memoized on ``t``.
     """
     if mode not in ("altering", "preserving"):
         raise ValueError(f"unknown transducer class {mode!r}")
     if theta.alphabet != t.alphabet:
         raise ValueError("permutation alphabet does not match the transducer")
+    if t._checks is None:
+        t._checks = {}
+    key = (theta, mode, max_len)
+    if key not in t._checks:
+        t._checks[key] = _scan_words(t, theta, mode, max_len)
+    return t._checks[key]
+
+
+def _scan_words(t: Transducer, theta: Permutation, mode: str, max_len: int) -> Optional[str]:
     tn = trim(normalize(t))
+    ins, outs = tn.grouped()
     symbols = tuple(theta.alphabet.symbols)
     words: list[str] = [""]
     for _ in range(max_len):
         words = [w + a for w in words for a in symbols]
         for w in words:
-            hit = accepts_pair(tn, w, theta(w)) if tn.n_states else False
+            hit = _accepts_pair(tn, ins, outs, w, theta(w))
             if mode == "altering" and hit:
                 return w
             if mode == "preserving" and not hit:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from dnacodec import transducers
 from dnacodec.alphabets import DNA
 from dnacodec.automata import Nfa
 from dnacodec.cli import main
@@ -106,6 +107,35 @@ def test_satisfies_directory_json(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert {entry["file"].split(os.sep)[-1] for entry in doc["results"]} == {"one.fa", "two.fa"}
+
+
+def test_satisfies_directory_checks_class_once(tmp_path, monkeypatch, capsys):
+    desc = str(tmp_path / "p_compliant_weak.json")
+    assert main(["build-property", "--dna", "p-compliant", "--variant", "weak", "-o", desc]) == 0
+    codes = tmp_path / "codes"
+    codes.mkdir()
+    words = {
+        "d_bad.fa": ["CA", "TGAC"],
+        "a_bad.fa": ["AC", "GTAA"],
+        "c_good.fa": ["AC", "AAGT"],
+        "b_good.fa": ["AAC", "CCA"],
+    }
+    for name, code in words.items():
+        write_language(codes, name, code)
+    scans = []
+    real_scan = transducers._scan_words
+    monkeypatch.setattr(transducers, "_scan_words", lambda *a: scans.append(a) or real_scan(*a))
+
+    rc = main(["satisfies", "--property", desc, "--language", str(codes), "--json"])
+    assert rc == 1
+    assert len(scans) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [os.path.basename(r["file"]) for r in results] == sorted(words)
+    assert [r["satisfied"] for r in results] == [False, True, True, False]
+    for row in results:
+        main(["satisfies", "--property", desc, "--language", row["file"], "--json"])
+        assert json.loads(capsys.readouterr().out) == row
+    assert len(scans) == 1 + len(words)
 
 
 def test_satisfies_inline_descriptor(tmp_path, capsys):
@@ -375,8 +405,3 @@ def test_missing_language_file(capsys):
         ]
     )
     assert rc == 2
-
-
-def test_seed_flag_is_accepted(capsys):
-    rc = main(["--seed", "7", "pcp", "solve", "--instance", SOLVABLE, "--bound", "3"])
-    assert rc == 0

@@ -189,6 +189,29 @@ def test_altering_assertion_refuted_by_bounded_scan():
     assert exc.value.witness == "AT"  # shortest delta-fixed word
 
 
+def test_refuted_altering_assertion_raises_on_every_call():
+    p = PropertyDescriptor(
+        Transducer.identity(DNA), DELTA, kind=W_KIND, asserted_class=INPUT_ALTERING
+    )
+    for _ in range(2):  # the second call is answered from the memoized check
+        with pytest.raises(ClassAssertionRefuted) as exc:
+            satisfies(p, dna_lang(["A"]))
+        assert exc.value.witness == "AT"
+
+
+def test_class_routes_report_assertion_bound():
+    altering = PropertyDescriptor(
+        zeros_to_ones(accept_empty=False), MIRROR_ZO, kind=W_KIND, asserted_class=INPUT_ALTERING
+    )
+    v = satisfies(altering, Nfa.finite(ZO, ["0"]), assertion_bound=4)
+    assert v.stats["assertion_bound"] == 4
+    preserving = PropertyDescriptor(
+        universal_machine(DNA), DELTA, kind=W_KIND, asserted_class=INPUT_PRESERVING
+    )
+    v = satisfies(preserving, dna_lang(["A"]), assertion_bound=2)
+    assert v.stats["assertion_bound"] == 2
+
+
 def test_altering_assertion_refuted_at_decode_stage():
     # scan bound too small to see the fixed point, but the language exposes it
     p = PropertyDescriptor(

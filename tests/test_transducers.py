@@ -201,6 +201,24 @@ def test_bounded_counterexample_preserving():
         bounded_counterexample(ident, delta, "both", 2)
 
 
+def test_bounded_counterexample_memo_matches_fresh_scans():
+    # one instance answers interleaved modes, thetas and ascending bounds
+    # exactly as a fresh instance (which runs a real scan) does
+    thetas = (dna_delta(), Permutation.mirror(DNA))
+    queries = [
+        (theta, mode, bound)
+        for bound in (0, 1, 3)
+        for mode in ("altering", "preserving")
+        for theta in thetas
+    ]
+    shared = Transducer.identity(DNA)
+    for theta, mode, bound in queries + queries:
+        fresh = bounded_counterexample(Transducer.identity(DNA), theta, mode, bound)
+        assert bounded_counterexample(shared, theta, mode, bound) == fresh
+    assert bounded_counterexample(shared, thetas[0], "altering", 3) == "AT"
+    assert bounded_counterexample(shared, thetas[1], "preserving", 3) == "AC"
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10_000))
 def test_random_machines_agree_with_raw_search(seed):
