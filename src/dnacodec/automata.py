@@ -20,6 +20,7 @@ from typing import Iterable, Optional
 
 from .alphabets import Alphabet, Permutation
 from .errors import FormatError, ResourceLimitError
+from .graphs import INF, distances_to, numbering, path_to, reachable, reaches, successors, trim_keep
 
 DEFAULT_STATE_CAP = 1 << 20
 
@@ -72,16 +73,7 @@ class Nfa:
 
     def closure(self, states: Iterable[int]) -> frozenset[int]:
         """Epsilon closure of a state set."""
-        eps_adj, _ = self.adjacency()
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            q = stack.pop()
-            for r in eps_adj[q]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return frozenset(seen)
+        return frozenset(reachable(self.adjacency()[0], states))
 
     def step(self, states: frozenset[int], sym: str) -> frozenset[int]:
         _, sym_adj = self.adjacency()
@@ -175,66 +167,23 @@ def accepts(m: Nfa, w: str) -> bool:
 
 def is_empty(m: Nfa) -> bool:
     """True when the machine accepts no word at all."""
-    seen = set(m.initial)
-    stack = list(seen)
-    eps_adj, sym_adj = m.adjacency()
-    while stack:
-        q = stack.pop()
-        if q in m.final:
-            return False
-        nxt: list[int] = list(eps_adj[q])
-        for dsts in sym_adj[q].values():
-            nxt.extend(dsts)
-        for r in nxt:
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return True
-
-
-def _letters_to_final(m: Nfa) -> list[float]:
-    """Per state: minimum number of letters on a path into a final state.
-
-    0/1-BFS on the reversed graph — epsilon edges cost 0, symbol edges 1.
-    """
-    INF = float("inf")
-    rev: list[list[tuple[int, int]]] = [[] for _ in range(m.n_states)]
-    for src, sym, dst in m.edges:
-        rev[dst].append((0 if sym is None else 1, src))
-    dist = [INF] * m.n_states
-    dq: deque[tuple[float, int]] = deque()
-    for f in m.final:
-        dist[f] = 0
-        dq.append((0, f))
-    while dq:
-        d, q = dq.popleft()
-        if d > dist[q]:
-            continue
-        for cost, p in rev[q]:
-            nd = d + cost
-            if nd < dist[p]:
-                dist[p] = nd
-                if cost == 0:
-                    dq.appendleft((nd, p))
-                else:
-                    dq.append((nd, p))
-    return dist
+    return not reaches(successors(m.n_states, m.edges), m.initial, m.final)
 
 
 def shortest_word(m: Nfa) -> Optional[str]:
     """A shortest accepted word (lexicographically least among those), or None."""
-    back = _letters_to_final(m)
+    back = distances_to(m.n_states, m.edges, m.final)  # letters to a final state
     cur = m.closure(m.initial)
     if not cur:
         return None
-    remaining = min((back[q] for q in cur), default=float("inf"))
-    if remaining == float("inf"):
+    remaining = min((back[q] for q in cur), default=INF)
+    if remaining == INF:
         return None
     out: list[str] = []
     while remaining > 0:
         for a in m.alphabet:
             nxt = m.step(cur, a)
-            if nxt and min((back[q] for q in nxt), default=float("inf")) == remaining - 1:
+            if nxt and min((back[q] for q in nxt), default=INF) == remaining - 1:
                 out.append(a)
                 cur = nxt
                 remaining -= 1
@@ -273,28 +222,7 @@ def enumerate_words(m: Nfa, max_len: int) -> list[str]:
 
 def trim(m: Nfa) -> Nfa:
     """Drop states that are unreachable or cannot reach a final state."""
-    fwd = set(m.initial)
-    stack = list(fwd)
-    succ: list[list[int]] = [[] for _ in range(m.n_states)]
-    pred: list[list[int]] = [[] for _ in range(m.n_states)]
-    for src, _sym, dst in m.edges:
-        succ[src].append(dst)
-        pred[dst].append(src)
-    while stack:
-        q = stack.pop()
-        for r in succ[q]:
-            if r not in fwd:
-                fwd.add(r)
-                stack.append(r)
-    bwd = set(m.final)
-    stack = list(bwd)
-    while stack:
-        q = stack.pop()
-        for r in pred[q]:
-            if r not in bwd:
-                bwd.add(r)
-                stack.append(r)
-    keep = sorted(fwd & bwd)
+    keep = trim_keep(m.n_states, m.edges, m.initial, m.final)
     if not keep:
         return Nfa(m.alphabet, 0, (), frozenset(), frozenset())
     remap = {q: i for i, q in enumerate(keep)}
@@ -316,8 +244,10 @@ def reverse(m: Nfa) -> Nfa:
 
 
 def remove_epsilon(m: Nfa) -> Nfa:
-    """An equivalent machine without epsilon edges."""
-    _, sym_adj = m.adjacency()
+    """An equivalent machine without epsilon edges (``m`` itself if it has none)."""
+    eps_adj, sym_adj = m.adjacency()
+    if not any(eps_adj):
+        return m
     edges: list[tuple[int, Optional[str], int]] = []
     final = set()
     for p in range(m.n_states):
@@ -379,25 +309,10 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
         raise ValueError("intersect requires a common alphabet")
     a_eps, a_sym = a.adjacency()
     b_eps, b_sym = b.adjacency()
-    index: dict[tuple[int, int], int] = {}
+    index, walk, state = numbering((p, q) for p in a.initial for q in b.initial)
+    initial = frozenset(range(len(index)))
     edges: list[tuple[int, Optional[str], int]] = []
-    queue: deque[tuple[int, int]] = deque()
-
-    def state(pq: tuple[int, int]) -> int:
-        i = index.get(pq)
-        if i is None:
-            i = len(index)
-            index[pq] = i
-            queue.append(pq)
-        return i
-
-    for p in a.initial:
-        for q in b.initial:
-            state((p, q))
-    while queue:
-        pq = queue.popleft()
-        p, q = pq
-        src = index[pq]
+    for src, (p, q) in walk:
         for p2 in a_eps[p]:
             edges.append((src, None, state((p2, q))))
         for q2 in b_eps[q]:
@@ -409,36 +324,14 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
                     for q2 in q2s:
                         edges.append((src, sym, state((p2, q2))))
     final = frozenset(i for (p, q), i in index.items() if p in a.final and q in b.final)
-    initial = frozenset(
-        i for (p, q), i in index.items() if p in a.initial and q in b.initial
-    )
     return Nfa(a.alphabet, max(len(index), 1), tuple(edges), initial, final)
 
 
 def determinize(m: Nfa, state_cap: Optional[int] = None) -> Nfa:
     """Subset construction; the result is deterministic and complete."""
-    cap = resolve_state_cap(state_cap)
-    index: dict[frozenset[int], int] = {}
+    index, walk, state = numbering([m.closure(m.initial)], resolve_state_cap(state_cap))
     edges: list[tuple[int, Optional[str], int]] = []
-    queue: deque[frozenset[int]] = deque()
-
-    def state(subset: frozenset[int]) -> int:
-        i = index.get(subset)
-        if i is None:
-            if len(index) >= cap:
-                raise ResourceLimitError(
-                    f"determinization exceeded the cap of {cap} states"
-                )
-            i = len(index)
-            index[subset] = i
-            queue.append(subset)
-        return i
-
-    start = m.closure(m.initial)
-    state(start)
-    while queue:
-        subset = queue.popleft()
-        src = index[subset]
+    for src, subset in walk:
         for a in m.alphabet:
             edges.append((src, a, state(m.step(subset, a))))
     final = frozenset(i for subset, i in index.items() if subset & m.final)
@@ -481,12 +374,7 @@ def missing_word(m: Nfa, state_cap: Optional[int] = None) -> Optional[str]:
             seen.add(nxt)
             parents[nxt] = (subset, a)
             if not (nxt & m.final):
-                out = [a]
-                cur = subset
-                while cur != start:
-                    cur, sym = parents[cur]
-                    out.append(sym)
-                return "".join(reversed(out))
+                return "".join(path_to(parents, nxt))
             queue.append(nxt)
     return None
 

@@ -39,7 +39,7 @@ from typing import Optional
 from .alphabets import DNA, Alphabet, Permutation, dna_delta
 from .automata import Nfa
 from .dna import named_property
-from .errors import DnaCodecError
+from .errors import DnaCodecError, FormatError
 from .fado import parse_fado, serialize_fado, unescape_cli_text
 from .pcp import (
     PcpInstance,
@@ -52,11 +52,8 @@ from .properties import (
     INPUT_ALTERING,
     INPUT_PRESERVING,
     PropertyDescriptor,
-    S_KIND,
     UNRESTRICTED,
     Verdict,
-    W_KIND,
-    find_extension,
     is_maximal,
     satisfies,
 )
@@ -68,6 +65,40 @@ _CLASS_NAMES = {
     "altering": INPUT_ALTERING,
     "preserving": INPUT_PRESERVING,
 }
+
+
+_REQUIRED = object()
+_TYPE_NAMES = {str: "a string", dict: "an object", list: "a list", bool: "a boolean"}
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _field(doc: dict, name: str, types: tuple, default=_REQUIRED, path: str = ""):
+    """``doc[name]`` if it has one of ``types``; ``default`` when absent.
+
+    A missing required field or a value of another type raises a
+    :class:`FormatError` naming the field (``path`` + ``name``).
+    """
+    if name not in doc:
+        if default is _REQUIRED:
+            raise FormatError(f"missing field {path + name!r}")
+        return default
+    value = doc[name]
+    if not isinstance(value, types):
+        expected = " or ".join(_TYPE_NAMES[t] for t in types)
+        raise FormatError(f"field {path + name!r} must be {expected}, not {type(value).__name__}")
+    return value
+
+
+def _words_field(doc: dict, name: str) -> tuple[str, ...]:
+    words = _field(doc, name, (list,))
+    if not all(isinstance(w, str) for w in words):
+        raise FormatError(f"field {name!r} must be a list of strings")
+    return tuple(words)
 
 
 def _machine_text(arg: str) -> str:
@@ -92,27 +123,42 @@ def _theta_from_spec(spec, hint: Optional[Alphabet] = None) -> Permutation:
             return maker(alphabet)
         raise ValueError(f"unknown theta name {name!r}")
     if isinstance(spec, dict):
-        table = spec["table"]
-        alphabet = Alphabet.of(spec["alphabet"]) if "alphabet" in spec else Alphabet.of(sorted(table))
-        return Permutation.from_mapping(
-            alphabet, table, antimorphic=spec.get("mode", "antimorphic") == "antimorphic"
-        )
-    raise ValueError(f"cannot interpret theta specification {spec!r}")
+        table = _field(spec, "table", (dict,), path="theta.")
+        if not all(isinstance(img, str) for img in table.values()):
+            raise FormatError("field 'theta.table' must map symbols to strings")
+        symbols = _field(spec, "alphabet", (str,), None, "theta.")
+        alphabet = Alphabet.of(symbols if symbols is not None else sorted(table))
+        mode = _field(spec, "mode", (str,), "antimorphic", "theta.")
+        if mode not in ("antimorphic", "morphic"):
+            raise FormatError(f"field 'theta.mode' must be 'antimorphic' or 'morphic', not {mode!r}")
+        return Permutation.from_mapping(alphabet, table, antimorphic=mode == "antimorphic")
+    raise FormatError(f"field 'theta' must be a string or an object, not {type(spec).__name__}")
 
 
-def _descriptor_from_doc(doc: dict, base_dir: str) -> PropertyDescriptor:
-    source = doc["transducer"]
-    alphabet = Alphabet.of(doc["alphabet"]) if "alphabet" in doc else None
+def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
+    doc = _object(doc, "descriptor document")
+    source = _field(doc, "transducer", (str, dict))
+    symbols = _field(doc, "alphabet", (str,), None)
+    alphabet = Alphabet.of(symbols) if symbols is not None else None
+    theta_spec = _field(doc, "theta", (str, dict), "dna-delta")
 
     if isinstance(source, dict) and "dna" in source:
-        theta = _theta_from_spec(doc.get("theta", "dna-delta"), alphabet or DNA)
-        spec = source["dna"]
-        built = named_property(spec["name"], spec["variant"], theta)
+        theta = _theta_from_spec(theta_spec, alphabet or DNA)
+        spec = _object(source["dna"], "field 'transducer.dna'")
+        name = _field(spec, "name", (str,), path="transducer.dna.")
+        variant = _field(spec, "variant", (str,), path="transducer.dna.")
+        built = named_property(name, variant, theta)
     elif isinstance(source, dict) and "trajectory" in source:
-        spec = source["trajectory"]
-        theta = _theta_from_spec(doc.get("theta", "dna-delta"), alphabet or DNA)
-        pair = TrajectoryPair(spec["e1"], spec["e2"], bool(spec.get("strict", False)))
+        spec = _object(source["trajectory"], "field 'transducer.trajectory'")
+        theta = _theta_from_spec(theta_spec, alphabet or DNA)
+        pair = TrajectoryPair(
+            _field(spec, "e1", (str,), path="transducer.trajectory."),
+            _field(spec, "e2", (str,), path="transducer.trajectory."),
+            _field(spec, "strict", (bool,), False, "transducer.trajectory."),
+        )
         built = compile_trajectory_property(pair, theta)
+    elif isinstance(source, dict):
+        raise FormatError("field 'transducer' must hold a 'dna' or a 'trajectory' entry")
     else:
         text = source
         if "\n" not in text and not text.lstrip().startswith("@"):
@@ -123,16 +169,21 @@ def _descriptor_from_doc(doc: dict, base_dir: str) -> PropertyDescriptor:
         machine = parse_fado(text, alphabet)
         if not isinstance(machine, Transducer):
             raise ValueError("descriptor 'transducer' entry parsed as an NFA")
-        theta = _theta_from_spec(doc.get("theta", "dna-delta"), machine.alphabet)
-        built = PropertyDescriptor(machine, theta, kind=doc.get("kind", S_KIND))
+        theta = _theta_from_spec(theta_spec, machine.alphabet)
+        built = PropertyDescriptor(machine, theta)
 
     changes = {}
     if "kind" in doc:
-        changes["kind"] = doc["kind"]
+        changes["kind"] = _field(doc, "kind", (str,))
     if "class" in doc:
-        changes["asserted_class"] = _CLASS_NAMES[doc["class"]]
+        short_class = _field(doc, "class", (str,))
+        if short_class not in _CLASS_NAMES:
+            raise FormatError(
+                f"field 'class' must be one of {', '.join(_CLASS_NAMES)}, not {short_class!r}"
+            )
+        changes["asserted_class"] = _CLASS_NAMES[short_class]
     if "name" in doc:
-        changes["name"] = doc["name"]
+        changes["name"] = _field(doc, "name", (str,))
     return dataclasses.replace(built, **changes) if changes else built
 
 
@@ -230,10 +281,11 @@ def _load_instance(arg: str):
     else:
         with open(arg, encoding="utf-8") as fh:
             doc = json.load(fh)
-    alpha, beta = doc["alpha"], doc["beta"]
+    doc = _object(doc, "instance document")
+    alpha, beta = _words_field(doc, "alpha"), _words_field(doc, "beta")
     if "theta" in doc:
-        return ThetaPcpInstance(tuple(alpha), tuple(beta), _theta_from_spec(doc["theta"]))
-    return PcpInstance(tuple(alpha), tuple(beta))
+        return ThetaPcpInstance(alpha, beta, _theta_from_spec(doc["theta"]))
+    return PcpInstance(alpha, beta)
 
 
 def _cmd_pcp(args) -> int:
@@ -361,7 +413,7 @@ def main(argv=None) -> int:
     except DnaCodecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,0 +1,211 @@
+"""Graph utilities shared by every machine construction and decision procedure.
+
+States are dense integers ``0..n-1``.  An edge is any tuple whose first
+item is its source and whose last item is its target, so NFA edges
+``(src, sym, dst)`` and transducer edges ``(src, inp, out, dst)`` go
+through the same code; the edges of one call all have the same length.
+``succ`` is an adjacency list: ``succ[q]`` lists the targets of the edges
+leaving ``q``.
+
+``numbering`` is the one place that decides how the states of a product
+construction are numbered and where a state cap stops it.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Hashable, Iterable, Optional, Sequence
+
+from .errors import ResourceLimitError
+
+INF = float("inf")
+
+
+def _target(edges: Sequence[tuple]) -> int:
+    # A non-negative index: CPython indexes a tuple by ``e[k]`` for k >= 0
+    # markedly faster than by ``e[-1]``, and these loops run once per edge.
+    return len(edges[0]) - 1 if edges else 0
+
+
+def successors(n: int, edges: Sequence[tuple]) -> list[list[int]]:
+    """Per state, the targets of its edges in edge order."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    last = _target(edges)
+    for e in edges:
+        succ[e[0]].append(e[last])
+    return succ
+
+
+def reachable(succ: list[list[int]], sources: Iterable[int]) -> set[int]:
+    """The states reachable from ``sources`` in zero or more steps."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for r in succ[stack.pop()]:
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return seen
+
+
+def reaches(succ: list[list[int]], sources: Iterable[int], targets: frozenset[int]) -> bool:
+    """Does some state of ``sources`` reach ``targets``?  Stops at the first hit."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        q = stack.pop()
+        if q in targets:
+            return True
+        for r in succ[q]:
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return False
+
+
+def trim_keep(n: int, edges: Sequence[tuple], initial: Iterable[int], final: Iterable[int]) -> list[int]:
+    """The sorted states on some path from ``initial`` to ``final``."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    last = _target(edges)
+    for e in edges:
+        src, dst = e[0], e[last]
+        succ[src].append(dst)
+        pred[dst].append(src)
+    return sorted(reachable(succ, initial) & reachable(pred, final))
+
+
+def topological_order(n: int, edges: Sequence[tuple]) -> Optional[list[int]]:
+    """All states ordered so that every edge points forward, or None on a cycle."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
+    last = _target(edges)
+    for e in edges:
+        dst = e[last]
+        succ[e[0]].append(dst)
+        indegree[dst] += 1
+    order = [q for q in range(n) if not indegree[q]]
+    for q in order:  # Kahn: the list grows while it is walked
+        for r in succ[q]:
+            indegree[r] -= 1
+            if not indegree[r]:
+                order.append(r)
+    return order if len(order) == n else None
+
+
+def cycle_states(n: int, edges: Sequence[tuple]) -> set[int]:
+    """States lying on some directed cycle, self-loops included (Tarjan)."""
+    succ = successors(n, edges)
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    result: set[int] = set()
+    for root in range(n):
+        if root in index:
+            continue
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            node, i = work[-1]
+            if i == 0:
+                index[node] = low[node] = len(index)
+                stack.append(node)
+                on_stack.add(node)
+            if i < len(succ[node]):
+                work[-1] = (node, i + 1)
+                child = succ[node][i]
+                if child not in index:
+                    work.append((child, 0))
+                elif child in on_stack:
+                    low[node] = min(low[node], index[child])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    q = stack.pop()
+                    on_stack.discard(q)
+                    comp.append(q)
+                    if q == node:
+                        break
+                if len(comp) > 1 or node in succ[node]:
+                    result.update(comp)
+    return result
+
+
+def distances_to(n: int, edges: Sequence[tuple], targets: Iterable[int]) -> list[float]:
+    """Per state, the least cost of a path into ``targets`` (``INF`` if none).
+
+    0/1-BFS over the reversed edges: an edge whose first label is ``None``
+    (an NFA epsilon move) costs 0, every other edge costs 1.
+    """
+    rev: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    last = _target(edges)
+    for e in edges:
+        rev[e[last]].append((0 if e[1] is None else 1, e[0]))
+    dist = [INF] * n
+    dq: deque[tuple[float, int]] = deque()
+    for f in targets:
+        dist[f] = 0
+        dq.append((0, f))
+    while dq:
+        d, q = dq.popleft()
+        if d > dist[q]:
+            continue
+        for cost, p in rev[q]:
+            nd = d + cost
+            if nd < dist[p]:
+                dist[p] = nd
+                if cost:
+                    dq.append((nd, p))
+                else:
+                    dq.appendleft((nd, p))
+    return dist
+
+
+def numbering(starts: Iterable[Hashable], cap: Optional[int] = None):
+    """Number the keys of a product construction breadth-first.
+
+    Returns ``(index, walk, state)``.  ``state(key)`` returns the number of
+    ``key``; a key seen for the first time gets the next number.  The
+    ``starts`` are numbered first, in their iteration order.  ``walk``
+    yields ``(number, key)`` once for every numbered key, in number order,
+    including keys numbered while it runs.  Numbering more than ``cap``
+    keys raises :class:`ResourceLimitError`.
+    """
+    index: dict = {}
+    keys: list = []
+
+    def state(key) -> int:
+        i = index.get(key)
+        if i is None:
+            i = len(index)
+            if cap is not None and i >= cap:
+                raise ResourceLimitError(f"product construction exceeded the cap of {cap} states")
+            index[key] = i
+            keys.append(key)
+        return i
+
+    for key in starts:
+        state(key)
+    # List iterators see the keys appended while they run.  The numbers
+    # come from ``index``, so edges built from ``walk`` share its int
+    # objects instead of holding copies.
+    return index, zip(map(index.__getitem__, keys), keys), state
+
+
+def path_to(parents: dict, node) -> list:
+    """The labels on the parent chain from its root to ``node``, root first.
+
+    ``parents[child]`` is ``(parent, label)``; a node without an entry is
+    a root.
+    """
+    labels = []
+    while node in parents:
+        node, label = parents[node]
+        labels.append(label)
+    labels.reverse()
+    return labels

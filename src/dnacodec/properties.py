@@ -20,8 +20,7 @@ the assertion is demonstrably false.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .alphabets import Permutation
@@ -36,10 +35,10 @@ from .automata import (
     shortest_word,
     star,
     theta_image,
-    trim as nfa_trim,
     union as nfa_union,
 )
 from .errors import ClassAssertionRefuted, ResourceLimitError
+from .graphs import cycle_states, numbering, topological_order
 from .transducers import (
     Transducer,
     _subset_identity,
@@ -54,8 +53,9 @@ from .transducers import (
     normalize,
     relation_empty,
     restrict_input,
-    shortest_pair,
+    restrict_output,
     trim,
+    union as t_union,
 )
 
 S_KIND = "S"
@@ -125,43 +125,29 @@ def _restriction(t: Transducer, theta: Permutation, l: Nfa) -> Transducer:
     _, tl_sym = tlf.adjacency()
     nl = max(lf.n_states, 1)
     ntl = max(tlf.n_states, 1)
-
-    index: dict[int, int] = {}
+    index, walk, state = numbering(
+        (qt * nl + ql) * ntl + qtl
+        for qt in tn.initial
+        for ql in lf.initial
+        for qtl in tlf.initial
+    )
+    initial = frozenset(range(len(index)))
     edges: list[tuple[int, str, str, int]] = []
-    queue: deque[tuple[int, int, int]] = deque()
-
-    def state(qt: int, ql: int, qtl: int) -> int:
-        packed = (qt * nl + ql) * ntl + qtl
-        s = index.get(packed)
-        if s is None:
-            s = len(index)
-            index[packed] = s
-            queue.append((qt, ql, qtl))
-        return s
-
-    initial: set[int] = set()
-    for qt in tn.initial:
-        for ql in lf.initial:
-            for qtl in tlf.initial:
-                initial.add(state(qt, ql, qtl))
     final: set[int] = set()
     t_final, l_final, tl_final = tn.final, lf.final, tlf.final
-    while queue:
-        qt, ql, qtl = queue.popleft()
-        src = index[(qt * nl + ql) * ntl + qtl]
+    for src, packed in walk:
+        qt, ql, qtl = packed // (nl * ntl), packed // ntl % nl, packed % ntl
         if qt in t_final and ql in l_final and qtl in tl_final:
             final.add(src)
         l_here = l_sym[ql]
         for a, qt2 in ins[qt]:
             for ql2 in l_here.get(a, ()):
-                edges.append((src, a, "", state(qt2, ql2, qtl)))
+                edges.append((src, a, "", state((qt2 * nl + ql2) * ntl + qtl)))
         tl_here = tl_sym[qtl]
         for b, qt2 in outs[qt]:
             for qtl2 in tl_here.get(b, ()):
-                edges.append((src, "", b, state(qt2, ql, qtl2)))
-    out = Transducer(
-        t.alphabet, max(len(index), 1), tuple(edges), frozenset(initial), frozenset(final)
-    )
+                edges.append((src, "", b, state((qt2 * nl + ql) * ntl + qtl2)))
+    out = Transducer(t.alphabet, max(len(index), 1), tuple(edges), initial, frozenset(final))
     out._norm = out
     return out
 
@@ -257,62 +243,17 @@ def satisfies_W_preserving(
     return Verdict(True, None, "satisfies_W_preserving", stats)
 
 
-def _is_acyclic(t: Transducer) -> bool:
-    color = [0] * t.n_states  # 0 white, 1 on stack, 2 done
-    succ: list[list[int]] = [[] for _ in range(t.n_states)]
-    for src, _x, _y, dst in t.edges:
-        succ[src].append(dst)
-    for root in range(t.n_states):
-        if color[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, i = stack[-1]
-            if i < len(succ[node]):
-                stack[-1] = (node, i + 1)
-                child = succ[node][i]
-                if color[child] == 1:
-                    return False
-                if color[child] == 0:
-                    color[child] = 1
-                    stack.append((child, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-    return True
-
-
 def _dag_pairs(t: Transducer, item_cap: int) -> list[tuple[str, str]]:
     """All realized pairs of an acyclic normalized transducer."""
     succ: list[list[tuple[str, str, int]]] = [[] for _ in range(t.n_states)]
     for src, x, y, dst in t.edges:
         succ[src].append((x, y, dst))
-    # reverse topological order by DFS finish time
-    color = [0] * t.n_states
-    order: list[int] = []
-    for root in range(t.n_states):
-        if color[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, i = stack[-1]
-            if i < len(succ[node]):
-                stack[-1] = (node, i + 1)
-                child = succ[node][i][2]
-                if color[child] == 1:
-                    raise ResourceLimitError("pair enumeration requires an acyclic machine")
-                if color[child] == 0:
-                    color[child] = 1
-                    stack.append((child, 0))
-            else:
-                color[node] = 2
-                order.append(node)
-                stack.pop()
+    order = topological_order(t.n_states, t.edges)
+    if order is None:
+        raise ResourceLimitError("pair enumeration requires an acyclic machine")
     suffixes: list[set[tuple[str, str]]] = [set() for _ in range(t.n_states)]
     total = 0
-    for node in order:  # children finish before parents
+    for node in reversed(order):  # children before parents
         bucket = suffixes[node]
         if node in t.final:
             bucket.add(("", ""))
@@ -326,55 +267,6 @@ def _dag_pairs(t: Transducer, item_cap: int) -> list[tuple[str, str]]:
     for q in t.initial:
         result |= suffixes[q]
     return sorted(result, key=lambda p: (len(p[0]) + len(p[1]), p))
-
-
-def _cycle_states(t: Transducer) -> set[int]:
-    """States lying on some directed cycle (self-loops included)."""
-    succ: list[list[int]] = [[] for _ in range(t.n_states)]
-    for src, _x, _y, dst in t.edges:
-        succ[src].append(dst)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    result: set[int] = set()
-    self_loops = {src for src, _x, _y, dst in t.edges if src == dst}
-
-    for root in range(t.n_states):
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, i = work[-1]
-            if i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            if i < len(succ[node]):
-                work[-1] = (node, i + 1)
-                child = succ[node][i]
-                if child not in index:
-                    work.append((child, 0))
-                elif child in on_stack:
-                    low[node] = min(low[node], index[child])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        q = stack.pop()
-                        on_stack.discard(q)
-                        comp.append(q)
-                        if q == node:
-                            break
-                    if len(comp) > 1:
-                        result.update(comp)
-    return result | self_loops
 
 
 def _pump_triples(
@@ -394,7 +286,7 @@ def _pump_triples(
     adj: list[list[tuple[str, str, int]]] = [[] for _ in range(s.n_states)]
     for src, x, y, dst in s.edges:
         adj[src].append((x, y, dst))
-    cyc = _cycle_states(s)
+    cyc = cycle_states(s.n_states, s.edges)
 
     prefixes: list[tuple[str, str, int]] = []
     budget = item_cap
@@ -530,7 +422,7 @@ def satisfies_W_general(
                 return x, theta.inverse()(y)
         return None
 
-    if _is_acyclic(s):
+    if topological_order(s.n_states, s.edges) is not None:
         stats["route"] = "acyclic"
         bad = check_pairs(_dag_pairs(s, item_cap))
         if bad is not None:
@@ -606,8 +498,6 @@ def _altering_route(
         )
     # Only the tolerated empty-word self-pair hit: check the rest of S.
     nonempty = Nfa.nonempty(s.alphabet)
-    from .transducers import restrict_output, union as t_union  # local to avoid cycles
-
     rest = t_union(restrict_input(s, nonempty), restrict_output(s, nonempty))
     if relation_empty(trim(rest)):
         return Verdict(True, None, decider, stats)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .alphabets import Alphabet, Permutation
 from .automata import (
@@ -24,14 +24,13 @@ from .automata import (
     complement as nfa_complement,
     determinize,
     intersect as nfa_intersect,
-    is_empty as nfa_is_empty,
     remove_epsilon,
     resolve_state_cap,
     shortest_word,
-    trim as nfa_trim,
     union as nfa_union,
 )
 from .errors import ResourceLimitError
+from .graphs import INF, distances_to, numbering, path_to, reachable, reaches, successors, trim_keep
 
 
 @dataclass(eq=False)
@@ -118,21 +117,10 @@ def normalize(t: Transducer) -> Transducer:
         else:
             letter_edges[p].append((x, y, q))
 
-    def closure(p: int) -> set[int]:
-        seen = {p}
-        stack = [p]
-        while stack:
-            q = stack.pop()
-            for r in eps_adj[q]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return seen
-
     new_edges: set[tuple[int, str, str, int]] = set()
     final: set[int] = set()
     for p in range(n):
-        cl = closure(p)
+        cl = reachable(eps_adj, (p,))
         if cl & t.final:
             final.add(p)
         for q in cl:
@@ -146,28 +134,7 @@ def normalize(t: Transducer) -> Transducer:
 
 def trim(t: Transducer) -> Transducer:
     """Drop states not on any path from an initial to a final state."""
-    succ: list[list[int]] = [[] for _ in range(t.n_states)]
-    pred: list[list[int]] = [[] for _ in range(t.n_states)]
-    for src, _x, _y, dst in t.edges:
-        succ[src].append(dst)
-        pred[dst].append(src)
-    fwd = set(t.initial)
-    stack = list(fwd)
-    while stack:
-        q = stack.pop()
-        for r in succ[q]:
-            if r not in fwd:
-                fwd.add(r)
-                stack.append(r)
-    bwd = set(t.final)
-    stack = list(bwd)
-    while stack:
-        q = stack.pop()
-        for r in pred[q]:
-            if r not in bwd:
-                bwd.add(r)
-                stack.append(r)
-    keep = sorted(fwd & bwd)
+    keep = trim_keep(t.n_states, t.edges, t.initial, t.final)
     if not keep:
         return Transducer(t.alphabet, 0, (), frozenset(), frozenset())
     remap = {q: i for i, q in enumerate(keep)}
@@ -221,26 +188,10 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
     to = normalize(outer)
     i_ins, i_outs = ti.grouped()
     o_ins, o_outs = to.grouped()
-
-    index: dict[tuple[int, int], int] = {}
+    index, walk, state = numbering((p, q) for p in ti.initial for q in to.initial)
+    initial = frozenset(range(len(index)))
     edges: list[tuple[int, str, str, int]] = []
-    queue: deque[tuple[int, int]] = deque()
-
-    def state(pq: tuple[int, int]) -> int:
-        s = index.get(pq)
-        if s is None:
-            s = len(index)
-            index[pq] = s
-            queue.append(pq)
-        return s
-
-    for p in ti.initial:
-        for q in to.initial:
-            state((p, q))
-    while queue:
-        pq = queue.popleft()
-        p, q = pq
-        src = index[pq]
+    for src, (p, q) in walk:
         for a, p2 in i_ins[p]:
             edges.append((src, a, "", state((p2, q))))
         for b, q2 in o_outs[q]:
@@ -249,9 +200,6 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
             for c2, q2 in o_ins[q]:
                 if c == c2:
                     edges.append((src, "", "", state((p2, q2))))
-    initial = frozenset(
-        i for (p, q), i in index.items() if p in ti.initial and q in to.initial
-    )
     final = frozenset(i for (p, q), i in index.items() if p in ti.final and q in to.final)
     return Transducer(outer.alphabet, max(len(index), 1), tuple(edges), initial, final)
 
@@ -264,34 +212,15 @@ def restrict_input(t: Transducer, m: Nfa) -> Transducer:
     ins, outs = tn.grouped()
     mf = remove_epsilon(m)
     _, m_sym = mf.adjacency()
-
-    index: dict[tuple[int, int], int] = {}
+    index, walk, state = numbering((p, q) for p in tn.initial for q in mf.initial)
+    initial = frozenset(range(len(index)))
     edges: list[tuple[int, str, str, int]] = []
-    queue: deque[tuple[int, int]] = deque()
-
-    def state(pq: tuple[int, int]) -> int:
-        s = index.get(pq)
-        if s is None:
-            s = len(index)
-            index[pq] = s
-            queue.append(pq)
-        return s
-
-    for p in tn.initial:
-        for q in mf.initial:
-            state((p, q))
-    while queue:
-        pq = queue.popleft()
-        p, q = pq
-        src = index[pq]
+    for src, (p, q) in walk:
         for a, p2 in ins[p]:
             for q2 in m_sym[q].get(a, ()):
                 edges.append((src, a, "", state((p2, q2))))
         for b, p2 in outs[p]:
             edges.append((src, "", b, state((p2, q))))
-    initial = frozenset(
-        i for (p, q), i in index.items() if p in tn.initial and q in mf.initial
-    )
     final = frozenset(i for (p, q), i in index.items() if p in tn.final and q in mf.final)
     out = Transducer(t.alphabet, max(len(index), 1), tuple(edges), initial, final)
     out._norm = out  # labels are single-letter by construction
@@ -314,20 +243,7 @@ def image(t: Transducer, m: Optional[Nfa] = None) -> Nfa:
 
 def relation_empty(t: Transducer) -> bool:
     """True when the machine realizes no pair at all."""
-    succ: list[list[int]] = [[] for _ in range(t.n_states)]
-    for src, _x, _y, dst in t.edges:
-        succ[src].append(dst)
-    seen = set(t.initial)
-    stack = list(seen)
-    while stack:
-        q = stack.pop()
-        if q in t.final:
-            return False
-        for r in succ[q]:
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return True
+    return not reaches(successors(t.n_states, t.edges), t.initial, t.final)
 
 
 def _word_key(alphabet: Alphabet, w: str) -> tuple[int, ...]:
@@ -344,22 +260,7 @@ def shortest_pair(t: Transducer, pair_cap: int = 100_000) -> Optional[tuple[str,
     tn = trim(normalize(t))
     if tn.n_states == 0:
         return None
-    # minimal remaining letters from each state to a final state
-    INF = float("inf")
-    rev: list[list[int]] = [[] for _ in range(tn.n_states)]
-    for src, _x, _y, dst in tn.edges:
-        rev[dst].append(src)
-    back = [INF] * tn.n_states
-    dq: deque[int] = deque()
-    for f in tn.final:
-        back[f] = 0
-        dq.append(f)
-    while dq:
-        q = dq.popleft()
-        for p in rev[q]:
-            if back[p] > back[q] + 1:
-                back[p] = back[q] + 1
-                dq.append(p)
+    back = distances_to(tn.n_states, tn.edges, tn.final)  # letters to a final state
     d = min((back[q] for q in tn.initial), default=INF)
     if d == INF:
         return None
@@ -478,7 +379,7 @@ def _shortest_completion(tn: Transducer, start: int) -> tuple[str, str]:
     adj: list[list[tuple[str, str, int]]] = [[] for _ in range(tn.n_states)]
     for src, x, y, dst in tn.edges:
         adj[src].append((x, y, dst))
-    parents: dict[int, tuple[int, str, str]] = {}
+    parents: dict[int, tuple[int, tuple[str, str]]] = {}
     queue: deque[int] = deque([start])
     seen = {start}
     goal = None
@@ -487,21 +388,20 @@ def _shortest_completion(tn: Transducer, start: int) -> tuple[str, str]:
         for x, y, dst in adj[q]:
             if dst not in seen:
                 seen.add(dst)
-                parents[dst] = (q, x, y)
+                parents[dst] = (q, (x, y))
                 if dst in tn.final:
                     goal = dst
                     break
                 queue.append(dst)
     if goal is None:  # pragma: no cover - impossible on a trimmed machine
         raise AssertionError("no completion from a trimmed state")
-    xs: list[str] = []
-    ys: list[str] = []
-    cur = goal
-    while cur != start:
-        cur, x, y = parents[cur]
-        xs.append(x)
-        ys.append(y)
-    return "".join(reversed(xs)), "".join(reversed(ys))
+    return _path_pair(parents, goal)
+
+
+def _path_pair(parents: dict, node) -> tuple[str, str]:
+    """The input and output words on the parent chain ending at ``node``."""
+    steps = path_to(parents, node)
+    return "".join(x for x, _ in steps), "".join(y for _, y in steps)
 
 
 def _subset_identity(
@@ -536,22 +436,12 @@ def _subset_identity(
 
     Config = tuple  # (state, side, pending) with side 0 = input ahead
     start_configs = [(q, 0, "") for q in sorted(tn.initial)]
-    parents: dict[Config, tuple[Config, str, str]] = {}
+    parents: dict[Config, tuple[Config, tuple[str, str]]] = {}
     seen: set[Config] = set(start_configs)
     queue: deque[Config] = deque(start_configs)
 
-    def realized_prefix(cfg: Config) -> tuple[str, str]:
-        chain: list[tuple[str, str]] = []
-        cur = cfg
-        while cur in parents:
-            cur, ex, ey = parents[cur]
-            chain.append((ex, ey))
-        xs = "".join(ex for ex, _ in reversed(chain))
-        ys = "".join(ey for _, ey in reversed(chain))
-        return xs, ys
-
     def violation(cfg: Config, ex: str, ey: str, dst: int) -> tuple[str, str]:
-        px, py = realized_prefix(cfg)
+        px, py = _path_pair(parents, cfg)
         cx, cy = _shortest_completion(tn, dst)
         return px + ex + cx, py + ey + cy
 
@@ -559,8 +449,7 @@ def _subset_identity(
         cfg = queue.popleft()
         q, side, pending = cfg
         if pending and q in tn.final:
-            px, py = realized_prefix(cfg)
-            return False, (px, py)
+            return False, _path_pair(parents, cfg)
         moves: list[tuple[str, str, Config]] = []
         for a, q2 in ins[q]:
             if side == 1 and pending:
@@ -591,7 +480,7 @@ def _subset_identity(
             if len(seen) >= cap:
                 raise ResourceLimitError("identity check exceeded its configuration cap")
             seen.add(nxt)
-            parents[nxt] = (cfg, ex, ey)
+            parents[nxt] = (cfg, (ex, ey))
             queue.append(nxt)
     return True, None
 
@@ -621,27 +510,10 @@ def is_functional(
     if tn.n_states == 0:
         return True, None
     ins, outs = tn.grouped()
-    n = tn.n_states
-
-    index: dict[tuple[int, int], int] = {}
+    index, walk, state = numbering((p, q) for p in tn.initial for q in tn.initial)
+    initial = frozenset(range(len(index)))
     edges: list[tuple[int, str, str, int]] = []
-    queue: deque[tuple[int, int]] = deque()
-
-    def state(pq: tuple[int, int]) -> int:
-        s = index.get(pq)
-        if s is None:
-            s = len(index)
-            index[pq] = s
-            queue.append(pq)
-        return s
-
-    for p in tn.initial:
-        for q in tn.initial:
-            state((p, q))
-    while queue:
-        pq = queue.popleft()
-        p, q = pq
-        src = index[pq]
+    for src, (p, q) in walk:
         for a, p2 in ins[p]:
             for a2, q2 in ins[q]:
                 if a == a2:
@@ -650,9 +522,6 @@ def is_functional(
             edges.append((src, b, "", state((p2, q))))
         for b, q2 in outs[q]:
             edges.append((src, "", b, state((p, q2))))
-    initial = frozenset(
-        i for (p, q), i in index.items() if p in tn.initial and q in tn.initial
-    )
     final = frozenset(i for (p, q), i in index.items() if p in tn.final and q in tn.final)
     square = Transducer(tn.alphabet, max(len(index), 1), tuple(edges), initial, final)
     ok, wit = _subset_identity(trim(normalize(square)))
@@ -686,18 +555,7 @@ def is_length_preserving(
     for src, x, y, dst in tn.edges:
         adj[src].append((x, y, dst))
     label: dict[int, int] = {}
-    parents: dict[int, tuple[int, str, str]] = {}
-
-    def path_labels(q: int) -> tuple[str, str]:
-        xs: list[str] = []
-        ys: list[str] = []
-        cur = q
-        while cur in parents:
-            cur, ex, ey = parents[cur]
-            xs.append(ex)
-            ys.append(ey)
-        return "".join(reversed(xs)), "".join(reversed(ys))
-
+    parents: dict[int, tuple[int, tuple[str, str]]] = {}
     stack: list[int] = []
     for q in sorted(tn.initial):
         if q not in label:
@@ -710,18 +568,18 @@ def is_length_preserving(
             nl = label[p] + delta
             if q not in label:
                 label[q] = nl
-                parents[q] = (p, ex, ey)
+                parents[q] = (p, (ex, ey))
                 stack.append(q)
             elif label[q] != nl:
-                px, py = path_labels(p)
-                qx, qy = path_labels(q)
+                px, py = _path_pair(parents, p)
+                qx, qy = _path_pair(parents, q)
                 cx, cy = _shortest_completion(tn, q)
                 w1 = (px + ex + cx, py + ey + cy)
                 w2 = (qx + cx, qy + cy)
                 return False, (w1 if len(w1[0]) != len(w1[1]) else w2)
     for f in sorted(tn.final):
         if label.get(f, 0) != 0:
-            return False, path_labels(f)
+            return False, _path_pair(parents, f)
     return True, None
 
 
@@ -747,30 +605,10 @@ def included_in_recognizable(
         return False, shortest_pair(tt)
     cap = resolve_state_cap(state_cap)
     dets = [determinize(a, cap) for a, _b in rectangles]
-    det_adj = []
-    for d in dets:
-        _, sym_adj = d.adjacency()
-        det_adj.append(sym_adj)
-
-    index: dict[tuple[int, ...], int] = {}
+    det_adj = [d.adjacency()[1] for d in dets]
+    index, walk, state = numbering([tuple(next(iter(d.initial)) for d in dets)], cap)
     edges: list[tuple[int, Optional[str], int]] = []
-    queue: deque[tuple[int, ...]] = deque()
-
-    def state(tup: tuple[int, ...]) -> int:
-        s = index.get(tup)
-        if s is None:
-            if len(index) >= cap:
-                raise ResourceLimitError("signature product exceeded the state cap")
-            s = len(index)
-            index[tup] = s
-            queue.append(tup)
-        return s
-
-    start = tuple(next(iter(d.initial)) for d in dets)
-    state(start)
-    while queue:
-        tup = queue.popleft()
-        src = index[tup]
+    for src, tup in walk:
         for a in tn.alphabet:
             nxt = tuple(det_adj[i][q][a][0] for i, q in enumerate(tup))
             edges.append((src, a, state(nxt)))

@@ -98,6 +98,18 @@ def test_trim_reverse_remove_epsilon():
     assert sorted(enumerate_words(ne, 2)) == ["", "A", "AA"]
 
 
+@pytest.mark.parametrize("regex", ["(A|CG)*T", "A(C|@epsilon)G+", "(AC)*|G*"])
+def test_remove_epsilon_returns_epsilon_free_machines_unchanged(regex):
+    m = parse_regex(regex, DNA)
+    assert any(sym is None for _, sym, _ in m.edges)
+    ne = remove_epsilon(m)
+    assert all(sym is not None for _, sym, _ in ne.edges)
+    assert enumerate_words(ne, 5) == enumerate_words(m, 5)
+    assert remove_epsilon(ne) is ne
+    trie = Nfa.finite(DNA, ["AC", "G", ""])
+    assert remove_epsilon(trie) is trie
+
+
 def test_theta_image():
     delta = dna_delta()
     m = Nfa.finite(DNA, ["ACG", "T"])

@@ -405,3 +405,26 @@ def test_missing_language_file(capsys):
         ]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"kind": "S"}, "missing field 'transducer'"),
+        (
+            {"class": "altring", "transducer": {"dna": {"name": "compliant", "variant": "weak"}}},
+            "field 'class'",
+        ),
+        ({"transducer": 5}, "field 'transducer'"),
+        ([{"transducer": {"dna": {"name": "compliant", "variant": "weak"}}}], "descriptor document"),
+    ],
+)
+def test_malformed_descriptor_names_the_field(tmp_path, capsys, doc, field):
+    desc = tmp_path / "desc.json"
+    desc.write_text(json.dumps(doc))
+    lang = write_language(tmp_path, "l.fa", ["AC"])
+    rc = main(["satisfies", "--property", str(desc), "--language", lang])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
