@@ -129,9 +129,12 @@ class Permutation:
         return "".join(out)
 
     def inverse(self) -> "Permutation":
-        """The inverse permutation; it has the same mode as this one."""
-        inv = {img: src for src, img in zip(self.alphabet.symbols, self.table)}
-        return Permutation.from_mapping(self.alphabet, inv, self.antimorphic)
+        """The inverse permutation, of the same mode; built once and stored on the instance."""
+        if "_inverse" not in self.__dict__:
+            mapping = {img: src for src, img in zip(self.alphabet.symbols, self.table)}
+            inv = Permutation.from_mapping(self.alphabet, mapping, self.antimorphic)
+            object.__setattr__(self, "_inverse", inv)
+        return self._inverse  # type: ignore[attr-defined]
 
     def order(self) -> int:
         """Multiplicative order of the letter table (mode ignored)."""
@@ -152,8 +155,10 @@ class Permutation:
         return result
 
     def is_involution(self) -> bool:
-        """True when applying the letter table twice is the identity."""
-        return self.order() <= 2
+        """True when applying the letter table twice is the identity (stored once computed)."""
+        if "_involution" not in self.__dict__:
+            object.__setattr__(self, "_involution", self.order() <= 2)
+        return self._involution  # type: ignore[attr-defined]
 
 
 def dna_delta() -> Permutation:

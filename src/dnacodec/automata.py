@@ -14,7 +14,6 @@ instead of thrashing; the default cap can be overridden with the
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -59,15 +58,14 @@ class Nfa:
     # -- adjacency -------------------------------------------------------
 
     def adjacency(self) -> tuple[list[list[int]], list[dict[str, list[int]]]]:
-        """``(eps_adj, sym_adj)``, built once and cached on the instance."""
+        """``(eps_adj, sym_adj)``, built once and cached; a repeated target is listed once."""
         if self._adj is None:
             eps_adj: list[list[int]] = [[] for _ in range(self.n_states)]
             sym_adj: list[dict[str, list[int]]] = [{} for _ in range(self.n_states)]
             for src, sym, dst in self.edges:
-                if sym is None:
-                    eps_adj[src].append(dst)
-                else:
-                    sym_adj[src].setdefault(sym, []).append(dst)
+                targets = eps_adj[src] if sym is None else sym_adj[src].setdefault(sym, [])
+                if dst not in targets:
+                    targets.append(dst)
             self._adj = (eps_adj, sym_adj)
         return self._adj
 
@@ -221,8 +219,10 @@ def enumerate_words(m: Nfa, max_len: int) -> list[str]:
 
 
 def trim(m: Nfa) -> Nfa:
-    """Drop states that are unreachable or cannot reach a final state."""
+    """Drop states that are unreachable or cannot reach a final state; ``m`` itself if none."""
     keep = trim_keep(m.n_states, m.edges, m.initial, m.final)
+    if len(keep) == m.n_states:
+        return m
     if not keep:
         return Nfa(m.alphabet, 0, (), frozenset(), frozenset())
     remap = {q: i for i, q in enumerate(keep)}
@@ -327,15 +327,60 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     return Nfa(a.alphabet, max(len(index), 1), tuple(edges), initial, final)
 
 
+def _subset_walk(m: Nfa):
+    """The subset construction of ``m`` on int bitmasks: ``(start, final, step)``.
+
+    Bit ``q`` stands for state ``q``; ``start`` is the closed initial subset.
+    ``step(subset)`` returns the successor subsets in alphabet order.  Each
+    state's successor mask per letter is epsilon-closed, and closure
+    distributes over union, so these are exactly the subsets ``Nfa.step``
+    gives.  ``step`` ORs a cached row per byte of the subset; a row packs
+    the successors of its states for all letters, ``n_states`` bits each.
+    """
+    n = m.n_states
+    eps_adj, sym_adj = m.adjacency()
+    closed = [sum(1 << r for r in reachable(eps_adj, [q])) for q in range(n)]
+    offsets = [i * n for i in range(len(m.alphabet))]
+    per_state = []
+    for q in range(n):
+        row = 0
+        for off, a in zip(offsets, m.alphabet):
+            for r in sym_adj[q].get(a, ()):
+                row |= closed[r] << off
+        per_state.append(row)
+    full = (1 << n) - 1
+    rows: dict[int, int] = {}  # a byte-aligned chunk of a subset -> its packed successors
+
+    def step(subset: int) -> list[int]:
+        acc = 0
+        for shift in range(0, subset.bit_length(), 8):
+            chunk = subset & (255 << shift)
+            if chunk:
+                row = rows.get(chunk)
+                if row is None:
+                    row = 0
+                    for q in range(shift, shift + 8):
+                        if chunk >> q & 1:
+                            row |= per_state[q]
+                    rows[chunk] = row
+                acc |= row
+        return [acc >> off & full for off in offsets]
+
+    start = sum(1 << q for q in reachable(eps_adj, m.initial))
+    return start, sum(1 << q for q in m.final), step
+
+
 def determinize(m: Nfa, state_cap: Optional[int] = None) -> Nfa:
     """Subset construction; the result is deterministic and complete."""
-    index, walk, state = numbering([m.closure(m.initial)], resolve_state_cap(state_cap))
+    start, final, step = _subset_walk(m)
+    index, walk, state = numbering([start], resolve_state_cap(state_cap))
+    letters = m.alphabet.symbols
     edges: list[tuple[int, Optional[str], int]] = []
     for src, subset in walk:
-        for a in m.alphabet:
-            edges.append((src, a, state(m.step(subset, a))))
-    final = frozenset(i for subset, i in index.items() if subset & m.final)
-    return Nfa(m.alphabet, len(index), tuple(edges), frozenset({0}), final)
+        for a, nxt in zip(letters, step(subset)):
+            edges.append((src, a, state(nxt)))
+    accepting = frozenset(i for subset, i in index.items() if subset & final)
+    return Nfa(m.alphabet, len(index), tuple(edges), frozenset({0}), accepting)
 
 
 def complement(m: Nfa, state_cap: Optional[int] = None) -> Nfa:
@@ -356,24 +401,23 @@ def missing_word(m: Nfa, state_cap: Optional[int] = None) -> Optional[str]:
     so universality of e.g. a union of small parts rarely pays the full
     exponential price.
     """
-    cap = resolve_state_cap(state_cap)
-    start = m.closure(m.initial)
-    if not (start & m.final):
+    if not m.closure(m.initial) & m.final:
         return ""
-    parents: dict[frozenset[int], tuple[frozenset[int], str]] = {}
+    cap = resolve_state_cap(state_cap)
+    start, final, step = _subset_walk(m)
+    letters = m.alphabet.symbols
+    parents: dict[int, tuple[int, str]] = {}
     seen = {start}
-    queue: deque[frozenset[int]] = deque([start])
-    while queue:
-        subset = queue.popleft()
-        for a in m.alphabet:
-            nxt = m.step(subset, a)
+    queue = [start]
+    for subset in queue:  # breadth-first: the list grows while it is walked
+        for a, nxt in zip(letters, step(subset)):
             if nxt in seen:
                 continue
             if len(seen) >= cap:
                 raise ResourceLimitError(f"universality check exceeded the cap of {cap} subsets")
             seen.add(nxt)
             parents[nxt] = (subset, a)
-            if not (nxt & m.final):
+            if not nxt & final:
                 return "".join(path_to(parents, nxt))
             queue.append(nxt)
     return None

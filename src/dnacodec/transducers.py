@@ -133,8 +133,10 @@ def normalize(t: Transducer) -> Transducer:
 
 
 def trim(t: Transducer) -> Transducer:
-    """Drop states not on any path from an initial to a final state."""
+    """Drop states not on any path from an initial to a final state; ``t`` itself if none."""
     keep = trim_keep(t.n_states, t.edges, t.initial, t.final)
+    if len(keep) == t.n_states:
+        return t
     if not keep:
         return Transducer(t.alphabet, 0, (), frozenset(), frozenset())
     remap = {q: i for i, q in enumerate(keep)}

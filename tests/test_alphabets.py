@@ -79,6 +79,20 @@ def test_inverse_and_order():
     assert three_cycle.inverse()("abc") == "cab"
 
 
+def test_inverse_and_involution_are_stored_on_the_instance():
+    three_cycle = Permutation.from_mapping(Alphabet.of("abc"), {"a": "b", "b": "c", "c": "a"})
+    inv = three_cycle.inverse()
+    assert three_cycle.inverse() is inv
+    assert inv.inverse() == three_cycle
+    assert inv.table == ("c", "a", "b")
+    assert not three_cycle.is_involution() and not three_cycle.is_involution()
+    delta = dna_delta()
+    assert delta.is_involution() and delta.is_involution()
+    fresh = Permutation.from_mapping(Alphabet.of("abc"), {"a": "b", "b": "c", "c": "a"})
+    assert three_cycle == fresh and hash(three_cycle) == hash(fresh)
+    assert inv != three_cycle
+
+
 def test_compose_applies_inner_first():
     swap = Permutation.from_mapping(BINARY, {"0": "1", "1": "0"})
     mirror = Permutation.mirror(BINARY)

@@ -1,5 +1,7 @@
 """NFA construction, boolean operations, and the regex front end."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,7 @@ from dnacodec.automata import (
     union,
 )
 from dnacodec.errors import FormatError, ResourceLimitError
+from dnacodec.graphs import numbering, path_to
 
 word_lists = st.lists(st.text(alphabet="ACGT", max_size=4), max_size=5)
 
@@ -98,6 +101,21 @@ def test_trim_reverse_remove_epsilon():
     assert sorted(enumerate_words(ne, 2)) == ["", "A", "AA"]
 
 
+def test_trim_returns_trimmed_machines_unchanged():
+    padded = union(parse_regex("AC|AG", DNA), Nfa.empty(DNA))
+    t = trim(padded)
+    assert t.n_states < padded.n_states
+    assert sorted(enumerate_words(t, 2)) == ["AC", "AG"]
+    assert trim(t) is t
+
+
+def test_adjacency_lists_a_repeated_target_once():
+    m = Nfa(DNA, 3, ((0, "A", 2), (0, "A", 1), (0, "A", 2), (0, None, 1), (0, None, 1)), {0}, {2})
+    eps_adj, sym_adj = m.adjacency()
+    assert eps_adj[0] == [1]
+    assert sym_adj[0] == {"A": [2, 1]}
+
+
 @pytest.mark.parametrize("regex", ["(A|CG)*T", "A(C|@epsilon)G+", "(AC)*|G*"])
 def test_remove_epsilon_returns_epsilon_free_machines_unchanged(regex):
     m = parse_regex(regex, DNA)
@@ -160,3 +178,124 @@ def test_theta_image_pointwise(words):
     delta = dna_delta()
     img = theta_image(Nfa.finite(DNA, words), delta)
     assert sorted(enumerate_words(img, 4)) == sorted({delta(w) for w in words})
+
+
+# -- the bitmask subset kernel against the frozenset subset construction --
+
+
+def _frozenset_determinize(m, state_cap=None):
+    """The subset construction on ``frozenset`` subsets and ``Nfa.step``."""
+    index, walk, state = numbering([m.closure(m.initial)], state_cap)
+    edges = []
+    for src, subset in walk:
+        for a in m.alphabet:
+            edges.append((src, a, state(m.step(subset, a))))
+    final = frozenset(i for subset, i in index.items() if subset & m.final)
+    return Nfa(m.alphabet, len(index), tuple(edges), frozenset({0}), final)
+
+
+def _frozenset_missing_word(m, cap):
+    """Breadth-first subset search on ``frozenset`` subsets and ``Nfa.step``."""
+    start = m.closure(m.initial)
+    if not (start & m.final):
+        return ""
+    parents = {}
+    seen = {start}
+    queue = [start]
+    for subset in queue:
+        for a in m.alphabet:
+            nxt = m.step(subset, a)
+            if nxt in seen:
+                continue
+            if len(seen) >= cap:
+                raise ResourceLimitError(f"universality check exceeded the cap of {cap} subsets")
+            seen.add(nxt)
+            parents[nxt] = (subset, a)
+            if not (nxt & m.final):
+                return "".join(path_to(parents, nxt))
+            queue.append(nxt)
+    return None
+
+
+def _first_rejected(m, max_len):
+    """The shortlex-least word of length <= max_len that ``m`` rejects."""
+    for length in range(max_len + 1):
+        for letters in itertools.product(m.alphabet.symbols, repeat=length):
+            if not accepts(m, "".join(letters)):
+                return "".join(letters)
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ResourceLimitError as exc:
+        return ("ResourceLimitError", str(exc))
+
+
+def _dfa(d):
+    return d.n_states, d.edges, d.initial, d.final
+
+
+@st.composite
+def small_nfas(draw, total=False):
+    """NFAs of at most 8 states with epsilon edges, over either alphabet.
+
+    With ``total`` every state has a move on every letter and at most
+    three states are not final, and the initial states are final, so most such machines accept every short
+    word and their shortest rejected words are longer.
+    """
+    alphabet = draw(st.sampled_from([BINARY, DNA]))
+    n = draw(st.integers(1, 8))
+    states = st.integers(0, n - 1)
+    syms = st.sampled_from((None,) + alphabet.symbols)
+    edges = draw(st.lists(st.tuples(states, syms, states), max_size=4 * n))
+    if total:
+        edges += [(q, a, draw(states)) for q in range(n) for a in alphabet]
+        final = frozenset(range(n)) - draw(st.frozensets(states, max_size=min(3, n - 1)))
+        initial = draw(st.frozensets(st.sampled_from(sorted(final)), min_size=1, max_size=3))
+    else:
+        initial = draw(st.frozensets(states, max_size=3))
+        final = draw(st.frozensets(states, min_size=n // 2))
+    return Nfa(alphabet, n, tuple(edges), initial, final)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_nfas(), small_nfas(total=True)))
+def test_determinize_matches_frozenset_subsets(m):
+    assert _dfa(determinize(m)) == _dfa(_frozenset_determinize(m))
+    for cap in (1, 2, 3):
+        assert _outcome(lambda: _dfa(determinize(m, cap))) == _outcome(
+            lambda: _dfa(_frozenset_determinize(m, cap))
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_nfas(), small_nfas(total=True)))
+def test_missing_word_matches_frozenset_search_and_brute_force(m):
+    w = missing_word(m)
+    assert w == _frozenset_missing_word(m, 1 << 20)
+    for cap in (1, 2, 3):
+        assert _outcome(missing_word, m, cap) == _outcome(_frozenset_missing_word, m, cap)
+    bound = 4 if len(m.alphabet) == 4 else 8
+    brute = _first_rejected(m, bound)
+    assert brute == (w if w is not None and len(w) <= bound else None)
+
+
+def _near_universal_dna(k, letter):
+    """Words of length <= k, or whose (k+1)-th letter from the end is not ``letter``."""
+    edges = [(i, a, i + 1) for i in range(k) for a in "ACGT"]
+    guess = k + 1
+    edges += [(guess, a, guess) for a in "ACGT"]
+    edges += [(guess, a, guess + 1) for a in "ACGT" if a != letter]
+    edges += [(guess + 1 + j, a, guess + 2 + j) for j in range(k) for a in "ACGT"]
+    n = guess + 2 + k
+    return Nfa(DNA, n, tuple(edges), frozenset({0, guess}), frozenset(range(k + 1)) | {n - 1})
+
+
+@pytest.mark.parametrize("letter", "ACGT")
+def test_missing_word_near_universal_family(letter):
+    m = _near_universal_dna(5, letter)
+    assert missing_word(m) == letter + "AAAAA"
+    assert missing_word(m) == _frozenset_missing_word(m, 1 << 20)
+    assert _first_rejected(_near_universal_dna(3, letter), 4) == letter + "AAA"

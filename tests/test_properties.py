@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
-from dnacodec.automata import Nfa, accepts, enumerate_words, parse_regex
+from dnacodec.automata import Nfa, accepts, enumerate_words, parse_regex, remove_epsilon
 from dnacodec.errors import ClassAssertionRefuted
 from dnacodec.properties import (
     INPUT_ALTERING,
@@ -103,6 +103,26 @@ def test_satisfies_s_on_infinite_languages():
     assert v.witness == ("", "")
     disjoint = parse_regex("(AT)*A", DNA)  # delta images all start with T
     assert satisfies_S(p, disjoint).satisfied
+
+
+@pytest.mark.parametrize(
+    "language",
+    [dna_lang(["AC", "GTA"]), dna_lang(["ACG", "CGT", "TT"]), parse_regex("A*CG", DNA)],
+)
+def test_duplicate_language_edges_do_not_reach_the_restriction(language):
+    language = remove_epsilon(language)
+    doubled = Nfa(
+        DNA,
+        language.n_states,
+        tuple(e for e in language.edges for _ in range(2)),
+        language.initial,
+        language.final,
+    )
+    for t in (infix_machine(DNA), Transducer.identity(DNA)):
+        p = PropertyDescriptor(t, DELTA, kind=S_KIND)
+        once, twice = satisfies_S(p, language), satisfies_S(p, doubled)
+        assert (twice.satisfied, twice.witness) == (once.satisfied, once.witness)
+        assert twice.stats["restriction_edges"] == once.stats["restriction_edges"]
 
 
 def test_language_alphabet_must_match():

@@ -143,6 +143,15 @@ def test_is_partial_identity():
     assert is_partial_identity(restricted)[0]
 
 
+def test_trim_returns_trimmed_transducers_unchanged():
+    dead_end = Transducer(AB, 3, ((0, "a", "b", 1), (0, "b", "a", 2)), {0}, {1})
+    t = trim(dead_end)
+    assert t.n_states == 2 and t.edges == ((0, "a", "b", 1),)
+    assert trim(t) is t
+    split = normalize(doubler())
+    assert trim(split) is split
+
+
 def test_is_functional():
     assert is_functional(doubler())[0]
     ambiguous = Transducer(AB, 1, ((0, "a", "a", 0), (0, "a", "b", 0)), {0}, {0})
