@@ -258,7 +258,8 @@ def remove_epsilon(m: Nfa) -> Nfa:
             for sym, dsts in sym_adj[q].items():
                 for r in dsts:
                     edges.append((p, sym, r))
-    return Nfa(m.alphabet, max(m.n_states, 1), tuple(set(edges)), m.initial, frozenset(final))
+    edges = list(dict.fromkeys(edges))  # first-seen order: a set's would follow the hash seed
+    return Nfa(m.alphabet, max(m.n_states, 1), tuple(edges), m.initial, frozenset(final))
 
 
 def union(a: Nfa, b: Nfa) -> Nfa:
@@ -406,16 +407,14 @@ def missing_word(m: Nfa, state_cap: Optional[int] = None) -> Optional[str]:
     cap = resolve_state_cap(state_cap)
     start, final, step = _subset_walk(m)
     letters = m.alphabet.symbols
-    parents: dict[int, tuple[int, str]] = {}
-    seen = {start}
+    parents: dict[int, Optional[tuple[int, str]]] = {start: None}  # every subset seen
     queue = [start]
     for subset in queue:  # breadth-first: the list grows while it is walked
         for a, nxt in zip(letters, step(subset)):
-            if nxt in seen:
+            if nxt in parents:
                 continue
-            if len(seen) >= cap:
+            if len(parents) >= cap:
                 raise ResourceLimitError(f"universality check exceeded the cap of {cap} subsets")
-            seen.add(nxt)
             parents[nxt] = (subset, a)
             if not nxt & final:
                 return "".join(path_to(parents, nxt))

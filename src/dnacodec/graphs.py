@@ -200,12 +200,12 @@ def numbering(starts: Iterable[Hashable], cap: Optional[int] = None):
 def path_to(parents: dict, node) -> list:
     """The labels on the parent chain from its root to ``node``, root first.
 
-    ``parents[child]`` is ``(parent, label)``; a node without an entry is
-    a root.
+    ``parents[child]`` is ``(parent, label)``; a node without an entry, or
+    whose entry is ``None``, is a root.
     """
     labels = []
-    while node in parents:
-        node, label = parents[node]
+    while (step := parents.get(node)) is not None:
+        node, label = step
         labels.append(label)
     labels.reverse()
     return labels

@@ -31,14 +31,13 @@ from .automata import (
     concat,
     intersect as nfa_intersect,
     missing_word,
-    remove_epsilon,
     shortest_word,
     star,
     theta_image,
     union as nfa_union,
 )
 from .errors import ClassAssertionRefuted, ResourceLimitError
-from .graphs import cycle_states, numbering, topological_order
+from .graphs import cycle_states, topological_order
 from .transducers import (
     Transducer,
     _subset_identity,
@@ -109,47 +108,17 @@ def _check_language(p: PropertyDescriptor, l: Nfa) -> None:
         raise ValueError("language alphabet does not match the property")
 
 
-def _restriction(t: Transducer, theta: Permutation, l: Nfa) -> Transducer:
-    """The transducer for T's pairs with input in L and output in theta(L).
+_REFUTED = {
+    "altering": "transducer asserted input-altering but maps {!r} onto its theta-image",
+    "preserving": "transducer asserted input-preserving but misses theta({!r})",
+}
 
-    One lazy product over (T-state, L-state, theta(L)-state) triples with
-    integer-packed states; inputs advance the L component, outputs the
-    theta(L) component.  This is the hot path shared by every satisfaction
-    decider, so it avoids building the two intermediate restrictions.
-    """
-    tn = normalize(t)
-    ins, outs = tn.grouped()
-    lf = remove_epsilon(l)
-    tlf = remove_epsilon(theta_image(l, theta))
-    _, l_sym = lf.adjacency()
-    _, tl_sym = tlf.adjacency()
-    nl = max(lf.n_states, 1)
-    ntl = max(tlf.n_states, 1)
-    index, walk, state = numbering(
-        (qt * nl + ql) * ntl + qtl
-        for qt in tn.initial
-        for ql in lf.initial
-        for qtl in tlf.initial
-    )
-    initial = frozenset(range(len(index)))
-    edges: list[tuple[int, str, str, int]] = []
-    final: set[int] = set()
-    t_final, l_final, tl_final = tn.final, lf.final, tlf.final
-    for src, packed in walk:
-        qt, ql, qtl = packed // (nl * ntl), packed // ntl % nl, packed % ntl
-        if qt in t_final and ql in l_final and qtl in tl_final:
-            final.add(src)
-        l_here = l_sym[ql]
-        for a, qt2 in ins[qt]:
-            for ql2 in l_here.get(a, ()):
-                edges.append((src, a, "", state((qt2 * nl + ql2) * ntl + qtl)))
-        tl_here = tl_sym[qtl]
-        for b, qt2 in outs[qt]:
-            for qtl2 in tl_here.get(b, ()):
-                edges.append((src, "", b, state((qt2 * nl + ql) * ntl + qtl2)))
-    out = Transducer(t.alphabet, max(len(index), 1), tuple(edges), initial, frozenset(final))
-    out._norm = out
-    return out
+
+def _check_assertion(p: PropertyDescriptor, mode: str, assertion_bound: int) -> None:
+    """Raise :class:`ClassAssertionRefuted` when a short word refutes the class."""
+    refutation = bounded_counterexample(p.transducer, p.theta, mode, assertion_bound)
+    if refutation is not None:
+        raise ClassAssertionRefuted(_REFUTED[mode].format(refutation), refutation)
 
 
 def _decode_intersection_witness(
@@ -161,19 +130,11 @@ def _decode_intersection_witness(
     shortest language word producing y.  With ``avoid_self`` a second
     preimage different from v is preferred when one exists.
     """
-    out_proj = Nfa(
-        s.alphabet,
-        s.n_states,
-        tuple((src, out if out else None, dst) for src, _inp, out, dst in s.edges),
-        s.initial,
-        s.final,
-    )
-    y = shortest_word(out_proj)
+    y = shortest_word(image(s))
     assert y is not None, "caller must ensure the restriction is nonempty"
     v = p.theta.inverse()(y)
-    preimages = nfa_intersect(
-        image(inverse(normalize(p.transducer)), Nfa.word(p.theta.alphabet, y)), l
-    )
+    on_y = restrict_input(normalize(p.transducer), l, Nfa.word(p.theta.alphabet, y))
+    preimages = image(inverse(on_y))
     u = shortest_word(preimages)
     assert u is not None
     if avoid_self and u == v:
@@ -193,7 +154,7 @@ def satisfies_S(p: PropertyDescriptor, l: Nfa) -> Verdict:
     the two readings coincide on nonempty words.
     """
     _check_language(p, l)
-    s = _restriction(p.transducer, p.theta, l)
+    s = restrict_input(p.transducer, l, theta_image(l, p.theta))
     stats = {"restriction_states": s.n_states, "restriction_edges": len(s.edges)}
     if relation_empty(s):
         return Verdict(True, None, "satisfies_S", stats)
@@ -216,15 +177,8 @@ def satisfies_W_preserving(
     _check_language(p, l)
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_preserving expects a weak-kind descriptor")
-    refutation = bounded_counterexample(
-        p.transducer, p.theta, "preserving", assertion_bound
-    )
-    if refutation is not None:
-        raise ClassAssertionRefuted(
-            f"transducer asserted input-preserving but misses theta({refutation!r})",
-            refutation,
-        )
-    s = _restriction(p.transducer, p.theta, l)
+    _check_assertion(p, "preserving", assertion_bound)
+    s = restrict_input(p.transducer, l, theta_image(l, p.theta))
     stats = {"restriction_states": s.n_states, "restriction_edges": len(s.edges)}
     stats["assertion_bound"] = assertion_bound
     ok, wit = is_functional(s)
@@ -234,8 +188,8 @@ def satisfies_W_preserving(
         y = y1 if y1 != p.theta(x) else y2
         return Verdict(False, (x, p.theta.inverse()(y)), "satisfies_W_preserving", stats)
     if accepts(l, ""):
-        on_empty = image(restrict_input(s, Nfa.epsilon(s.alphabet)))
-        y = shortest_word(nfa_intersect(on_empty, Nfa.nonempty(s.alphabet)))
+        on_empty = restrict_input(s, Nfa.epsilon(s.alphabet), Nfa.nonempty(s.alphabet))
+        y = shortest_word(image(on_empty))
         if y is not None:
             return Verdict(
                 False, ("", p.theta.inverse()(y)), "satisfies_W_preserving", stats
@@ -385,7 +339,7 @@ def satisfies_W_general(
         raise ValueError(
             "weak satisfaction for antimorphic permutations of order > 2 is not supported"
         )
-    s = trim(_restriction(p.transducer, theta, l))
+    s = trim(restrict_input(p.transducer, l, theta_image(l, theta)))
     stats = {"restriction_states": s.n_states, "restriction_edges": len(s.edges)}
     decider = "satisfies_W_general"
     if s.n_states == 0:
@@ -477,13 +431,8 @@ def _altering_route(
     words; the only divergence is the self-pair on the empty word, which
     the weak reading tolerates and the strict one does not.
     """
-    refutation = bounded_counterexample(p.transducer, p.theta, "altering", assertion_bound)
-    if refutation is not None:
-        raise ClassAssertionRefuted(
-            f"transducer asserted input-altering but maps {refutation!r} onto its theta-image",
-            refutation,
-        )
-    s = _restriction(p.transducer, p.theta, l)
+    _check_assertion(p, "altering", assertion_bound)
+    s = restrict_input(p.transducer, l, theta_image(l, p.theta))
     stats = {"restriction_states": s.n_states, "restriction_edges": len(s.edges)}
     stats["assertion_bound"] = assertion_bound
     decider = "satisfies_S"
@@ -493,9 +442,7 @@ def _altering_route(
     if u != v:
         return Verdict(False, (u, v), decider, stats)
     if u != "":
-        raise ClassAssertionRefuted(
-            f"transducer asserted input-altering but maps {u!r} onto its theta-image", u
-        )
+        raise ClassAssertionRefuted(_REFUTED["altering"].format(u), u)
     # Only the tolerated empty-word self-pair hit: check the rest of S.
     nonempty = Nfa.nonempty(s.alphabet)
     rest = t_union(restrict_input(s, nonempty), restrict_output(s, nonempty))
@@ -503,9 +450,7 @@ def _altering_route(
         return Verdict(True, None, decider, stats)
     u, v = _decode_intersection_witness(p, l, rest, avoid_self=True)
     if u == v:
-        raise ClassAssertionRefuted(
-            f"transducer asserted input-altering but maps {u!r} onto its theta-image", u
-        )
+        raise ClassAssertionRefuted(_REFUTED["altering"].format(u), u)
     return Verdict(False, (u, v), decider, stats)
 
 
@@ -559,14 +504,7 @@ def _require_maximality_hypotheses(
                 "maximality for the strict kind is undecidable in general; "
                 "it requires an input-altering class assertion"
             )
-        refutation = bounded_counterexample(
-            p.transducer, p.theta, "altering", assertion_bound
-        )
-        if refutation is not None:
-            raise ClassAssertionRefuted(
-                f"transducer asserted input-altering but maps {refutation!r} onto its theta-image",
-                refutation,
-            )
+        _check_assertion(p, "altering", assertion_bound)
     return base
 
 

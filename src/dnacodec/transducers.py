@@ -23,7 +23,6 @@ from .automata import (
     Nfa,
     complement as nfa_complement,
     determinize,
-    intersect as nfa_intersect,
     remove_epsilon,
     resolve_state_cap,
     shortest_word,
@@ -156,9 +155,15 @@ def trim(t: Transducer) -> Transducer:
 
 
 def inverse(t: Transducer) -> Transducer:
-    """Swap the tapes: realizes {(y, x) : (x, y) in t}."""
+    """Swap the tapes: realizes {(y, x) : (x, y) in t}.
+
+    The inverse of a normal form is a normal form, and is marked as one.
+    """
     edges = tuple((s, y, x, d) for s, x, y, d in t.edges)
-    return Transducer(t.alphabet, t.n_states, edges, t.initial, t.final)
+    out = Transducer(t.alphabet, t.n_states, edges, t.initial, t.final)
+    if t._norm is t:
+        out._norm = out
+    return out
 
 
 def union(a: Transducer, b: Transducer) -> Transducer:
@@ -206,31 +211,62 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
     return Transducer(outer.alphabet, max(len(index), 1), tuple(edges), initial, final)
 
 
-def restrict_input(t: Transducer, m: Nfa) -> Transducer:
-    """Keep only the pairs whose input word is accepted by ``m``."""
-    if t.alphabet != m.alphabet:
+def restrict_input(t: Transducer, m: Nfa, outputs: Optional[Nfa] = None) -> Transducer:
+    """Keep only the pairs whose input word is accepted by ``m`` and, when
+    ``outputs`` is given, whose output word is accepted by ``outputs``.
+
+    This is the one product of a transducer with automata on its tapes: a
+    lazy walk over (T-state, m-state, outputs-state) triples packed into
+    ints, on the normal form of ``t`` and the epsilon-free forms of the two
+    languages.  Inputs advance the ``m`` component, outputs the ``outputs``
+    component; a free output tape is the 1-state universal machine.
+    """
+    if outputs is None:
+        outputs = Nfa.universal(t.alphabet)
+    if not t.alphabet == m.alphabet == outputs.alphabet:
         raise ValueError("restrict_input requires a common alphabet")
     tn = normalize(t)
     ins, outs = tn.grouped()
-    mf = remove_epsilon(m)
-    _, m_sym = mf.adjacency()
-    index, walk, state = numbering((p, q) for p in tn.initial for q in mf.initial)
+    lf = remove_epsilon(m)
+    of = remove_epsilon(outputs)
+    _, l_sym = lf.adjacency()
+    _, o_sym = of.adjacency()
+    nl = max(lf.n_states, 1)
+    no = max(of.n_states, 1)
+    index, walk, state = numbering(
+        (qt * nl + ql) * no + qo for qt in tn.initial for ql in lf.initial for qo in of.initial
+    )
     initial = frozenset(range(len(index)))
     edges: list[tuple[int, str, str, int]] = []
-    for src, (p, q) in walk:
-        for a, p2 in ins[p]:
-            for q2 in m_sym[q].get(a, ()):
-                edges.append((src, a, "", state((p2, q2))))
-        for b, p2 in outs[p]:
-            edges.append((src, "", b, state((p2, q))))
-    final = frozenset(i for (p, q), i in index.items() if p in tn.final and q in mf.final)
-    out = Transducer(t.alphabet, max(len(index), 1), tuple(edges), initial, final)
+    final: set[int] = set()
+    t_final, l_final, o_final = tn.final, lf.final, of.final
+    for src, packed in walk:
+        qt, ql, qo = packed // (nl * no), packed // no % nl, packed % no
+        if qt in t_final and ql in l_final and qo in o_final:
+            final.add(src)
+        l_here = l_sym[ql]
+        for a, qt2 in ins[qt]:
+            for ql2 in l_here.get(a, ()):
+                edges.append((src, a, "", state((qt2 * nl + ql2) * no + qo)))
+        o_here = o_sym[qo]
+        for b, qt2 in outs[qt]:
+            for qo2 in o_here.get(b, ()):
+                edges.append((src, "", b, state((qt2 * nl + ql) * no + qo2)))
+    out = Transducer(t.alphabet, max(len(index), 1), tuple(edges), initial, frozenset(final))
     out._norm = out  # labels are single-letter by construction
     return out
 
 
 def restrict_output(t: Transducer, m: Nfa) -> Transducer:
-    """Keep only the pairs whose output word is accepted by ``m``."""
+    """Keep only the pairs whose output word is accepted by ``m``.
+
+    Kept as the inverse of an input restriction rather than a call of
+    ``restrict_input`` with a universal input language: normalizing the
+    inverse of a machine with two-letter edges, such as the trajectory
+    operators T1/T3, splits each edge output letter first, and the
+    compiled trajectory properties come out smaller that way (62 rather
+    than 94 states for ``1*0+1*``/``0+`` strict).
+    """
     return inverse(restrict_input(inverse(t), m))
 
 
@@ -532,8 +568,7 @@ def is_functional(
     assert wit is not None
     y1, y2 = wit
     pre1 = image(inverse(tn), Nfa.word(tn.alphabet, y1))
-    pre2 = image(inverse(tn), Nfa.word(tn.alphabet, y2))
-    x = shortest_word(nfa_intersect(pre1, pre2))
+    x = shortest_word(image(inverse(restrict_input(tn, pre1, Nfa.word(tn.alphabet, y2)))))
     assert x is not None, "square witness must share an input"
     return False, (x, y1, y2)
 
@@ -635,7 +670,7 @@ def included_in_recognizable(
         else:
             allowed = Nfa.empty(tn.alphabet)
         forbidden = nfa_complement(allowed, cap)
-        residual = trim(restrict_output(restrict_input(tn, l_sig), forbidden))
+        residual = trim(restrict_input(tn, l_sig, forbidden))
         if not relation_empty(residual):
             return False, shortest_pair(residual)
     return True, None

@@ -426,3 +426,47 @@ def test_find_extension_respects_bound():
     l = Nfa.finite(ZO, ["0"])
     assert find_extension(p, l, max_len=4) == "00"
     assert find_extension(p, l, max_len=1) is None
+
+
+def test_refuted_assertions_keep_their_messages():
+    identity = Transducer.identity(DNA)
+    cases = [
+        (
+            lambda: satisfies(
+                PropertyDescriptor(identity, DELTA, kind=W_KIND, asserted_class=INPUT_PRESERVING),
+                dna_lang(["A"]),
+            ),
+            "A",
+            "transducer asserted input-preserving but misses theta('A')",
+        ),
+        (
+            lambda: satisfies(
+                PropertyDescriptor(identity, DELTA, kind=W_KIND, asserted_class=INPUT_ALTERING),
+                dna_lang(["A"]),
+            ),
+            "AT",
+            "transducer asserted input-altering but maps 'AT' onto its theta-image",
+        ),
+        (  # found while decoding the witness, below the scan bound
+            lambda: satisfies(
+                PropertyDescriptor(identity, DELTA, kind=W_KIND, asserted_class=INPUT_ALTERING),
+                dna_lang(["AT"]),
+                assertion_bound=1,
+            ),
+            "AT",
+            "transducer asserted input-altering but maps 'AT' onto its theta-image",
+        ),
+        (
+            lambda: is_maximal(
+                PropertyDescriptor(identity, DELTA, kind=S_KIND, asserted_class=INPUT_ALTERING),
+                dna_lang(["AAA"]),
+            ),
+            "AT",
+            "transducer asserted input-altering but maps 'AT' onto its theta-image",
+        ),
+    ]
+    for call, word, message in cases:
+        with pytest.raises(ClassAssertionRefuted) as exc:
+            call()
+        assert exc.value.witness == word
+        assert str(exc.value) == message

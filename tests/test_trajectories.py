@@ -182,3 +182,14 @@ def test_compiled_machine_realizes_strict_operator():
     # the property machine maps a word to the operator image of {word}
     img = image(built.transducer, Nfa.finite(DNA, ["ACG"]))
     assert set(enumerate_words(img, 3)) == {"A", "C", "G", "AC", "CG", "ACG"}
+
+
+@pytest.mark.parametrize(
+    "e1,e2,strict,size",
+    [("1*0+1*", "0+", True, (62, 208)), ("1*0+1*", "0+", False, (154, 516)), ("0+", "0+", True, (39, 60))],
+)
+def test_compiled_descriptor_sizes(e1, e2, strict, size):
+    # restrict_output normalizes the inverse of T1/T3, which splits each
+    # two-letter edge output letter first; these sizes depend on that order
+    built = compile_trajectory_property(TrajectoryPair(e1, e2, strict), dna_delta())
+    assert (built.transducer.n_states, len(built.transducer.edges)) == size

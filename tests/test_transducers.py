@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnacodec.alphabets import BINARY, DNA, Alphabet, Permutation, dna_delta
-from dnacodec.automata import Nfa, accepts, enumerate_words
+from dnacodec.automata import Nfa, accepts, enumerate_words, remove_epsilon, theta_image
+from dnacodec.graphs import numbering
 from dnacodec.transducers import (
     Transducer,
     accepts_pair,
@@ -252,3 +253,103 @@ def test_inverse_duality_random(seed):
     tt = inverse(ti)
     for x, y in enumerate_pairs(t, 4):
         assert accepts_pair(tt, x, y)
+
+
+def test_inverse_of_a_normal_form_is_marked_normal():
+    tn = normalize(doubler())
+    ti = inverse(tn)
+    assert ti._norm is ti
+    assert normalize(ti) is ti
+    assert inverse(doubler())._norm is None  # word labels still need splitting
+
+
+# -- the restriction kernel against the two product loops it replaced --------
+
+
+def _pair_restrict_input(t, m):
+    """Input-only restriction on ``(T-state, m-state)`` tuple keys."""
+    tn = normalize(t)
+    ins, outs = tn.grouped()
+    mf = remove_epsilon(m)
+    _, m_sym = mf.adjacency()
+    index, walk, state = numbering((p, q) for p in tn.initial for q in mf.initial)
+    initial = frozenset(range(len(index)))
+    edges = []
+    for src, (p, q) in walk:
+        for a, p2 in ins[p]:
+            for q2 in m_sym[q].get(a, ()):
+                edges.append((src, a, "", state((p2, q2))))
+        for b, p2 in outs[p]:
+            edges.append((src, "", b, state((p2, q))))
+    final = frozenset(i for (p, q), i in index.items() if p in tn.final and q in mf.final)
+    out = Transducer(t.alphabet, max(len(index), 1), tuple(edges), initial, final)
+    out._norm = out
+    return out
+
+
+def _triple_restriction(t, theta, l):
+    """T restricted to inputs in L and outputs in theta(L), on packed triples."""
+    tn = normalize(t)
+    ins, outs = tn.grouped()
+    lf = remove_epsilon(l)
+    tlf = remove_epsilon(theta_image(l, theta))
+    _, l_sym = lf.adjacency()
+    _, tl_sym = tlf.adjacency()
+    nl = max(lf.n_states, 1)
+    ntl = max(tlf.n_states, 1)
+    index, walk, state = numbering(
+        (qt * nl + ql) * ntl + qtl for qt in tn.initial for ql in lf.initial for qtl in tlf.initial
+    )
+    initial = frozenset(range(len(index)))
+    edges = []
+    final = set()
+    for src, packed in walk:
+        qt, ql, qtl = packed // (nl * ntl), packed // ntl % nl, packed % ntl
+        if qt in tn.final and ql in lf.final and qtl in tlf.final:
+            final.add(src)
+        for a, qt2 in ins[qt]:
+            for ql2 in l_sym[ql].get(a, ()):
+                edges.append((src, a, "", state((qt2 * nl + ql2) * ntl + qtl)))
+        for b, qt2 in outs[qt]:
+            for qtl2 in tl_sym[qtl].get(b, ()):
+                edges.append((src, "", b, state((qt2 * nl + ql) * ntl + qtl2)))
+    return Transducer(t.alphabet, max(len(index), 1), tuple(edges), initial, frozenset(final))
+
+
+def _machine(t):
+    return t.n_states, t.edges, t.initial, t.final
+
+
+_BINARY_THETAS = (
+    Permutation.identity(BINARY),
+    Permutation.mirror(BINARY),
+    Permutation.from_mapping(BINARY, {"0": "1", "1": "0"}, antimorphic=False),
+    Permutation.from_mapping(BINARY, {"0": "1", "1": "0"}, antimorphic=True),
+)
+
+
+@st.composite
+def binary_languages(draw):
+    """NFAs of at most 4 states with epsilon edges over ``BINARY``."""
+    n = draw(st.integers(1, 4))
+    states = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(states, st.sampled_from((None, "0", "1")), states), max_size=3 * n))
+    initial = draw(st.frozensets(states, max_size=2))
+    final = draw(st.frozensets(states, max_size=n))
+    return Nfa(BINARY, n, tuple(edges), initial, final)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), binary_languages(), st.sampled_from(_BINARY_THETAS))
+def test_restriction_kernel_matches_the_products_it_replaced(seed, l, theta):
+    t = random_transducer(random.Random(seed), BINARY)
+    tl = theta_image(l, theta)
+    both = restrict_input(t, l, tl)
+    assert _machine(both) == _machine(_triple_restriction(t, theta, l))
+    assert _machine(restrict_input(t, l)) == _machine(_pair_restrict_input(t, l))
+    two_step = inverse(_pair_restrict_input(inverse(_pair_restrict_input(t, l)), tl))
+    realized = enumerate_pairs(both, 6)
+    assert realized == enumerate_pairs(two_step, 6)
+    assert realized == [
+        (x, y) for x, y in enumerate_pairs(t, 6) if accepts(l, x) and accepts(tl, y)
+    ]
