@@ -2,7 +2,8 @@
 """Measure strict-satisfaction throughput on random machines.
 
 Generates random transducers and NFAs of configurable size, runs the strict
-decider on each pair, and reports the explored product size and wall time.
+decider on each pair, and reports how many product states its search
+explored and the wall time.
 
 Usage:
     python scripts/benchmark_satisfaction.py
@@ -78,13 +79,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         outcome = "satisfied" if verdict else f"witness {verdict.witness}"
         print(
             f"case {i}: |T|={len(t.edges)} |A|={len(language.edges)} "
-            f"work={work:,} product_states={verdict.stats['restriction_states']:,} "
+            f"work={work:,} explored states={verdict.stats['restriction_states']:,} "
             f"{case_time * 1e3:.1f}ms {outcome}"
         )
     elapsed = time.perf_counter() - start
     print(
         f"\ntotal work {total_work:,} (transducer edges x language edges^2), "
-        f"{total_states:,} product states, {elapsed:.2f}s wall"
+        f"{total_states:,} explored states, {elapsed:.2f}s wall"
     )
     return 0
 

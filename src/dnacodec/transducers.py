@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional, Sequence
 
 from .alphabets import Alphabet, Permutation
@@ -221,14 +222,12 @@ def restrict_input(t: Transducer, m: Nfa, outputs: Optional[Nfa] = None) -> Tran
     languages.  Inputs advance the ``m`` component, outputs the ``outputs``
     component; a free output tape is the 1-state universal machine.
     """
-    if outputs is None:
-        outputs = Nfa.universal(t.alphabet)
-    if not t.alphabet == m.alphabet == outputs.alphabet:
+    of = _all_words(t.alphabet) if outputs is None else remove_epsilon(outputs)
+    if not t.alphabet == m.alphabet == of.alphabet:
         raise ValueError("restrict_input requires a common alphabet")
     tn = normalize(t)
     ins, outs = tn.grouped()
     lf = remove_epsilon(m)
-    of = remove_epsilon(outputs)
     _, l_sym = lf.adjacency()
     _, o_sym = of.adjacency()
     nl = max(lf.n_states, 1)
@@ -255,6 +254,77 @@ def restrict_input(t: Transducer, m: Nfa, outputs: Optional[Nfa] = None) -> Tran
     out = Transducer(t.alphabet, max(len(index), 1), tuple(edges), initial, frozenset(final))
     out._norm = out  # labels are single-letter by construction
     return out
+
+
+@cache
+def _all_words(alphabet: Alphabet) -> Nfa:
+    """The epsilon-free machine of all words, built once per alphabet."""
+    return Nfa.universal(alphabet)
+
+
+def restriction_search(
+    t: Transducer, m: Nfa, outputs: Nfa, nonempty: bool = False
+) -> tuple[Optional[Nfa], int, int]:
+    """Search the product of ``restrict_input(t, m, outputs)`` for its shortest outputs.
+
+    The walk visits the same packed triples layer by output length (input
+    moves cost 0, output moves 1) and stops at the end of the first layer
+    d that holds a final triple; every path with an output of length d
+    stays within those layers.  With ``nonempty`` the pair ``("", "")``
+    does not count: the starts enter as ``~key``, a copy that is never final.
+    Returns ``(region, states, transitions)``: ``region`` is None when the
+    restriction is empty, else an NFA over the explored triples, input
+    moves as epsilon, whose shortest words are the shortest outputs; the
+    counts are the explored triples and the transitions leaving them.
+    """
+    tn = normalize(t)
+    ins, outs = tn.grouped()
+    lf, of = remove_epsilon(m), remove_epsilon(outputs)
+    _, l_sym = lf.adjacency()
+    _, o_sym = of.adjacency()
+    nl, no = max(lf.n_states, 1), max(of.n_states, 1)
+    t_final, l_final, o_final = tn.final, lf.final, of.final
+    layer = [(qt * nl + ql) * no + qo for qt in tn.initial for ql in lf.initial for qo in of.initial]
+    layer = [~key for key in layer] if nonempty else layer  # ~key: a start before any move
+    n_starts, seen, explored = len(layer), set(layer), []
+    hit, transitions = False, 0
+    while layer and not hit:
+        ahead: list[int] = []
+        for key in layer:  # the layer grows by its input moves while it is walked
+            packed = ~key if key < 0 else key
+            qt, ql, qo = packed // (nl * no), packed // no % nl, packed % no
+            hit = hit or key >= 0 and qt in t_final and ql in l_final and qo in o_final
+            l_here = l_sym[ql]
+            for a, qt2 in ins[qt]:
+                for ql2 in l_here.get(a, ()):
+                    transitions += 1
+                    k2 = (qt2 * nl + ql2) * no + qo
+                    if k2 not in seen:
+                        seen.add(k2)
+                        layer.append(k2)
+            o_here = o_sym[qo]
+            for b, qt2 in outs[qt]:
+                for qo2 in o_here.get(b, ()):
+                    ahead.append((qt2 * nl + ql) * no + qo2)
+        transitions += len(ahead)
+        explored += layer
+        layer = [k2 for k2 in dict.fromkeys(ahead) if k2 not in seen]
+        seen.update(layer)
+    if not hit:
+        return None, len(explored), transitions
+    # The next layer stays in as dead ends, so every output move has a target.
+    index = {key: i for i, key in enumerate(explored + layer)}
+    edges, final = [], []
+    for i, key in enumerate(explored):
+        packed = ~key if key < 0 else key
+        qt, ql, qo = packed // (nl * no), packed // no % nl, packed % no
+        if key >= 0 and qt in t_final and ql in l_final and qo in o_final:
+            final.append(i)
+        l_here, o_here = l_sym[ql], o_sym[qo]
+        edges += [(i, None, index[(q2 * nl + r) * no + qo]) for a, q2 in ins[qt] for r in l_here.get(a, ())]
+        edges += [(i, b, index[(q2 * nl + ql) * no + r]) for b, q2 in outs[qt] for r in o_here.get(b, ())]
+    region = Nfa(t.alphabet, len(index), tuple(edges), frozenset(range(n_starts)), frozenset(final))
+    return region, len(explored), transitions
 
 
 def restrict_output(t: Transducer, m: Nfa) -> Transducer:

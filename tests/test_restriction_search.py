@@ -1,0 +1,217 @@
+"""The layered restriction search behind the strict and altering routes.
+
+The deciders used to build the whole T x L x theta(L) restriction, test it
+for emptiness and decode a witness from a copy of it.  That path is kept
+here as the reference: the search must give the same verdicts, witnesses
+and refutations.
+"""
+
+import importlib.util
+import os
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from dnacodec.alphabets import BINARY, DNA, Permutation, dna_delta
+from dnacodec.automata import (
+    Nfa,
+    complement as nfa_complement,
+    enumerate_words,
+    intersect as nfa_intersect,
+    shortest_word,
+    theta_image,
+)
+from dnacodec.errors import ClassAssertionRefuted
+from dnacodec.properties import (
+    _REFUTED,
+    INPUT_ALTERING,
+    S_KIND,
+    W_KIND,
+    PropertyDescriptor,
+    _check_assertion,
+    satisfies,
+    satisfies_S,
+)
+from dnacodec.transducers import (
+    Transducer,
+    image,
+    inverse,
+    normalize,
+    relation_empty,
+    restrict_input,
+    restrict_output,
+    trim,
+    union as t_union,
+)
+from oracles import pair_in_relation, violates_S
+
+# -- the build-then-walk path the search replaced -----------------------------
+
+
+def _built_decode(p, l, s, avoid_self=False):
+    y = shortest_word(image(s))
+    v = p.theta.inverse()(y)
+    on_y = restrict_input(normalize(p.transducer), l, Nfa.word(p.theta.alphabet, y))
+    preimages = image(inverse(on_y))
+    u = shortest_word(preimages)
+    if avoid_self and u == v:
+        u2 = shortest_word(nfa_intersect(preimages, nfa_complement(Nfa.word(p.theta.alphabet, v))))
+        if u2 is not None:
+            u = u2
+    return u, v
+
+
+def built_satisfies_S(p, l):
+    s = restrict_input(p.transducer, l, theta_image(l, p.theta))
+    if relation_empty(s):
+        return True, None
+    return False, _built_decode(p, l, s)
+
+
+def built_altering_route(p, l, assertion_bound):
+    _check_assertion(p, "altering", assertion_bound)
+    s = restrict_input(p.transducer, l, theta_image(l, p.theta))
+    if relation_empty(s):
+        return True, None
+    u, v = _built_decode(p, l, s, avoid_self=True)
+    if u != v:
+        return False, (u, v)
+    if u != "":
+        raise ClassAssertionRefuted(_REFUTED["altering"].format(u), u)
+    nonempty = Nfa.nonempty(s.alphabet)
+    rest = t_union(restrict_input(s, nonempty), restrict_output(s, nonempty))
+    if relation_empty(trim(rest)):
+        return True, None
+    u, v = _built_decode(p, l, rest, avoid_self=True)
+    if u == v:
+        raise ClassAssertionRefuted(_REFUTED["altering"].format(u), u)
+    return False, (u, v)
+
+
+def outcome(call):
+    """``(satisfied, witness)``, or the refutation's message and word."""
+    try:
+        return call()
+    except ClassAssertionRefuted as exc:
+        return "refuted", str(exc), exc.witness
+
+
+# -- random instances -----------------------------------------------------------
+
+
+THETAS = {
+    BINARY: (
+        Permutation.identity(BINARY),
+        Permutation.mirror(BINARY),
+        Permutation.from_mapping(BINARY, {"0": "1", "1": "0"}, antimorphic=False),
+        Permutation.from_mapping(BINARY, {"0": "1", "1": "0"}, antimorphic=True),
+    ),
+    DNA: (
+        dna_delta(),
+        Permutation.from_mapping(DNA, {"A": "T", "T": "A", "C": "G", "G": "C"}, antimorphic=False),
+        # order 4, so neither of these is an involution
+        Permutation.from_mapping(DNA, {"A": "C", "C": "G", "G": "T", "T": "A"}, antimorphic=True),
+        Permutation.from_mapping(DNA, {"A": "C", "C": "G", "G": "T", "T": "A"}, antimorphic=False),
+    ),
+}
+
+
+@st.composite
+def instances(draw):
+    """A T of at most 4 states with empty and two-letter labels, an L of at
+    most 4 states with epsilon edges, and a theta, over one alphabet."""
+    alphabet = draw(st.sampled_from((BINARY, DNA)))
+    letters = alphabet.symbols
+    labels = st.sampled_from(("",) + letters + tuple(a + b for a in letters[:2] for b in letters[:2]))
+    n = draw(st.integers(1, 4))
+    states = st.integers(0, n - 1)
+    t_edges = draw(st.lists(st.tuples(states, labels, labels, states), min_size=1, max_size=2 * n + 2))
+    t = Transducer(
+        alphabet, n, tuple(t_edges), draw(st.frozensets(states, min_size=1, max_size=2)),
+        draw(st.frozensets(states, min_size=1, max_size=n)),
+    )
+    k = draw(st.integers(1, 4))
+    l_states = st.integers(0, k - 1)
+    l_edges = draw(st.lists(st.tuples(l_states, st.sampled_from((None,) + letters), l_states), max_size=3 * k))
+    l = Nfa(
+        alphabet, k, tuple(l_edges), draw(st.frozensets(l_states, min_size=1, max_size=2)),
+        draw(st.frozensets(l_states, min_size=1, max_size=k)),
+    )
+    return t, l, draw(st.sampled_from(THETAS[alphabet]))
+
+
+def finite_words(l):
+    """The words of ``l`` when it is finite, else None: an infinite language
+    has a word whose length lies in [n, 2n] for its n states."""
+    words = enumerate_words(l, 2 * l.n_states)
+    return None if any(len(w) >= l.n_states for w in words) else words
+
+
+@settings(max_examples=400, deadline=None)
+@given(instances(), st.integers(0, 2))
+def test_search_matches_the_built_restriction(instance, assertion_bound):
+    t, l, theta = instance
+    strict = PropertyDescriptor(t, theta, kind=S_KIND)
+    got = satisfies_S(strict, l)
+    assert (got.satisfied, got.witness) == built_satisfies_S(strict, l)
+    if got.satisfied:  # the search walked the whole restriction
+        full = restrict_input(t, l, theta_image(l, theta))
+        assert got.stats == {"restriction_states": full.n_states, "restriction_edges": len(full.edges)}
+    words = finite_words(l)
+    if words is not None:
+        assert got.satisfied == (violates_S(t, theta, words) is None)
+        if not got.satisfied:
+            u, v = got.witness
+            assert u in words and v in words and pair_in_relation(t, u, theta(v))
+    weak = PropertyDescriptor(t, theta, kind=W_KIND, asserted_class=INPUT_ALTERING)
+
+    def searched():
+        v = satisfies(weak, l, assertion_bound)
+        return v.satisfied, v.witness
+
+    assert outcome(searched) == outcome(lambda: built_altering_route(weak, l, assertion_bound))
+
+
+def test_altering_fallback_past_the_empty_self_pair():
+    # (eps, eps) is realized and tolerated; 0 -> 11 is the violation behind it.
+    ab = BINARY
+    t = Transducer(ab, 2, ((0, "0", "11", 1),), frozenset({0}), frozenset({0, 1}))
+    weak = PropertyDescriptor(t, Permutation.mirror(ab), kind=W_KIND, asserted_class=INPUT_ALTERING)
+    for words, expected in (([""], (True, None)), (["", "0", "11"], (False, ("0", "11")))):
+        l = Nfa.finite(ab, words)
+        v = satisfies(weak, l)
+        assert (v.satisfied, v.witness) == expected == built_altering_route(weak, l, 6)
+
+
+# -- early exit -------------------------------------------------------------------
+
+
+def _benchmark_script():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "benchmark_satisfaction.py")
+    spec = importlib.util.spec_from_file_location("benchmark_satisfaction", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_violation_is_found_without_building_the_restriction():
+    # Case 0 of ``benchmark_satisfaction.py --transducer-states 5000
+    # --transducer-edges 20000 --language-states 12``.  Its whole restriction
+    # has about 2.1 million states; the search stops after a few hundred.
+    script = _benchmark_script()
+    rng = random.Random(1729)
+    t = script.random_transducer(rng, 5000, 20_000)
+    l = script.random_language(rng, 12, dense=True)
+    verdict = satisfies_S(PropertyDescriptor(t, dna_delta(), kind=S_KIND), l)
+    assert verdict.witness == ("A", "A")
+    assert verdict.stats["restriction_states"] < 5_000
+    # A smaller instance of the same generators, where the whole product is
+    # cheap to build for comparison.
+    t = script.random_transducer(rng, 200, 800)
+    l = script.random_language(rng, 6, dense=True)
+    p = PropertyDescriptor(t, dna_delta(), kind=S_KIND)
+    verdict = satisfies_S(p, l)
+    full = restrict_input(t, l, theta_image(l, p.theta))
+    assert (verdict.satisfied, verdict.witness) == built_satisfies_S(p, l)
+    assert not verdict.satisfied
+    assert verdict.stats["restriction_states"] * 20 < full.n_states

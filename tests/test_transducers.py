@@ -28,6 +28,7 @@ from dnacodec.transducers import (
     trim,
     union,
 )
+from dnacodec.transducers import _all_words
 from oracles import outputs_up_to, pair_in_relation
 
 AB = Alphabet.of("ab")
@@ -261,6 +262,15 @@ def test_inverse_of_a_normal_form_is_marked_normal():
     assert ti._norm is ti
     assert normalize(ti) is ti
     assert inverse(doubler())._norm is None  # word labels still need splitting
+
+
+def test_free_output_tape_is_one_machine_per_alphabet(monkeypatch):
+    t, m = doubler(), Nfa.finite(AB, ["ab", "b"])
+    first = restrict_input(t, m)
+    monkeypatch.setattr(Nfa, "universal", classmethod(lambda cls, alphabet: pytest.fail("rebuilt")))
+    assert _machine(restrict_input(t, m)) == _machine(first)
+    assert _all_words(AB) is _all_words(Alphabet.of("ab"))
+    assert remove_epsilon(_all_words(AB)) is _all_words(AB)
 
 
 # -- the restriction kernel against the two product loops it replaced --------
