@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .alphabets import Alphabet, Permutation
 from .errors import FormatError, ResourceLimitError
@@ -29,6 +29,33 @@ def resolve_state_cap(explicit: Optional[int] = None) -> int:
         return explicit
     env = os.environ.get("DNACODEC_STATE_CAP")
     return int(env) if env else DEFAULT_STATE_CAP
+
+
+def check_machine(m, labels_ok: Callable[[Alphabet, set], bool]) -> None:
+    """Raise ``ValueError`` naming an edge, label or state of ``m`` out of place.
+
+    ``m`` is an ``Nfa`` or a ``Transducer``.  One pass checks each edge's states and
+    gathers the distinct labels for one ``labels_ok`` call; only its failure costs a search.
+    """
+    n, edges = m.n_states, m.edges
+    labels: set = set()
+    add = labels.add
+    for e in edges:
+        if not (0 <= e[0] < n and 0 <= e[-1] < n):
+            raise ValueError(f"edge {e} out of range for {n} states")
+        add(e[1])
+        add(e[-2])  # a transducer's output; on an NFA edge the same label again
+    if not labels_ok(m.alphabet, labels):
+        e, a = next((e, a) for e in edges for a in e[1:-1] if not labels_ok(m.alphabet, {a}))
+        raise ValueError(f"edge {e}: label {a!r} is not over {''.join(m.alphabet)!r}")
+    for q in m.initial | m.final:
+        if not 0 <= q < n:
+            raise ValueError(f"state {q} out of range for {n} states")
+
+
+def _symbols_ok(alphabet: Alphabet, labels: set) -> bool:
+    """Is every NFA label a symbol of ``alphabet`` or ``None``?"""
+    return not labels.difference(alphabet.symbols, (None,))
 
 
 @dataclass(eq=False)
@@ -46,14 +73,7 @@ class Nfa:
         self.initial = frozenset(self.initial)
         self.final = frozenset(self.final)
         self.edges = tuple(self.edges)
-        for src, sym, dst in self.edges:
-            if not (0 <= src < self.n_states and 0 <= dst < self.n_states):
-                raise ValueError(f"edge ({src},{sym!r},{dst}) out of range for {self.n_states} states")
-            if sym is not None and sym not in self.alphabet:
-                raise ValueError(f"edge symbol {sym!r} not in alphabet")
-        for q in self.initial | self.final:
-            if not 0 <= q < self.n_states:
-                raise ValueError(f"state {q} out of range")
+        check_machine(self, _symbols_ok)
 
     # -- adjacency -------------------------------------------------------
 
@@ -93,22 +113,13 @@ class Nfa:
         return cls(alphabet, 1, (), frozenset({0}), frozenset({0}))
 
     @classmethod
-    def symbol(cls, alphabet: Alphabet, sym: str) -> "Nfa":
-        alphabet.check_word(sym)
-        return cls(alphabet, 2, ((0, sym, 1),), frozenset({0}), frozenset({1}))
-
-    @classmethod
     def word(cls, alphabet: Alphabet, w: str) -> "Nfa":
-        alphabet.check_word(w)
         edges = tuple((i, ch, i + 1) for i, ch in enumerate(w))
         return cls(alphabet, len(w) + 1, edges, frozenset({0}), frozenset({len(w)}))
 
     @classmethod
     def finite(cls, alphabet: Alphabet, words: Iterable[str]) -> "Nfa":
         """A trie accepting exactly the given finite set of words."""
-        words = list(words)
-        for w in words:
-            alphabet.check_word(w)
         children: list[dict[str, int]] = [{}]
         final: set[int] = set()
         for w in words:
@@ -223,8 +234,6 @@ def trim(m: Nfa) -> Nfa:
     keep = trim_keep(m.n_states, m.edges, m.initial, m.final)
     if len(keep) == m.n_states:
         return m
-    if not keep:
-        return Nfa(m.alphabet, 0, (), frozenset(), frozenset())
     remap = {q: i for i, q in enumerate(keep)}
     edges = tuple(
         (remap[s], sym, remap[d]) for s, sym, d in m.edges if s in remap and d in remap
@@ -262,18 +271,14 @@ def remove_epsilon(m: Nfa) -> Nfa:
     return Nfa(m.alphabet, max(m.n_states, 1), tuple(edges), m.initial, frozenset(final))
 
 
-def union(a: Nfa, b: Nfa) -> Nfa:
+def union(a, b):
+    """Two machines of one kind, ``Nfa`` or ``Transducer``, side by side."""
     if a.alphabet != b.alphabet:
         raise ValueError("union requires a common alphabet")
     off = a.n_states
-    edges = a.edges + tuple((s + off, sym, d + off) for s, sym, d in b.edges)
-    return Nfa(
-        a.alphabet,
-        a.n_states + b.n_states,
-        edges,
-        a.initial | frozenset(q + off for q in b.initial),
-        a.final | frozenset(q + off for q in b.final),
-    )
+    edges = a.edges + tuple((e[0] + off, *e[1:-1], e[-1] + off) for e in b.edges)
+    initial, final = a.initial | {q + off for q in b.initial}, a.final | {q + off for q in b.final}
+    return type(a)(a.alphabet, off + b.n_states, edges, initial, final)
 
 
 def concat(a: Nfa, b: Nfa) -> Nfa:
@@ -537,7 +542,7 @@ def parse_regex(text: str, alphabet: Optional[Alphabet] = None) -> Nfa:
         if tok == "@epsilon":
             return Nfa.epsilon(alphabet)
         if tok.startswith("sym:"):
-            return Nfa.symbol(alphabet, tok[4:])
+            return Nfa.word(alphabet, tok[4:])
         raise FormatError(f"unexpected {tok!r} in regex {text!r}")
 
     result = parse_union()

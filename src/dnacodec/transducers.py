@@ -7,14 +7,14 @@ single letters) and ``""`` stands for the empty word.  A transducer
 ``normalize`` rewrites a machine so that every edge carries exactly one
 letter on exactly one tape — the *normal form* every decision procedure in
 this module works on.  Machines are immutable values; the normal form is
-memoized on the instance because the same machine is typically queried
-against many languages; so is the outcome of each bounded class check
-(``bounded_counterexample``) made on it.
+memoized on the instance, and its ``grouped()`` adjacency on it, because the
+same machine is typically queried against many languages; so is the outcome
+of each bounded class check (``bounded_counterexample``) made on it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional, Sequence
@@ -22,15 +22,21 @@ from typing import Optional, Sequence
 from .alphabets import Alphabet, Permutation
 from .automata import (
     Nfa,
+    check_machine,
     complement as nfa_complement,
     determinize,
     remove_epsilon,
     resolve_state_cap,
     shortest_word,
-    union as nfa_union,
+    union,
 )
 from .errors import ResourceLimitError
 from .graphs import INF, distances_to, numbering, path_to, reachable, reaches, successors, trim_keep
+
+
+def _words_ok(alphabet: Alphabet, labels: set) -> bool:
+    """Is every label a word over ``alphabet``?  Their concatenation strips to ""."""
+    return not "".join(labels).strip("".join(alphabet.symbols))
 
 
 @dataclass(eq=False)
@@ -40,21 +46,25 @@ class Transducer:
     edges: tuple[tuple[int, str, str, int], ...]
     initial: frozenset[int]
     final: frozenset[int]
-    _norm: Optional["Transducer"] = field(default=None, repr=False, compare=False)
+    _normal_form: Optional["Transducer"] = field(default=None, repr=False, compare=False)
+    _is_normal: bool = field(default=False, repr=False, compare=False)
+    _grouped: Optional[tuple] = field(default=None, repr=False, compare=False)
     _checks: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.initial = frozenset(self.initial)
         self.final = frozenset(self.final)
         self.edges = tuple(self.edges)
-        for src, inp, out, dst in self.edges:
-            if not (0 <= src < self.n_states and 0 <= dst < self.n_states):
-                raise ValueError(f"edge ({src},{inp!r},{out!r},{dst}) out of range")
-            self.alphabet.check_word(inp)
-            self.alphabet.check_word(out)
-        for q in self.initial | self.final:
-            if not 0 <= q < self.n_states:
-                raise ValueError(f"state {q} out of range")
+        check_machine(self, _words_ok)
+
+    @property
+    def _norm(self) -> Optional["Transducer"]:
+        # A normal form is its own, marked by a flag: a self-reference is freed only by gc.
+        return self if self._is_normal else self._normal_form
+
+    @_norm.setter
+    def _norm(self, value: "Transducer") -> None:
+        self._is_normal, self._normal_form = (True, None) if value is self else (False, value)
 
     # -- constructors ----------------------------------------------------
 
@@ -72,64 +82,69 @@ class Transducer:
     # -- grouped adjacency over normal-form edges ------------------------
 
     def grouped(self) -> tuple[list[list[tuple[str, int]]], list[list[tuple[str, int]]]]:
-        """``(in_edges, out_edges)`` per state; requires normal-form labels."""
-        ins: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
-        outs: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
-        for src, inp, out, dst in self.edges:
-            if inp:
-                ins[src].append((inp, dst))
-            elif out:
-                outs[src].append((out, dst))
-            else:
-                raise ValueError("grouped() requires a normalized transducer")
-        return ins, outs
+        """``(in_edges, out_edges)`` per state; requires normal-form labels.
+
+        Built once and stored like ``_norm``, so callers share the lists and
+        only read them; a machine with an ``("", "")`` edge raises every call.
+        """
+        if self._grouped is None:
+            ins: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
+            outs: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
+            for src, inp, out, dst in self.edges:
+                if inp:
+                    ins[src].append((inp, dst))
+                elif out:
+                    outs[src].append((out, dst))
+                else:
+                    raise ValueError("grouped() requires a normalized transducer")
+            self._grouped = ins, outs
+        return self._grouped
 
 
 def normalize(t: Transducer) -> Transducer:
     """Equivalent machine whose edges each carry one letter on one tape.
 
-    Word labels are split into chains (input letters first, then output
-    letters — the relation does not care), after which every ``("", "")``
-    edge is removed by epsilon closure.  The result is memoized.
+    Single-letter edges pass as they are; word labels are split into chains
+    of fresh states, input letters first (the relation does not care).  The
+    ``("", "")`` edges are then removed by epsilon closure, taken only from
+    the states that have one: such a state gains the letter edges of its
+    closure and is final when the closure meets a final state.  The result
+    has sorted, distinct edges, is memoized and is its own normal form.
     """
     if t._norm is not None:
         return t._norm
-    split_edges: list[tuple[int, str, str, int]] = []
     n = t.n_states
-    for p, x, y, q in t.edges:
-        steps = [(ch, "") for ch in x] + [("", ch) for ch in y]
-        if len(steps) <= 1:
-            split_edges.append((p, x, y, q))
-            continue
-        cur = p
-        for xi, yi in steps[:-1]:
-            split_edges.append((cur, xi, yi, n))
-            cur = n
+    head: list[tuple[int, str, str, int]] = []  # edges leaving states of t
+    tail: list[tuple[int, str, str, int]] = []  # one per chain state, numbered past t: sorted
+    eps: defaultdict[int, list[int]] = defaultdict(list)
+    for e in t.edges:
+        p, x, y, q = e
+        k = len(x) + len(y)
+        if k == 1:
+            head.append(e)
+        elif k == 0:
+            eps[p].append(q)
+        elif k == 2 and len(x) == 1:  # the common one-letter-per-tape edge
+            head.append((p, x, "", n))
+            tail.append((n, "", y, q))
             n += 1
-        xi, yi = steps[-1]
-        split_edges.append((cur, xi, yi, q))
-
-    eps_adj: list[list[int]] = [[] for _ in range(n)]
-    letter_edges: list[list[tuple[str, str, int]]] = [[] for _ in range(n)]
-    for p, x, y, q in split_edges:
-        if not x and not y:
-            eps_adj[p].append(q)
         else:
-            letter_edges[p].append((x, y, q))
-
-    new_edges: set[tuple[int, str, str, int]] = set()
-    final: set[int] = set()
-    for p in range(n):
-        cl = reachable(eps_adj, (p,))
-        if cl & t.final:
-            final.add(p)
-        for q in cl:
-            for x, y, r in letter_edges[q]:
-                new_edges.add((p, x, y, r))
-    result = Transducer(t.alphabet, max(n, 1), tuple(sorted(new_edges)), t.initial, frozenset(final))
-    result._norm = result
-    t._norm = result
-    return result
+            steps = [(ch, "") for ch in x] + [("", ch) for ch in y]
+            head.append((p, *steps[0], n))
+            tail += [(n + i, a, b, n + i + 1) for i, (a, b) in enumerate(steps[1:-1])]
+            n += k - 1
+            tail.append((n - 1, *steps[-1], q))
+    closures = {p: reachable(eps, (p,)) - {p} for p in list(eps)}
+    letters_of: dict[int, list] = {q: [] for cl in closures.values() for q in cl}
+    for e in head:
+        if e[0] in letters_of:
+            letters_of[e[0]].append(e)
+    for p, cl in closures.items():
+        head += [(p, x, y, r) for q in cl for _, x, y, r in letters_of[q]]
+    final = t.final.union(p for p, cl in closures.items() if cl & t.final)
+    edges = tuple(sorted(set(head))) + tuple(tail)
+    t._norm = Transducer(t.alphabet, max(n, 1), edges, t.initial, final, _is_normal=True)
+    return t._norm
 
 
 def trim(t: Transducer) -> Transducer:
@@ -143,16 +158,14 @@ def trim(t: Transducer) -> Transducer:
     edges = tuple(
         (remap[s], x, y, remap[d]) for s, x, y, d in t.edges if s in remap and d in remap
     )
-    out = Transducer(
+    return Transducer(
         t.alphabet,
         len(keep),
         edges,
         frozenset(remap[q] for q in t.initial if q in remap),
         frozenset(remap[q] for q in t.final if q in remap),
+        _is_normal=t._is_normal,
     )
-    if t._norm is t:
-        out._norm = out
-    return out
 
 
 def inverse(t: Transducer) -> Transducer:
@@ -161,24 +174,7 @@ def inverse(t: Transducer) -> Transducer:
     The inverse of a normal form is a normal form, and is marked as one.
     """
     edges = tuple((s, y, x, d) for s, x, y, d in t.edges)
-    out = Transducer(t.alphabet, t.n_states, edges, t.initial, t.final)
-    if t._norm is t:
-        out._norm = out
-    return out
-
-
-def union(a: Transducer, b: Transducer) -> Transducer:
-    if a.alphabet != b.alphabet:
-        raise ValueError("union requires a common alphabet")
-    off = a.n_states
-    edges = a.edges + tuple((s + off, x, y, d + off) for s, x, y, d in b.edges)
-    return Transducer(
-        a.alphabet,
-        a.n_states + b.n_states,
-        edges,
-        a.initial | frozenset(q + off for q in b.initial),
-        a.final | frozenset(q + off for q in b.final),
-    )
+    return Transducer(t.alphabet, t.n_states, edges, t.initial, t.final, _is_normal=t._is_normal)
 
 
 def compose(outer: Transducer, inner: Transducer) -> Transducer:
@@ -230,8 +226,7 @@ def restrict_input(t: Transducer, m: Nfa, outputs: Optional[Nfa] = None) -> Tran
     lf = remove_epsilon(m)
     _, l_sym = lf.adjacency()
     _, o_sym = of.adjacency()
-    nl = max(lf.n_states, 1)
-    no = max(of.n_states, 1)
+    nl, no = max(lf.n_states, 1), max(of.n_states, 1)
     index, walk, state = numbering(
         (qt * nl + ql) * no + qo for qt in tn.initial for ql in lf.initial for qo in of.initial
     )
@@ -251,9 +246,9 @@ def restrict_input(t: Transducer, m: Nfa, outputs: Optional[Nfa] = None) -> Tran
         for b, qt2 in outs[qt]:
             for qo2 in o_here.get(b, ()):
                 edges.append((src, "", b, state((qt2 * nl + ql) * no + qo2)))
-    out = Transducer(t.alphabet, max(len(index), 1), tuple(edges), initial, frozenset(final))
-    out._norm = out  # labels are single-letter by construction
-    return out
+    return Transducer(  # labels are single-letter by construction
+        t.alphabet, max(len(index), 1), tuple(edges), initial, frozenset(final), _is_normal=True
+    )
 
 
 @cache
@@ -736,7 +731,7 @@ def included_in_recognizable(
             allowed = rectangles[min(sig)][1]
             for i in sorted(sig):
                 if i != min(sig):
-                    allowed = nfa_union(allowed, rectangles[i][1])
+                    allowed = union(allowed, rectangles[i][1])
         else:
             allowed = Nfa.empty(tn.alphabet)
         forbidden = nfa_complement(allowed, cap)

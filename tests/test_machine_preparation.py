@@ -1,0 +1,197 @@
+"""Machine preparation: constructor checks, the normal form and its grouped adjacency."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from dnacodec.alphabets import Alphabet
+from dnacodec.automata import Nfa
+from dnacodec.graphs import reachable
+from dnacodec.transducers import Transducer, inverse, normalize, restrict_input, trim
+
+AB = Alphabet.of("ab")
+
+
+# -- constructor rejection --------------------------------------------------
+
+# (states, edges, initial, final, pattern the message must match); the
+# pattern names the offending edge, state or symbol.
+BAD_TRANSDUCERS = {
+    "bad source": (2, ((0, "a", "b", 1), (5, "a", "b", 0)), {0}, {1}, r"\(5, ?'a', ?'b', ?0\)"),
+    "bad target": (2, ((0, "a", "b", 7),), {0}, {1}, r"\(0, ?'a', ?'b', ?7\)"),
+    "negative state": (2, ((-1, "a", "", 0),), {0}, {1}, r"\(-1, ?'a', ?'', ?0\)"),
+    "initial out of range": (2, (), {2}, {1}, r"state 2\b"),
+    "negative initial": (2, (), {-1}, {1}, r"state -1\b"),
+    "final out of range": (2, ((0, "a", "", 1),), {0}, {3}, r"state 3\b"),
+    "foreign input letter": (1, ((0, "a", "a", 0), (0, "x", "a", 0)), {0}, {0}, r"'x'"),
+    "foreign letter inside an input word": (1, ((0, "ax", "", 0),), {0}, {0}, r"'a?x'"),
+    "foreign output letter": (1, ((0, "a", "z", 0),), {0}, {0}, r"'z'"),
+}
+
+BAD_NFAS = {
+    "bad source": (2, ((0, "a", 1), (4, "a", 0)), {0}, {1}, r"\(4, ?'a', ?0\)"),
+    "bad target": (2, ((0, None, 9),), {0}, {1}, r"\(0, ?None, ?9\)"),
+    "negative state": (2, ((0, "b", -2),), {0}, {1}, r"\(0, ?'b', ?-2\)"),
+    "initial out of range": (2, (), {5}, {1}, r"state 5\b"),
+    "final out of range": (2, ((0, "a", 1),), {0}, {2}, r"state 2\b"),
+    "foreign symbol": (2, ((0, "a", 1), (1, "x", 0)), {0}, {1}, r"'x'"),
+    "multi-letter symbol": (2, ((0, "ab", 1),), {0}, {1}, r"'ab'"),
+}
+
+
+# Valid edges put in front of the bad ones, so that the check has to find
+# the offender among many edges rather than at the first one.
+PADS = (0, 40)
+
+
+@pytest.mark.parametrize("pad", PADS)
+@pytest.mark.parametrize("case", sorted(BAD_TRANSDUCERS))
+def test_transducer_constructor_names_the_offender(case, pad):
+    n, edges, initial, final, pattern = BAD_TRANSDUCERS[case]
+    with pytest.raises(ValueError, match=pattern):
+        Transducer(AB, n, ((0, "a", "ab", 0),) * pad + edges, initial, final)
+
+
+@pytest.mark.parametrize("pad", PADS)
+@pytest.mark.parametrize("case", sorted(BAD_NFAS))
+def test_nfa_constructor_names_the_offender(case, pad):
+    n, edges, initial, final, pattern = BAD_NFAS[case]
+    with pytest.raises(ValueError, match=pattern):
+        Nfa(AB, n, ((0, "b", 0),) * pad + edges, initial, final)
+
+
+@pytest.mark.parametrize("pad", PADS)
+def test_constructors_accept_valid_and_empty_machines(pad):
+    assert Transducer(AB, 0, (), set(), set()).n_states == 0
+    assert Nfa(AB, 0, (), set(), set()).n_states == 0
+    t_edges = ((0, "ab", "", 1), (1, "", "", 0), (1, "", "ba", 1)) * (pad + 1)
+    assert Transducer(AB, 2, t_edges, {0}, {1}).edges == t_edges
+    m_edges = ((0, "a", 1), (1, None, 0)) * (pad + 1)
+    assert Nfa(AB, 2, m_edges, {0, 1}, {1}).edges == m_edges
+
+
+# -- normalize against the closure-per-state construction -----------------
+
+
+def reference_normalize(t: Transducer) -> tuple:
+    """The normal form as built by one epsilon closure per state; the oracle.
+
+    Returns ``(n_states, edges, initial, final)``.
+    """
+    split_edges = []
+    n = t.n_states
+    for p, x, y, q in t.edges:
+        steps = [(ch, "") for ch in x] + [("", ch) for ch in y]
+        if len(steps) <= 1:
+            split_edges.append((p, x, y, q))
+            continue
+        cur = p
+        for xi, yi in steps[:-1]:
+            split_edges.append((cur, xi, yi, n))
+            cur = n
+            n += 1
+        xi, yi = steps[-1]
+        split_edges.append((cur, xi, yi, q))
+    eps_adj = [[] for _ in range(n)]
+    letter_edges = [[] for _ in range(n)]
+    for p, x, y, q in split_edges:
+        if not x and not y:
+            eps_adj[p].append(q)
+        else:
+            letter_edges[p].append((x, y, q))
+    new_edges = set()
+    final = set()
+    for p in range(n):
+        cl = reachable(eps_adj, (p,))
+        if cl & t.final:
+            final.add(p)
+        for q in cl:
+            for x, y, r in letter_edges[q]:
+                new_edges.add((p, x, y, r))
+    return max(n, 1), tuple(sorted(new_edges)), frozenset(t.initial), frozenset(final)
+
+
+LABELS = ["", "", "a", "b", "ab", "ba", "aab"]
+
+
+@st.composite
+def transducers(draw):
+    n = draw(st.integers(0, 5))
+    if n == 0:
+        return Transducer(AB, 0, (), set(), set())
+    states = st.integers(0, n - 1)
+    eps_edge = st.tuples(states, st.just(""), st.just(""), states)
+    word_edge = st.tuples(states, st.sampled_from(LABELS), st.sampled_from(LABELS), states)
+    edges = draw(st.lists(st.one_of(eps_edge, word_edge), max_size=3 * n + 2))
+    initial = draw(st.sets(states, max_size=2))
+    final = draw(st.sets(states, max_size=n))
+    return Transducer(AB, n, tuple(edges), initial, final)
+
+
+def _as_tuple(t: Transducer) -> tuple:
+    return t.n_states, t.edges, t.initial, t.final
+
+
+# An epsilon cycle through a final state, next to word labels on both tapes.
+EPS_CYCLE = Transducer(
+    AB, 3, ((0, "", "", 1), (1, "", "", 0), (1, "ab", "b", 2), (2, "", "", 2), (0, "a", "ba", 0)), {0}, {1}
+)
+# An epsilon chain into a final state; the chain's sources gain its letter edges.
+EPS_CHAIN = Transducer(
+    AB, 4, ((0, "", "", 1), (1, "", "", 2), (2, "", "", 3), (2, "b", "", 0), (1, "", "aab", 3)), {0}, {3}
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(transducers())
+@example(EPS_CYCLE)
+@example(EPS_CHAIN)
+@example(Transducer(AB, 0, (), set(), set()))
+@example(Transducer(AB, 1, (), {0}, {0}))
+@example(Transducer(AB, 1, ((0, "", "", 0),), {0}, {0}))
+def test_normalize_matches_the_closure_per_state_construction(t):
+    expected = reference_normalize(t)
+    tn = normalize(t)
+    assert _as_tuple(tn) == expected
+    assert normalize(tn) is tn
+    assert normalize(t) is tn
+    assert all(len(x) + len(y) == 1 for _, x, y, _ in tn.edges)
+
+
+# -- grouped adjacency -------------------------------------------------------
+
+
+def _fresh_grouped(t: Transducer) -> tuple:
+    ins = [[] for _ in range(t.n_states)]
+    outs = [[] for _ in range(t.n_states)]
+    for src, x, y, dst in t.edges:
+        (ins[src] if x else outs[src]).append((x or y, dst))
+    return ins, outs
+
+
+def test_grouped_is_stored_on_the_normal_form():
+    tn = normalize(EPS_CYCLE)
+    first = tn.grouped()
+    second = tn.grouped()
+    assert first[0] is second[0] and first[1] is second[1]
+    assert first == _fresh_grouped(tn)
+
+
+def test_grouped_raises_on_every_call_for_a_non_normal_machine():
+    t = Transducer(AB, 2, ((0, "a", "", 1), (1, "", "", 0)), {0}, {1})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="normalized"):
+            t.grouped()
+
+
+def test_derived_machines_compute_their_own_grouped_adjacency():
+    tn = normalize(EPS_CHAIN)
+    ins, outs = tn.grouped()
+    m = Nfa(AB, 2, ((0, "b", 1), (1, "a", 0)), {0}, {0, 1})
+    derived = [trim(tn), inverse(tn), restrict_input(tn, m), restrict_input(tn, m, m)]
+    assert derived[0] is not tn, "the trim of this machine drops a state"
+    for d in derived:
+        d_ins, d_outs = d.grouped()
+        assert d_ins is not ins and d_outs is not outs
+        assert (d_ins, d_outs) == _fresh_grouped(d)
+    i_ins, i_outs = derived[1].grouped()
+    assert (i_ins, i_outs) == (outs, ins)
