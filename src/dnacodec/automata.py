@@ -149,18 +149,6 @@ class Nfa:
         edges = tuple((0, a, 1) for a in alphabet) + tuple((1, a, 1) for a in alphabet)
         return cls(alphabet, 2, edges, frozenset({0}), frozenset({1}))
 
-    @classmethod
-    def length_at_most(cls, alphabet: Alphabet, n: int) -> "Nfa":
-        """All words of length ≤ n."""
-        edges = tuple((i, a, i + 1) for i in range(n) for a in alphabet)
-        return cls(alphabet, n + 1, edges, frozenset({0}), frozenset(range(n + 1)))
-
-    @classmethod
-    def length_more_than(cls, alphabet: Alphabet, n: int) -> "Nfa":
-        """All words of length > n."""
-        edges = tuple((i, a, min(i + 1, n + 1)) for i in range(n + 2) for a in alphabet)
-        return cls(alphabet, n + 2, edges, frozenset({0}), frozenset({n + 1}))
-
 
 # -- basic queries -------------------------------------------------------
 

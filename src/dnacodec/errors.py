@@ -11,10 +11,11 @@ class ResourceLimitError(DnaCodecError):
     """A construction or search exceeded a configured cap.
 
     Raised instead of silently returning a wrong or partial answer whenever
-    a worst-case-exponential step (subset construction, buffer-tracking
-    search, path enumeration) outgrows its budget.  Callers can retry with a
-    larger cap via the ``DNACODEC_STATE_CAP`` environment variable or the
-    explicit ``state_cap``/``item_cap`` keyword arguments.
+    a worst-case-exponential step (subset construction, pair enumeration)
+    outgrows its budget.  Callers can retry with a larger cap via the
+    ``DNACODEC_STATE_CAP`` environment variable, the ``state_cap`` keyword
+    of the subset constructions and maximality deciders, or the
+    ``item_cap`` keyword of the weak deciders.
     """
 
 

@@ -93,49 +93,6 @@ def topological_order(n: int, edges: Sequence[tuple]) -> Optional[list[int]]:
     return order if len(order) == n else None
 
 
-def cycle_states(n: int, edges: Sequence[tuple]) -> set[int]:
-    """States lying on some directed cycle, self-loops included (Tarjan)."""
-    succ = successors(n, edges)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    result: set[int] = set()
-    for root in range(n):
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, i = work[-1]
-            if i == 0:
-                index[node] = low[node] = len(index)
-                stack.append(node)
-                on_stack.add(node)
-            if i < len(succ[node]):
-                work[-1] = (node, i + 1)
-                child = succ[node][i]
-                if child not in index:
-                    work.append((child, 0))
-                elif child in on_stack:
-                    low[node] = min(low[node], index[child])
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    q = stack.pop()
-                    on_stack.discard(q)
-                    comp.append(q)
-                    if q == node:
-                        break
-                if len(comp) > 1 or node in succ[node]:
-                    result.update(comp)
-    return result
-
-
 def distances_to(n: int, edges: Sequence[tuple], targets: Iterable[int]) -> list[float]:
     """Per state, the least cost of a path into ``targets`` (``INF`` if none).
 

@@ -28,29 +28,24 @@ from .automata import (
     Nfa,
     accepts,
     complement as nfa_complement,
-    concat,
     intersect as nfa_intersect,
     missing_word,
     shortest_word,
-    star,
     theta_image,
     union as nfa_union,
 )
 from .errors import ClassAssertionRefuted, ResourceLimitError
-from .graphs import cycle_states, topological_order
+from .graphs import topological_order
 from .transducers import (
     Transducer,
-    _subset_identity,
+    _mismatch,
     accepts_pair,
     bounded_counterexample,
-    enumerate_pairs,
     image,
-    included_in_recognizable,
     inverse,
     is_functional,
     is_length_preserving,
     normalize,
-    relation_empty,
     restrict_input,
     restriction_search,
     trim,
@@ -228,203 +223,43 @@ def _dag_pairs(t: Transducer, item_cap: int) -> list[tuple[str, str]]:
     return sorted(result, key=lambda p: (len(p[0]) + len(p[1]), p))
 
 
-def _pump_triples(
-    s: Transducer, theta: Permutation, item_cap: int
-) -> list[tuple[str, str, str]]:
-    """Word triples describing how long pairs of ``s`` can look.
-
-    For every simple path from an initial state to a state p on a cycle
-    (labels x1/y1) and every simple loop at p (labels x2/y2, necessarily
-    length-balanced once the length-preservation test has passed), each
-    split x2 = u·v with theta^-1(y2) = v·u contributes the triple
-    (x1, x2, u + theta^-1(y1)).  Any pair of the relation that is longer
-    than the state count and lies on the graph of theta belongs to
-    (x1 x2* x3) x theta(x1 x2* x3) for one of these triples.
-    """
-    theta_inv = theta.inverse()
-    adj: list[list[tuple[str, str, int]]] = [[] for _ in range(s.n_states)]
-    for src, x, y, dst in s.edges:
-        adj[src].append((x, y, dst))
-    cyc = cycle_states(s.n_states, s.edges)
-
-    prefixes: list[tuple[str, str, int]] = []
-    budget = item_cap
-
-    def walk_prefixes(q0: int) -> None:
-        nonlocal budget
-        seen = {q0}
-        stack: list[tuple[int, str, str, int]] = [(q0, "", "", 0)]
-        while stack:
-            q, x, y, i = stack[-1]
-            if i == 0:
-                budget -= 1
-                if budget < 0:
-                    raise ResourceLimitError("prefix enumeration exceeded its cap")
-                if q in cyc:
-                    prefixes.append((x, y, q))
-            if i < len(adj[q]):
-                stack[-1] = (q, x, y, i + 1)
-                ex, ey, dst = adj[q][i]
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append((dst, x + ex, y + ey, 0))
-            else:
-                seen.discard(q)
-                stack.pop()
-
-    for q0 in sorted(s.initial):
-        walk_prefixes(q0)
-
-    loops_at: dict[int, list[tuple[str, str]]] = {}
-
-    def walk_loops(p: int) -> None:
-        nonlocal budget
-        seen: set[int] = set()
-        stack: list[tuple[int, str, str, int]] = [(p, "", "", 0)]
-        while stack:
-            q, x, y, i = stack[-1]
-            if i < len(adj[q]):
-                stack[-1] = (q, x, y, i + 1)
-                ex, ey, dst = adj[q][i]
-                budget -= 1
-                if budget < 0:
-                    raise ResourceLimitError("loop enumeration exceeded its cap")
-                if dst == p:
-                    loops_at[p].append((x + ex, y + ey))
-                elif dst not in seen:
-                    seen.add(dst)
-                    stack.append((dst, x + ex, y + ey, 0))
-            else:
-                if q != p:
-                    seen.discard(q)
-                stack.pop()
-
-    triples: set[tuple[str, str, str]] = set()
-    for _x1, _y1, p in prefixes:
-        if p not in loops_at:
-            loops_at[p] = []
-            walk_loops(p)
-    for x1, y1, p in prefixes:
-        tail = theta_inv(y1)
-        for x2, y2 in loops_at.get(p, ()):
-            if not x2 or len(x2) != len(y2):
-                continue  # unbalanced loops cannot carry diagonal pairs
-            rotated = theta_inv(y2)
-            for d in range(len(x2)):
-                if x2[d:] + x2[:d] == rotated:
-                    triples.add((x1, x2, x2[:d] + tail))
-                    if len(triples) > item_cap:
-                        raise ResourceLimitError("triple enumeration exceeded its cap")
-    return sorted(triples)
-
-
-def satisfies_W_general(
-    p: PropertyDescriptor,
-    l: Nfa,
-    item_cap: int = 10**6,
-    state_cap: Optional[int] = None,
-) -> Verdict:
+def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) -> Verdict:
     """Weak satisfaction with no usable class assertion.
 
     The property holds iff every pair (x, y) of the restricted relation S
-    satisfies y = theta(x).  For a morphic theta this is a single
-    partial-identity check after relabelling outputs through theta^-1.
-    For an antimorphic involution: first require S length-preserving, then
-    compare all pairs with input up to the state count N explicitly, and
-    cover the longer pairs by the pump-triple rectangles — sound because a
-    rectangle (x1 x2* x3) x theta(x1 x2* x3) contains no off-diagonal pair
-    of equal lengths, complete because every long diagonal pair factors
-    through a simple prefix and a simple loop of S.
+    satisfies y = theta(x).  Since theta preserves length, S must first be
+    length-preserving; then every state of S has one input-minus-output
+    balance, and a pair off theta is a run with an input letter a and an
+    output letter b != pi(a) at positions that theta matches up (the same
+    position for a morphic theta, mirrored ones for an antimorphic one).
+    ``transducers._mismatch`` finds such a run in polynomial time, for any
+    permutation.  A length-preserving, acyclic S with an antimorphic theta
+    instead has its pairs listed in order (``_dag_pairs``, at most
+    ``item_cap``), so the witness is the least offending pair.
+    ``stats["route"]`` says which decided: ``"acyclic"`` for the listing,
+    ``"mismatch"`` for the balance argument (the length check, then the
+    search).
     """
     _check_language(p, l)
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_general expects a weak-kind descriptor")
     theta = p.theta
-    if theta.antimorphic and not theta.is_involution():
-        raise ValueError(
-            "weak satisfaction for antimorphic permutations of order > 2 is not supported"
-        )
     s = trim(restrict_input(p.transducer, l, theta_image(l, theta)))
     stats = {"restriction_states": s.n_states, "restriction_edges": len(s.edges)}
     decider = "satisfies_W_general"
     if s.n_states == 0:
         return Verdict(True, None, decider, stats)
-
-    if not theta.antimorphic:
-        inv = theta.inverse()
-        relabeled = Transducer(
-            s.alphabet,
-            s.n_states,
-            tuple(
-                (src, x, inv.image(y) if y else y, dst) for src, x, y, dst in s.edges
-            ),
-            s.initial,
-            s.final,
-        )
-        relabeled._norm = relabeled
-        ok, wit = _subset_identity(relabeled, state_cap)
-        if ok:
-            return Verdict(True, None, decider, stats)
-        assert wit is not None
-        x, v = wit
-        return Verdict(False, (x, v), decider, stats)
-
-    ok, wit = is_length_preserving(s)
-    if not ok:
-        assert wit is not None
-        x, y = wit
-        return Verdict(False, (x, theta.inverse()(y)), decider, stats)
-
-    def check_pairs(pairs: list[tuple[str, str]]) -> Optional[tuple[str, str]]:
-        for x, y in pairs:
-            if y != theta(x):
-                return x, theta.inverse()(y)
-        return None
-
-    if topological_order(s.n_states, s.edges) is not None:
-        stats["route"] = "acyclic"
-        bad = check_pairs(_dag_pairs(s, item_cap))
-        if bad is not None:
-            return Verdict(False, bad, decider, stats)
+    ok, bad = is_length_preserving(s)
+    acyclic = ok and theta.antimorphic and topological_order(s.n_states, s.edges) is not None
+    stats["route"] = "acyclic" if acyclic else "mismatch"
+    if acyclic:
+        bad = next(((x, y) for x, y in _dag_pairs(s, item_cap) if y != theta(x)), None)
+    elif ok:
+        bad = _mismatch(s, theta)
+    if bad is None:
         return Verdict(True, None, decider, stats)
-
-    n = s.n_states
-    stats["route"] = "pumping"
-    short = trim(restrict_input(s, Nfa.length_at_most(s.alphabet, n)))
-    bad = check_pairs(_dag_pairs(short, item_cap))
-    if bad is not None:
-        return Verdict(False, bad, decider, stats)
-    long_part = trim(restrict_input(s, Nfa.length_more_than(s.alphabet, n)))
-    if relation_empty(long_part):
-        return Verdict(True, None, decider, stats)
-    triples = _pump_triples(s, theta, item_cap)
-    stats["triples"] = len(triples)
-    rectangles = []
-    for x1, x2, x3 in triples:
-        a_t = concat(
-            Nfa.word(s.alphabet, x1),
-            concat(star(Nfa.word(s.alphabet, x2)), Nfa.word(s.alphabet, x3)),
-        )
-        b_t = concat(
-            Nfa.word(s.alphabet, theta(x3)),
-            concat(star(Nfa.word(s.alphabet, theta(x2))), Nfa.word(s.alphabet, theta(x1))),
-        )
-        rectangles.append((a_t, b_t))
-    ok, wit = included_in_recognizable(long_part, rectangles, state_cap)
-    if ok:
-        return Verdict(True, None, decider, stats)
-    assert wit is not None
-    x, y = wit
-    if y != theta(x):
-        return Verdict(False, (x, theta.inverse()(y)), decider, stats)
-    # The escaping pair happens to be diagonal; some other pair is not.
-    bound = 2
-    while bound <= 4 * (n + 2):
-        bad = check_pairs(enumerate_pairs(s, bound))
-        if bad is not None:
-            return Verdict(False, bad, decider, stats)
-        bound *= 2
-    raise ResourceLimitError("could not extract an off-diagonal witness pair")
+    x, y = bad
+    return Verdict(False, (x, theta.inverse()(y)), decider, stats)
 
 
 def _altering_route(
@@ -459,7 +294,6 @@ def satisfies(
     l: Nfa,
     assertion_bound: int = 6,
     item_cap: int = 10**6,
-    state_cap: Optional[int] = None,
 ) -> Verdict:
     """Decide satisfaction, dispatching on kind and asserted class."""
     _check_language(p, l)
@@ -469,7 +303,7 @@ def satisfies(
         return _altering_route(p, l, assertion_bound)
     if p.asserted_class == INPUT_PRESERVING:
         return satisfies_W_preserving(p, l, assertion_bound)
-    return satisfies_W_general(p, l, item_cap, state_cap)
+    return satisfies_W_general(p, l, item_cap)
 
 
 def _extension_universe(p: PropertyDescriptor, l: Nfa) -> Nfa:

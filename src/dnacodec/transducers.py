@@ -472,12 +472,15 @@ def enumerate_pairs(t: Transducer, max_total: int) -> list[tuple[str, str]]:
 # -- decision procedures --------------------------------------------------
 
 
-def _shortest_completion(tn: Transducer, start: int) -> tuple[str, str]:
-    """Labels of a shortest edge path from ``start`` to a final state.
+def _shortest_completion(
+    tn: Transducer, start: int, goals: Optional[frozenset[int]] = None
+) -> tuple[str, str]:
+    """Labels of a shortest edge path from ``start`` into ``goals`` (the final states).
 
-    Only called on trimmed machines, where such a path always exists.
+    Only called where such a path exists, as on a trimmed machine.
     """
-    if start in tn.final:
+    goals = tn.final if goals is None else goals
+    if start in goals:
         return "", ""
     adj: list[list[tuple[str, str, int]]] = [[] for _ in range(tn.n_states)]
     for src, x, y, dst in tn.edges:
@@ -492,12 +495,12 @@ def _shortest_completion(tn: Transducer, start: int) -> tuple[str, str]:
             if dst not in seen:
                 seen.add(dst)
                 parents[dst] = (q, (x, y))
-                if dst in tn.final:
+                if dst in goals:
                     goal = dst
                     break
                 queue.append(dst)
     if goal is None:  # pragma: no cover - impossible on a trimmed machine
-        raise AssertionError("no completion from a trimmed state")
+        raise AssertionError("no path into the goal states")
     return _path_pair(parents, goal)
 
 
@@ -507,95 +510,143 @@ def _path_pair(parents: dict, node) -> tuple[str, str]:
     return "".join(x for x, _ in steps), "".join(y for _, y in steps)
 
 
-def _subset_identity(
-    tn: Transducer, state_cap: Optional[int] = None
-) -> tuple[bool, Optional[tuple[str, str]]]:
-    """Decide whether every realized pair of ``tn`` satisfies ``x == y``.
+def _words(edges: list) -> tuple[str, str]:
+    """The input and output words along a list of edges."""
+    return "".join(e[1] for e in edges), "".join(e[2] for e in edges)
 
-    ``tn`` must be trimmed and in normal form.  The search walks
-    configurations ``(state, pending)`` where ``pending`` is the run of
-    letters by which one tape is ahead of the other; both tapes agree on
-    everything before that.  Three events refute the identity and each
-    yields a concrete realized pair with ``x != y``:
 
-    * a letter on the lagging tape differs from the head of ``pending``
-      (the pair disagrees at a fixed position, whatever happens later);
-    * a final state with a nonempty ``pending`` (one word is a proper
-      prefix of the other);
-    * ``pending`` outgrowing the state count: completing the path through
-      at most ``n_states - 1`` further edges can shed at most that many
-      letters, so the finished pair has different lengths.
+def _mismatch(tn: Transducer, theta: Permutation) -> Optional[tuple[str, str]]:
+    """A realized pair ``(x, y)`` of ``tn`` with ``y != theta(x)``, or None.
 
-    Conversely, if none of these events is reachable every accepting path
-    keeps both tapes equal, so exhausting the configuration space proves
-    the inclusion.  The configuration space is finite (pending is bounded)
-    but can be exponential, hence the cap.
+    ``tn`` is a trimmed normal form that ``is_length_preserving`` accepted,
+    so every state q has one balance ``lam[q]``: inputs minus outputs on
+    any path from an initial state to q.  Every pair has ``|x| == |y|``, so
+    a pair is off theta exactly when one run of it carries an input edge
+    reading a and an output edge writing b with ``b != pi(a)`` (pi the
+    letter table) at matching positions: the i-th input against the i-th
+    output for a morphic theta, against the i-th output from the end for
+    an antimorphic one.  Both searches are polynomial.
+
+    *Morphic.*  After the first of the two marks, at state r, a counter
+    starts at ``lam[r]`` (input first, which needs ``lam[r] > 0``) or at
+    ``lam[r]`` < 0 (output first) and moves toward 0 by one on each letter
+    of the other tape; the letter that brings it to 0 is the second mark.
+    Nodes are (state, first letter, counter): N * |Sigma| * Lambda.
+
+    *Antimorphic.*  Split the run as P e1 M e2 Q.  A forward head walks P
+    from an initial state, a backward head walks Q from a final state, and
+    d = #out(Q) - #in(P).  The marks fit when d = 0 (e1 reads, e2 writes)
+    or d = lam[q] - lam[p'] (e1 writes, e2 reads; p' ends e1, q starts e2;
+    M is fixed in balance by lam), and q is reachable from p'.  The heads
+    move independently, so their moves can be interleaved to keep |d| at
+    most the spread Lambda of lam: N^2 * (2 Lambda + 1) nodes.
     """
-    if tn.n_states == 0:
-        return True, None
-    cap = resolve_state_cap(state_cap)
-    ins, outs = tn.grouped()
     n = tn.n_states
+    if n == 0:
+        return None
+    succ: list[list[tuple[int, str, str, int]]] = [[] for _ in range(n)]
+    pred: list[list[tuple[int, str, str, int]]] = [[] for _ in range(n)]
+    for e in tn.edges:
+        succ[e[0]].append(e)
+        pred[e[3]].append(e)
+    lam = dict.fromkeys(tn.initial, 0)
+    order = list(lam)
+    for p in order:  # grows while walked; trimmed, so every state is reached
+        for _, x, _, q in succ[p]:
+            if q not in lam:
+                lam[q] = lam[p] + (1 if x else -1)
+                order.append(q)
+    pi = theta.image
+    parents: dict = {}
+    if not theta.antimorphic:
+        queue: list = [(q, None, 0) for q in sorted(tn.initial)]
+        seen = set(queue)
+        for node in queue:  # breadth first: the list grows while it is walked
+            q, first, c = node
+            for e in succ[q]:
+                _, x, y, r = e
+                if first is None:
+                    nexts = [(r, None, 0)]
+                    if lam[r] and (x if lam[r] > 0 else y):  # this edge is the first mark
+                        nexts.append((r, x or y, lam[r]))
+                elif (y if c > 0 else x) == "":  # a letter on the tape of the first mark
+                    nexts = [(r, first, c)]
+                elif abs(c) > 1:
+                    nexts = [(r, first, c - 1 if c > 0 else c + 1)]
+                else:  # the second mark
+                    if (y != pi(first)) if c > 0 else (first != pi(x)):
+                        px, py = _words(path_to(parents, node) + [e])
+                        cx, cy = _shortest_completion(tn, r)
+                        return px + cx, py + cy
+                    continue
+                for nxt in nexts:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        parents[nxt] = (node, e)
+                        queue.append(nxt)
+        return None
 
-    Config = tuple  # (state, side, pending) with side 0 = input ahead
-    start_configs = [(q, 0, "") for q in sorted(tn.initial)]
-    parents: dict[Config, tuple[Config, tuple[str, str]]] = {}
-    seen: set[Config] = set(start_configs)
-    queue: deque[Config] = deque(start_configs)
+    states = successors(n, tn.edges)
+    reach = [reachable(states, (p,)) for p in range(n)]
+    spread = max(lam.values()) - min(lam.values())
+    fits: dict[tuple[int, int], dict] = {}
 
-    def violation(cfg: Config, ex: str, ey: str, dst: int) -> tuple[str, str]:
-        px, py = _path_pair(parents, cfg)
-        cx, cy = _shortest_completion(tn, dst)
-        return px + ex + cx, py + ey + cy
+    def marks(f: int, g: int) -> dict:
+        """Per offset d, a pair of marks (e1 leaving f, e2 entering g) that fits."""
+        found: dict = {}
+        for e1 in succ[f]:
+            for e2 in pred[g]:
+                if e2[0] not in reach[e1[3]]:
+                    continue
+                if e1[1] and e2[2] and e2[2] != pi(e1[1]):
+                    found.setdefault(0, (e1, e2))
+                elif e1[2] and e2[1] and e1[2] != pi(e2[1]):
+                    found.setdefault(lam[e2[0]] - lam[e1[3]], (e1, e2))
+        return found
 
-    while queue:
-        cfg = queue.popleft()
-        q, side, pending = cfg
-        if pending and q in tn.final:
-            return False, _path_pair(parents, cfg)
-        moves: list[tuple[str, str, Config]] = []
-        for a, q2 in ins[q]:
-            if side == 1 and pending:
-                if a != pending[0]:
-                    return False, violation(cfg, a, "", q2)
-                moves.append((a, "", (q2, 1, pending[1:])))
-            else:
-                new_pending = pending + a
-                if len(new_pending) > n:
-                    return False, violation(cfg, a, "", q2)
-                moves.append((a, "", (q2, 0, new_pending)))
-        for b, q2 in outs[q]:
-            if side == 0 and pending:
-                if b != pending[0]:
-                    return False, violation(cfg, "", b, q2)
-                moves.append(("", b, (q2, 0, pending[1:])))
-            else:
-                new_pending = pending + b
-                if len(new_pending) > n:
-                    return False, violation(cfg, "", b, q2)
-                moves.append(("", b, (q2, 1, new_pending)))
-        for ex, ey, nxt in moves:
-            state, nside, npending = nxt
-            if not npending:
-                nxt = (state, 0, "")
-            if nxt in seen:
-                continue
-            if len(seen) >= cap:
-                raise ResourceLimitError("identity check exceeded its configuration cap")
-            seen.add(nxt)
-            parents[nxt] = (cfg, (ex, ey))
-            queue.append(nxt)
-    return True, None
+    queue = [(f, g, 0) for f in sorted(tn.initial) for g in sorted(tn.final) if g in reach[f]]
+    seen = set(queue)
+    for node in queue:
+        f, g, d = node
+        if (f, g) not in fits:
+            fits[f, g] = marks(f, g)
+        hit = fits[f, g].get(d)
+        if hit is not None:
+            e1, e2 = hit
+            steps = path_to(parents, node)
+            px, py = _words([e for head, e in steps if head == 0] + [e1])
+            mx, my = _shortest_completion(tn, e1[3], frozenset((e2[0],)))
+            qx, qy = _words([e2] + [e for head, e in reversed(steps) if head == 1])
+            return px + mx + qx, py + my + qy
+        for e in succ[f]:  # the forward head reads: d falls
+            nxt = (e[3], g, d - 1 if e[1] else d)
+            if nxt[2] >= -spread and g in reach[e[3]] and nxt not in seen:
+                seen.add(nxt)
+                parents[nxt] = (node, (0, e))
+                queue.append(nxt)
+        for e in pred[g]:  # the backward head writes: d rises
+            nxt = (f, e[0], d + 1 if e[2] else d)
+            if nxt[2] <= spread and e[0] in reach[f] and nxt not in seen:
+                seen.add(nxt)
+                parents[nxt] = (node, (1, e))
+                queue.append(nxt)
+    return None
 
 
 def is_partial_identity(t: Transducer) -> tuple[bool, Optional[tuple[str, str]]]:
     """Is the realized relation a subset of {(w, w)}?
 
-    Returns ``(True, None)`` or ``(False, (x, y))`` with a realized pair
-    ``x != y``.
+    A pair of unequal lengths is found by ``is_length_preserving``; once
+    every state has one input-minus-output balance, a pair that differs at
+    some position is found by the polynomial search ``_mismatch`` with the
+    identity permutation.  Returns ``(True, None)`` or ``(False, (x, y))``
+    with a realized pair ``x != y``.
     """
     tn = trim(normalize(t))
-    return _subset_identity(tn)
+    ok, wit = is_length_preserving(tn)
+    if ok:
+        wit = _mismatch(tn, Permutation.identity(tn.alphabet))
+    return wit is None, wit
 
 
 def is_functional(
@@ -606,7 +657,9 @@ def is_functional(
     Checked on the input-synchronized square: two copies of the machine
     consume the same input word while their outputs become the two tapes
     of a fresh transducer, which is functional exactly when that square
-    realizes only equal pairs.  Returns ``(True, None)`` or
+    is a partial identity.  That test is polynomial (the balance argument
+    of ``is_partial_identity``), as in Beal, Carton, Prieur and Sakarovitch,
+    "Squaring transducers" (TCS 292, 2003).  Returns ``(True, None)`` or
     ``(False, (x, y1, y2))`` with ``y1 != y2`` both outputs of ``x``.
     """
     tn = trim(normalize(t))
@@ -627,7 +680,7 @@ def is_functional(
             edges.append((src, "", b, state((p, q2))))
     final = frozenset(i for (p, q), i in index.items() if p in tn.final and q in tn.final)
     square = Transducer(tn.alphabet, max(len(index), 1), tuple(edges), initial, final)
-    ok, wit = _subset_identity(trim(normalize(square)))
+    ok, wit = is_partial_identity(square)
     if ok:
         return True, None
     assert wit is not None

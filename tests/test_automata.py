@@ -46,10 +46,6 @@ def test_builders():
     assert enumerate_words(Nfa.word(DNA, "GAT"), 4) == ["GAT"]
     assert not accepts(Nfa.nonempty(DNA), "")
     assert accepts(Nfa.universal(DNA), "")
-    assert accepts(Nfa.length_at_most(DNA, 2), "GT")
-    assert not accepts(Nfa.length_at_most(DNA, 2), "GTA")
-    assert accepts(Nfa.length_more_than(DNA, 2), "GTA")
-    assert not accepts(Nfa.length_more_than(DNA, 2), "GT")
 
 
 def test_boolean_operations():
@@ -69,7 +65,7 @@ def test_shortest_word_prefers_shortlex():
 
 
 def test_complement_and_universality():
-    m = Nfa.length_at_most(DNA, 2)
+    m = Nfa.finite(DNA, enumerate_words(Nfa.universal(DNA), 2))  # every word of length <= 2
     co = complement(m)
     assert not accepts(co, "GT") and accepts(co, "GTA")
     assert is_universal(union(m, co))

@@ -251,8 +251,11 @@ def test_general_route_morphic_theta():
     )
     p = PropertyDescriptor(Transducer.identity(DNA), comp, kind=W_KIND)
     assert satisfies_W_general(p, dna_lang(["AC", "GT"])).satisfied
+    # only the tolerated pair ("", "") survives the restriction
+    good = satisfies_W_general(p, dna_lang(["", "AC", "GT"]))
+    assert good.satisfied and good.stats["route"] == "mismatch"
     v = satisfies_W_general(p, dna_lang(["AC", "TG"]))
-    assert not v.satisfied
+    assert not v.satisfied and v.stats["route"] == "mismatch"
     assert_w_witness(p.transducer, comp, {"AC", "TG"}, v.witness)
 
 
@@ -263,7 +266,8 @@ def test_general_route_acyclic_on_finite_language():
     good = satisfies_W_general(p, dna_lang(["AT", "GG"]))
     assert good.satisfied and good.stats.get("route") == "acyclic"
     bad = satisfies_W_general(p, dna_lang(["ACGT", "CG"]))
-    assert not bad.satisfied
+    # the restriction pairs words of unequal lengths: the length check decides
+    assert not bad.satisfied and bad.stats["route"] == "mismatch"
     assert_w_witness(t, DELTA, {"ACGT", "CG"}, bad.witness)
 
 
@@ -279,15 +283,14 @@ def test_general_route_pumping_satisfied():
     l = parse_regex("(AT)*", DNA)
     v = satisfies_W_general(p, l)
     assert v.satisfied
-    assert v.stats["route"] == "pumping"
-    assert v.stats.get("triples", 0) >= 1
+    assert v.stats["route"] == "mismatch"
 
 
 def test_general_route_pumping_violation():
     p = PropertyDescriptor(Transducer.identity(DNA), DELTA, kind=W_KIND)
     v = satisfies_W_general(p, Nfa.universal(DNA))
     assert not v.satisfied
-    assert v.stats["route"] == "pumping"
+    assert v.stats["route"] == "mismatch"
     u, w = v.witness
     assert u != w and DELTA(w) == u  # identity machine: theta(w) = u
 
@@ -296,18 +299,29 @@ def test_general_route_length_violation():
     ins = build_op_transducer("T4", "0*1", DNA)  # appends one letter
     p = PropertyDescriptor(ins, DELTA, kind=W_KIND)
     v = satisfies_W_general(p, Nfa.universal(DNA))
-    assert not v.satisfied
+    assert not v.satisfied and v.stats["route"] == "mismatch"
     u, w = v.witness
     assert u != w
     assert pair_in_relation(ins, u, DELTA(w))
 
 
-def test_general_route_rejects_antimorphic_non_involution():
+def test_general_route_antimorphic_order_three():
+    # an antimorphic permutation that is not an involution: theta(ab) = cb, theta(ba) = bc;
+    # the letter map a->c, c->a agrees with theta on (ab)* but not on abba
     three = Alphabet.of("abc")
     cyc = Permutation.from_mapping(three, {"a": "b", "b": "c", "c": "a"}, antimorphic=True)
-    p = PropertyDescriptor(Transducer.identity(three), cyc, kind=W_KIND)
-    with pytest.raises(ValueError):
-        satisfies_W_general(p, Nfa.finite(three, ["a"]))
+    swap_ac = Transducer(three, 1, ((0, "a", "c", 0), (0, "b", "b", 0), (0, "c", "a", 0)), {0}, {0})
+    p = PropertyDescriptor(swap_ac, cyc, kind=W_KIND)
+    for regex, violated in (("(ab)*", False), ("(ab|ba)*", True)):
+        l = parse_regex(regex, three)
+        v = satisfies_W_general(p, l)
+        words = [w for w in enumerate_words(Nfa.universal(three), 6) if accepts(l, w)]
+        assert (violates_W(p.transducer, cyc, words) is not None) == violated
+        assert v.satisfied != violated and v.stats["route"] == "mismatch"
+        if violated:
+            u, w = v.witness
+            assert u != w and accepts(l, u) and accepts(l, w)
+            assert pair_in_relation(p.transducer, u, cyc(w))
 
 
 def test_general_route_requires_weak_kind():
