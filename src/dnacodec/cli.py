@@ -223,6 +223,8 @@ def _verdict_payload(v: Verdict) -> dict:
 
 def _run_over_languages(args, decide) -> int:
     """Apply ``decide`` (``satisfies`` or ``is_maximal``) to each language file."""
+    if args.assertion_bound < 0:  # 0 is the least: it checks no word and trusts the assertion
+        raise FormatError(f"--assertion-bound must be at least 0, not {args.assertion_bound}")
     p = _load_descriptor(args.property)
     results = []
     for path in _language_files(args.language):
@@ -318,7 +320,10 @@ def _cmd_pcp(args) -> int:
     # check
     if not args.solution:
         raise ValueError("check needs --solution")
-    seq = tuple(int(part) for part in args.solution.split(","))
+    try:
+        seq = tuple(int(part) for part in args.solution.split(","))
+    except ValueError:
+        raise FormatError(f"--solution must list tile indices as 0,1,..., not {args.solution!r}") from None
     result = check_solution(inst, seq)
     print(f"{'valid' if result.ok else 'invalid'}: {result.left!r} vs {result.right!r}")
     return 0 if result.ok else 1

@@ -358,7 +358,7 @@ def is_maximal(
     _require_maximality_hypotheses(p, l, assertion_bound)
     universe = _extension_universe(p, l)
     w = missing_word(universe, state_cap)
-    stats = {"universe_states": universe.n_states}
+    stats = {"universe_states": universe.n_states, "assertion_bound": assertion_bound}
     if w is None:
         return Verdict(True, None, "is_maximal", stats)
     return Verdict(False, w, "is_maximal", stats)

@@ -9,14 +9,17 @@ letter on exactly one tape — the *normal form* every decision procedure in
 this module works on.  Machines are immutable values; the normal form is
 memoized on the instance, and its ``grouped()`` adjacency on it, because the
 same machine is typically queried against many languages; so is the outcome
-of each bounded class check (``bounded_counterexample``) made on it.
+of each bounded class check (``bounded_counterexample``) made on it.  That
+check walks all words of one length at once, as bitsets over their
+lexicographic numbering, and returns the shortlex-first refutation.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
+from itertools import product
 from typing import Optional, Sequence
 
 from .alphabets import Alphabet, Permutation
@@ -397,11 +400,6 @@ def accepts_pair(t: Transducer, x: str, y: str) -> bool:
     """Membership of the pair ``(x, y)`` in the realized relation."""
     tn = normalize(t)
     ins, outs = tn.grouped()
-    return _accepts_pair(tn, ins, outs, x, y)
-
-
-def _accepts_pair(tn: Transducer, ins, outs, x: str, y: str) -> bool:
-    """``accepts_pair`` on a normal form given its ``grouped()`` adjacency."""
     lx, ly = len(x), len(y)
     width = (lx + 1) * (ly + 1)
     seen = bytearray(tn.n_states * width)
@@ -480,28 +478,19 @@ def _shortest_completion(
     Only called where such a path exists, as on a trimmed machine.
     """
     goals = tn.final if goals is None else goals
-    if start in goals:
-        return "", ""
     adj: list[list[tuple[str, str, int]]] = [[] for _ in range(tn.n_states)]
     for src, x, y, dst in tn.edges:
         adj[src].append((x, y, dst))
-    parents: dict[int, tuple[int, tuple[str, str]]] = {}
-    queue: deque[int] = deque([start])
-    seen = {start}
-    goal = None
-    while queue and goal is None:
-        q = queue.popleft()
+    parents: dict = {start: None}
+    queue = [start]
+    for q in queue:  # breadth first: the list grows while it is walked
+        if q in goals:
+            return _path_pair(parents, q)
         for x, y, dst in adj[q]:
-            if dst not in seen:
-                seen.add(dst)
+            if dst not in parents:
                 parents[dst] = (q, (x, y))
-                if dst in goals:
-                    goal = dst
-                    break
                 queue.append(dst)
-    if goal is None:  # pragma: no cover - impossible on a trimmed machine
-        raise AssertionError("no path into the goal states")
-    return _path_pair(parents, goal)
+    raise AssertionError("no path into the goal states")  # pragma: no cover - trimmed: one exists
 
 
 def _path_pair(parents: dict, node) -> tuple[str, str]:
@@ -805,13 +794,16 @@ def bounded_counterexample(
     mode "preserving": a word w with theta(w) not in t(w) — refutes the
                        claim that theta(w) is always among the outputs.
 
-    Words are tried in shortlex order; the first refutation is returned,
-    None when the bound is exhausted.  The outcome is memoized on ``t``.
+    Words are tried in shortlex order, all words of one length at once as
+    a bitset (``_scan_words``); the first refutation is returned, None when
+    the bound is exhausted.  The outcome is memoized on ``t``.
     """
     if mode not in ("altering", "preserving"):
         raise ValueError(f"unknown transducer class {mode!r}")
     if theta.alphabet != t.alphabet:
         raise ValueError("permutation alphabet does not match the transducer")
+    if max_len < 0:
+        raise ValueError(f"word bound must be at least 0, not {max_len}")
     if t._checks is None:
         t._checks = {}
     key = (theta, mode, max_len)
@@ -820,17 +812,49 @@ def bounded_counterexample(
     return t._checks[key]
 
 
+_BLOCK = 4096  # the most words one bitset covers, so a large bound needs no more memory
+
+
 def _scan_words(t: Transducer, theta: Permutation, mode: str, max_len: int) -> Optional[str]:
+    """``bounded_counterexample`` on all words of one length n at once.
+
+    Bit x stands for the x-th word of length n in lexicographic order.  Node
+    (q, i) of step s holds the words w for which a run of the trimmed normal
+    form reaches q having read w[:i] and written theta(w)[:s - i].  Every
+    edge moves one tape, so a step follows each edge once and keeps the words
+    whose letter under the moving head fits its label.  Past ``_BLOCK``
+    words, blocks that fix the leading letters are walked in lexicographic order.
+    """
     tn = trim(normalize(t))
-    ins, outs = tn.grouped()
-    symbols = tuple(theta.alphabet.symbols)
-    words: list[str] = [""]
-    for _ in range(max_len):
-        words = [w + a for w in words for a in symbols]
-        for w in words:
-            hit = _accepts_pair(tn, ins, outs, w, theta(w))
-            if mode == "altering" and hit:
-                return w
-            if mode == "preserving" and not hit:
-                return w
+    sigma, pre = theta.alphabet, theta.inverse().image
+    k, pos = len(sigma), sigma.position
+    moves = [  # (tape, letter of w under the head, target); writing b needs theta^-1(b) there
+        [(0, pos(a), q2) for a, q2 in ins] + [(1, pos(pre(b)), q2) for b, q2 in outs]
+        for ins, outs in zip(*tn.grouped())
+    ]
+    for n in range(1, max_len + 1):
+        m = max(p for p in range(n + 1) if k**p <= _BLOCK)  # the letters one bitset spans
+        full = (1 << k**m) - 1
+        sizes = [k ** (m - 1 - p) for p in range(m)]
+        # trailing letter p is c on runs of sizes[p] words at c * sizes[p], every k * sizes[p]
+        tail = [[((1 << r) - 1 << c * r) * (full // ((1 << k * r) - 1)) for c in range(k)]
+                for r in sizes]
+        for prefix in product(range(k), repeat=n - m):
+            # masks[p][c]: the words with w[p] = c; row n, which is also row -1, has none
+            masks = [[full if c == d else 0 for c in range(k)] for d in prefix] + tail + [[0] * k]
+            layer = {(q, 0): full for q in tn.initial}
+            for step in range(2 * n):
+                ahead: dict[tuple[int, int], int] = {}
+                for (q, i), words in layer.items():
+                    rows = masks[i], masks[n - 1 - step + i if theta.antimorphic else step - i]
+                    for tape, c, q2 in moves[q]:
+                        if kept := words & rows[tape][c]:
+                            key = q2, i + 1 - tape
+                            ahead[key] = ahead.get(key, 0) | kept
+                layer = ahead
+            accepted = reduce(int.__or__, (w for (q, _), w in layer.items() if q in tn.final), 0)
+            if found := accepted if mode == "altering" else full & ~accepted:
+                index = (found & -found).bit_length() - 1
+                letters = (*prefix, *(index // r % k for r in sizes))
+                return "".join(sigma.symbols[c] for c in letters)
     return None

@@ -216,6 +216,26 @@ def test_maximal_trusted_assertion_via_bound_zero(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["satisfies", "maximal"])
+def test_negative_assertion_bound_is_rejected(command, capsys):
+    # rejected before the descriptor is read or any class check runs
+    rc = main(
+        [
+            command,
+            "--property",
+            fixture("maximal", "desc_zero_one_loop.json"),
+            "--language",
+            fixture("maximal", "lang_empty.fa"),
+            "--assertion-bound",
+            "-1",
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--assertion-bound must be at least 0, not -1" in captured.err
+
+
 def test_maximal_rejects_non_satisfying_language(tmp_path, capsys):
     lang = write_language(tmp_path, "bad.fa", ["AT"])
     rc = main(
@@ -315,6 +335,14 @@ def test_pcp_check(capsys):
     assert main(["pcp", "check", "--instance", SOLVABLE]) == 2
 
 
+@pytest.mark.parametrize("solution", ["0,x", "0,,1", "1.5"])
+def test_pcp_check_malformed_solution_names_the_flag(solution, capsys):
+    assert main(["pcp", "check", "--instance", SOLVABLE, "--solution", solution]) == 2
+    err = capsys.readouterr().err
+    assert "--solution" in err and repr(solution) in err
+    assert "invalid literal" not in err
+
+
 def test_pcp_reduce_then_solve(tmp_path, capsys):
     out = tmp_path / "reduced.json"
     rc = main(
@@ -372,6 +400,16 @@ def test_transducer_check_altering_inline(capsys):
     )
     assert rc == 1
     assert "counterexample: 'AT'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["altering", "preserving"])
+def test_transducer_check_rejects_a_negative_bound(mode, capsys):
+    inline = "@Transducer 0 * 0\\n0 A A 0\\n0 C C 0\\n0 G G 0\\n0 T T 0"
+    rc = main(["transducer", "check", inline, "--mode", mode, "--theta", "dna-delta", "--bound", "-3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "word bound must be at least 0, not -3" in captured.err
 
 
 def test_transducer_check_preserving_needs_theta(capsys):

@@ -230,6 +230,8 @@ def test_class_routes_report_assertion_bound():
     )
     v = satisfies(preserving, dna_lang(["A"]), assertion_bound=2)
     assert v.stats["assertion_bound"] == 2
+    v = is_maximal(altering, Nfa.finite(ZO, ["0"]), assertion_bound=3)
+    assert (v.decider, v.witness, v.stats["assertion_bound"]) == ("is_maximal", "", 3)
 
 
 def test_altering_assertion_refuted_at_decode_stage():
