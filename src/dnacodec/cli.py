@@ -121,7 +121,7 @@ def _theta_from_spec(spec, hint: Optional[Alphabet] = None) -> Permutation:
                 raise ValueError(f"theta {name!r} needs an alphabet (use {name}:SYMBOLS)")
             maker = Permutation.identity if name == "identity" else Permutation.mirror
             return maker(alphabet)
-        raise ValueError(f"unknown theta name {name!r}")
+        raise FormatError(f"field 'theta' must name dna-delta, identity or mirror, not {name!r}")
     if isinstance(spec, dict):
         table = _field(spec, "table", (dict,), path="theta.")
         if not all(isinstance(img, str) for img in table.values()):
@@ -187,12 +187,27 @@ def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
     return dataclasses.replace(built, **changes) if changes else built
 
 
-def _load_descriptor(arg: str) -> PropertyDescriptor:
+def _json_arg(arg: str) -> tuple[object, str]:
+    """The JSON document that ``arg`` holds inline or names by path, and the
+    directory that relative paths inside it start from."""
     if arg.lstrip().startswith("{"):
-        return _descriptor_from_doc(json.loads(arg), os.getcwd())
+        return json.loads(arg), os.getcwd()
     with open(arg, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return _descriptor_from_doc(doc, os.path.dirname(os.path.abspath(arg)))
+        return json.load(fh), os.path.dirname(os.path.abspath(arg))
+
+
+def _write_json(doc: dict, output: Optional[str]) -> None:
+    """Write ``doc`` to the file ``output``, or to stdout when there is none."""
+    text = json.dumps(doc, indent=2)
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+def _load_descriptor(arg: str) -> PropertyDescriptor:
+    return _descriptor_from_doc(*_json_arg(arg))
 
 
 def _load_language(path: str, alphabet: Alphabet) -> Nfa:
@@ -268,22 +283,12 @@ def _cmd_build_property(args) -> int:
         "theta": _theta_spec_payload(built.theta),
         "transducer": serialize_fado(built.transducer),
     }
-    text = json.dumps(doc, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(doc, args.output)
     return 0
 
 
 def _load_instance(arg: str):
-    if arg.lstrip().startswith("{"):
-        doc = json.loads(arg)
-    else:
-        with open(arg, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    doc = _object(doc, "instance document")
+    doc = _object(_json_arg(arg)[0], "instance document")
     alpha, beta = _words_field(doc, "alpha"), _words_field(doc, "beta")
     if "theta" in doc:
         return ThetaPcpInstance(alpha, beta, _theta_from_spec(doc["theta"]))
@@ -303,12 +308,7 @@ def _cmd_pcp(args) -> int:
             "beta": list(reduced.beta),
             "theta": _theta_spec_payload(reduced.theta),
         }
-        text = json.dumps(doc, indent=2)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write_json(doc, args.output)
         return 0
     if args.action == "solve":
         seq = solve_bounded(inst, args.bound)
@@ -415,10 +415,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DnaCodecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DnaCodecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,13 +38,13 @@ from .errors import ClassAssertionRefuted, ResourceLimitError
 from .graphs import topological_order
 from .transducers import (
     Transducer,
+    _balances,
     _mismatch,
     accepts_pair,
     bounded_counterexample,
     image,
     inverse,
     is_functional,
-    is_length_preserving,
     normalize,
     restrict_input,
     restriction_search,
@@ -197,14 +197,14 @@ def satisfies_W_preserving(
     return Verdict(True, None, "satisfies_W_preserving", stats)
 
 
-def _dag_pairs(t: Transducer, item_cap: int) -> list[tuple[str, str]]:
-    """All realized pairs of an acyclic normalized transducer."""
+def _dag_pairs(t: Transducer, item_cap: int) -> Optional[list[tuple[str, str]]]:
+    """All realized pairs of a normalized transducer, or None when it has a cycle."""
+    order = topological_order(t.n_states, t.edges)
+    if order is None:
+        return None
     succ: list[list[tuple[str, str, int]]] = [[] for _ in range(t.n_states)]
     for src, x, y, dst in t.edges:
         succ[src].append((x, y, dst))
-    order = topological_order(t.n_states, t.edges)
-    if order is None:
-        raise ResourceLimitError("pair enumeration requires an acyclic machine")
     suffixes: list[set[tuple[str, str]]] = [set() for _ in range(t.n_states)]
     total = 0
     for node in reversed(order):  # children before parents
@@ -249,13 +249,13 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) ->
     decider = "satisfies_W_general"
     if s.n_states == 0:
         return Verdict(True, None, decider, stats)
-    ok, bad = is_length_preserving(s)
-    acyclic = ok and theta.antimorphic and topological_order(s.n_states, s.edges) is not None
-    stats["route"] = "acyclic" if acyclic else "mismatch"
-    if acyclic:
-        bad = next(((x, y) for x, y in _dag_pairs(s, item_cap) if y != theta(x)), None)
-    elif ok:
-        bad = _mismatch(s, theta)
+    labels, bad = _balances(s)
+    pairs = _dag_pairs(s, item_cap) if bad is None and theta.antimorphic else None
+    stats["route"] = "mismatch" if pairs is None else "acyclic"
+    if pairs is not None:
+        bad = next(((x, y) for x, y in pairs if y != theta(x)), None)
+    elif bad is None:
+        bad = _mismatch(s, theta, labels)
     if bad is None:
         return Verdict(True, None, decider, stats)
     x, y = bad
@@ -323,9 +323,7 @@ def _extension_universe(p: PropertyDescriptor, l: Nfa) -> Nfa:
     return universe
 
 
-def _require_maximality_hypotheses(
-    p: PropertyDescriptor, l: Nfa, assertion_bound: int
-) -> Verdict:
+def _require_maximality_hypotheses(p: PropertyDescriptor, l: Nfa, assertion_bound: int) -> None:
     base = satisfies(p, l, assertion_bound)
     if not base.satisfied:
         raise ValueError(
@@ -339,7 +337,6 @@ def _require_maximality_hypotheses(
                 "it requires an input-altering class assertion"
             )
         _check_assertion(p, "altering", assertion_bound)
-    return base
 
 
 def is_maximal(
@@ -373,9 +370,5 @@ def find_extension(
 ) -> Optional[str]:
     """A shortest word that can be added to L, or None if none exists
     within ``max_len``."""
-    _check_language(p, l)
-    _require_maximality_hypotheses(p, l, assertion_bound)
-    w = missing_word(_extension_universe(p, l), state_cap)
-    if w is not None and len(w) <= max_len:
-        return w
-    return None
+    w = is_maximal(p, l, assertion_bound, state_cap).witness
+    return w if w is not None and len(w) <= max_len else None

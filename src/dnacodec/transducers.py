@@ -504,12 +504,13 @@ def _words(edges: list) -> tuple[str, str]:
     return "".join(e[1] for e in edges), "".join(e[2] for e in edges)
 
 
-def _mismatch(tn: Transducer, theta: Permutation) -> Optional[tuple[str, str]]:
+def _mismatch(tn: Transducer, theta: Permutation, lam: dict[int, int]) -> Optional[tuple[str, str]]:
     """A realized pair ``(x, y)`` of ``tn`` with ``y != theta(x)``, or None.
 
-    ``tn`` is a trimmed normal form that ``is_length_preserving`` accepted,
-    so every state q has one balance ``lam[q]``: inputs minus outputs on
-    any path from an initial state to q.  Every pair has ``|x| == |y|``, so
+    ``tn`` is a trimmed normal form on which ``_balances`` found no pair of
+    unequal lengths, and ``lam`` are the labels it returned: every state q
+    has one balance ``lam[q]``, inputs minus outputs on any path from an
+    initial state to q.  Every pair has ``|x| == |y|``, so
     a pair is off theta exactly when one run of it carries an input edge
     reading a and an output edge writing b with ``b != pi(a)`` (pi the
     letter table) at matching positions: the i-th input against the i-th
@@ -538,13 +539,6 @@ def _mismatch(tn: Transducer, theta: Permutation) -> Optional[tuple[str, str]]:
     for e in tn.edges:
         succ[e[0]].append(e)
         pred[e[3]].append(e)
-    lam = dict.fromkeys(tn.initial, 0)
-    order = list(lam)
-    for p in order:  # grows while walked; trimmed, so every state is reached
-        for _, x, _, q in succ[p]:
-            if q not in lam:
-                lam[q] = lam[p] + (1 if x else -1)
-                order.append(q)
     pi = theta.image
     parents: dict = {}
     if not theta.antimorphic:
@@ -625,16 +619,16 @@ def _mismatch(tn: Transducer, theta: Permutation) -> Optional[tuple[str, str]]:
 def is_partial_identity(t: Transducer) -> tuple[bool, Optional[tuple[str, str]]]:
     """Is the realized relation a subset of {(w, w)}?
 
-    A pair of unequal lengths is found by ``is_length_preserving``; once
-    every state has one input-minus-output balance, a pair that differs at
-    some position is found by the polynomial search ``_mismatch`` with the
+    A pair of unequal lengths is found by ``_balances``; once every state
+    has one input-minus-output balance, a pair that differs at some
+    position is found by the polynomial search ``_mismatch`` with the
     identity permutation.  Returns ``(True, None)`` or ``(False, (x, y))``
     with a realized pair ``x != y``.
     """
     tn = trim(normalize(t))
-    ok, wit = is_length_preserving(tn)
-    if ok:
-        wit = _mismatch(tn, Permutation.identity(tn.alphabet))
+    labels, wit = _balances(tn)
+    if wit is None:
+        wit = _mismatch(tn, Permutation.identity(tn.alphabet), labels)
     return wit is None, wit
 
 
@@ -643,33 +637,17 @@ def is_functional(
 ) -> tuple[bool, Optional[tuple[str, str, str]]]:
     """Does every input word have at most one output?
 
-    Checked on the input-synchronized square: two copies of the machine
-    consume the same input word while their outputs become the two tapes
-    of a fresh transducer, which is functional exactly when that square
-    is a partial identity.  That test is polynomial (the balance argument
-    of ``is_partial_identity``), as in Beal, Carton, Prieur and Sakarovitch,
+    Checked on the square ``compose(tn, inverse(tn))``: the inner inverse
+    reads an output y1 and writes its input x, the outer machine reads x
+    and writes y2, so the square realizes the pairs of outputs of a common
+    input and is a partial identity exactly when the machine is
+    functional.  That test is polynomial (the balance argument of
+    ``is_partial_identity``), as in Beal, Carton, Prieur and Sakarovitch,
     "Squaring transducers" (TCS 292, 2003).  Returns ``(True, None)`` or
     ``(False, (x, y1, y2))`` with ``y1 != y2`` both outputs of ``x``.
     """
     tn = trim(normalize(t))
-    if tn.n_states == 0:
-        return True, None
-    ins, outs = tn.grouped()
-    index, walk, state = numbering((p, q) for p in tn.initial for q in tn.initial)
-    initial = frozenset(range(len(index)))
-    edges: list[tuple[int, str, str, int]] = []
-    for src, (p, q) in walk:
-        for a, p2 in ins[p]:
-            for a2, q2 in ins[q]:
-                if a == a2:
-                    edges.append((src, "", "", state((p2, q2))))
-        for b, p2 in outs[p]:
-            edges.append((src, b, "", state((p2, q))))
-        for b, q2 in outs[q]:
-            edges.append((src, "", b, state((p, q2))))
-    final = frozenset(i for (p, q), i in index.items() if p in tn.final and q in tn.final)
-    square = Transducer(tn.alphabet, max(len(index), 1), tuple(edges), initial, final)
-    ok, wit = is_partial_identity(square)
+    ok, wit = is_partial_identity(compose(tn, inverse(tn)))
     if ok:
         return True, None
     assert wit is not None
@@ -685,16 +663,25 @@ def is_length_preserving(
 ) -> tuple[bool, Optional[tuple[str, str]]]:
     """Does every realized pair satisfy ``|x| == |y|``?
 
-    On the trimmed normal form, label every state with the input-minus-
-    output balance of some path reaching it.  The relation is length
-    preserving iff the labelling is consistent and all final labels are
-    zero: any path through an inconsistency or to an unbalanced final
-    state completes (the machine is trimmed) to a realized pair with
-    ``|x| != |y|``, which is returned as the witness.
+    Decided by ``_balances`` on the trimmed normal form; the witness of a
+    negative answer is a realized pair with ``|x| != |y|``.
     """
-    tn = trim(normalize(t))
-    if tn.n_states == 0:
-        return True, None
+    wit = _balances(trim(normalize(t)))[1]
+    return wit is None, wit
+
+
+def _balances(tn: Transducer) -> tuple[dict[int, int], Optional[tuple[str, str]]]:
+    """Label every state of a trimmed normal form with its balance.
+
+    A depth-first walk from the initial states (label 0) gives each state
+    the input-minus-output balance of some path reaching it.  The relation
+    is length preserving iff the labelling is consistent and all final
+    labels are zero: any path through an inconsistency or to an unbalanced
+    final state completes (the machine is trimmed) to a realized pair with
+    ``|x| != |y|``.  Returns ``(labels, None)`` when it is, each label then
+    the balance of every path to its state, else the labels so far and
+    that pair.
+    """
     adj: list[list[tuple[str, str, int]]] = [[] for _ in range(tn.n_states)]
     for src, x, y, dst in tn.edges:
         adj[src].append((x, y, dst))
@@ -720,11 +707,11 @@ def is_length_preserving(
                 cx, cy = _shortest_completion(tn, q)
                 w1 = (px + ex + cx, py + ey + cy)
                 w2 = (qx + cx, qy + cy)
-                return False, (w1 if len(w1[0]) != len(w1[1]) else w2)
+                return label, (w1 if len(w1[0]) != len(w1[1]) else w2)
     for f in sorted(tn.final):
         if label.get(f, 0) != 0:
-            return False, _path_pair(parents, f)
-    return True, None
+            return label, _path_pair(parents, f)
+    return label, None
 
 
 def included_in_recognizable(

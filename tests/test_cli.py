@@ -457,6 +457,7 @@ def test_missing_language_file(capsys):
         ),
         ({"transducer": 5}, "field 'transducer'"),
         ([{"transducer": {"dna": {"name": "compliant", "variant": "weak"}}}], "descriptor document"),
+        ({"theta": "nope", "transducer": {"dna": {"name": "compliant", "variant": "weak"}}}, "field 'theta'"),
     ],
 )
 def test_malformed_descriptor_names_the_field(tmp_path, capsys, doc, field):

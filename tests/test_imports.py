@@ -1,7 +1,9 @@
-"""Every module-level import in the package is used (no linter is required)."""
+"""Every module-level import and private helper in the package is used (no
+linter is required)."""
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
@@ -33,3 +35,42 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_module_level_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def _reference(node):
+    """The name a node refers to: a bare name or an attribute."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` functions and classes that no code in
+    ``sources`` refers to outside their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    uses = Counter(_reference(n) for tree in trees.values() for n in ast.walk(tree))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            inside = sum(_reference(n) == node.name for n in ast.walk(node))
+            if uses[node.name] == inside:
+                dead.append(f"{module}: {node.name}")
+    return dead
+
+
+def test_checker_flags_a_dead_helper():
+    helpers = "def _dead(n):\n    return _dead(n - 1)\n\n\nclass _Used:\n    pass\n"
+    caller = "from helpers import _Used\n\nx = _Used()\n"
+    assert dead_private_helpers({"helpers.py": helpers, "caller.py": caller}) == ["helpers.py: _dead"]
+
+
+def test_no_dead_private_helpers():
+    sources = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert dead_private_helpers(sources) == []

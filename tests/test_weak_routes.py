@@ -18,6 +18,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dnacodec import transducers
 from dnacodec.alphabets import BINARY, DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import Nfa, accepts, concat, parse_regex, star, theta_image
 from dnacodec.errors import ResourceLimitError
@@ -26,6 +27,7 @@ from dnacodec.graphs import numbering, reachable, successors, topological_order
 from dnacodec.properties import W_KIND, PropertyDescriptor, _dag_pairs, satisfies_W_general
 from dnacodec.transducers import (
     Transducer,
+    _balances,
     _mismatch,
     _path_pair,
     _shortest_completion,
@@ -366,6 +368,20 @@ def test_functional_against_brute_force_and_parent(t):
         pass
 
 
+def test_one_weak_decision_trims_once(monkeypatch):
+    passes = []
+    keep = transducers.trim_keep
+    monkeypatch.setattr(transducers, "trim_keep", lambda *args: passes.append(args) or keep(*args))
+    p = PropertyDescriptor(Transducer.identity(BINARY), Permutation.mirror(BINARY), kind=W_KIND)
+    for regex, route in (("01|10", "acyclic"), ("(01|10)*", "mismatch")):
+        passes.clear()
+        assert satisfies_W_general(p, parse_regex(regex, BINARY)).stats["route"] == route
+        assert len(passes) == 1
+    passes.clear()
+    assert is_partial_identity(Transducer.identity(BINARY)) == (True, None)
+    assert len(passes) == 1
+
+
 # -- the rows the capped searches could not decide ------------------------------
 
 WGEN = os.path.join(os.path.dirname(__file__), "fixtures", "wgen")
@@ -460,8 +476,9 @@ def run_machines(draw, theta):
 
 def check_mismatch(t, theta):
     s = trim(normalize(t))
-    assert is_length_preserving(s)[0]
-    wit = _mismatch(s, theta)
+    labels, uneven = _balances(s)
+    assert uneven is None and is_length_preserving(s)[0]
+    wit = _mismatch(s, theta, labels)
     brute = next(((x, y) for x, y in enumerate_pairs(s, 10) if y != theta(x)), None)
     if brute is not None:
         assert wit is not None, brute
@@ -502,4 +519,7 @@ def test_mismatch_on_runs_against_enumerate_pairs(data):
 def test_mismatch_output_mark_first(theta, steps, witness):
     edges = tuple((i, x, y, i + 1) for i, (x, y) in enumerate(steps))
     t = Transducer(ABC, len(steps) + 1, edges, {0}, {len(steps)})
-    assert _mismatch(trim(normalize(t)), theta) == witness
+    s = trim(normalize(t))
+    labels, uneven = _balances(s)
+    assert uneven is None
+    assert _mismatch(s, theta, labels) == witness
