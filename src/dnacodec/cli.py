@@ -34,6 +34,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import cache
 from typing import Optional
 
 from .alphabets import DNA, Alphabet, Permutation, dna_delta
@@ -410,9 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # the parser of ``main``, built once per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (DnaCodecError, ValueError, OSError) as exc:

@@ -30,7 +30,6 @@ from .automata import (
     complement as nfa_complement,
     intersect as nfa_intersect,
     missing_word,
-    shortest_word,
     theta_image,
     union as nfa_union,
 )
@@ -39,6 +38,7 @@ from .graphs import topological_order
 from .transducers import (
     Transducer,
     _balances,
+    _least_output,
     _mismatch,
     accepts_pair,
     bounded_counterexample,
@@ -87,8 +87,9 @@ class Verdict:
     ``witness`` explains a negative verdict: a pair of language words for
     satisfaction questions, a single addable word for maximality.  On the
     strict and altering routes ``stats["restriction_states"]`` and
-    ``stats["restriction_edges"]`` count the triples and transitions the
-    search explored; elsewhere they give the size of the built restriction.
+    ``stats["restriction_edges"]`` count the triples the search explored up
+    to the first group holding a hit (all when none does) and the
+    transitions leaving them; elsewhere they give the built restriction's size.
     """
 
     satisfied: bool
@@ -119,28 +120,20 @@ def _check_assertion(p: PropertyDescriptor, mode: str, assertion_bound: int) -> 
 
 
 def _decode_intersection_witness(
-    p: PropertyDescriptor, l: Nfa, region: Nfa, avoid_self: bool = False
+    p: PropertyDescriptor, l: Nfa, y: str, avoid_self: bool = False
 ) -> tuple[str, str]:
-    """Turn the region of a nonempty ``restriction_search`` into a witness pair (u, v).
-
-    ``v = theta^-1(y)`` for a shortest offending output y, and ``u`` is a
-    shortest language word producing y.  With ``avoid_self`` a second
-    preimage different from v is preferred when one exists.
+    """The witness (u, v) of a least offending output y: ``v = theta^-1(y)``
+    and u the least shortest word of L mapped to y, by the search with T's
+    tapes swapped.  ``avoid_self`` prefers a preimage other than v if any.
     """
-    y = shortest_word(region)
-    assert y is not None, "caller must ensure the restriction is nonempty"
     v = p.theta.inverse()(y)
-    on_y = restrict_input(normalize(p.transducer), l, Nfa.word(p.theta.alphabet, y))
-    preimages = image(inverse(on_y))
-    u = shortest_word(preimages)
-    assert u is not None
+    tn, on_y = normalize(p.transducer), Nfa.word(p.theta.alphabet, y)
+    u = _least_output(tn, on_y, l, swapped=True)[0]
+    assert u is not None, "caller must pass a realized output"
     if avoid_self and u == v:
-        others = nfa_intersect(
-            preimages, nfa_complement(Nfa.word(p.theta.alphabet, v))
-        )
-        u2 = shortest_word(others)
-        if u2 is not None:
-            u = u2
+        others = nfa_intersect(l, nfa_complement(Nfa.word(p.theta.alphabet, v)))
+        # None when v is the only preimage; never "", which would have been u
+        u = _least_output(tn, on_y, others, swapped=True)[0] or u
     return u, v
 
 
@@ -148,18 +141,16 @@ def satisfies_S(p: PropertyDescriptor, l: Nfa) -> Verdict:
     """Decide the strict reading: theta(L) shares no pair with T on L.
 
     Also used by the weak dispatcher for input-altering transducers, where
-    the two readings coincide on nonempty words.  The restriction is
-    searched layer by layer of output length and the search stops at the
-    first length that holds a violation, so ``restriction_states`` and
-    ``restriction_edges`` count the explored triples and transitions, not
-    a built product.
+    the two readings coincide on nonempty words.  ``restriction_search``
+    stops at the first group of triples that holds a violation, so the
+    stats count the triples explored up to it: on a satisfied call, all.
     """
     _check_language(p, l)
-    region, states, transitions = restriction_search(p.transducer, l, theta_image(l, p.theta))
+    y, states, transitions = restriction_search(p.transducer, l, theta_image(l, p.theta))
     stats = {"restriction_states": states, "restriction_edges": transitions}
-    if region is None:
+    if y is None:
         return Verdict(True, None, "satisfies_S", stats)
-    return Verdict(False, _decode_intersection_witness(p, l, region), "satisfies_S", stats)
+    return Verdict(False, _decode_intersection_witness(p, l, y), "satisfies_S", stats)
 
 
 def satisfies_W_preserving(
@@ -188,8 +179,7 @@ def satisfies_W_preserving(
         y = y1 if y1 != p.theta(x) else y2
         return Verdict(False, (x, p.theta.inverse()(y)), "satisfies_W_preserving", stats)
     if accepts(l, ""):
-        on_empty = restrict_input(s, Nfa.epsilon(s.alphabet), Nfa.nonempty(s.alphabet))
-        y = shortest_word(image(on_empty))
+        y = restriction_search(s, Nfa.epsilon(s.alphabet), Nfa.nonempty(s.alphabet))[0]
         if y is not None:
             return Verdict(
                 False, ("", p.theta.inverse()(y)), "satisfies_W_preserving", stats
@@ -275,12 +265,12 @@ def _altering_route(
     lt = theta_image(l, p.theta)
     stats = {"restriction_states": 0, "restriction_edges": 0, "assertion_bound": assertion_bound}
     for nonempty in (False, True):
-        region, states, transitions = restriction_search(p.transducer, l, lt, nonempty)
+        y, states, transitions = restriction_search(p.transducer, l, lt, nonempty)
         stats["restriction_states"] += states
         stats["restriction_edges"] += transitions
-        if region is None:
+        if y is None:
             return Verdict(True, None, "satisfies_S", stats)
-        u, v = _decode_intersection_witness(p, l, region, avoid_self=True)
+        u, v = _decode_intersection_witness(p, l, y, avoid_self=True)
         if u != v:
             return Verdict(False, (u, v), "satisfies_S", stats)
         if u != "" or nonempty:

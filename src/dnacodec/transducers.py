@@ -30,7 +30,6 @@ from .automata import (
     determinize,
     remove_epsilon,
     resolve_state_cap,
-    shortest_word,
     union,
 )
 from .errors import ResourceLimitError
@@ -262,67 +261,75 @@ def _all_words(alphabet: Alphabet) -> Nfa:
 
 def restriction_search(
     t: Transducer, m: Nfa, outputs: Nfa, nonempty: bool = False
-) -> tuple[Optional[Nfa], int, int]:
-    """Search the product of ``restrict_input(t, m, outputs)`` for its shortest outputs.
-
-    The walk visits the same packed triples layer by output length (input
-    moves cost 0, output moves 1) and stops at the end of the first layer
-    d that holds a final triple; every path with an output of length d
-    stays within those layers.  With ``nonempty`` the pair ``("", "")``
-    does not count: the starts enter as ``~key``, a copy that is never final.
-    Returns ``(region, states, transitions)``: ``region`` is None when the
-    restriction is empty, else an NFA over the explored triples, input
-    moves as epsilon, whose shortest words are the shortest outputs; the
-    counts are the explored triples and the transitions leaving them.
+) -> tuple[Optional[str], int, int]:
+    """``(y, states, transitions)``: the shortlex-least shortest output y of
+    ``restrict_input(t, m, outputs)`` (None if it is empty), the triples
+    explored up to the first group holding a final triple (all if none does)
+    and the transitions leaving them.  ``nonempty`` skips the pair ("", "").
     """
-    tn = normalize(t)
-    ins, outs = tn.grouped()
+    return _least_output(normalize(t), m, outputs, nonempty)
+
+
+def _least_output(
+    tn: Transducer, m: Nfa, outputs: Nfa, nonempty: bool = False, swapped: bool = False
+) -> tuple[Optional[str], int, int]:
+    """``restriction_search`` on a normal form; ``swapped`` trades its tapes,
+    so ``m`` constrains the outputs of ``tn`` and the word found is an input.
+
+    The packed (T, m, outputs) triples are walked layer by output length in
+    groups, one per output word.  A group's output moves seed one group of
+    the next layer per letter, in order of parent group, then alphabet.  A
+    group claims its unseen seeds and closes them under input moves before
+    the next group starts, so each triple lands in the group of its least
+    shortest output, and the first group with a final triple spells ``y``.
+    Under ``nonempty`` the starts enter as ``~key``, a copy never final.
+    """
+    ins, outs = tn.grouped()[::-1] if swapped else tn.grouped()
     lf, of = remove_epsilon(m), remove_epsilon(outputs)
     _, l_sym = lf.adjacency()
     _, o_sym = of.adjacency()
     nl, no = max(lf.n_states, 1), max(of.n_states, 1)
-    t_final, l_final, o_final = tn.final, lf.final, of.final
-    layer = [(qt * nl + ql) * no + qo for qt in tn.initial for ql in lf.initial for qo in of.initial]
-    layer = [~key for key in layer] if nonempty else layer  # ~key: a start before any move
-    n_starts, seen, explored = len(layer), set(layer), []
-    hit, transitions = False, 0
-    while layer and not hit:
-        ahead: list[int] = []
-        for key in layer:  # the layer grows by its input moves while it is walked
-            packed = ~key if key < 0 else key
-            qt, ql, qo = packed // (nl * no), packed // no % nl, packed % no
-            hit = hit or key >= 0 and qt in t_final and ql in l_final and qo in o_final
-            l_here = l_sym[ql]
-            for a, qt2 in ins[qt]:
-                for ql2 in l_here.get(a, ()):
-                    transitions += 1
-                    k2 = (qt2 * nl + ql2) * no + qo
-                    if k2 not in seen:
-                        seen.add(k2)
-                        layer.append(k2)
-            o_here = o_sym[qo]
-            for b, qt2 in outs[qt]:
-                for qo2 in o_here.get(b, ()):
-                    ahead.append((qt2 * nl + ql) * no + qo2)
-        transitions += len(ahead)
-        explored += layer
-        layer = [k2 for k2 in dict.fromkeys(ahead) if k2 not in seen]
-        seen.update(layer)
-    if not hit:
-        return None, len(explored), transitions
-    # The next layer stays in as dead ends, so every output move has a target.
-    index = {key: i for i, key in enumerate(explored + layer)}
-    edges, final = [], []
-    for i, key in enumerate(explored):
-        packed = ~key if key < 0 else key
-        qt, ql, qo = packed // (nl * no), packed // no % nl, packed % no
-        if key >= 0 and qt in t_final and ql in l_final and qo in o_final:
-            final.append(i)
-        l_here, o_here = l_sym[ql], o_sym[qo]
-        edges += [(i, None, index[(q2 * nl + r) * no + qo]) for a, q2 in ins[qt] for r in l_here.get(a, ())]
-        edges += [(i, b, index[(q2 * nl + ql) * no + r]) for b, q2 in outs[qt] for r in o_here.get(b, ())]
-    region = Nfa(t.alphabet, len(index), tuple(edges), frozenset(range(n_starts)), frozenset(final))
-    return region, len(explored), transitions
+    nlo, t_final, l_final, o_final = nl * no, tn.final, lf.final, of.final
+    starts = [(qt * nl + ql) * no + qo for qt in tn.initial for ql in lf.initial for qo in of.initial]
+    layer = [(None, [~key for key in starts] if nonempty else starts)]
+    moves: dict[str, list[int]] = {b: [] for b in tn.alphabet}  # in alphabet order
+    seen: set[int] = set()
+    transitions = 0
+    while layer:
+        ahead = []
+        for node, group in layer:  # node: None, or (parent node, last letter)
+            hit = False
+            for key in group:  # seeds, then the input moves found while walking
+                if key in seen:
+                    continue
+                seen.add(key)
+                packed = ~key if key < 0 else key
+                qt, ql, qo = packed // nlo, packed // no % nl, packed % no
+                hit = hit or key >= 0 and qt in t_final and ql in l_final and qo in o_final
+                l_here = l_sym[ql]
+                for a, qt2 in ins[qt]:
+                    for ql2 in l_here.get(a, ()):
+                        transitions += 1
+                        k2 = (qt2 * nl + ql2) * no + qo
+                        if k2 not in seen:
+                            group.append(k2)
+                o_here = o_sym[qo]
+                for b, qt2 in outs[qt]:
+                    for qo2 in o_here.get(b, ()):
+                        moves[b].append((qt2 * nl + ql) * no + qo2)
+            for b, seeds in moves.items():
+                if seeds:
+                    transitions += len(seeds)
+                    ahead.append(((node, b), seeds))
+                    moves[b] = []
+            if hit:
+                word = []
+                while node:
+                    node, b = node
+                    word.append(b)
+                return "".join(reversed(word)), len(seen), transitions
+        layer = ahead
+    return None, len(seen), transitions
 
 
 def restrict_output(t: Transducer, m: Nfa) -> Transducer:
@@ -653,7 +660,7 @@ def is_functional(
     assert wit is not None
     y1, y2 = wit
     pre1 = image(inverse(tn), Nfa.word(tn.alphabet, y1))
-    x = shortest_word(image(inverse(restrict_input(tn, pre1, Nfa.word(tn.alphabet, y2)))))
+    x = _least_output(tn, Nfa.word(tn.alphabet, y2), pre1, swapped=True)[0]
     assert x is not None, "square witness must share an input"
     return False, (x, y1, y2)
 

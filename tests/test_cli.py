@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from dnacodec import transducers
+from dnacodec import cli, transducers
 from dnacodec.alphabets import DNA
 from dnacodec.automata import Nfa
-from dnacodec.cli import main
+from dnacodec.cli import build_parser, main
 from dnacodec.fado import parse_fado, serialize_fado
 from dnacodec.transducers import Transducer
 
@@ -429,6 +429,17 @@ def test_transducer_check_rejects_nfa_input(capsys):
 # -- misc ------------------------------------------------------------------------
 
 
+def test_main_builds_its_parser_once(capsys):
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["transducer", "check", fixture("fado", "nfa_finite.fa"), "--mode", "identity"]) == 2
+    with pytest.raises(SystemExit):
+        main(["satisfies", "--help"])
+    assert cli._parser.cache_info().misses == 1
+    assert "--assertion-bound" in capsys.readouterr().out
+    assert build_parser() is not build_parser()
+
+
 def test_malformed_inline_descriptor(capsys):
     rc = main(["satisfies", "--property", "{not json", "--language", "whatever.fa"])
     assert rc == 2
@@ -477,7 +488,7 @@ _HASH_SEED_PROBE = """
 import sys
 from dnacodec.alphabets import BINARY, Permutation
 from dnacodec.automata import parse_regex
-from dnacodec.cli import main
+from dnacodec.cli import build_parser, main
 from dnacodec.fado import parse_fado
 from dnacodec.properties import W_KIND, PropertyDescriptor, satisfies_W_general
 

@@ -21,11 +21,13 @@ from dnacodec.automata import (
     shortest_word,
     theta_image,
 )
+from dnacodec.dna import PROPERTY_NAMES, STRICT, VARIANTS, named_property
 from dnacodec.errors import ClassAssertionRefuted
 from dnacodec.properties import (
     _REFUTED,
     INPUT_ALTERING,
     S_KIND,
+    UNRESTRICTED,
     W_KIND,
     PropertyDescriptor,
     _check_assertion,
@@ -181,6 +183,76 @@ def test_altering_fallback_past_the_empty_self_pair():
         l = Nfa.finite(ab, words)
         v = satisfies(weak, l)
         assert (v.satisfied, v.witness) == expected == built_altering_route(weak, l, 6)
+
+
+def _dna_code(rng):
+    return Nfa.finite(DNA, ["".join(rng.choice("ACGT") for _ in range(n)) for n in (3, 4, 6, 8)])
+
+
+def test_named_dna_properties_match_the_built_restriction():
+    # The overhang-free properties are violated only after most of the
+    # product has been walked, so most of its groups precede the hit.
+    rng = random.Random(20_150_301)
+    violated = 0
+    for name in PROPERTY_NAMES:
+        for variant in VARIANTS:
+            if name == "nonoverlapping" and variant != STRICT:
+                continue
+            p = named_property(name, variant, dna_delta())
+            for _ in range(6):
+                l = _dna_code(rng)
+                got = satisfies(p, l)
+                if p.kind == S_KIND:
+                    expected = built_satisfies_S(p, l)
+                elif p.asserted_class == INPUT_ALTERING:
+                    expected = built_altering_route(p, l, 6)
+                else:  # the general weak route builds its restriction
+                    assert p.asserted_class == UNRESTRICTED and got.decider != "satisfies_S"
+                    continue
+                assert (got.satisfied, got.witness) == expected
+                violated += not got.satisfied
+    assert violated >= 40
+
+
+def _mirror_pairs(*pairs):
+    """A binary transducer realizing exactly ``pairs``, under word reversal."""
+    edges = tuple((0, x, y, 1) for x, y in pairs)
+    t = Transducer(BINARY, 2, edges, frozenset({0}), frozenset({1}))
+    return PropertyDescriptor(t, Permutation.mirror(BINARY), kind=W_KIND, asserted_class=INPUT_ALTERING)
+
+
+def test_altering_witness_skips_the_self_pair():
+    # 01 -> 10 is the self-pair of 01 under reversal; 11 -> 10 is the violation.
+    # Words of length 1 do not refute the assertion.
+    weak = _mirror_pairs(("01", "10"), ("11", "10"))
+    l = Nfa.finite(BINARY, ["01", "11"])
+    v = satisfies(weak, l, assertion_bound=1)
+    assert (v.satisfied, v.witness) == (False, ("11", "01")) == built_altering_route(weak, l, 1)
+
+
+def test_altering_self_pair_alone_refutes_the_assertion():
+    weak = _mirror_pairs(("01", "10"))
+    l = Nfa.finite(BINARY, ["01", "11"])
+    got = outcome(lambda: satisfies(weak, l, assertion_bound=1))
+    assert got == outcome(lambda: built_altering_route(weak, l, 1))
+    assert got[0] == "refuted" and got[2] == "01"
+
+
+def test_violated_call_builds_no_transducer(monkeypatch):
+    p = named_property("overhang-free", "normal", dna_delta())
+    l = Nfa.finite(DNA, ["ACGTTG", "CAACGT"])
+    normalize(p.transducer).grouped()
+    built = []
+    post_init = Transducer.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Transducer, "__post_init__", counted)
+    verdict = satisfies_S(p, l)
+    assert not verdict.satisfied and verdict.witness is not None
+    assert built == []
 
 
 # -- early exit -------------------------------------------------------------------
