@@ -3,8 +3,11 @@
 
 Generates random transducers and NFAs of configurable size, runs the strict
 decider on each pair, and reports how many product states its search
-explored and the wall time, split into preparing the transducer (its
-normal form) and deciding on the prepared machine.
+explored, the wall time of the whole call, and how many states of the
+transducer's normal form the call filled.  The search reads the transducer
+through its on-demand view, so a violation found early leaves most of it
+unbuilt; chain states, which the view resolves in its one pass over the
+edges, are counted in the total but not as filled.
 
 Usage:
     python scripts/benchmark_satisfaction.py
@@ -21,7 +24,7 @@ from typing import Optional
 from dnacodec.alphabets import DNA, dna_delta
 from dnacodec.automata import Nfa
 from dnacodec.properties import S_KIND, PropertyDescriptor, satisfies_S
-from dnacodec.transducers import Transducer, normalize
+from dnacodec.transducers import Transducer
 
 
 def random_transducer(rng: random.Random, n_states: int, n_edges: int) -> Transducer:
@@ -66,18 +69,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     theta = dna_delta()
     total_work = 0
     total_states = 0
-    total_normalize = 0.0
+    total_filled = 0
+    total_view = 0
     start = time.perf_counter()
     for i in range(args.cases):
         t = random_transducer(rng, args.transducer_states, args.transducer_edges)
         language = random_language(rng, args.language_states, dense=i % 2 == 0)
         descriptor = PropertyDescriptor(t, theta, kind=S_KIND)
         case_start = time.perf_counter()
-        normalize(t)  # memoized on t, so the decider below reuses it
-        normalize_time = time.perf_counter() - case_start
         verdict = satisfies_S(descriptor, language)
-        decide_time = time.perf_counter() - case_start - normalize_time
-        total_normalize += normalize_time
+        decide_time = time.perf_counter() - case_start
+        view = t.view()
+        filled = sum(fin is not None for fin in view.final[: t.n_states])
+        total_filled += filled
+        total_view += len(view.final)
         work = len(t.edges) * len(language.edges) ** 2
         total_work += work
         total_states += verdict.stats["restriction_states"]
@@ -85,13 +90,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(
             f"case {i}: |T|={len(t.edges)} |A|={len(language.edges)} "
             f"work={work:,} explored states={verdict.stats['restriction_states']:,} "
-            f"normalize {normalize_time * 1e3:.1f}ms decide {decide_time * 1e3:.1f}ms {outcome}"
+            f"normal form filled {filled:,}/{len(view.final):,} "
+            f"decide {decide_time * 1e3:.1f}ms {outcome}"
         )
     elapsed = time.perf_counter() - start
     print(
         f"\ntotal work {total_work:,} (transducer edges x language edges^2), "
-        f"{total_states:,} explored states, {elapsed:.2f}s wall "
-        f"({total_normalize:.2f}s of it normalizing)"
+        f"{total_states:,} explored states, normal form filled {total_filled:,}/{total_view:,} "
+        f"states, {elapsed:.2f}s wall"
     )
     return 0
 

@@ -38,7 +38,7 @@ from .graphs import topological_order
 from .transducers import (
     Transducer,
     _balances,
-    _least_output,
+    _leaving,
     _mismatch,
     accepts_pair,
     bounded_counterexample,
@@ -127,13 +127,13 @@ def _decode_intersection_witness(
     tapes swapped.  ``avoid_self`` prefers a preimage other than v if any.
     """
     v = p.theta.inverse()(y)
-    tn, on_y = normalize(p.transducer), Nfa.word(p.theta.alphabet, y)
-    u = _least_output(tn, on_y, l, swapped=True)[0]
+    t, on_y = p.transducer, Nfa.word(p.theta.alphabet, y)
+    u = restriction_search(t, on_y, l, swapped=True)[0]
     assert u is not None, "caller must pass a realized output"
     if avoid_self and u == v:
         others = nfa_intersect(l, nfa_complement(Nfa.word(p.theta.alphabet, v)))
         # None when v is the only preimage; never "", which would have been u
-        u = _least_output(tn, on_y, others, swapped=True)[0] or u
+        u = restriction_search(t, on_y, others, swapped=True)[0] or u
     return u, v
 
 
@@ -192,16 +192,14 @@ def _dag_pairs(t: Transducer, item_cap: int) -> Optional[list[tuple[str, str]]]:
     order = topological_order(t.n_states, t.edges)
     if order is None:
         return None
-    succ: list[list[tuple[str, str, int]]] = [[] for _ in range(t.n_states)]
-    for src, x, y, dst in t.edges:
-        succ[src].append((x, y, dst))
+    succ = _leaving(t)
     suffixes: list[set[tuple[str, str]]] = [set() for _ in range(t.n_states)]
     total = 0
     for node in reversed(order):  # children before parents
         bucket = suffixes[node]
         if node in t.final:
             bucket.add(("", ""))
-        for x, y, dst in succ[node]:
+        for _, x, y, dst in succ[node]:
             for sx, sy in suffixes[dst]:
                 bucket.add((x + sx, y + sy))
         total += len(bucket)

@@ -4,14 +4,14 @@ An edge is ``(src, inp, out, dst)`` where ``inp``/``out`` are words (often
 single letters) and ``""`` stands for the empty word.  A transducer
 *realizes* the relation of all ``(x, y)`` labelling an accepting path.
 
-``normalize`` rewrites a machine so that every edge carries exactly one
-letter on exactly one tape — the *normal form* every decision procedure in
-this module works on.  Machines are immutable values; the normal form is
-memoized on the instance, and its ``grouped()`` adjacency on it, because the
-same machine is typically queried against many languages; so is the outcome
-of each bounded class check (``bounded_counterexample``) made on it.  That
-check walks all words of one length at once, as bitsets over their
-lexicographic numbering, and returns the shortlex-first refutation.
+Every decision procedure here works on the *normal form*, in which each
+edge carries one letter on one tape.  ``Transducer.view()`` builds it on
+demand (one pass over the edges, then each state on first touch), so the
+restriction search reads only the states it reaches; ``normalize`` fills
+every state.  The view, the normal form and each bounded class check
+(``bounded_counterexample``: all words of one length at once, as bitsets
+over their lexicographic numbering, giving the shortlex-first refutation)
+are memoized on the machine, an immutable value queried against many languages.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class Transducer:
     final: frozenset[int]
     _normal_form: Optional["Transducer"] = field(default=None, repr=False, compare=False)
     _is_normal: bool = field(default=False, repr=False, compare=False)
-    _grouped: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _view: Optional["_NormalView"] = field(default=None, repr=False, compare=False)
     _checks: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,71 +81,102 @@ class Transducer:
         edges = tuple((0, a, a, 0) for a in alphabet)
         return cls(alphabet, 1, edges, frozenset({0}), frozenset({0}))
 
-    # -- grouped adjacency over normal-form edges ------------------------
+    # -- the normal form, state by state ---------------------------------
+
+    def view(self) -> "_NormalView":
+        """The normal form's moves and final flags, filled on first touch; memoized."""
+        if self._view is None:
+            self._view = _NormalView(self)
+        return self._view
 
     def grouped(self) -> tuple[list[list[tuple[str, int]]], list[list[tuple[str, int]]]]:
-        """``(in_edges, out_edges)`` per state; requires normal-form labels.
+        """``(in_edges, out_edges)`` per state of a normal form, shared: read only."""
+        if self._norm is not self:
+            raise ValueError("grouped() requires a normalized transducer")
+        v = self.view()
+        return v.ins, v.outs
 
-        Built once and stored like ``_norm``, so callers share the lists and
-        only read them; a machine with an ``("", "")`` edge raises every call.
-        """
-        if self._grouped is None:
-            ins: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
-            outs: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
-            for src, inp, out, dst in self.edges:
-                if inp:
-                    ins[src].append((inp, dst))
-                elif out:
-                    outs[src].append((out, dst))
-                else:
-                    raise ValueError("grouped() requires a normalized transducer")
-            self._grouped = ins, outs
-        return self._grouped
+
+class _NormalView:
+    """The normal form of a transducer, filled one state at a time.
+
+    One pass over the edges lists each letter edge as a ``(letter, target)``
+    input or output move of its source and splits each word label into a
+    chain of fresh states numbered past ``t``, input letters first, each
+    with its one move.  ``fill`` gives a state of ``t``, on first touch, the
+    moves of its epsilon closure, distinct and sorted, and its final flag.
+    A machine marked normal is its own normal form, moves in edge order.
+    """
+
+    __slots__ = ("ins", "outs", "final", "_eps", "_final")
+
+    def __init__(self, t: Transducer):
+        n = max(t.n_states, 1)
+        ins: list = [[] for _ in range(n)]
+        outs: list = [[] for _ in range(n)]
+        self._eps: defaultdict[int, list[int]] = defaultdict(list)
+        for p, x, y, q in t.edges:
+            k = len(x) + len(y)
+            if k == 1:
+                (ins if x else outs)[p].append((x or y, q))
+            elif k == 2 and len(x) == 1:  # the common one-letter-per-tape edge
+                ins[p].append((x, len(ins)))
+                ins.append([])
+                outs.append([(y, q)])
+            elif k:
+                steps = [(a, ins) for a in x] + [(b, outs) for b in y]
+                chain = range(len(ins), len(ins) + k - 1)
+                ins += [[] for _ in chain]
+                outs += [[] for _ in chain]
+                for (a, side), src, dst in zip(steps, [p, *chain], [*chain, q]):
+                    side[src].append((a, dst))
+            else:
+                self._eps[p].append(q)
+        self.ins, self.outs, self._final = ins, outs, t.final
+        # None until filled; a list, as the search reads it once per triple
+        self.final: list[Optional[bool]] = (
+            [q in t.final for q in range(n)] if t._is_normal else [None] * n
+        ) + [False] * (len(ins) - n)
+
+    def fill(self, p: int) -> bool:
+        """Give state ``p`` of ``t`` its moves and final flag; return the flag."""
+        ins, outs = self.ins, self.outs
+        if self._eps.get(p):
+            # A filled state of the closure holds the moves of its own
+            # closure, a subset of p's, so the union is the same either way.
+            cl = reachable(self._eps, (p,))
+            ins[p] = sorted({move for q in cl for move in ins[q]})
+            outs[p] = sorted({move for q in cl for move in outs[q]})
+        else:
+            cl = (p,)
+            if len(ins[p]) > 1:
+                ins[p] = sorted(set(ins[p]))
+            if len(outs[p]) > 1:
+                outs[p] = sorted(set(outs[p]))
+        self.final[p] = fin = not self._final.isdisjoint(cl)
+        return fin
 
 
 def normalize(t: Transducer) -> Transducer:
     """Equivalent machine whose edges each carry one letter on one tape.
 
-    Single-letter edges pass as they are; word labels are split into chains
-    of fresh states, input letters first (the relation does not care).  The
-    ``("", "")`` edges are then removed by epsilon closure, taken only from
-    the states that have one: such a state gains the letter edges of its
-    closure and is final when the closure meets a final state.  The result
-    has sorted, distinct edges, is memoized and is its own normal form.
+    Every state of ``t.view()``, filled: single-letter edges pass as they
+    are, word labels become chains of fresh states and the ``("", "")``
+    edges are removed by epsilon closure.  The result has sorted, distinct
+    edges, shares the view, is memoized and is its own normal form.
     """
-    if t._norm is not None:
-        return t._norm
-    n = t.n_states
-    head: list[tuple[int, str, str, int]] = []  # edges leaving states of t
-    tail: list[tuple[int, str, str, int]] = []  # one per chain state, numbered past t: sorted
-    eps: defaultdict[int, list[int]] = defaultdict(list)
-    for e in t.edges:
-        p, x, y, q = e
-        k = len(x) + len(y)
-        if k == 1:
-            head.append(e)
-        elif k == 0:
-            eps[p].append(q)
-        elif k == 2 and len(x) == 1:  # the common one-letter-per-tape edge
-            head.append((p, x, "", n))
-            tail.append((n, "", y, q))
-            n += 1
-        else:
-            steps = [(ch, "") for ch in x] + [("", ch) for ch in y]
-            head.append((p, *steps[0], n))
-            tail += [(n + i, a, b, n + i + 1) for i, (a, b) in enumerate(steps[1:-1])]
-            n += k - 1
-            tail.append((n - 1, *steps[-1], q))
-    closures = {p: reachable(eps, (p,)) - {p} for p in list(eps)}
-    letters_of: dict[int, list] = {q: [] for cl in closures.values() for q in cl}
-    for e in head:
-        if e[0] in letters_of:
-            letters_of[e[0]].append(e)
-    for p, cl in closures.items():
-        head += [(p, x, y, r) for q in cl for _, x, y, r in letters_of[q]]
-    final = t.final.union(p for p, cl in closures.items() if cl & t.final)
-    edges = tuple(sorted(set(head))) + tuple(tail)
-    t._norm = Transducer(t.alphabet, max(n, 1), edges, t.initial, final, _is_normal=True)
+    if t._norm is None:
+        v = t.view()
+        edges: list[tuple[int, str, str, int]] = []
+        for p, fin in enumerate(v.final):
+            if fin is None:
+                v.fill(p)
+            edges += [(p, "", b, r) for b, r in v.outs[p]]
+            edges += [(p, a, "", r) for a, r in v.ins[p]]
+        final = frozenset(p for p, fin in enumerate(v.final) if fin)
+        t._norm = Transducer(
+            t.alphabet, len(v.ins), tuple(edges), t.initial, final, _is_normal=True, _view=v
+        )
     return t._norm
 
 
@@ -155,7 +186,7 @@ def trim(t: Transducer) -> Transducer:
     if len(keep) == t.n_states:
         return t
     if not keep:
-        return Transducer(t.alphabet, 0, (), frozenset(), frozenset())
+        return Transducer(t.alphabet, 0, (), frozenset(), frozenset(), _is_normal=True)
     remap = {q: i for i, q in enumerate(keep)}
     edges = tuple(
         (remap[s], x, y, remap[d]) for s, x, y, d in t.edges if s in remap and d in remap
@@ -260,52 +291,52 @@ def _all_words(alphabet: Alphabet) -> Nfa:
 
 
 def restriction_search(
-    t: Transducer, m: Nfa, outputs: Nfa, nonempty: bool = False
+    t: Transducer, m: Nfa, outputs: Nfa, nonempty: bool = False, swapped: bool = False
 ) -> tuple[Optional[str], int, int]:
     """``(y, states, transitions)``: the shortlex-least shortest output y of
     ``restrict_input(t, m, outputs)`` (None if it is empty), the triples
     explored up to the first group holding a final triple (all if none does)
-    and the transitions leaving them.  ``nonempty`` skips the pair ("", "").
-    """
-    return _least_output(normalize(t), m, outputs, nonempty)
-
-
-def _least_output(
-    tn: Transducer, m: Nfa, outputs: Nfa, nonempty: bool = False, swapped: bool = False
-) -> tuple[Optional[str], int, int]:
-    """``restriction_search`` on a normal form; ``swapped`` trades its tapes,
-    so ``m`` constrains the outputs of ``tn`` and the word found is an input.
+    and the transitions leaving them.  ``nonempty`` skips the pair ("", "");
+    ``swapped`` trades T's tapes, so ``m`` constrains the outputs and the
+    word found is an input.
 
     The packed (T, m, outputs) triples are walked layer by output length in
     groups, one per output word.  A group's output moves seed one group of
     the next layer per letter, in order of parent group, then alphabet.  A
     group claims its unseen seeds and closes them under input moves before
     the next group starts, so each triple lands in the group of its least
-    shortest output, and the first group with a final triple spells ``y``.
-    Under ``nonempty`` the starts enter as ``~key``, a copy never final.
+    shortest output, and the first group with a final triple spells ``y``;
+    a group that claims nothing has no moves.  Under ``nonempty`` the starts
+    enter as ``~key``, a copy never final.  T is read through ``t.view()``,
+    so only the states the walk reaches are filled.
     """
-    ins, outs = tn.grouped()[::-1] if swapped else tn.grouped()
+    v = t.view()
+    ins, outs = (v.outs, v.ins) if swapped else (v.ins, v.outs)
+    fill, t_final = v.fill, v.final
     lf, of = remove_epsilon(m), remove_epsilon(outputs)
     _, l_sym = lf.adjacency()
     _, o_sym = of.adjacency()
     nl, no = max(lf.n_states, 1), max(of.n_states, 1)
-    nlo, t_final, l_final, o_final = nl * no, tn.final, lf.final, of.final
-    starts = [(qt * nl + ql) * no + qo for qt in tn.initial for ql in lf.initial for qo in of.initial]
+    nlo, l_final, o_final = nl * no, lf.final, of.final
+    starts = [(qt * nl + ql) * no + qo for qt in t.initial for ql in lf.initial for qo in of.initial]
     layer = [(None, [~key for key in starts] if nonempty else starts)]
-    moves: dict[str, list[int]] = {b: [] for b in tn.alphabet}  # in alphabet order
+    moves: dict[str, list[int]] = {b: [] for b in t.alphabet}  # in alphabet order
     seen: set[int] = set()
     transitions = 0
     while layer:
         ahead = []
         for node, group in layer:  # node: None, or (parent node, last letter)
-            hit = False
+            hit = None  # until the group claims a triple
             for key in group:  # seeds, then the input moves found while walking
                 if key in seen:
                     continue
                 seen.add(key)
                 packed = ~key if key < 0 else key
                 qt, ql, qo = packed // nlo, packed // no % nl, packed % no
-                hit = hit or key >= 0 and qt in t_final and ql in l_final and qo in o_final
+                fin = t_final[qt]
+                if fin is None:
+                    fin = fill(qt)
+                hit = hit or fin and key >= 0 and ql in l_final and qo in o_final
                 l_here = l_sym[ql]
                 for a, qt2 in ins[qt]:
                     for ql2 in l_here.get(a, ()):
@@ -317,6 +348,8 @@ def _least_output(
                 for b, qt2 in outs[qt]:
                     for qo2 in o_here.get(b, ()):
                         moves[b].append((qt2 * nl + ql) * no + qo2)
+            if hit is None:  # every seed was seen: no moves
+                continue
             for b, seeds in moves.items():
                 if seeds:
                     transitions += len(seeds)
@@ -359,6 +392,14 @@ def relation_empty(t: Transducer) -> bool:
     return not reaches(successors(t.n_states, t.edges), t.initial, t.final)
 
 
+def _leaving(t: Transducer) -> list[list[tuple[int, str, str, int]]]:
+    """Per state, the edges leaving it, in edge order."""
+    succ: list[list[tuple[int, str, str, int]]] = [[] for _ in range(t.n_states)]
+    for e in t.edges:
+        succ[e[0]].append(e)
+    return succ
+
+
 def _word_key(alphabet: Alphabet, w: str) -> tuple[int, ...]:
     return tuple(alphabet.position(c) for c in w)
 
@@ -371,15 +412,11 @@ def shortest_pair(t: Transducer, pair_cap: int = 100_000) -> Optional[tuple[str,
     (by alphabet order, input first).
     """
     tn = trim(normalize(t))
-    if tn.n_states == 0:
-        return None
     back = distances_to(tn.n_states, tn.edges, tn.final)  # letters to a final state
     d = min((back[q] for q in tn.initial), default=INF)
     if d == INF:
         return None
-    adj: list[list[tuple[str, str, int]]] = [[] for _ in range(tn.n_states)]
-    for src, x, y, dst in tn.edges:
-        adj[src].append((x, y, dst))
+    adj = _leaving(tn)
     best: Optional[tuple[tuple, tuple, str, str]] = None
     visited = 0
     stack: list[tuple[int, str, str]] = [(q, "", "") for q in sorted(tn.initial)]
@@ -396,7 +433,7 @@ def shortest_pair(t: Transducer, pair_cap: int = 100_000) -> Optional[tuple[str,
             if best is None or key < best:
                 best = key
             continue
-        for ex, ey, dst in adj[q]:
+        for _, ex, ey, dst in adj[q]:
             stack.append((dst, x + ex, y + ey))
     if best is None:
         return None
@@ -405,36 +442,7 @@ def shortest_pair(t: Transducer, pair_cap: int = 100_000) -> Optional[tuple[str,
 
 def accepts_pair(t: Transducer, x: str, y: str) -> bool:
     """Membership of the pair ``(x, y)`` in the realized relation."""
-    tn = normalize(t)
-    ins, outs = tn.grouped()
-    lx, ly = len(x), len(y)
-    width = (lx + 1) * (ly + 1)
-    seen = bytearray(tn.n_states * width)
-    stack: list[tuple[int, int, int]] = []
-    for q in tn.initial:
-        stack.append((q, 0, 0))
-        seen[q * width] = 1
-    while stack:
-        q, i, j = stack.pop()
-        if i == lx and j == ly and q in tn.final:
-            return True
-        if i < lx:
-            a = x[i]
-            for sym, q2 in ins[q]:
-                if sym == a:
-                    idx = q2 * width + (i + 1) * (ly + 1) + j
-                    if not seen[idx]:
-                        seen[idx] = 1
-                        stack.append((q2, i + 1, j))
-        if j < ly:
-            b = y[j]
-            for sym, q2 in outs[q]:
-                if sym == b:
-                    idx = q2 * width + i * (ly + 1) + (j + 1)
-                    if not seen[idx]:
-                        seen[idx] = 1
-                        stack.append((q2, i, j + 1))
-    return False
+    return restriction_search(t, Nfa.word(t.alphabet, x), Nfa.word(t.alphabet, y))[0] is not None
 
 
 def enumerate_pairs(t: Transducer, max_total: int) -> list[tuple[str, str]]:
@@ -443,9 +451,7 @@ def enumerate_pairs(t: Transducer, max_total: int) -> list[tuple[str, str]]:
     Exponential in ``max_total`` — intended for oracles and small tests.
     """
     tn = normalize(t)
-    adj: list[list[tuple[str, str, int]]] = [[] for _ in range(tn.n_states)]
-    for src, x, y, dst in tn.edges:
-        adj[src].append((x, y, dst))
+    adj = _leaving(tn)
     level: dict[tuple[str, str], set[int]] = {("", ""): set(tn.initial)}
     found: set[tuple[str, str]] = set()
     for pair, states in level.items():
@@ -455,7 +461,7 @@ def enumerate_pairs(t: Transducer, max_total: int) -> list[tuple[str, str]]:
         nxt: dict[tuple[str, str], set[int]] = {}
         for (x, y), states in level.items():
             for q in states:
-                for ex, ey, dst in adj[q]:
+                for _, ex, ey, dst in adj[q]:
                     key = (x + ex, y + ey)
                     nxt.setdefault(key, set()).add(dst)
         for pair, states in nxt.items():
@@ -485,15 +491,13 @@ def _shortest_completion(
     Only called where such a path exists, as on a trimmed machine.
     """
     goals = tn.final if goals is None else goals
-    adj: list[list[tuple[str, str, int]]] = [[] for _ in range(tn.n_states)]
-    for src, x, y, dst in tn.edges:
-        adj[src].append((x, y, dst))
+    adj = _leaving(tn)
     parents: dict = {start: None}
     queue = [start]
     for q in queue:  # breadth first: the list grows while it is walked
         if q in goals:
             return _path_pair(parents, q)
-        for x, y, dst in adj[q]:
+        for _, x, y, dst in adj[q]:
             if dst not in parents:
                 parents[dst] = (q, (x, y))
                 queue.append(dst)
@@ -541,10 +545,9 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: dict[int, int]) -> Option
     n = tn.n_states
     if n == 0:
         return None
-    succ: list[list[tuple[int, str, str, int]]] = [[] for _ in range(n)]
+    succ = _leaving(tn)
     pred: list[list[tuple[int, str, str, int]]] = [[] for _ in range(n)]
     for e in tn.edges:
-        succ[e[0]].append(e)
         pred[e[3]].append(e)
     pi = theta.image
     parents: dict = {}
@@ -660,7 +663,7 @@ def is_functional(
     assert wit is not None
     y1, y2 = wit
     pre1 = image(inverse(tn), Nfa.word(tn.alphabet, y1))
-    x = _least_output(tn, Nfa.word(tn.alphabet, y2), pre1, swapped=True)[0]
+    x = restriction_search(tn, Nfa.word(tn.alphabet, y2), pre1, swapped=True)[0]
     assert x is not None, "square witness must share an input"
     return False, (x, y1, y2)
 
@@ -689,9 +692,7 @@ def _balances(tn: Transducer) -> tuple[dict[int, int], Optional[tuple[str, str]]
     the balance of every path to its state, else the labels so far and
     that pair.
     """
-    adj: list[list[tuple[str, str, int]]] = [[] for _ in range(tn.n_states)]
-    for src, x, y, dst in tn.edges:
-        adj[src].append((x, y, dst))
+    adj = _leaving(tn)
     label: dict[int, int] = {}
     parents: dict[int, tuple[int, tuple[str, str]]] = {}
     stack: list[int] = []
@@ -701,7 +702,7 @@ def _balances(tn: Transducer) -> tuple[dict[int, int], Optional[tuple[str, str]]
             stack.append(q)
     while stack:
         p = stack.pop()
-        for ex, ey, q in adj[p]:
+        for _, ex, ey, q in adj[p]:
             delta = 1 if ex else -1
             nl = label[p] + delta
             if q not in label:

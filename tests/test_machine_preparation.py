@@ -1,4 +1,7 @@
-"""Machine preparation: constructor checks, the normal form and its grouped adjacency."""
+"""Machine preparation: constructor checks, the normal form, its on-demand view and
+its grouped adjacency."""
+
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -155,6 +158,36 @@ def test_normalize_matches_the_closure_per_state_construction(t):
     assert normalize(tn) is tn
     assert normalize(t) is tn
     assert all(len(x) + len(y) == 1 for _, x, y, _ in tn.edges)
+
+
+# -- the normal form on demand -----------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(transducers(), st.randoms(use_true_random=False))
+@example(EPS_CYCLE, random.Random(0))
+@example(EPS_CHAIN, random.Random(1))
+def test_view_filled_in_any_order_matches_the_normal_form(machine, rng):
+    def fresh():  # the examples are shared, and normal forms memoized on them
+        return Transducer(machine.alphabet, machine.n_states, machine.edges, machine.initial, machine.final)
+
+    reference = normalize(fresh())
+    ins, outs = reference.grouped()
+    final = reference.final
+    t = fresh()
+    v = t.view()
+    assert len(v.ins) == len(v.outs) == len(v.final) == len(ins)
+    order = list(range(len(ins)))
+    rng.shuffle(order)
+    for q in order:
+        if v.final[q] is None:
+            assert v.fill(q) == (q in final)
+        assert (v.ins[q], v.outs[q], v.final[q]) == (ins[q], outs[q], q in final)
+    assert all((v.ins[q], v.outs[q], v.final[q]) == (ins[q], outs[q], q in final) for q in order)
+    assert t._norm is None
+    tn = normalize(t)  # built on the view the loop filled
+    assert _as_tuple(tn) == reference_normalize(t)
+    assert tn.view() is v and tn.grouped() == (ins, outs)
 
 
 # -- grouped adjacency -------------------------------------------------------

@@ -241,7 +241,6 @@ def test_altering_self_pair_alone_refutes_the_assertion():
 def test_violated_call_builds_no_transducer(monkeypatch):
     p = named_property("overhang-free", "normal", dna_delta())
     l = Nfa.finite(DNA, ["ACGTTG", "CAACGT"])
-    normalize(p.transducer).grouped()
     built = []
     post_init = Transducer.__post_init__
 
@@ -287,3 +286,16 @@ def test_violation_is_found_without_building_the_restriction():
     assert (verdict.satisfied, verdict.witness) == built_satisfies_S(p, l)
     assert not verdict.satisfied
     assert verdict.stats["restriction_states"] * 20 < full.n_states
+
+
+def test_violated_call_fills_only_the_states_it_reaches():
+    script = _benchmark_script()
+    rng = random.Random(12)
+    t = script.random_transducer(rng, 1000, 4000)
+    l = script.random_language(rng, 6, dense=True)
+    verdict = satisfies_S(PropertyDescriptor(t, dna_delta(), kind=S_KIND), l)
+    assert not verdict.satisfied
+    assert t._norm is None, "no whole normal form is built"
+    v = t.view()
+    filled = sum(fin is not None for fin in v.final[: t.n_states])
+    assert filled * 10 < t.n_states and len(v.final) > t.n_states
