@@ -3,7 +3,9 @@
 
 Generates random transducers and NFAs of configurable size, runs the strict
 decider on each pair, and reports how many product states its search
-explored, the wall time of the whole call, and how many states of the
+explored, the wall time of the whole call (the garbage collector runs
+before each case and is off during the call, so the times compare across
+cases and commits), and how many states of the
 transducer's normal form the call filled.  The search reads the transducer
 through its on-demand view, so a violation found early leaves most of it
 unbuilt; chain states, which the view resolves in its one pass over the
@@ -17,6 +19,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import gc
 import random
 import time
 from typing import Optional
@@ -76,9 +79,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         t = random_transducer(rng, args.transducer_states, args.transducer_edges)
         language = random_language(rng, args.language_states, dense=i % 2 == 0)
         descriptor = PropertyDescriptor(t, theta, kind=S_KIND)
-        case_start = time.perf_counter()
-        verdict = satisfies_S(descriptor, language)
-        decide_time = time.perf_counter() - case_start
+        gc.collect()  # no collection lands in the timed call
+        gc.disable()
+        try:
+            case_start = time.perf_counter()
+            verdict = satisfies_S(descriptor, language)
+            decide_time = time.perf_counter() - case_start
+        finally:
+            gc.enable()
         view = t.view()
         filled = sum(fin is not None for fin in view.final[: t.n_states])
         total_filled += filled

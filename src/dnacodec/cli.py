@@ -52,8 +52,10 @@ from .pcp import (
 from .properties import (
     INPUT_ALTERING,
     INPUT_PRESERVING,
-    PropertyDescriptor,
+    S_KIND,
     UNRESTRICTED,
+    W_KIND,
+    PropertyDescriptor,
     Verdict,
     is_maximal,
     satisfies,
@@ -116,6 +118,8 @@ def _theta_from_spec(spec, hint: Optional[Alphabet] = None) -> Permutation:
         name, _, alpha_part = spec.partition(":")
         alphabet = Alphabet.of(alpha_part) if alpha_part else hint
         if name == "dna-delta":
+            if alpha_part and alphabet != DNA:
+                raise FormatError(f"field 'theta' dna-delta acts on ACGT, not {alpha_part!r}")
             return dna_delta()
         if name in ("identity", "mirror"):
             if alphabet is None:
@@ -176,6 +180,8 @@ def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
     changes = {}
     if "kind" in doc:
         changes["kind"] = _field(doc, "kind", (str,))
+        if changes["kind"] not in (S_KIND, W_KIND):
+            raise FormatError(f"field 'kind' must be {S_KIND} or {W_KIND}, not {changes['kind']!r}")
     if "class" in doc:
         short_class = _field(doc, "class", (str,))
         if short_class not in _CLASS_NAMES:

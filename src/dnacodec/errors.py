@@ -15,7 +15,7 @@ class ResourceLimitError(DnaCodecError):
     outgrows its budget.  Callers can retry with a larger cap via the
     ``DNACODEC_STATE_CAP`` environment variable, the ``state_cap`` keyword
     of the subset constructions and maximality deciders, or the
-    ``item_cap`` keyword of the weak deciders.
+    ``item_cap`` keyword of ``satisfies`` and ``satisfies_W_general``.
     """
 
 
@@ -36,11 +36,12 @@ class FormatError(DnaCodecError):
 class ClassAssertionRefuted(DnaCodecError):
     """A caller-asserted transducer class was refuted by a bounded search.
 
-    Deciders that rely on an undecidable side condition (input-altering /
-    input-preserving) sanity-check the assertion on all short words first.
-    Finding a refuting word means the requested algorithm would return
-    garbage, so we stop hard rather than answer.  ``witness`` is the word
-    that refutes the assertion.
+    Whether a transducer is input-altering or input-preserving is
+    undecidable, so a descriptor asserting either class is checked on all
+    short words first.  A refuting word means the descriptor is wrong: the
+    input-altering route would answer for a machine it does not fit, and
+    an input-preserving contract is broken, so we stop hard rather than
+    answer.  ``witness`` is the word that refutes the assertion.
     """
 
     def __init__(self, message: str, witness: str | None = None):

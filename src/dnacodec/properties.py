@@ -11,11 +11,12 @@ and a *kind*:
   property.  Equivalently, every pair of the restricted relation must lie
   on the graph of theta.
 
-The weak kind is undecidable for arbitrary transducers' class claims, so
-the deciders branch on the *asserted* transducer class (input-altering /
-input-preserving / none) and sanity-check the assertion on all short words
-before trusting it, failing hard with :class:`ClassAssertionRefuted` when
-the assertion is demonstrably false.
+Both kinds are decidable for every transducer; the weak kind by one
+polynomial search (:func:`satisfies_W_general`).  A descriptor may still
+*assert* a transducer class, which is sanity-checked on all short words
+and refuted loudly with :class:`ClassAssertionRefuted`.  The input-altering
+assertion sends the weak kind through the strict search; the input-preserving
+one is only a checked contract, decided by the general weak route.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Optional
 from .alphabets import Permutation
 from .automata import (
     Nfa,
-    accepts,
     complement as nfa_complement,
     intersect as nfa_intersect,
     missing_word,
@@ -44,7 +44,6 @@ from .transducers import (
     bounded_counterexample,
     image,
     inverse,
-    is_functional,
     normalize,
     restrict_input,
     restriction_search,
@@ -153,40 +152,6 @@ def satisfies_S(p: PropertyDescriptor, l: Nfa) -> Verdict:
     return Verdict(False, _decode_intersection_witness(p, l, y), "satisfies_S", stats)
 
 
-def satisfies_W_preserving(
-    p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6
-) -> Verdict:
-    """Weak satisfaction for an asserted input-preserving transducer.
-
-    When theta(w) is always among T's outputs on w, the weak property
-    holds iff the restricted relation is functional (the guaranteed
-    diagonal pair is then the only output per input) — plus a separate
-    guard for the empty word, which the preserving assumption does not
-    cover.  The assertion is sanity-checked on all words up to
-    ``assertion_bound`` first.
-    """
-    _check_language(p, l)
-    if p.kind != W_KIND:
-        raise ValueError("satisfies_W_preserving expects a weak-kind descriptor")
-    _check_assertion(p, "preserving", assertion_bound)
-    s = restrict_input(p.transducer, l, theta_image(l, p.theta))
-    stats = {"restriction_states": s.n_states, "restriction_edges": len(s.edges)}
-    stats["assertion_bound"] = assertion_bound
-    ok, wit = is_functional(s)
-    if not ok:
-        assert wit is not None
-        x, y1, y2 = wit
-        y = y1 if y1 != p.theta(x) else y2
-        return Verdict(False, (x, p.theta.inverse()(y)), "satisfies_W_preserving", stats)
-    if accepts(l, ""):
-        y = restriction_search(s, Nfa.epsilon(s.alphabet), Nfa.nonempty(s.alphabet))[0]
-        if y is not None:
-            return Verdict(
-                False, ("", p.theta.inverse()(y)), "satisfies_W_preserving", stats
-            )
-    return Verdict(True, None, "satisfies_W_preserving", stats)
-
-
 def _dag_pairs(t: Transducer, item_cap: int) -> Optional[list[tuple[str, str]]]:
     """All realized pairs of a normalized transducer, or None when it has a cycle."""
     order = topological_order(t.n_states, t.edges)
@@ -212,7 +177,7 @@ def _dag_pairs(t: Transducer, item_cap: int) -> Optional[list[tuple[str, str]]]:
 
 
 def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) -> Verdict:
-    """Weak satisfaction with no usable class assertion.
+    """Weak satisfaction, exact for every transducer.
 
     The property holds iff every pair (x, y) of the restricted relation S
     satisfies y = theta(x).  Since theta preserves length, S must first be
@@ -248,6 +213,25 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) ->
         return Verdict(True, None, decider, stats)
     x, y = bad
     return Verdict(False, (x, theta.inverse()(y)), decider, stats)
+
+
+def satisfies_W_preserving(
+    p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6
+) -> Verdict:
+    """Weak satisfaction for an asserted input-preserving transducer.
+
+    The assertion (theta(w) is among T's outputs on every w) is checked on
+    all words up to ``assertion_bound`` and refuted loudly; the answer
+    itself comes from :func:`satisfies_W_general`, which is exact whether
+    or not the assertion holds beyond the bound.
+    """
+    _check_language(p, l)
+    if p.kind != W_KIND:
+        raise ValueError("satisfies_W_preserving expects a weak-kind descriptor")
+    _check_assertion(p, "preserving", assertion_bound)
+    verdict = satisfies_W_general(p, l)
+    verdict.stats["assertion_bound"] = assertion_bound
+    return verdict
 
 
 def _altering_route(

@@ -469,6 +469,8 @@ def test_missing_language_file(capsys):
         ({"transducer": 5}, "field 'transducer'"),
         ([{"transducer": {"dna": {"name": "compliant", "variant": "weak"}}}], "descriptor document"),
         ({"theta": "nope", "transducer": {"dna": {"name": "compliant", "variant": "weak"}}}, "field 'theta'"),
+        ({"kind": "X", "transducer": {"dna": {"name": "compliant", "variant": "weak"}}}, "field 'kind'"),
+        ({"theta": "dna-delta:01", "transducer": {"trajectory": {"e1": "0+", "e2": "0+"}}}, "field 'theta'"),
     ],
 )
 def test_malformed_descriptor_names_the_field(tmp_path, capsys, doc, field):

@@ -27,6 +27,7 @@ from dnacodec.transducers import Transducer, accepts_pair
 from oracles import brute_is_maximal, brute_satisfies, pair_in_relation, violates_S, violates_W
 
 ZO = Alphabet.of("01")
+AB = Alphabet.of("ab")
 MIRROR_ZO = Permutation.identity(ZO, antimorphic=True)
 DELTA = dna_delta()
 
@@ -142,7 +143,7 @@ def test_preserving_route_universal_machine():
     v = satisfies_W_preserving(p, dna_lang(["AC", "G"]))
     assert not v.satisfied
     assert_w_witness(t, DELTA, {"AC", "G"}, v.witness)
-    assert v.decider == "satisfies_W_preserving"
+    assert (v.decider, v.stats["route"]) == ("satisfies_W_general", "mismatch")
 
 
 def test_preserving_route_empty_word_guard():
@@ -151,6 +152,17 @@ def test_preserving_route_empty_word_guard():
     v = satisfies_W_preserving(p, dna_lang(["", "A"]))
     assert not v.satisfied
     assert_w_witness(t, DELTA, {"", "A"}, v.witness)
+
+
+def test_preserving_route_exact_beyond_the_assertion_bound():
+    # preserving on "a" and "b" but not on "aa": its only output there is "bb"
+    t = Transducer(
+        AB, 3, ((0, "a", "a", 1), (0, "b", "b", 1), (0, "aa", "bb", 2)), frozenset({0}), frozenset({1, 2})
+    )
+    p = PropertyDescriptor(t, Permutation.identity(AB), kind=W_KIND, asserted_class=INPUT_PRESERVING)
+    v = satisfies(p, Nfa.finite(AB, ["aa", "bb"]), assertion_bound=1)
+    assert (v.satisfied, v.witness) == (False, ("aa", "bb"))
+    assert v.stats["assertion_bound"] == 1
 
 
 def test_preserving_assertion_refuted():
@@ -346,7 +358,7 @@ def test_dispatcher_routes_by_kind_and_class():
         PropertyDescriptor(universal_machine(DNA), DELTA, kind=W_KIND, asserted_class=INPUT_PRESERVING),
         dna_lang(["ACG"]),
     )
-    assert preserving.decider == "satisfies_W_preserving"
+    assert (preserving.decider, preserving.stats["route"]) == ("satisfies_W_general", "acyclic")
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,9 +5,12 @@ pending-word search ``_subset_identity`` (morphic weak route, partial
 identity, functionality) and, for an antimorphic involution on a cyclic
 restriction, the pumping route (pairs up to the state count, pump triples
 and a determinized rectangle check).  Both are kept here as references and
-are compared wherever they finish within small caps.  Every verdict is also
-checked against a brute-force pair enumeration at a bounded length, and
-every witness against the raw-edge oracles of ``tests/oracles.py``.
+are compared wherever they finish within small caps.  So is the route that
+decided asserted input-preserving descriptors before they went to the
+general decider: functionality of the restriction, by squaring, plus a
+guard for the empty word.  Every verdict is also checked against a
+brute-force pair enumeration at a bounded length, and every witness against
+the raw-edge oracles of ``tests/oracles.py``.
 """
 
 import itertools
@@ -20,11 +23,18 @@ from hypothesis import given, settings, strategies as st
 
 from dnacodec import transducers
 from dnacodec.alphabets import BINARY, DNA, Alphabet, Permutation, dna_delta
-from dnacodec.automata import Nfa, accepts, concat, parse_regex, star, theta_image
+from dnacodec.automata import Nfa, accepts, concat, parse_regex, star, theta_image, union
 from dnacodec.errors import ResourceLimitError
 from dnacodec.fado import parse_fado
 from dnacodec.graphs import numbering, reachable, successors, topological_order
-from dnacodec.properties import W_KIND, PropertyDescriptor, _dag_pairs, satisfies_W_general
+from dnacodec.properties import (
+    INPUT_PRESERVING,
+    W_KIND,
+    PropertyDescriptor,
+    _dag_pairs,
+    satisfies,
+    satisfies_W_general,
+)
 from dnacodec.transducers import (
     Transducer,
     _balances,
@@ -39,6 +49,7 @@ from dnacodec.transducers import (
     normalize,
     relation_empty,
     restrict_input,
+    restriction_search,
     trim,
 )
 from oracles import pair_in_relation, violates_W
@@ -214,6 +225,19 @@ def reference_weak(p, l):
         return None
 
 
+def reference_preserving(p, l):
+    """The parent's verdict for an asserted input-preserving descriptor,
+    exact while theta(w) is an output of T on every w: S is functional
+    (each input's one output is then its theta-image), and no nonempty
+    output of S on the empty word."""
+    s = restrict_input(p.transducer, l, theta_image(l, p.theta))
+    if not is_functional(s)[0]:
+        return False
+    if not accepts(l, ""):
+        return True
+    return restriction_search(s, Nfa.epsilon(s.alphabet), Nfa.nonempty(s.alphabet))[0] is None
+
+
 # -- random instances -----------------------------------------------------------
 
 AB = Alphabet.of("ab")
@@ -380,6 +404,48 @@ def test_one_weak_decision_trims_once(monkeypatch):
     passes.clear()
     assert is_partial_identity(Transducer.identity(BINARY)) == (True, None)
     assert len(passes) == 1
+
+
+# -- asserted input-preserving descriptors --------------------------------------
+
+
+def preserving_base(theta, same_length):
+    """A machine with theta(w) among its outputs on every w: all pairs of
+    equal length (``same_length``), else the graph of a morphic theta, or
+    all pairs for an antimorphic one, whose graph is not rational."""
+    alphabet = theta.alphabet
+    if same_length:
+        edges = [(0, a, b, 0) for a in alphabet.symbols for b in alphabet.symbols]
+    elif not theta.antimorphic:
+        edges = [(0, a, theta.image(a), 0) for a in alphabet.symbols]
+    else:
+        edges = [(0, a, "", 0) for a in alphabet.symbols] + [(0, "", a, 0) for a in alphabet.symbols]
+    return Transducer(alphabet, 1, tuple(edges), frozenset({0}), frozenset({0}))
+
+
+@st.composite
+def preserving_instances(draw):
+    """A weak descriptor asserting input-preserving, true for every word by
+    construction (a base of ``preserving_base`` joined with a random
+    machine), and a language as ``languages`` gives it."""
+    theta = draw(st.sampled_from(all_permutations(ABC)))
+    pi = draw(st.sampled_from([None, theta.image]))
+    t = union(preserving_base(theta, draw(st.booleans())), draw(machines(ABC, pi)))
+    p = PropertyDescriptor(t, theta, kind=W_KIND, asserted_class=INPUT_PRESERVING)
+    return (p, *draw(languages(theta)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(preserving_instances())
+def test_preserving_assertion_against_oracle_and_parent(case):
+    p, l, member, words = case
+    v = satisfies(p, l, assertion_bound=3)
+    assert v.decider == "satisfies_W_general"
+    assert v.satisfied == reference_preserving(p, l)
+    if words is not None:
+        assert v.satisfied == (violates_W(p.transducer, p.theta, words) is None)
+    if not v.satisfied:
+        assert_weak_witness(p, member, v.witness)
 
 
 # -- the rows the capped searches could not decide ------------------------------
