@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Measure strict-satisfaction throughput on random machines.
+"""Measure strict- and weak-satisfaction throughput on random machines.
 
 Generates random transducers and NFAs of configurable size, runs the strict
 decider on each pair, and reports how many product states its search
 explored, the wall time of the whole call (the garbage collector runs
-before each case and is off during the call, so the times compare across
+before each timed call and is off during it, so the times compare across
 cases and commits), and how many states of the
 transducer's normal form the call filled.  The search reads the transducer
 through its on-demand view, so a violation found early leaves most of it
 unbuilt; chain states, which the view resolves in its one pass over the
-edges, are counted in the total but not as filled.
+edges, are counted in the total but not as filled.  The weak decider then
+runs on a fresh copy of the same machine, as a W-kind descriptor, and its
+wall time and the lengths of its witness are printed beside.
 
 Usage:
     python scripts/benchmark_satisfaction.py
@@ -26,7 +28,7 @@ from typing import Optional
 
 from dnacodec.alphabets import DNA, dna_delta
 from dnacodec.automata import Nfa
-from dnacodec.properties import S_KIND, PropertyDescriptor, satisfies_S
+from dnacodec.properties import S_KIND, W_KIND, PropertyDescriptor, satisfies_S, satisfies_W_general
 from dnacodec.transducers import Transducer
 
 
@@ -59,6 +61,18 @@ def random_language(rng: random.Random, n_states: int, dense: bool) -> Nfa:
     return Nfa(DNA, n_states, tuple(edges), frozenset({0}), finals)
 
 
+def timed(decide, *args):
+    """``(result, seconds)`` of one call, with the garbage collector off."""
+    gc.collect()  # no collection lands in the timed call
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = decide(*args)
+        return result, time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1729)
@@ -78,15 +92,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     for i in range(args.cases):
         t = random_transducer(rng, args.transducer_states, args.transducer_edges)
         language = random_language(rng, args.language_states, dense=i % 2 == 0)
-        descriptor = PropertyDescriptor(t, theta, kind=S_KIND)
-        gc.collect()  # no collection lands in the timed call
-        gc.disable()
-        try:
-            case_start = time.perf_counter()
-            verdict = satisfies_S(descriptor, language)
-            decide_time = time.perf_counter() - case_start
-        finally:
-            gc.enable()
+        strict = PropertyDescriptor(t, theta, kind=S_KIND)
+        verdict, decide_time = timed(satisfies_S, strict, language)
         view = t.view()
         filled = sum(fin is not None for fin in view.final[: t.n_states])
         total_filled += filled
@@ -95,11 +102,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         total_work += work
         total_states += verdict.stats["restriction_states"]
         outcome = "satisfied" if verdict else f"witness {verdict.witness}"
+        # a fresh copy of the machine, so the weak call builds its own view
+        fresh = Transducer(DNA, t.n_states, t.edges, t.initial, t.final)
+        weak, weak_time = timed(satisfies_W_general, PropertyDescriptor(fresh, theta, kind=W_KIND), language)
+        weak_outcome = "satisfied" if weak else "witness {}+{} letters".format(*map(len, weak.witness))
         print(
             f"case {i}: |T|={len(t.edges)} |A|={len(language.edges)} "
             f"work={work:,} explored states={verdict.stats['restriction_states']:,} "
             f"normal form filled {filled:,}/{len(view.final):,} "
-            f"decide {decide_time * 1e3:.1f}ms {outcome}"
+            f"decide {decide_time * 1e3:.1f}ms {outcome}; "
+            f"weak {weak_time * 1e3:.1f}ms {weak_outcome}"
         )
     elapsed = time.perf_counter() - start
     print(

@@ -118,8 +118,8 @@ def _theta_from_spec(spec, hint: Optional[Alphabet] = None) -> Permutation:
         name, _, alpha_part = spec.partition(":")
         alphabet = Alphabet.of(alpha_part) if alpha_part else hint
         if name == "dna-delta":
-            if alpha_part and alphabet != DNA:
-                raise FormatError(f"field 'theta' dna-delta acts on ACGT, not {alpha_part!r}")
+            if alphabet not in (None, DNA):
+                raise FormatError(f"field 'theta' dna-delta acts on ACGT, not {''.join(alphabet)!r}")
             return dna_delta()
         if name in ("identity", "mirror"):
             if alphabet is None:

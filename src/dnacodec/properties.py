@@ -40,14 +40,13 @@ from .transducers import (
     _balances,
     _leaving,
     _mismatch,
+    _restriction,
     accepts_pair,
     bounded_counterexample,
     image,
     inverse,
     normalize,
-    restrict_input,
     restriction_search,
-    trim,
 )
 
 S_KIND = "S"
@@ -88,7 +87,9 @@ class Verdict:
     strict and altering routes ``stats["restriction_states"]`` and
     ``stats["restriction_edges"]`` count the triples the search explored up
     to the first group holding a hit (all when none does) and the
-    transitions leaving them; elsewhere they give the built restriction's size.
+    transitions leaving them.  On the weak route they count the triples and
+    edges its walk found up to an uneven accepting triple, when it stops at
+    one, and otherwise give the trimmed restriction's size.
     """
 
     satisfied: bool
@@ -181,12 +182,17 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) ->
 
     The property holds iff every pair (x, y) of the restricted relation S
     satisfies y = theta(x).  Since theta preserves length, S must first be
-    length-preserving; then every state of S has one input-minus-output
-    balance, and a pair off theta is a run with an input letter a and an
-    output letter b != pi(a) at positions that theta matches up (the same
-    position for a morphic theta, mirrored ones for an antimorphic one).
-    ``transducers._mismatch`` finds such a run in polynomial time, for any
-    permutation.  A length-preserving, acyclic S with an antimorphic theta
+    length-preserving.  One breadth-first walk of the product builds S
+    (``transducers._restriction``): it labels each triple with the balance
+    of the path that found it and stops at the first accepting triple whose
+    balance is not 0, a pair with ``|x| != |y|``; a walk that completes
+    trims S once.  On S the length check (``_balances``) gives every state
+    one input-minus-output balance, and a pair off theta is a run with an
+    input letter a and an output letter b != pi(a) at positions that theta
+    matches up (the same position for a morphic theta, mirrored ones for an
+    antimorphic one).  ``transducers._mismatch`` finds such a run in
+    polynomial time, for any permutation.  A length-preserving, acyclic S
+    with an antimorphic theta
     instead has its pairs listed in order (``_dag_pairs``, at most
     ``item_cap``), so the witness is the least offending pair.
     ``stats["route"]`` says which decided: ``"acyclic"`` for the listing,
@@ -197,9 +203,12 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) ->
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_general expects a weak-kind descriptor")
     theta = p.theta
-    s = trim(restrict_input(p.transducer, l, theta_image(l, theta)))
-    stats = {"restriction_states": s.n_states, "restriction_edges": len(s.edges)}
+    s, bad, states, transitions = _restriction(p.transducer, l, theta_image(l, theta), weak=True)
+    stats = {"restriction_states": states, "restriction_edges": transitions}
     decider = "satisfies_W_general"
+    if s is None:  # the walk met an accepting triple of nonzero balance
+        stats["route"] = "mismatch"
+        return Verdict(False, (bad[0], theta.inverse()(bad[1])), decider, stats)
     if s.n_states == 0:
         return Verdict(True, None, decider, stats)
     labels, bad = _balances(s)
@@ -216,20 +225,20 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) ->
 
 
 def satisfies_W_preserving(
-    p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6
+    p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6, item_cap: int = 10**6
 ) -> Verdict:
     """Weak satisfaction for an asserted input-preserving transducer.
 
     The assertion (theta(w) is among T's outputs on every w) is checked on
     all words up to ``assertion_bound`` and refuted loudly; the answer
-    itself comes from :func:`satisfies_W_general`, which is exact whether
-    or not the assertion holds beyond the bound.
+    itself comes from :func:`satisfies_W_general`, with its ``item_cap``,
+    which is exact whether or not the assertion holds beyond the bound.
     """
     _check_language(p, l)
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_preserving expects a weak-kind descriptor")
     _check_assertion(p, "preserving", assertion_bound)
-    verdict = satisfies_W_general(p, l)
+    verdict = satisfies_W_general(p, l, item_cap)
     verdict.stats["assertion_bound"] = assertion_bound
     return verdict
 
@@ -274,7 +283,7 @@ def satisfies(
     if p.asserted_class == INPUT_ALTERING:
         return _altering_route(p, l, assertion_bound)
     if p.asserted_class == INPUT_PRESERVING:
-        return satisfies_W_preserving(p, l, assertion_bound)
+        return satisfies_W_preserving(p, l, assertion_bound, item_cap)
     return satisfies_W_general(p, l, item_cap)
 
 

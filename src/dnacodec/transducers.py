@@ -33,7 +33,7 @@ from .automata import (
     union,
 )
 from .errors import ResourceLimitError
-from .graphs import INF, distances_to, numbering, path_to, reachable, reaches, successors, trim_keep
+from .graphs import numbering, path_to, reachable, reaches, successors, trim_keep
 
 
 def _words_ok(alphabet: Alphabet, labels: set) -> bool:
@@ -182,22 +182,24 @@ def normalize(t: Transducer) -> Transducer:
 
 def trim(t: Transducer) -> Transducer:
     """Drop states not on any path from an initial to a final state; ``t`` itself if none."""
-    keep = trim_keep(t.n_states, t.edges, t.initial, t.final)
-    if len(keep) == t.n_states:
-        return t
+    return _trimmed(t.alphabet, t.n_states, t.edges, t.initial, t.final, t._is_normal) or t
+
+
+def _trimmed(alphabet: Alphabet, n: int, edges, initial, final, normal) -> Optional[Transducer]:
+    """The trimmed machine of these parts, or None when it would keep every state."""
+    keep = trim_keep(n, edges, initial, final) if final else []
+    if len(keep) == n:
+        return None
     if not keep:
-        return Transducer(t.alphabet, 0, (), frozenset(), frozenset(), _is_normal=True)
+        return Transducer(alphabet, 0, (), frozenset(), frozenset(), _is_normal=True)
     remap = {q: i for i, q in enumerate(keep)}
-    edges = tuple(
-        (remap[s], x, y, remap[d]) for s, x, y, d in t.edges if s in remap and d in remap
-    )
     return Transducer(
-        t.alphabet,
+        alphabet,
         len(keep),
-        edges,
-        frozenset(remap[q] for q in t.initial if q in remap),
-        frozenset(remap[q] for q in t.final if q in remap),
-        _is_normal=t._is_normal,
+        tuple((remap[s], x, y, remap[d]) for s, x, y, d in edges if s in remap and d in remap),
+        frozenset(remap[q] for q in initial if q in remap),
+        frozenset(remap[q] for q in final if q in remap),
+        _is_normal=normal,
     )
 
 
@@ -243,45 +245,74 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
 
 def restrict_input(t: Transducer, m: Nfa, outputs: Optional[Nfa] = None) -> Transducer:
     """Keep only the pairs whose input word is accepted by ``m`` and, when
-    ``outputs`` is given, whose output word is accepted by ``outputs``.
+    ``outputs`` is given, whose output word is accepted by ``outputs``:
+    the reachable part of the product ``_restriction``, untrimmed."""
+    return _restriction(t, m, outputs)[0]
 
-    This is the one product of a transducer with automata on its tapes: a
-    lazy walk over (T-state, m-state, outputs-state) triples packed into
-    ints, on the normal form of ``t`` and the epsilon-free forms of the two
-    languages.  Inputs advance the ``m`` component, outputs the ``outputs``
-    component; a free output tape is the 1-state universal machine.
+
+def _restriction(
+    t: Transducer, m: Nfa, outputs: Optional[Nfa] = None, weak: bool = False
+) -> tuple[Optional[Transducer], Optional[tuple[str, str]], int, int]:
+    """``(s, uneven, states, transitions)``: the one product of a transducer
+    with automata on its tapes.
+
+    Breadth first over (T-state, m-state, outputs-state) triples packed into
+    ints, on ``t.view()`` (only the states reached are filled) and the
+    epsilon-free languages: inputs advance ``m``, outputs ``outputs`` (by
+    default all words).  ``s`` is the reachable product, a normal form.
+    Under ``weak`` each triple found gets its parent's balance, +1 for an
+    input move, -1 for an output move; the first accepting triple of nonzero
+    balance ends the walk, ``s`` None and ``uneven`` the pair |x| != |y| on
+    its parent chain, and a walk that completes trims ``s``.  ``states`` and
+    ``transitions`` size ``s``, or what the walk found up to its end.
     """
     of = _all_words(t.alphabet) if outputs is None else remove_epsilon(outputs)
     if not t.alphabet == m.alphabet == of.alphabet:
         raise ValueError("restrict_input requires a common alphabet")
-    tn = normalize(t)
-    ins, outs = tn.grouped()
+    v = t.view()
+    ins, outs, fill, t_final = v.ins, v.outs, v.fill, v.final
     lf = remove_epsilon(m)
     _, l_sym = lf.adjacency()
     _, o_sym = of.adjacency()
     nl, no = max(lf.n_states, 1), max(of.n_states, 1)
+    nlo, l_final, o_final = nl * no, lf.final, of.final
     index, walk, state = numbering(
-        (qt * nl + ql) * no + qo for qt in tn.initial for ql in lf.initial for qo in of.initial
+        (qt * nl + ql) * no + qo for qt in t.initial for ql in lf.initial for qo in of.initial
     )
     initial = frozenset(range(len(index)))
     edges: list[tuple[int, str, str, int]] = []
     final: set[int] = set()
-    t_final, l_final, o_final = tn.final, lf.final, of.final
+    balance = [0] * len(index)
+    parents: dict[int, tuple[int, tuple[str, str]]] = {}
     for src, packed in walk:
-        qt, ql, qo = packed // (nl * no), packed // no % nl, packed % no
-        if qt in t_final and ql in l_final and qo in o_final:
+        qt, ql, qo = packed // nlo, packed // no % nl, packed % no
+        fin = t_final[qt]
+        if fin is None:
+            fin = fill(qt)
+        if fin and ql in l_final and qo in o_final:
+            if weak and balance[src]:
+                return None, _path_pair(parents, src), len(index), len(edges)
             final.add(src)
         l_here = l_sym[ql]
         for a, qt2 in ins[qt]:
             for ql2 in l_here.get(a, ()):
-                edges.append((src, a, "", state((qt2 * nl + ql2) * no + qo)))
+                dst = state((qt2 * nl + ql2) * no + qo)
+                edges.append((src, a, "", dst))
+                if weak and dst == len(balance):
+                    balance.append(balance[src] + 1)
+                    parents[dst] = (src, (a, ""))
         o_here = o_sym[qo]
         for b, qt2 in outs[qt]:
             for qo2 in o_here.get(b, ()):
-                edges.append((src, "", b, state((qt2 * nl + ql) * no + qo2)))
-    return Transducer(  # labels are single-letter by construction
-        t.alphabet, max(len(index), 1), tuple(edges), initial, frozenset(final), _is_normal=True
-    )
+                dst = state((qt2 * nl + ql) * no + qo2)
+                edges.append((src, "", b, dst))
+                if weak and dst == len(balance):
+                    balance.append(balance[src] - 1)
+                    parents[dst] = (src, ("", b))
+    n = max(len(index), 1)
+    s = _trimmed(t.alphabet, n, edges, initial, final, True) if weak else None
+    s = s or Transducer(t.alphabet, n, tuple(edges), initial, frozenset(final), _is_normal=True)
+    return s, None, s.n_states, len(s.edges)
 
 
 @cache
@@ -402,42 +433,6 @@ def _leaving(t: Transducer) -> list[list[tuple[int, str, str, int]]]:
 
 def _word_key(alphabet: Alphabet, w: str) -> tuple[int, ...]:
     return tuple(alphabet.position(c) for c in w)
-
-
-def shortest_pair(t: Transducer, pair_cap: int = 100_000) -> Optional[tuple[str, str]]:
-    """A realized pair minimizing ``(|x|+|y|, x, y)``, or None.
-
-    BFS finds the minimal total length d; a pruned DFS then enumerates the
-    pairs of total length exactly d and keeps the lexicographically least
-    (by alphabet order, input first).
-    """
-    tn = trim(normalize(t))
-    back = distances_to(tn.n_states, tn.edges, tn.final)  # letters to a final state
-    d = min((back[q] for q in tn.initial), default=INF)
-    if d == INF:
-        return None
-    adj = _leaving(tn)
-    best: Optional[tuple[tuple, tuple, str, str]] = None
-    visited = 0
-    stack: list[tuple[int, str, str]] = [(q, "", "") for q in sorted(tn.initial)]
-    while stack:
-        q, x, y = stack.pop()
-        visited += 1
-        if visited > pair_cap:
-            raise ResourceLimitError("shortest_pair enumeration exceeded its cap")
-        used = len(x) + len(y)
-        if used + back[q] > d:
-            continue
-        if q in tn.final and used == int(d):
-            key = (_word_key(tn.alphabet, x), _word_key(tn.alphabet, y), x, y)
-            if best is None or key < best:
-                best = key
-            continue
-        for _, ex, ey, dst in adj[q]:
-            stack.append((dst, x + ex, y + ey))
-    if best is None:
-        return None
-    return best[2], best[3]
 
 
 def accepts_pair(t: Transducer, x: str, y: str) -> bool:
@@ -737,11 +732,6 @@ def included_in_recognizable(
     outside every rectangle.
     """
     tn = normalize(t)
-    if not rectangles:
-        tt = trim(tn)
-        if relation_empty(tt):
-            return True, None
-        return False, shortest_pair(tt)
     cap = resolve_state_cap(state_cap)
     dets = [determinize(a, cap) for a, _b in rectangles]
     det_adj = [d.adjacency()[1] for d in dets]
@@ -773,8 +763,8 @@ def included_in_recognizable(
             allowed = Nfa.empty(tn.alphabet)
         forbidden = nfa_complement(allowed, cap)
         residual = trim(restrict_input(tn, l_sig, forbidden))
-        if not relation_empty(residual):
-            return False, shortest_pair(residual)
+        if residual.n_states:
+            return False, _shortest_completion(residual, min(residual.initial))
     return True, None
 
 

@@ -471,6 +471,7 @@ def test_missing_language_file(capsys):
         ({"theta": "nope", "transducer": {"dna": {"name": "compliant", "variant": "weak"}}}, "field 'theta'"),
         ({"kind": "X", "transducer": {"dna": {"name": "compliant", "variant": "weak"}}}, "field 'kind'"),
         ({"theta": "dna-delta:01", "transducer": {"trajectory": {"e1": "0+", "e2": "0+"}}}, "field 'theta'"),
+        ({"alphabet": "01", "theta": "dna-delta", "transducer": {"trajectory": {"e1": "0+", "e2": "0+"}}}, "field 'theta'"),
     ],
 )
 def test_malformed_descriptor_names_the_field(tmp_path, capsys, doc, field):
@@ -518,4 +519,4 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         )
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    assert outputs[0].startswith("('1101', '1')\n")
+    assert outputs[0].startswith("('01', '1')\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import Nfa, accepts, enumerate_words, parse_regex, remove_epsilon
-from dnacodec.errors import ClassAssertionRefuted
+from dnacodec.errors import ClassAssertionRefuted, ResourceLimitError
 from dnacodec.properties import (
     INPUT_ALTERING,
     INPUT_PRESERVING,
@@ -163,6 +163,14 @@ def test_preserving_route_exact_beyond_the_assertion_bound():
     v = satisfies(p, Nfa.finite(AB, ["aa", "bb"]), assertion_bound=1)
     assert (v.satisfied, v.witness) == (False, ("aa", "bb"))
     assert v.stats["assertion_bound"] == 1
+
+
+def test_preserving_route_keeps_the_item_cap():
+    words = dna_lang(["ACG", "CGT", "AAA"])
+    for asserted in (UNRESTRICTED, INPUT_PRESERVING):
+        p = PropertyDescriptor(universal_machine(DNA), DELTA, kind=W_KIND, asserted_class=asserted)
+        with pytest.raises(ResourceLimitError):
+            satisfies(p, words, item_cap=1)
 
 
 def test_preserving_assertion_refuted():

@@ -24,7 +24,6 @@ from dnacodec.transducers import (
     relation_empty,
     restrict_input,
     restrict_output,
-    shortest_pair,
     trim,
     union,
 )
@@ -119,12 +118,6 @@ def test_restrict_and_image():
     assert accepts(full, "ba")
 
 
-def test_shortest_pair_order():
-    t = Transducer(AB, 2, ((0, "b", "b", 1), (0, "a", "ab", 1)), {0}, {1})
-    assert shortest_pair(t) == ("b", "b")
-    assert shortest_pair(Transducer.empty(AB)) is None
-
-
 def test_enumerate_pairs_sorted_and_complete():
     t = swap_machine()
     pairs = enumerate_pairs(t, 4)
@@ -185,6 +178,9 @@ def test_included_in_recognizable():
     ident = restrict_input(Transducer.identity(AB), Nfa.finite(AB, ["aa"]))
     ok, wit = included_in_recognizable(ident, [(Nfa.finite(AB, ["aa"]), Nfa.finite(AB, ["ab"]))])
     assert not ok and wit == ("aa", "aa")
+    # no rectangle: any realized pair lies outside, the empty relation inside
+    assert included_in_recognizable(ident, []) == (False, ("aa", "aa"))
+    assert included_in_recognizable(Transducer.empty(AB), []) == (True, None)
 
 
 def test_bounded_counterexample_altering():

@@ -13,8 +13,10 @@ brute-force pair enumeration at a bounded length, and every witness against
 the raw-edge oracles of ``tests/oracles.py``.
 """
 
+import importlib.util
 import itertools
 import os
+import random
 import time
 from collections import deque
 
@@ -404,6 +406,25 @@ def test_one_weak_decision_trims_once(monkeypatch):
     passes.clear()
     assert is_partial_identity(Transducer.identity(BINARY)) == (True, None)
     assert len(passes) == 1
+
+
+def test_uneven_pair_ends_the_product_walk():
+    # Case 0 of ``benchmark_satisfaction.py --transducer-states 1250
+    # --transducer-edges 5000 --language-states 12``.  Its whole restriction
+    # has about half a million triples; an accepting triple of nonzero
+    # balance lies within the first thousand found breadth first.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "benchmark_satisfaction.py")
+    spec = importlib.util.spec_from_file_location("benchmark_satisfaction", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rng = random.Random(1729)
+    t = script.random_transducer(rng, 1250, 5000)
+    l = script.random_language(rng, 12, dense=True)
+    p = PropertyDescriptor(t, dna_delta(), kind=W_KIND)
+    v = satisfies_W_general(p, l)
+    assert not v.satisfied and v.stats["route"] == "mismatch"
+    assert_weak_witness(p, lambda w: accepts(l, w), v.witness)
+    assert v.stats["restriction_states"] < 5000
 
 
 # -- asserted input-preserving descriptors --------------------------------------
