@@ -28,7 +28,11 @@ def resolve_state_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("DNACODEC_STATE_CAP")
-    return int(env) if env else DEFAULT_STATE_CAP
+    if not env:
+        return DEFAULT_STATE_CAP
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise FormatError(f"DNACODEC_STATE_CAP must be a positive integer, not {env!r}")
+    return int(env)
 
 
 def check_machine(m, labels_ok: Callable[[Alphabet, set], bool]) -> None:
@@ -74,6 +78,14 @@ class Nfa:
         self.final = frozenset(self.final)
         self.edges = tuple(self.edges)
         check_machine(self, _symbols_ok)
+
+    @classmethod
+    def _trusted(cls, alphabet, n_states, edges, initial, final) -> "Nfa":
+        """An ``Nfa`` made by an operation on checked machines that keeps states and labels valid."""
+        m = object.__new__(cls)
+        m.alphabet, m.n_states, m.edges, m._adj = alphabet, n_states, tuple(edges), None
+        m.initial, m.final = frozenset(initial), frozenset(final)
+        return m
 
     # -- adjacency -------------------------------------------------------
 
@@ -266,7 +278,8 @@ def union(a, b):
     off = a.n_states
     edges = a.edges + tuple((e[0] + off, *e[1:-1], e[-1] + off) for e in b.edges)
     initial, final = a.initial | {q + off for q in b.initial}, a.final | {q + off for q in b.final}
-    return type(a)(a.alphabet, off + b.n_states, edges, initial, final)
+    build = Nfa._trusted if isinstance(a, Nfa) else type(a)
+    return build(a.alphabet, off + b.n_states, edges, initial, final)
 
 
 def concat(a: Nfa, b: Nfa) -> Nfa:
@@ -322,88 +335,90 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
 
 
 def _subset_walk(m: Nfa):
-    """The subset construction of ``m`` on int bitmasks: ``(start, final, step)``.
+    """The subset construction of ``m`` on int bitmasks: ``(start, final, step, lanes, full)``.
 
     Bit ``q`` stands for state ``q``; ``start`` is the closed initial subset.
-    ``step(subset)`` returns the successor subsets in alphabet order.  Each
-    state's successor mask per letter is epsilon-closed, and closure
-    distributes over union, so these are exactly the subsets ``Nfa.step``
-    gives.  ``step`` ORs a cached row per byte of the subset; a row packs
-    the successors of its states for all letters, ``n_states`` bits each.
+    ``step(subset)`` returns one packed row: the successor subset on letter
+    ``a`` is ``row >> off & full`` for each ``(a, off)`` of ``lanes``, in
+    alphabet order, ``n_states`` bits per letter.  Each state's successor
+    mask per letter is epsilon-closed, and closure distributes over union,
+    so these are exactly the subsets ``Nfa.step`` gives.  ``step`` reads the
+    subset a byte at a time from the low end, stops after its highest set
+    byte and ORs one row per nonzero byte, built on first use and cached per
+    byte position under the byte's value.
     """
     n = m.n_states
     eps_adj, sym_adj = m.adjacency()
     closed = [sum(1 << r for r in reachable(eps_adj, [q])) for q in range(n)]
-    offsets = [i * n for i in range(len(m.alphabet))]
+    lanes = [(a, i * n) for i, a in enumerate(m.alphabet)]
     per_state = []
     for q in range(n):
         row = 0
-        for off, a in zip(offsets, m.alphabet):
+        for a, off in lanes:
             for r in sym_adj[q].get(a, ()):
                 row |= closed[r] << off
         per_state.append(row)
-    full = (1 << n) - 1
-    rows: dict[int, int] = {}  # a byte-aligned chunk of a subset -> its packed successors
+    caches = [({}, per_state[base : base + 8]) for base in range(0, n, 8)]
 
-    def step(subset: int) -> list[int]:
+    def step(subset: int) -> int:
         acc = 0
-        for shift in range(0, subset.bit_length(), 8):
-            chunk = subset & (255 << shift)
-            if chunk:
-                row = rows.get(chunk)
+        for rows, states in caches:
+            byte = subset & 255
+            if byte:
+                row = rows.get(byte)
                 if row is None:
                     row = 0
-                    for q in range(shift, shift + 8):
-                        if chunk >> q & 1:
-                            row |= per_state[q]
-                    rows[chunk] = row
+                    for j, r in enumerate(states):
+                        if byte >> j & 1:
+                            row |= r
+                    rows[byte] = row
                 acc |= row
-        return [acc >> off & full for off in offsets]
+            subset >>= 8
+            if not subset:
+                break
+        return acc
 
     start = sum(1 << q for q in reachable(eps_adj, m.initial))
-    return start, sum(1 << q for q in m.final), step
+    return start, sum(1 << q for q in m.final), step, lanes, (1 << n) - 1
 
 
 def determinize(m: Nfa, state_cap: Optional[int] = None) -> Nfa:
     """Subset construction; the result is deterministic and complete."""
-    start, final, step = _subset_walk(m)
+    start, final, step, lanes, full = _subset_walk(m)
     index, walk, state = numbering([start], resolve_state_cap(state_cap))
-    letters = m.alphabet.symbols
     edges: list[tuple[int, Optional[str], int]] = []
     for src, subset in walk:
-        for a, nxt in zip(letters, step(subset)):
-            edges.append((src, a, state(nxt)))
+        acc = step(subset)
+        for a, off in lanes:
+            edges.append((src, a, state(acc >> off & full)))
     accepting = frozenset(i for subset, i in index.items() if subset & final)
     return Nfa(m.alphabet, len(index), tuple(edges), frozenset({0}), accepting)
 
 
 def complement(m: Nfa, state_cap: Optional[int] = None) -> Nfa:
     d = determinize(m, state_cap)
-    return Nfa(
-        d.alphabet,
-        d.n_states,
-        d.edges,
-        d.initial,
-        frozenset(range(d.n_states)) - d.final,
-    )
+    return Nfa(d.alphabet, d.n_states, d.edges, d.initial, frozenset(range(d.n_states)) - d.final)
 
 
 def missing_word(m: Nfa, state_cap: Optional[int] = None) -> Optional[str]:
-    """A shortest word the machine rejects, or None when it is universal.
+    """The shortlex-least word the machine rejects, or None when it is universal.
 
     Lazy subset-construction BFS: stops at the first non-accepting subset,
     so universality of e.g. a union of small parts rarely pays the full
-    exponential price.
+    exponential price.  ``ResourceLimitError`` is raised when a new subset
+    turns up once ``state_cap`` subsets, the start one included, have been
+    seen; never when the empty word is rejected.
     """
     if not m.closure(m.initial) & m.final:
         return ""
     cap = resolve_state_cap(state_cap)
-    start, final, step = _subset_walk(m)
-    letters = m.alphabet.symbols
+    start, final, step, lanes, full = _subset_walk(m)
     parents: dict[int, Optional[tuple[int, str]]] = {start: None}  # every subset seen
     queue = [start]
     for subset in queue:  # breadth-first: the list grows while it is walked
-        for a, nxt in zip(letters, step(subset)):
+        acc = step(subset)
+        for a, off in lanes:
+            nxt = acc >> off & full
             if nxt in parents:
                 continue
             if len(parents) >= cap:
@@ -432,9 +447,9 @@ def theta_image(m: Nfa, theta: Permutation) -> Nfa:
         (s, None if sym is None else theta.image(sym), d) for s, sym, d in m.edges
     )
     if not theta.antimorphic:
-        return Nfa(m.alphabet, m.n_states, edges, m.initial, m.final)
+        return Nfa._trusted(m.alphabet, m.n_states, edges, m.initial, m.final)
     edges = tuple((d, sym, s) for s, sym, d in edges)
-    return Nfa(m.alphabet, m.n_states, edges, m.final, m.initial)
+    return Nfa._trusted(m.alphabet, m.n_states, edges, m.final, m.initial)
 
 
 # -- regular expressions -------------------------------------------------

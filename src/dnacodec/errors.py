@@ -20,7 +20,7 @@ class ResourceLimitError(DnaCodecError):
 
 
 class FormatError(DnaCodecError):
-    """Malformed machine text, descriptor document, or regular expression.
+    """Malformed machine text, descriptor document, regular expression or setting.
 
     ``line`` is the 1-based line number of the offending input line when the
     source is a multi-line machine description, else ``None``.

@@ -415,7 +415,7 @@ def image(t: Transducer, m: Optional[Nfa] = None) -> Nfa:
     edges = tuple(
         (p, out if out else None, q) for p, _inp, out, q in tn.edges
     )
-    return Nfa(t.alphabet, tn.n_states, edges, tn.initial, tn.final)
+    return Nfa._trusted(t.alphabet, tn.n_states, edges, tn.initial, tn.final)
 
 
 def relation_empty(t: Transducer) -> bool:

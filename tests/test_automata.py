@@ -74,6 +74,20 @@ def test_complement_and_universality():
     assert not is_universal(m)
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5", " "])
+def test_malformed_state_cap_variable_is_named(monkeypatch, value):
+    monkeypatch.setenv("DNACODEC_STATE_CAP", value)
+    with pytest.raises(FormatError, match=r"DNACODEC_STATE_CAP must be a positive integer"):
+        missing_word(Nfa.universal(DNA))
+    assert missing_word(Nfa.universal(DNA), state_cap=1) is None  # the keyword wins
+
+
+def test_state_cap_variable_sets_the_cap(monkeypatch):
+    monkeypatch.setenv("DNACODEC_STATE_CAP", " 2 ")
+    with pytest.raises(ResourceLimitError, match="cap of 2 subsets"):
+        missing_word(Nfa.finite(DNA, ["", "A", "AA"]))
+
+
 def test_complement_respects_state_cap():
     big = parse_regex("(A|C|G|T)*A(A|C|G|T)(A|C|G|T)(A|C|G|T)", DNA)
     with pytest.raises(ResourceLimitError):
@@ -190,11 +204,12 @@ def _frozenset_determinize(m, state_cap=None):
     return Nfa(m.alphabet, len(index), tuple(edges), frozenset({0}), final)
 
 
-def _frozenset_missing_word(m, cap):
-    """Breadth-first subset search on ``frozenset`` subsets and ``Nfa.step``."""
+def _frozenset_search(m, cap):
+    """Breadth-first subset search on ``frozenset`` subsets and ``Nfa.step``:
+    the first rejected word (or None) and the number of subsets seen."""
     start = m.closure(m.initial)
     if not (start & m.final):
-        return ""
+        return "", 1
     parents = {}
     seen = {start}
     queue = [start]
@@ -208,9 +223,13 @@ def _frozenset_missing_word(m, cap):
             seen.add(nxt)
             parents[nxt] = (subset, a)
             if not (nxt & m.final):
-                return "".join(path_to(parents, nxt))
+                return "".join(path_to(parents, nxt)), len(seen)
             queue.append(nxt)
-    return None
+    return None, len(seen)
+
+
+def _frozenset_missing_word(m, cap):
+    return _frozenset_search(m, cap)[0]
 
 
 def _first_rejected(m, max_len):
@@ -278,6 +297,51 @@ def test_missing_word_matches_frozenset_search_and_brute_force(m):
     assert brute == (w if w is not None and len(w) <= bound else None)
 
 
+@st.composite
+def wide_nfas(draw, total=False):
+    """NFAs of 9-40 states with epsilon edges, so that subsets span several bytes.
+
+    The initial states are drawn from state 8 upwards, so a walk can start
+    with its low bytes empty.  ``total`` is as for ``small_nfas``.
+    """
+    alphabet = draw(st.sampled_from([BINARY, DNA]))
+    n = draw(st.integers(9, 40))
+    states = st.integers(0, n - 1)
+    syms = st.sampled_from((None,) + alphabet.symbols)
+    edges = draw(st.lists(st.tuples(states, syms, states), max_size=3 * n))
+    initial = draw(st.frozensets(st.integers(8, n - 1), min_size=1, max_size=3))
+    if total:
+        edges += [(q, a, draw(states)) for q in range(n) for a in alphabet]
+        final = frozenset(range(n)) - draw(st.frozensets(states, max_size=3)) | initial
+    else:
+        final = draw(st.frozensets(states, min_size=n // 2))
+    return Nfa(alphabet, n, tuple(edges), initial, final)
+
+
+WIDE_CAP = 4000  # bounds the search of one example; both searches must agree on it too
+
+
+def _caps_around(visited):
+    """Caps 1-3, and when a search completed (``visited`` is its subset count) the
+    cap just below that count and the count itself."""
+    return {1, 2, 3} | ({visited - 1, visited} if isinstance(visited, int) else set())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(wide_nfas(), wide_nfas(total=True)))
+def test_multi_byte_subsets_match_frozenset_subsets(m):
+    dfa = _outcome(lambda: _dfa(_frozenset_determinize(m, WIDE_CAP)))
+    assert _outcome(lambda: _dfa(determinize(m, WIDE_CAP))) == dfa
+    for cap in _caps_around(dfa[0]):
+        assert _outcome(lambda: _dfa(determinize(m, cap))) == _outcome(
+            lambda: _dfa(_frozenset_determinize(m, cap))
+        )
+    found = _outcome(_frozenset_search, m, WIDE_CAP)
+    assert _outcome(missing_word, m, WIDE_CAP) == _outcome(_frozenset_missing_word, m, WIDE_CAP)
+    for cap in _caps_around(found[1]):
+        assert _outcome(missing_word, m, cap) == _outcome(_frozenset_missing_word, m, cap)
+
+
 def _near_universal_dna(k, letter):
     """Words of length <= k, or whose (k+1)-th letter from the end is not ``letter``."""
     edges = [(i, a, i + 1) for i in range(k) for a in "ACGT"]
@@ -293,5 +357,8 @@ def _near_universal_dna(k, letter):
 def test_missing_word_near_universal_family(letter):
     m = _near_universal_dna(5, letter)
     assert missing_word(m) == letter + "AAAAA"
+    assert missing_word(m) == _frozenset_missing_word(m, 1 << 20)
+    m = _near_universal_dna(8, letter)  # 19 states: subsets span three bytes
+    assert missing_word(m) == letter + "A" * 8
     assert missing_word(m) == _frozenset_missing_word(m, 1 << 20)
     assert _first_rejected(_near_universal_dna(3, letter), 4) == letter + "AAA"

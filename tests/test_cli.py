@@ -199,6 +199,14 @@ def test_maximal_negative_suggests_word(capsys):
     assert capsys.readouterr().out.strip() == "not maximal, can add: ''"
 
 
+def test_maximal_malformed_state_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("DNACODEC_STATE_CAP", "abc")
+    args = ["maximal", "--property", fixture("maximal", "desc_empty_altering.json")]
+    rc = main(args + ["--language", fixture("maximal", "lang_universal_dna.fa")])
+    assert rc == 2
+    assert "DNACODEC_STATE_CAP must be a positive integer, not 'abc'" in capsys.readouterr().err
+
+
 def test_maximal_trusted_assertion_via_bound_zero(capsys):
     args = [
         "maximal",

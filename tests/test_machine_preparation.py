@@ -6,10 +6,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dnacodec.alphabets import Alphabet
-from dnacodec.automata import Nfa
+from dnacodec.alphabets import Alphabet, Permutation
+from dnacodec.automata import Nfa, _symbols_ok, check_machine, theta_image, union
 from dnacodec.graphs import reachable
-from dnacodec.transducers import Transducer, inverse, normalize, restrict_input, trim
+from dnacodec.transducers import Transducer, image, inverse, normalize, restrict_input, trim
 
 AB = Alphabet.of("ab")
 
@@ -158,6 +158,31 @@ def test_normalize_matches_the_closure_per_state_construction(t):
     assert normalize(tn) is tn
     assert normalize(t) is tn
     assert all(len(x) + len(y) == 1 for _, x, y, _ in tn.edges)
+
+
+# -- results that skip the constructor check -------------------------------
+
+
+@st.composite
+def nfas(draw):
+    n = draw(st.integers(0, 5))
+    if n == 0:
+        return Nfa(AB, 0, (), set(), set())
+    states = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(states, st.sampled_from((None, "a", "b")), states), max_size=3 * n))
+    return Nfa(AB, n, tuple(edges), draw(st.sets(states, max_size=2)), draw(st.sets(states, max_size=n)))
+
+
+THETAS = [Permutation(AB, table, anti) for table in (("a", "b"), ("b", "a")) for anti in (False, True)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfas(), nfas(), transducers(), st.sampled_from(THETAS))
+def test_unchecked_results_pass_check_machine(a, b, t, theta):
+    # union, theta_image and image build their Nfa without check_machine
+    for m in (union(a, b), theta_image(a, theta), image(t), image(t, a)):
+        assert type(m) is Nfa
+        check_machine(m, _symbols_ok)
 
 
 # -- the normal form on demand -----------------------------------------------
