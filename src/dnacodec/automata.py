@@ -19,13 +19,15 @@ from typing import Callable, Iterable, Optional
 
 from .alphabets import Alphabet, Permutation
 from .errors import FormatError, ResourceLimitError
-from .graphs import INF, distances_to, numbering, path_to, reachable, reaches, successors, trim_keep
+from .graphs import INF, distances_to, numbering, path_to, reachable, trim_keep
 
 DEFAULT_STATE_CAP = 1 << 20
 
 
 def resolve_state_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
+        if explicit < 1:
+            raise FormatError(f"state_cap must be a positive integer, not {explicit!r}")
         return explicit
     env = os.environ.get("DNACODEC_STATE_CAP")
     if not env:
@@ -172,11 +174,6 @@ def accepts(m: Nfa, w: str) -> bool:
             return False
         cur = m.step(cur, ch)
     return bool(cur & m.final)
-
-
-def is_empty(m: Nfa) -> bool:
-    """True when the machine accepts no word at all."""
-    return not reaches(successors(m.n_states, m.edges), m.initial, m.final)
 
 
 def shortest_word(m: Nfa) -> Optional[str]:
@@ -428,10 +425,6 @@ def missing_word(m: Nfa, state_cap: Optional[int] = None) -> Optional[str]:
                 return "".join(path_to(parents, nxt))
             queue.append(nxt)
     return None
-
-
-def is_universal(m: Nfa, state_cap: Optional[int] = None) -> bool:
-    return missing_word(m, state_cap) is None
 
 
 def theta_image(m: Nfa, theta: Permutation) -> Nfa:

@@ -330,7 +330,9 @@ def is_maximal(
 
     L is maximal when no word can be added without breaking satisfaction,
     i.e. when the extension universe covers every word.  The witness of a
-    negative verdict is a shortest addable word.
+    negative verdict is a shortest addable word.  A strict-kind witness w
+    with theta(w) in T(w), which the universe leaves out and the bounded
+    assertion check let pass, refutes the assertion loudly.
     """
     _check_language(p, l)
     _require_maximality_hypotheses(p, l, assertion_bound)
@@ -339,6 +341,8 @@ def is_maximal(
     stats = {"universe_states": universe.n_states, "assertion_bound": assertion_bound}
     if w is None:
         return Verdict(True, None, "is_maximal", stats)
+    if p.kind == S_KIND and accepts_pair(p.transducer, w, p.theta(w)):
+        raise ClassAssertionRefuted(_REFUTED["altering"].format(w), w)
     return Verdict(False, w, "is_maximal", stats)
 
 

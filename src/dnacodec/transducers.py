@@ -6,9 +6,12 @@ single letters) and ``""`` stands for the empty word.  A transducer
 
 Every decision procedure here works on the *normal form*, in which each
 edge carries one letter on one tape.  ``Transducer.view()`` builds it on
-demand (one pass over the edges, then each state on first touch), so the
-restriction search reads only the states it reaches; ``normalize`` fills
-every state.  The view, the normal form and each bounded class check
+demand: one pass buckets the edges by source, and the edges of a state are
+split into letter moves, chains of fresh states and epsilon targets when a
+walk first touches it, so the restriction search, the witness decoder and
+``accepts_pair`` pay only for the states they reach.  ``normalize`` fills
+every state and numbers the chain states densely; the normal form has a
+view of its own.  The view, the normal form and each bounded class check
 (``bounded_counterexample``: all words of one length at once, as bitsets
 over their lexicographic numbering, giving the shortlex-first refutation)
 are memoized on the machine, an immutable value queried against many languages.
@@ -16,7 +19,6 @@ are memoized on the machine, an immutable value queried against many languages.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import product
@@ -100,59 +102,88 @@ class Transducer:
 class _NormalView:
     """The normal form of a transducer, filled one state at a time.
 
-    One pass over the edges lists each letter edge as a ``(letter, target)``
-    input or output move of its source and splits each word label into a
-    chain of fresh states numbered past ``t``, input letters first, each
-    with its one move.  ``fill`` gives a state of ``t``, on first touch, the
-    moves of its epsilon closure, distinct and sorted, and its final flag.
-    A machine marked normal is its own normal form, moves in edge order.
+    One pass over the edges buckets their indices by source.  ``fill``
+    splits, on first touch, the edges leaving each state of the epsilon
+    closure it reads: a letter edge becomes a ``(letter, target)`` input or
+    output move, an epsilon edge an epsilon target, and a word label a
+    chain of fresh states, input letters first, each with its one move.
+    The first chain state of edge i is ``n + i`` (n the states of ``t``);
+    the later ones of a label of three or more letters are numbered past
+    ``n + len(t.edges)`` as they are made and never sit in a list of more
+    than one move.  ``fill`` then gives the state the moves of its closure,
+    distinct and sorted, and its final flag.  A machine marked normal is
+    its own normal form, built in one pass, moves in edge order.
     """
 
-    __slots__ = ("ins", "outs", "final", "_eps", "_final")
+    __slots__ = ("ins", "outs", "final", "_edges", "_final", "_by_src", "_eps")
 
     def __init__(self, t: Transducer):
         n = max(t.n_states, 1)
-        ins: list = [[] for _ in range(n)]
-        outs: list = [[] for _ in range(n)]
-        self._eps: defaultdict[int, list[int]] = defaultdict(list)
-        for p, x, y, q in t.edges:
-            k = len(x) + len(y)
-            if k == 1:
+        if t._is_normal:
+            ins: list = [[] for _ in range(n)]
+            outs: list = [[] for _ in range(n)]
+            for p, x, y, q in t.edges:
                 (ins if x else outs)[p].append((x or y, q))
-            elif k == 2 and len(x) == 1:  # the common one-letter-per-tape edge
-                ins[p].append((x, len(ins)))
-                ins.append([])
-                outs.append([(y, q)])
-            elif k:
-                steps = [(a, ins) for a in x] + [(b, outs) for b in y]
-                chain = range(len(ins), len(ins) + k - 1)
-                ins += [[] for _ in chain]
-                outs += [[] for _ in chain]
-                for (a, side), src, dst in zip(steps, [p, *chain], [*chain, q]):
-                    side[src].append((a, dst))
-            else:
-                self._eps[p].append(q)
-        self.ins, self.outs, self._final = ins, outs, t.final
-        # None until filled; a list, as the search reads it once per triple
-        self.final: list[Optional[bool]] = (
-            [q in t.final for q in range(n)] if t._is_normal else [None] * n
-        ) + [False] * (len(ins) - n)
+            self.ins, self.outs, self.final = ins, outs, [q in t.final for q in range(n)]
+            return
+        by_src: list[list[int]] = [[] for _ in range(n)]
+        for i, e in enumerate(t.edges):
+            by_src[e[0]].append(i)
+        # t's parts, not t, which holds the view: a cycle is freed only by gc
+        self._edges, self._final, self._by_src, self._eps = t.edges, t.final, by_src, {}
+        # None until split (moves) or filled (flags); lists, as the search reads them per triple
+        self.ins: list = [None] * (n + len(t.edges))
+        self.outs: list = [None] * (n + len(t.edges))
+        self.final: list[Optional[bool]] = [None] * n + [False] * len(t.edges)
 
-    def fill(self, p: int) -> bool:
-        """Give state ``p`` of ``t`` its moves and final flag; return the flag."""
-        ins, outs = self.ins, self.outs
-        if self._eps.get(p):
-            # A filled state of the closure holds the moves of its own
-            # closure, a subset of p's, so the union is the same either way.
-            cl = reachable(self._eps, (p,))
-            ins[p] = sorted({move for q in cl for move in ins[q]})
-            outs[p] = sorted({move for q in cl for move in outs[q]})
-        else:
-            cl = (p,)
+    def fill(self, p: int, close: bool = True) -> Optional[bool]:
+        """Give state ``p`` of ``t`` its moves and final flag; return the flag.  Under
+        ``close=False`` a state with epsilon edges is only split: None, unfilled."""
+        ins, outs, eps = self.ins, self.outs, self._eps
+        if ins[p] is None:  # split here, not in a helper: once per state a walk reaches
+            n, edges = len(self._by_src), self._edges
+            ins[p] = p_ins = []
+            outs[p] = p_outs = []
+            for i in self._by_src[p]:
+                _, x, y, q = edges[i]
+                k = len(x) + len(y)
+                if k == 1:
+                    (p_ins if x else p_outs).append((x or y, q))
+                elif k == 2 and len(x) == 1:  # the common one-letter-per-tape edge
+                    p_ins.append((x, n + i))
+                    ins[n + i], outs[n + i] = (), ((y, q),)
+                elif k:
+                    chain = [n + i, *range(len(ins), len(ins) + k - 2)]
+                    ins[n + i], outs[n + i] = [], []
+                    ins += [[] for _ in chain[1:]]
+                    outs += [[] for _ in chain[1:]]
+                    self.final += [False] * (k - 2)
+                    steps = [(a, ins) for a in x] + [(b, outs) for b in y]
+                    for (a, side), src, dst in zip(steps, [p, *chain], [*chain, q]):
+                        side[src].append((a, dst))
+                else:
+                    eps.setdefault(p, []).append(q)
+        if p not in eps:
             if len(ins[p]) > 1:
                 ins[p] = sorted(set(ins[p]))
             if len(outs[p]) > 1:
                 outs[p] = sorted(set(outs[p]))
+            self.final[p] = fin = p in self._final
+            return fin
+        if not close:
+            return None
+        cl, stack = {p}, [p]
+        while stack:
+            for r in eps.get(stack.pop(), ()):
+                if r not in cl:
+                    if ins[r] is None:
+                        self.fill(r, False)
+                    cl.add(r)
+                    stack.append(r)
+        # A filled state of the closure holds the moves of its own
+        # closure, a subset of p's, so the union is the same either way.
+        ins[p] = sorted({move for q in cl for move in ins[q]})
+        outs[p] = sorted({move for q in cl for move in outs[q]})
         self.final[p] = fin = not self._final.isdisjoint(cl)
         return fin
 
@@ -161,22 +192,31 @@ def normalize(t: Transducer) -> Transducer:
     """Equivalent machine whose edges each carry one letter on one tape.
 
     Every state of ``t.view()``, filled: single-letter edges pass as they
-    are, word labels become chains of fresh states and the ``("", "")``
-    edges are removed by epsilon closure.  The result has sorted, distinct
-    edges, shares the view, is memoized and is its own normal form.
+    are, word labels become chains of fresh states, numbered densely by
+    edge and position after the states of ``t``, and the ``("", "")``
+    edges are removed by epsilon closure.  The view sorts its moves in
+    that order of targets, so the result has sorted, distinct edges; it
+    is memoized and is its own normal form, with a view of its own.
     """
     if t._norm is None:
-        v = t.view()
-        edges: list[tuple[int, str, str, int]] = []
-        for p, fin in enumerate(v.final):
-            if fin is None:
+        v, n = t.view(), max(t.n_states, 1)
+        for p in range(n):
+            if v.final[p] is None:
                 v.fill(p)
-            edges += [(p, "", b, r) for b, r in v.outs[p]]
-            edges += [(p, a, "", r) for a, r in v.ins[p]]
-        final = frozenset(p for p, fin in enumerate(v.final) if fin)
-        t._norm = Transducer(
-            t.alphabet, len(v.ins), tuple(edges), t.initial, final, _is_normal=True, _view=v
-        )
+        ins, outs = v.ins, v.outs
+        ids, order = list(range(len(ins))), list(range(n))  # view id -> id, id -> view id
+        for i, (_, x, y, _) in enumerate(t.edges):
+            c = n + i
+            for _ in range(len(x) + len(y) - 1):  # the edge's chain, from its source
+                ids[c] = len(order)
+                order.append(c)
+                c = (ins[c] or outs[c])[0][1]
+        edges: list[tuple[int, str, str, int]] = []
+        for p, c in enumerate(order):
+            edges += [(p, "", b, ids[r]) for b, r in outs[c]]
+            edges += [(p, a, "", ids[r]) for a, r in ins[c]]
+        final = frozenset(p for p in range(n) if v.final[p])
+        t._norm = Transducer(t.alphabet, len(order), tuple(edges), t.initial, final, _is_normal=True)
     return t._norm
 
 
@@ -431,48 +471,9 @@ def _leaving(t: Transducer) -> list[list[tuple[int, str, str, int]]]:
     return succ
 
 
-def _word_key(alphabet: Alphabet, w: str) -> tuple[int, ...]:
-    return tuple(alphabet.position(c) for c in w)
-
-
 def accepts_pair(t: Transducer, x: str, y: str) -> bool:
     """Membership of the pair ``(x, y)`` in the realized relation."""
     return restriction_search(t, Nfa.word(t.alphabet, x), Nfa.word(t.alphabet, y))[0] is not None
-
-
-def enumerate_pairs(t: Transducer, max_total: int) -> list[tuple[str, str]]:
-    """All realized pairs with ``|x|+|y| <= max_total``, sorted by (total, x, y).
-
-    Exponential in ``max_total`` — intended for oracles and small tests.
-    """
-    tn = normalize(t)
-    adj = _leaving(tn)
-    level: dict[tuple[str, str], set[int]] = {("", ""): set(tn.initial)}
-    found: set[tuple[str, str]] = set()
-    for pair, states in level.items():
-        if states & tn.final:
-            found.add(pair)
-    for _ in range(max_total):
-        nxt: dict[tuple[str, str], set[int]] = {}
-        for (x, y), states in level.items():
-            for q in states:
-                for _, ex, ey, dst in adj[q]:
-                    key = (x + ex, y + ey)
-                    nxt.setdefault(key, set()).add(dst)
-        for pair, states in nxt.items():
-            if states & tn.final:
-                found.add(pair)
-        level = nxt
-        if not level:
-            break
-    return sorted(
-        found,
-        key=lambda p: (
-            len(p[0]) + len(p[1]),
-            _word_key(tn.alphabet, p[0]),
-            _word_key(tn.alphabet, p[1]),
-        ),
-    )
 
 
 # -- decision procedures --------------------------------------------------

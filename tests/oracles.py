@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: raw edge-list searches, exhaustive
 enumeration over positions and letters, stdlib ``re`` for trajectory
-expressions.  None of it shares code with the package, so agreement
+expressions.  None of it shares code with the package, apart from
+``is_universal``, a name for the library's own subset search, so agreement
 between the two sides is meaningful evidence of correctness.
 """
 
@@ -13,6 +14,7 @@ import re
 from typing import Iterable, Optional
 
 from dnacodec.alphabets import Permutation
+from dnacodec.automata import Nfa, missing_word
 from dnacodec.transducers import Transducer
 
 # ---------------------------------------------------------------------------
@@ -38,6 +40,34 @@ def pair_in_relation(t: Transducer, u: str, v: str) -> bool:
     return False
 
 
+def enumerate_pairs(t: Transducer, max_total: int) -> list[tuple[str, str]]:
+    """All pairs the raw transducer realizes with ``|x|+|y| <= max_total``,
+    sorted by that total, then by x and y in alphabet order.  Exponential in
+    ``max_total``."""
+    succ: dict[int, list[tuple[str, str, int]]] = {}
+    for src, inp, out, dst in t.edges:
+        succ.setdefault(src, []).append((inp, out, dst))
+    found: set[tuple[str, str]] = set()
+    seen: set[tuple[int, str, str]] = set()
+    stack = [(q, "", "") for q in t.initial]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        q, x, y = node
+        if q in t.final:
+            found.add((x, y))
+        for inp, out, dst in succ.get(q, ()):
+            if len(x) + len(inp) + len(y) + len(out) <= max_total:
+                stack.append((dst, x + inp, y + out))
+
+    def key(w: str) -> list[int]:
+        return [t.alphabet.position(c) for c in w]
+
+    return sorted(found, key=lambda p: (len(p[0]) + len(p[1]), key(p[0]), key(p[1])))
+
+
 def outputs_up_to(t: Transducer, u: str, max_len: int) -> set[str]:
     """All outputs of length <= max_len the raw transducer produces on u."""
     found: set[str] = set()
@@ -54,6 +84,26 @@ def outputs_up_to(t: Transducer, u: str, max_len: int) -> set[str]:
             if src == q and u.startswith(inp, i) and len(out_word) + len(out) <= max_len:
                 stack.append((dst, i + len(inp), out_word + out))
     return found
+
+
+def is_empty(m: Nfa) -> bool:
+    """Does the machine accept no word?  A search over its raw edges."""
+    seen = set(m.initial)
+    stack = list(seen)
+    while stack:
+        q = stack.pop()
+        if q in m.final:
+            return False
+        for src, _, dst in m.edges:
+            if src == q and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return True
+
+
+def is_universal(m: Nfa, state_cap: Optional[int] = None) -> bool:
+    """Does the machine accept every word?  The library's subset search."""
+    return missing_word(m, state_cap) is None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
-from dnacodec.automata import Nfa, accepts, enumerate_words, is_universal, missing_word
+from dnacodec.automata import Nfa, accepts, enumerate_words, missing_word
 from dnacodec.cli import _load_descriptor
 from dnacodec.dna import hamming_property, hierarchy_edges, named_property
 from dnacodec.fado import parse_fado
@@ -47,7 +47,6 @@ from dnacodec.trajectories import (
 from dnacodec.transducers import (
     Transducer,
     bounded_counterexample,
-    enumerate_pairs,
     image,
     inverse,
     normalize,
@@ -69,6 +68,8 @@ from oracles import (
     brute_bond_free,
     brute_is_maximal,
     brute_theta_free,
+    enumerate_pairs,
+    is_universal,
     pair_in_relation,
     violates_W,
     violates_constellation,

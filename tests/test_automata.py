@@ -14,8 +14,6 @@ from dnacodec.automata import (
     determinize,
     enumerate_words,
     intersect,
-    is_empty,
-    is_universal,
     missing_word,
     parse_regex,
     plus,
@@ -29,6 +27,7 @@ from dnacodec.automata import (
 )
 from dnacodec.errors import FormatError, ResourceLimitError
 from dnacodec.graphs import numbering, path_to
+from oracles import is_empty, is_universal
 
 word_lists = st.lists(st.text(alphabet="ACGT", max_size=4), max_size=5)
 
@@ -80,6 +79,14 @@ def test_malformed_state_cap_variable_is_named(monkeypatch, value):
     with pytest.raises(FormatError, match=r"DNACODEC_STATE_CAP must be a positive integer"):
         missing_word(Nfa.universal(DNA))
     assert missing_word(Nfa.universal(DNA), state_cap=1) is None  # the keyword wins
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_explicit_state_cap_below_one_is_named(cap):
+    with pytest.raises(FormatError, match=rf"state_cap must be a positive integer, not {cap}"):
+        missing_word(Nfa.finite(DNA, ["", "A"]), cap)
+    with pytest.raises(FormatError, match="state_cap"):
+        determinize(Nfa.universal(DNA), state_cap=cap)
 
 
 def test_state_cap_variable_sets_the_cap(monkeypatch):
@@ -323,8 +330,8 @@ WIDE_CAP = 4000  # bounds the search of one example; both searches must agree on
 
 def _caps_around(visited):
     """Caps 1-3, and when a search completed (``visited`` is its subset count) the
-    cap just below that count and the count itself."""
-    return {1, 2, 3} | ({visited - 1, visited} if isinstance(visited, int) else set())
+    cap just below that count and the count itself; a cap below 1 is rejected."""
+    return {1, 2, 3} | ({visited - 1, visited} - {0} if isinstance(visited, int) else set())
 
 
 @settings(max_examples=150, deadline=None)

@@ -25,13 +25,14 @@ from dnacodec.properties import (
     satisfies,
 )
 from dnacodec.trajectories import build_op_transducer
-from dnacodec.transducers import bounded_counterexample, enumerate_pairs, image
+from dnacodec.transducers import bounded_counterexample, image
 from oracles import (
     L_HAMMING_BAD,
     L_HAMMING_GOOD,
     L_SELF_COMPLEMENTARY,
     L_SINGLE_LETTERS,
     PH_SPHERE_AAA,
+    enumerate_pairs,
     hamming,
     outputs_up_to,
     pair_in_relation,

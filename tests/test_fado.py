@@ -9,8 +9,8 @@ from dnacodec.alphabets import DNA, Alphabet
 from dnacodec.automata import Nfa, enumerate_words
 from dnacodec.errors import FormatError
 from dnacodec.fado import parse_fado, serialize_fado, unescape_cli_text
-from dnacodec.transducers import Transducer, enumerate_pairs, image
-from oracles import INFIX_IMAGE_ON_AB, INFIX_TRANSDUCER_TEXT
+from dnacodec.transducers import Transducer, image
+from oracles import INFIX_IMAGE_ON_AB, INFIX_TRANSDUCER_TEXT, enumerate_pairs
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

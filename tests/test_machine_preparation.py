@@ -9,7 +9,16 @@ from hypothesis import example, given, settings, strategies as st
 from dnacodec.alphabets import Alphabet, Permutation
 from dnacodec.automata import Nfa, _symbols_ok, check_machine, theta_image, union
 from dnacodec.graphs import reachable
-from dnacodec.transducers import Transducer, image, inverse, normalize, restrict_input, trim
+from dnacodec.transducers import (
+    Transducer,
+    _restriction,
+    image,
+    inverse,
+    normalize,
+    restrict_input,
+    restriction_search,
+    trim,
+)
 
 AB = Alphabet.of("ab")
 
@@ -201,18 +210,46 @@ def test_view_filled_in_any_order_matches_the_normal_form(machine, rng):
     final = reference.final
     t = fresh()
     v = t.view()
-    assert len(v.ins) == len(v.outs) == len(v.final) == len(ins)
-    order = list(range(len(ins)))
+    # The view numbers the first chain state of edge i n + i; the normal form
+    # numbers every chain state densely, by edge and then position.
+    n = max(t.n_states, 1)
+    relabel, chain = {q: q for q in range(n)}, n
+    for i, (_, x, y, _) in enumerate(t.edges):
+        if len(x) + len(y) > 1:
+            relabel[n + i] = chain
+            chain += len(x) + len(y) - 1
+
+    def moves(q):  # the moves of state q of the view, relabelled
+        return [(a, relabel[r]) for a, r in v.ins[q]], [(b, relabel[r]) for b, r in v.outs[q]]
+    order = list(range(n))
     rng.shuffle(order)
     for q in order:
         if v.final[q] is None:
             assert v.fill(q) == (q in final)
-        assert (v.ins[q], v.outs[q], v.final[q]) == (ins[q], outs[q], q in final)
-    assert all((v.ins[q], v.outs[q], v.final[q]) == (ins[q], outs[q], q in final) for q in order)
+        assert (*moves(q), v.final[q]) == (ins[q], outs[q], q in final)
+    assert all((*moves(q), v.final[q]) == (ins[q], outs[q], q in final) for q in order)
     assert t._norm is None
     tn = normalize(t)  # built on the view the loop filled
     assert _as_tuple(tn) == reference_normalize(t)
-    assert tn.view() is v and tn.grouped() == (ins, outs)
+    assert tn.view() is not v and tn.grouped() == (ins, outs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(transducers(), nfas(), nfas())
+@example(EPS_CYCLE, Nfa.universal(AB), Nfa.universal(AB))
+@example(EPS_CHAIN, Nfa.universal(AB), Nfa.universal(AB))
+def test_searches_on_the_view_match_the_normal_form(machine, l, m):
+    t = Transducer(machine.alphabet, machine.n_states, machine.edges, machine.initial, machine.final)
+    tn = normalize(Transducer(t.alphabet, t.n_states, t.edges, t.initial, t.final))
+    # one view for every call, so later calls read states earlier ones filled
+    for nonempty in (False, True):
+        for swapped in (False, True):
+            assert restriction_search(t, l, m, nonempty, swapped) == restriction_search(tn, l, m, nonempty, swapped)
+    s, bad, states, transitions = _restriction(t, l, m, weak=True)
+    sn, bad_n, states_n, transitions_n = _restriction(tn, l, m, weak=True)
+    assert (bad, states, transitions) == (bad_n, states_n, transitions_n)
+    assert (s and _as_tuple(s)) == (sn and _as_tuple(sn))
+    assert t._norm is None
 
 
 # -- grouped adjacency -------------------------------------------------------

@@ -1,12 +1,13 @@
 """Satisfaction and maximality deciders for transducer-described properties."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
-from dnacodec.automata import Nfa, accepts, enumerate_words, parse_regex, remove_epsilon
+from dnacodec.automata import Nfa, accepts, complement, enumerate_words, parse_regex, remove_epsilon
 from dnacodec.errors import ClassAssertionRefuted, ResourceLimitError
 from dnacodec.properties import (
     INPUT_ALTERING,
@@ -419,6 +420,58 @@ def test_maximality_refutes_false_altering_assertion():
     with pytest.raises(ClassAssertionRefuted) as exc:
         is_maximal(p, dna_lang(["AAA"]))
     assert exc.value.witness == "AT"
+
+
+def test_maximality_refutes_an_altering_assertion_beyond_its_bound():
+    # T realizes only (0000000, 0000000), so the scan up to length 6 passes and
+    # L, every other word, satisfies the property.  The one word outside L
+    # cannot be added: T maps it onto its theta-image.
+    t = Transducer(ZO, 8, tuple((q, "0", "0", q + 1) for q in range(7)), {0}, {7})
+    p = PropertyDescriptor(t, MIRROR_ZO, kind=S_KIND, asserted_class=INPUT_ALTERING)
+    l = complement(Nfa.word(ZO, "0000000"))
+    assert satisfies(p, l).satisfied
+    with pytest.raises(ClassAssertionRefuted) as exc:
+        is_maximal(p, l)
+    assert exc.value.witness == "0000000"
+    assert str(exc.value) == "transducer asserted input-altering but maps '0000000' onto its theta-image"
+
+
+AB_THETAS = [Permutation(AB, table, anti) for table in (("a", "b"), ("b", "a")) for anti in (False, True)]
+
+
+def test_maximality_against_extension_search_on_random_inputs():
+    rng = random.Random(1601)
+    universe = ["".join(w) for n in range(5) for w in itertools.product("ab", repeat=n)]
+    labels = ["", "", "a", "b", "ab", "ba"]
+    compared = refuted = beyond = 0
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        edges = [(rng.randrange(n), rng.choice(labels), rng.choice(labels), rng.randrange(n))
+                 for _ in range(rng.randint(1, 2 * n + 1))]
+        t = Transducer(AB, n, tuple(edges), {0}, rng.sample(range(n), rng.randint(1, n)))
+        theta = rng.choice(AB_THETAS)
+        kind = rng.choice((S_KIND, W_KIND))
+        asserted = INPUT_ALTERING if kind == S_KIND else rng.choice((UNRESTRICTED, INPUT_PRESERVING))
+        words = set(rng.sample(universe[:15], rng.randint(0, 4)))
+        if not brute_satisfies(kind, t, theta, words):
+            continue
+        p = PropertyDescriptor(t, theta, kind=kind, asserted_class=asserted)
+        bound = rng.randint(0, 4)  # a small bound leaves refutations to the witness check
+        try:
+            verdict = is_maximal(p, Nfa.finite(AB, sorted(words)), assertion_bound=bound)
+        except ClassAssertionRefuted as exc:
+            w = exc.witness
+            assert pair_in_relation(t, w, theta(w)) == (asserted == INPUT_ALTERING)
+            refuted += 1
+            beyond += len(w) > bound
+            continue
+        ok, brute_w = brute_is_maximal(kind, t, theta, words, universe)
+        if verdict.witness is not None and len(verdict.witness) > 4:
+            assert ok, "the shortest addable word lies beyond the universe"
+        else:
+            assert (verdict.satisfied, verdict.witness) == (ok, brute_w)
+        compared += 1
+    assert compared > 1000 and refuted > 100 and beyond  # beyond: the witness check refuted
 
 
 def test_maximality_empty_relation_reduces_to_universality():

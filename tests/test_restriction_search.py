@@ -299,3 +299,7 @@ def test_violated_call_fills_only_the_states_it_reaches():
     v = t.view()
     filled = sum(fin is not None for fin in v.final[: t.n_states])
     assert filled * 10 < t.n_states and len(v.final) > t.n_states
+    # the first chain state of word label i is n + i, made when its source is filled
+    words = [i for i, (_, x, y, _) in enumerate(t.edges) if len(x) + len(y) > 1]
+    split = sum(v.ins[t.n_states + i] is not None for i in words)
+    assert split * 10 < len(words)

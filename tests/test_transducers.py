@@ -13,7 +13,6 @@ from dnacodec.transducers import (
     accepts_pair,
     bounded_counterexample,
     compose,
-    enumerate_pairs,
     image,
     included_in_recognizable,
     inverse,
@@ -28,7 +27,7 @@ from dnacodec.transducers import (
     union,
 )
 from dnacodec.transducers import _all_words
-from oracles import outputs_up_to, pair_in_relation
+from oracles import enumerate_pairs, outputs_up_to, pair_in_relation
 
 AB = Alphabet.of("ab")
 

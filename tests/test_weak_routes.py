@@ -43,7 +43,6 @@ from dnacodec.transducers import (
     _mismatch,
     _path_pair,
     _shortest_completion,
-    enumerate_pairs,
     included_in_recognizable,
     is_functional,
     is_length_preserving,
@@ -54,7 +53,7 @@ from dnacodec.transducers import (
     restriction_search,
     trim,
 )
-from oracles import pair_in_relation, violates_W
+from oracles import enumerate_pairs, pair_in_relation, violates_W
 
 CAP = 2000  # the references give up (ResourceLimitError) past this many items
 
