@@ -39,7 +39,7 @@ from typing import Optional
 
 from .alphabets import DNA, Alphabet, Permutation, dna_delta
 from .automata import Nfa
-from .dna import named_property
+from .dna import PROPERTY_NAMES, VARIANTS, named_property
 from .errors import DnaCodecError, FormatError
 from .fado import parse_fado, serialize_fado, unescape_cli_text
 from .pcp import (
@@ -80,11 +80,12 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _field(doc: dict, name: str, types: tuple, default=_REQUIRED, path: str = ""):
-    """``doc[name]`` if it has one of ``types``; ``default`` when absent.
+def _field(doc: dict, name: str, types: tuple, default=_REQUIRED, path: str = "", choices=None):
+    """``doc[name]`` if it has one of ``types`` (and is one of ``choices``,
+    when given); ``default`` when absent.
 
-    A missing required field or a value of another type raises a
-    :class:`FormatError` naming the field (``path`` + ``name``).
+    A missing required field or a value of another type or outside the
+    choices raises a :class:`FormatError` naming the field (``path`` + ``name``).
     """
     if name not in doc:
         if default is _REQUIRED:
@@ -94,6 +95,8 @@ def _field(doc: dict, name: str, types: tuple, default=_REQUIRED, path: str = ""
     if not isinstance(value, types):
         expected = " or ".join(_TYPE_NAMES[t] for t in types)
         raise FormatError(f"field {path + name!r} must be {expected}, not {type(value).__name__}")
+    if choices is not None and value not in choices:
+        raise FormatError(f"field {path + name!r} must be one of {', '.join(choices)}, not {value!r}")
     return value
 
 
@@ -133,9 +136,7 @@ def _theta_from_spec(spec, hint: Optional[Alphabet] = None) -> Permutation:
             raise FormatError("field 'theta.table' must map symbols to strings")
         symbols = _field(spec, "alphabet", (str,), None, "theta.")
         alphabet = Alphabet.of(symbols if symbols is not None else sorted(table))
-        mode = _field(spec, "mode", (str,), "antimorphic", "theta.")
-        if mode not in ("antimorphic", "morphic"):
-            raise FormatError(f"field 'theta.mode' must be 'antimorphic' or 'morphic', not {mode!r}")
+        mode = _field(spec, "mode", (str,), "antimorphic", "theta.", ("antimorphic", "morphic"))
         return Permutation.from_mapping(alphabet, table, antimorphic=mode == "antimorphic")
     raise FormatError(f"field 'theta' must be a string or an object, not {type(spec).__name__}")
 
@@ -150,8 +151,8 @@ def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
     if isinstance(source, dict) and "dna" in source:
         theta = _theta_from_spec(theta_spec, alphabet or DNA)
         spec = _object(source["dna"], "field 'transducer.dna'")
-        name = _field(spec, "name", (str,), path="transducer.dna.")
-        variant = _field(spec, "variant", (str,), path="transducer.dna.")
+        name = _field(spec, "name", (str,), path="transducer.dna.", choices=PROPERTY_NAMES)
+        variant = _field(spec, "variant", (str,), path="transducer.dna.", choices=VARIANTS)
         built = named_property(name, variant, theta)
     elif isinstance(source, dict) and "trajectory" in source:
         spec = _object(source["trajectory"], "field 'transducer.trajectory'")
@@ -173,22 +174,15 @@ def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
             text = unescape_cli_text(text)
         machine = parse_fado(text, alphabet)
         if not isinstance(machine, Transducer):
-            raise ValueError("descriptor 'transducer' entry parsed as an NFA")
+            raise FormatError("field 'transducer' must hold a transducer, not an NFA")
         theta = _theta_from_spec(theta_spec, machine.alphabet)
         built = PropertyDescriptor(machine, theta)
 
     changes = {}
     if "kind" in doc:
-        changes["kind"] = _field(doc, "kind", (str,))
-        if changes["kind"] not in (S_KIND, W_KIND):
-            raise FormatError(f"field 'kind' must be {S_KIND} or {W_KIND}, not {changes['kind']!r}")
+        changes["kind"] = _field(doc, "kind", (str,), choices=(S_KIND, W_KIND))
     if "class" in doc:
-        short_class = _field(doc, "class", (str,))
-        if short_class not in _CLASS_NAMES:
-            raise FormatError(
-                f"field 'class' must be one of {', '.join(_CLASS_NAMES)}, not {short_class!r}"
-            )
-        changes["asserted_class"] = _CLASS_NAMES[short_class]
+        changes["asserted_class"] = _CLASS_NAMES[_field(doc, "class", (str,), choices=tuple(_CLASS_NAMES))]
     if "name" in doc:
         changes["name"] = _field(doc, "name", (str,))
     return dataclasses.replace(built, **changes) if changes else built
@@ -221,7 +215,7 @@ def _load_language(path: str, alphabet: Alphabet) -> Nfa:
     with open(path, encoding="utf-8") as fh:
         machine = parse_fado(fh.read(), alphabet)
     if not isinstance(machine, Nfa):
-        raise ValueError(f"{path}: expected an NFA language file, found a transducer")
+        raise FormatError(f"language file {path!r} holds a transducer, not an NFA")
     return machine
 
 

@@ -24,6 +24,16 @@ from .automata import Nfa, complement, concat, plus, union as nfa_union
 from .transducers import Transducer, union as t_union
 
 
+def _check_tiles(inst) -> None:
+    """Store the tiles as tuples; require equally many nonempty alpha and beta tiles."""
+    object.__setattr__(inst, "alpha", tuple(inst.alpha))
+    object.__setattr__(inst, "beta", tuple(inst.beta))
+    if len(inst.alpha) != len(inst.beta) or not inst.alpha:
+        raise ValueError("need equally many alpha and beta tiles, at least one pair")
+    if any(not w for w in inst.alpha + inst.beta):
+        raise ValueError("tiles must be nonempty words")
+
+
 @dataclass(frozen=True)
 class PcpInstance:
     """Tile pairs of a classic correspondence problem."""
@@ -32,12 +42,7 @@ class PcpInstance:
     beta: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "beta", tuple(self.beta))
-        if len(self.alpha) != len(self.beta) or not self.alpha:
-            raise ValueError("need equally many alpha and beta tiles, at least one pair")
-        if any(not w for w in self.alpha + self.beta):
-            raise ValueError("tiles must be nonempty words")
+        _check_tiles(self)
 
     def __len__(self) -> int:
         return len(self.alpha)
@@ -52,17 +57,11 @@ class ThetaPcpInstance:
     theta: Permutation
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "beta", tuple(self.beta))
-        if len(self.alpha) != len(self.beta) or not self.alpha:
-            raise ValueError("need equally many alpha and beta tiles, at least one pair")
-        if any(not w for w in self.alpha + self.beta):
-            raise ValueError("tiles must be nonempty words")
+        _check_tiles(self)
         for w in self.alpha + self.beta:
             self.theta.alphabet.check_word(w)
 
-    def __len__(self) -> int:
-        return len(self.alpha)
+    __len__ = PcpInstance.__len__
 
 
 AnyInstance = Union[PcpInstance, ThetaPcpInstance]

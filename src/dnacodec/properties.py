@@ -37,7 +37,6 @@ from .errors import ClassAssertionRefuted, ResourceLimitError
 from .graphs import topological_order
 from .transducers import (
     Transducer,
-    _balances,
     _leaving,
     _mismatch,
     _restriction,
@@ -45,7 +44,6 @@ from .transducers import (
     bounded_counterexample,
     image,
     inverse,
-    normalize,
     restriction_search,
 )
 
@@ -88,8 +86,9 @@ class Verdict:
     ``stats["restriction_edges"]`` count the triples the search explored up
     to the first group holding a hit (all when none does) and the
     transitions leaving them.  On the weak route they count the triples and
-    edges its walk found up to an uneven accepting triple, when it stops at
-    one, and otherwise give the trimmed restriction's size.
+    edges its walk found up to an accepting triple of nonzero balance, when
+    it stops at one, and otherwise give the trimmed restriction's size, also
+    when an edge of it breaks the balance labelling.
     """
 
     satisfied: bool
@@ -183,18 +182,19 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) ->
     The property holds iff every pair (x, y) of the restricted relation S
     satisfies y = theta(x).  Since theta preserves length, S must first be
     length-preserving.  One breadth-first walk of the product builds S
-    (``transducers._restriction``): it labels each triple with the balance
-    of the path that found it and stops at the first accepting triple whose
-    balance is not 0, a pair with ``|x| != |y|``; a walk that completes
-    trims S once.  On S the length check (``_balances``) gives every state
-    one input-minus-output balance, and a pair off theta is a run with an
-    input letter a and an output letter b != pi(a) at positions that theta
-    matches up (the same position for a morphic theta, mirrored ones for an
-    antimorphic one).  ``transducers._mismatch`` finds such a run in
-    polynomial time, for any permutation.  A length-preserving, acyclic S
-    with an antimorphic theta
-    instead has its pairs listed in order (``_dag_pairs``, at most
-    ``item_cap``), so the witness is the least offending pair.
+    (``transducers._restriction``) and decides that: it labels each triple
+    with the balance of the path that found it, inputs minus outputs, and
+    stops at the first accepting triple whose balance is not 0; a walk that
+    completes trims S once and checks that every kept edge moves the
+    balance by its one letter.  Either failure gives a pair with
+    ``|x| != |y|``.  Otherwise every state of S has one balance, and a pair
+    off theta is a run with an input letter a and an output letter
+    b != pi(a) at positions that theta matches up (the same position for a
+    morphic theta, mirrored ones for an antimorphic one).
+    ``transducers._mismatch`` finds such a run from the walk's labels in
+    polynomial time, for any permutation.  An acyclic S with an
+    antimorphic theta instead has its pairs listed in order (``_dag_pairs``,
+    at most ``item_cap``), so the witness is the least offending pair.
     ``stats["route"]`` says which decided: ``"acyclic"`` for the listing,
     ``"mismatch"`` for the balance argument (the length check, then the
     search).
@@ -203,20 +203,19 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) ->
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_general expects a weak-kind descriptor")
     theta = p.theta
-    s, bad, states, transitions = _restriction(p.transducer, l, theta_image(l, theta), weak=True)
+    s, labels, bad, states, transitions = _restriction(p.transducer, l, theta_image(l, theta), weak=True)
     stats = {"restriction_states": states, "restriction_edges": transitions}
     decider = "satisfies_W_general"
-    if s is None:  # the walk met an accepting triple of nonzero balance
+    if bad is not None:  # a pair of unequal lengths
         stats["route"] = "mismatch"
         return Verdict(False, (bad[0], theta.inverse()(bad[1])), decider, stats)
     if s.n_states == 0:
         return Verdict(True, None, decider, stats)
-    labels, bad = _balances(s)
-    pairs = _dag_pairs(s, item_cap) if bad is None and theta.antimorphic else None
+    pairs = _dag_pairs(s, item_cap) if theta.antimorphic else None
     stats["route"] = "mismatch" if pairs is None else "acyclic"
     if pairs is not None:
         bad = next(((x, y) for x, y in pairs if y != theta(x)), None)
-    elif bad is None:
+    else:
         bad = _mismatch(s, theta, labels)
     if bad is None:
         return Verdict(True, None, decider, stats)
@@ -295,11 +294,11 @@ def _extension_universe(p: PropertyDescriptor, l: Nfa) -> Nfa:
     additionally blocked whenever the transducer realizes (ε, ε), because
     the strict reading rejects even the self-hit of the new word.
     """
-    tn = normalize(p.transducer)
-    theta_of_outputs = theta_image(image(tn, l), p.theta.inverse())
-    inputs_hitting = image(inverse(tn), theta_image(l, p.theta))
+    t = p.transducer
+    theta_of_outputs = theta_image(image(t, l), p.theta.inverse())
+    inputs_hitting = image(inverse(t), theta_image(l, p.theta))
     universe = nfa_union(l, nfa_union(theta_of_outputs, inputs_hitting))
-    if p.kind == S_KIND and accepts_pair(tn, "", ""):
+    if p.kind == S_KIND and accepts_pair(t, "", ""):
         universe = nfa_union(universe, Nfa.epsilon(l.alphabet))
     return universe
 

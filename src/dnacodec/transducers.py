@@ -222,18 +222,19 @@ def normalize(t: Transducer) -> Transducer:
 
 def trim(t: Transducer) -> Transducer:
     """Drop states not on any path from an initial to a final state; ``t`` itself if none."""
-    return _trimmed(t.alphabet, t.n_states, t.edges, t.initial, t.final, t._is_normal) or t
+    return _trimmed(t.alphabet, t.n_states, t.edges, t.initial, t.final, t._is_normal)[0] or t
 
 
-def _trimmed(alphabet: Alphabet, n: int, edges, initial, final, normal) -> Optional[Transducer]:
-    """The trimmed machine of these parts, or None when it would keep every state."""
+def _trimmed(alphabet: Alphabet, n: int, edges, initial, final, normal) -> tuple[Optional[Transducer], list[int]]:
+    """``(s, keep)``: the machine of these parts on ``keep``, the sorted states on
+    some path from an initial to a final one; ``s`` is None when that is every state."""
     keep = trim_keep(n, edges, initial, final) if final else []
     if len(keep) == n:
-        return None
+        return None, keep
     if not keep:
-        return Transducer(alphabet, 0, (), frozenset(), frozenset(), _is_normal=True)
+        return Transducer(alphabet, 0, (), frozenset(), frozenset(), _is_normal=True), keep
     remap = {q: i for i, q in enumerate(keep)}
-    return Transducer(
+    s = Transducer(
         alphabet,
         len(keep),
         tuple((remap[s], x, y, remap[d]) for s, x, y, d in edges if s in remap and d in remap),
@@ -241,6 +242,7 @@ def _trimmed(alphabet: Alphabet, n: int, edges, initial, final, normal) -> Optio
         frozenset(remap[q] for q in final if q in remap),
         _is_normal=normal,
     )
+    return s, keep
 
 
 def inverse(t: Transducer) -> Transducer:
@@ -292,19 +294,28 @@ def restrict_input(t: Transducer, m: Nfa, outputs: Optional[Nfa] = None) -> Tran
 
 def _restriction(
     t: Transducer, m: Nfa, outputs: Optional[Nfa] = None, weak: bool = False
-) -> tuple[Optional[Transducer], Optional[tuple[str, str]], int, int]:
-    """``(s, uneven, states, transitions)``: the one product of a transducer
-    with automata on its tapes.
+) -> tuple[Optional[Transducer], Optional[list[int]], Optional[tuple[str, str]], int, int]:
+    """``(s, labels, uneven, states, transitions)``: the one product of a
+    transducer with automata on its tapes.
 
     Breadth first over (T-state, m-state, outputs-state) triples packed into
     ints, on ``t.view()`` (only the states reached are filled) and the
     epsilon-free languages: inputs advance ``m``, outputs ``outputs`` (by
     default all words).  ``s`` is the reachable product, a normal form.
-    Under ``weak`` each triple found gets its parent's balance, +1 for an
-    input move, -1 for an output move; the first accepting triple of nonzero
-    balance ends the walk, ``s`` None and ``uneven`` the pair |x| != |y| on
-    its parent chain, and a walk that completes trims ``s``.  ``states`` and
-    ``transitions`` size ``s``, or what the walk found up to its end.
+
+    Under ``weak`` the walk is the balance argument of Beal, Carton, Prieur
+    and Sakarovitch, "Squaring transducers" (TCS 292, 2003): each triple
+    found gets its parent's balance, +1 for an input move, -1 for an output
+    move.  The first accepting triple of nonzero balance ends the walk, and
+    ``uneven`` is the pair |x| != |y| on its parent chain.  A walk that
+    completes trims ``s``, and one pass over the kept edges checks that each
+    moves the balance by its +1 or -1.  An edge p -> q that does not gives
+    ``uneven`` too: the parent chain of p, the edge and a shortest completion
+    from q, or else the chain of q and that completion.  Otherwise every path
+    from an initial state to a state q of ``s`` has balance ``labels[q]``.
+    With ``uneven``, ``s`` and ``labels`` are None.  ``states`` and
+    ``transitions`` size ``s`` (trimmed under ``weak``), or what the walk
+    found up to an uneven accepting triple.
     """
     of = _all_words(t.alphabet) if outputs is None else remove_epsilon(outputs)
     if not t.alphabet == m.alphabet == of.alphabet:
@@ -331,7 +342,7 @@ def _restriction(
             fin = fill(qt)
         if fin and ql in l_final and qo in o_final:
             if weak and balance[src]:
-                return None, _path_pair(parents, src), len(index), len(edges)
+                return None, None, _path_pair(parents, src), len(index), len(edges)
             final.add(src)
         l_here = l_sym[ql]
         for a, qt2 in ins[qt]:
@@ -350,9 +361,21 @@ def _restriction(
                     balance.append(balance[src] - 1)
                     parents[dst] = (src, ("", b))
     n = max(len(index), 1)
-    s = _trimmed(t.alphabet, n, edges, initial, final, True) if weak else None
+    s, keep = _trimmed(t.alphabet, n, edges, initial, final, True) if weak else (None, None)
     s = s or Transducer(t.alphabet, n, tuple(edges), initial, frozenset(final), _is_normal=True)
-    return s, None, s.n_states, len(s.edges)
+    if not weak:
+        return s, None, None, n, len(edges)
+    if s.n_states < n:
+        balance = [balance[q] for q in keep]
+    clash = next((e for e in s.edges if balance[e[3]] - balance[e[0]] != (1 if e[1] else -1)), None)
+    if clash is None:
+        return s, balance, None, s.n_states, len(s.edges)
+    p, x, y, q = clash
+    cx, cy = _shortest_completion(s, q)
+    px, py = _path_pair(parents, keep[p])
+    qx, qy = _path_pair(parents, keep[q])
+    w = (px + x + cx, py + y + cy)
+    return None, None, w if len(w[0]) != len(w[1]) else (qx + cx, qy + cy), s.n_states, len(s.edges)
 
 
 @cache
@@ -511,13 +534,13 @@ def _words(edges: list) -> tuple[str, str]:
     return "".join(e[1] for e in edges), "".join(e[2] for e in edges)
 
 
-def _mismatch(tn: Transducer, theta: Permutation, lam: dict[int, int]) -> Optional[tuple[str, str]]:
+def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tuple[str, str]]:
     """A realized pair ``(x, y)`` of ``tn`` with ``y != theta(x)``, or None.
 
-    ``tn`` is a trimmed normal form on which ``_balances`` found no pair of
-    unequal lengths, and ``lam`` are the labels it returned: every state q
-    has one balance ``lam[q]``, inputs minus outputs on any path from an
-    initial state to q.  Every pair has ``|x| == |y|``, so
+    ``tn`` is a trimmed product on which the weak walk of ``_restriction``
+    found no pair of unequal lengths, and ``lam`` are its labels: every
+    state q has one balance ``lam[q]``, inputs minus outputs on any path
+    from an initial state to q.  Every pair has ``|x| == |y|``, so
     a pair is off theta exactly when one run of it carries an input edge
     reading a and an output edge writing b with ``b != pi(a)`` (pi the
     letter table) at matching positions: the i-th input against the i-th
@@ -577,7 +600,7 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: dict[int, int]) -> Option
 
     states = successors(n, tn.edges)
     reach = [reachable(states, (p,)) for p in range(n)]
-    spread = max(lam.values()) - min(lam.values())
+    spread = max(lam) - min(lam)
     fits: dict[tuple[int, int], dict] = {}
 
     def marks(f: int, g: int) -> dict:
@@ -625,16 +648,16 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: dict[int, int]) -> Option
 def is_partial_identity(t: Transducer) -> tuple[bool, Optional[tuple[str, str]]]:
     """Is the realized relation a subset of {(w, w)}?
 
-    A pair of unequal lengths is found by ``_balances``; once every state
-    has one input-minus-output balance, a pair that differs at some
-    position is found by the polynomial search ``_mismatch`` with the
-    identity permutation.  Returns ``(True, None)`` or ``(False, (x, y))``
-    with a realized pair ``x != y``.
+    The weak walk of ``_restriction`` over T x Sigma* x Sigma* finds a pair
+    of unequal lengths or gives every state of the trimmed product one
+    input-minus-output balance; a pair that then differs at some position
+    is found by the polynomial search ``_mismatch`` with the identity
+    permutation.  Returns ``(True, None)`` or ``(False, (x, y))`` with a
+    realized pair ``x != y``.
     """
-    tn = trim(normalize(t))
-    labels, wit = _balances(tn)
+    s, labels, wit, _, _ = _restriction(t, _all_words(t.alphabet), weak=True)
     if wit is None:
-        wit = _mismatch(tn, Permutation.identity(tn.alphabet), labels)
+        wit = _mismatch(s, Permutation.identity(t.alphabet), labels)
     return wit is None, wit
 
 
@@ -669,53 +692,11 @@ def is_length_preserving(
 ) -> tuple[bool, Optional[tuple[str, str]]]:
     """Does every realized pair satisfy ``|x| == |y|``?
 
-    Decided by ``_balances`` on the trimmed normal form; the witness of a
-    negative answer is a realized pair with ``|x| != |y|``.
+    Decided by the weak walk of ``_restriction`` over T x Sigma* x Sigma*;
+    the witness of a negative answer is a realized pair with ``|x| != |y|``.
     """
-    wit = _balances(trim(normalize(t)))[1]
+    wit = _restriction(t, _all_words(t.alphabet), weak=True)[2]
     return wit is None, wit
-
-
-def _balances(tn: Transducer) -> tuple[dict[int, int], Optional[tuple[str, str]]]:
-    """Label every state of a trimmed normal form with its balance.
-
-    A depth-first walk from the initial states (label 0) gives each state
-    the input-minus-output balance of some path reaching it.  The relation
-    is length preserving iff the labelling is consistent and all final
-    labels are zero: any path through an inconsistency or to an unbalanced
-    final state completes (the machine is trimmed) to a realized pair with
-    ``|x| != |y|``.  Returns ``(labels, None)`` when it is, each label then
-    the balance of every path to its state, else the labels so far and
-    that pair.
-    """
-    adj = _leaving(tn)
-    label: dict[int, int] = {}
-    parents: dict[int, tuple[int, tuple[str, str]]] = {}
-    stack: list[int] = []
-    for q in sorted(tn.initial):
-        if q not in label:
-            label[q] = 0
-            stack.append(q)
-    while stack:
-        p = stack.pop()
-        for _, ex, ey, q in adj[p]:
-            delta = 1 if ex else -1
-            nl = label[p] + delta
-            if q not in label:
-                label[q] = nl
-                parents[q] = (p, (ex, ey))
-                stack.append(q)
-            elif label[q] != nl:
-                px, py = _path_pair(parents, p)
-                qx, qy = _path_pair(parents, q)
-                cx, cy = _shortest_completion(tn, q)
-                w1 = (px + ex + cx, py + ey + cy)
-                w2 = (qx + cx, qy + cy)
-                return label, (w1 if len(w1[0]) != len(w1[1]) else w2)
-    for f in sorted(tn.final):
-        if label.get(f, 0) != 0:
-            return label, _path_pair(parents, f)
-    return label, None
 
 
 def included_in_recognizable(

@@ -480,6 +480,9 @@ def test_missing_language_file(capsys):
         ({"kind": "X", "transducer": {"dna": {"name": "compliant", "variant": "weak"}}}, "field 'kind'"),
         ({"theta": "dna-delta:01", "transducer": {"trajectory": {"e1": "0+", "e2": "0+"}}}, "field 'theta'"),
         ({"alphabet": "01", "theta": "dna-delta", "transducer": {"trajectory": {"e1": "0+", "e2": "0+"}}}, "field 'theta'"),
+        ({"transducer": {"dna": {"name": "bogus", "variant": "weak"}}}, "field 'transducer.dna.name'"),
+        ({"transducer": {"dna": {"name": "compliant", "variant": "wek"}}}, "field 'transducer.dna.variant'"),
+        ({"transducer": "@NFA 1 * 0\n0 A 1\n"}, "field 'transducer' must hold a transducer"),
     ],
 )
 def test_malformed_descriptor_names_the_field(tmp_path, capsys, doc, field):
@@ -491,6 +494,14 @@ def test_malformed_descriptor_names_the_field(tmp_path, capsys, doc, field):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert "Traceback" not in err
+
+
+def test_transducer_as_language_names_the_file(capsys):
+    desc, lang = fixture("maximal", "desc_hamming_w.json"), fixture("fado", "t_dna_mixed.fa")
+    rc = main(["satisfies", "--property", desc, "--language", lang])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: language file ") and "t_dna_mixed.fa" in err and "holds a transducer" in err
 
 
 # -- determinism ----------------------------------------------------------------

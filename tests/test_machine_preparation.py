@@ -245,9 +245,9 @@ def test_searches_on_the_view_match_the_normal_form(machine, l, m):
     for nonempty in (False, True):
         for swapped in (False, True):
             assert restriction_search(t, l, m, nonempty, swapped) == restriction_search(tn, l, m, nonempty, swapped)
-    s, bad, states, transitions = _restriction(t, l, m, weak=True)
-    sn, bad_n, states_n, transitions_n = _restriction(tn, l, m, weak=True)
-    assert (bad, states, transitions) == (bad_n, states_n, transitions_n)
+    s, labels, bad, states, transitions = _restriction(t, l, m, weak=True)
+    sn, labels_n, bad_n, states_n, transitions_n = _restriction(tn, l, m, weak=True)
+    assert (labels, bad, states, transitions) == (labels_n, bad_n, states_n, transitions_n)
     assert (s and _as_tuple(s)) == (sn and _as_tuple(sn))
     assert t._norm is None
 

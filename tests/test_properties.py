@@ -300,6 +300,16 @@ def test_general_route_empty_restriction_short_circuits():
     assert v.satisfied and "route" not in v.stats
 
 
+def test_general_route_edge_off_the_balance_reports_the_trimmed_size():
+    # state 1 is reached at balance +1 and -1, no accepting triple is uneven
+    # on the walk's own paths, and state 3 is a dead end the trim drops
+    edges = ((0, "a", "", 1), (0, "", "a", 1), (1, "", "b", 2), (2, "a", "", 3))
+    t = Transducer(AB, 4, edges, {0}, {2})
+    v = satisfies_W_general(PropertyDescriptor(t, Permutation.mirror(AB), kind=W_KIND), Nfa.universal(AB))
+    assert not v.satisfied and v.witness == ("", "ba")
+    assert v.stats == {"restriction_states": 3, "restriction_edges": 3, "route": "mismatch"}
+
+
 def test_general_route_pumping_satisfied():
     # (AT)* maps onto itself under delta, pairs are all diagonal
     p = PropertyDescriptor(Transducer.identity(DNA), DELTA, kind=W_KIND)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dnacodec.alphabets import BINARY, DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import Nfa, accepts, enumerate_words, remove_epsilon, theta_image
@@ -155,12 +155,42 @@ def test_is_functional():
     assert y1 != y2 and accepts_pair(ambiguous, x, y1) and accepts_pair(ambiguous, x, y2)
 
 
+# Its only uneven pair shows as an edge that breaks the walk's balance
+# labelling (state 1 is reached at +1 and at -1), not at an accepting triple.
+CLASHING = Transducer(AB, 3, ((0, "a", "", 1), (0, "", "a", 1), (1, "", "b", 2)), {0}, {2})
+
+
 def test_is_length_preserving():
     assert is_length_preserving(swap_machine())[0]
     ok, wit = is_length_preserving(doubler())
     assert not ok
     x, y = wit
     assert len(x) != len(y) and accepts_pair(doubler(), x, y)
+    assert is_length_preserving(CLASHING) == (False, ("", "ab"))
+
+
+@st.composite
+def word_transducers(draw):
+    n = draw(st.integers(1, 4))
+    states = st.integers(0, n - 1)
+    label = st.sampled_from(["", "", "a", "b", "ab", "ba"])
+    edges = draw(st.lists(st.tuples(states, label, label, states), max_size=2 * n + 2))
+    initial = draw(st.sets(states, min_size=1, max_size=2))
+    return Transducer(AB, n, tuple(edges), initial, draw(st.sets(states, max_size=n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(word_transducers())
+@example(CLASHING)
+def test_is_length_preserving_against_enumerate_pairs(t):
+    ok, wit = is_length_preserving(t)
+    uneven = [(x, y) for x, y in enumerate_pairs(t, 8) if len(x) != len(y)]
+    assert ok == (wit is None)
+    if uneven:
+        assert not ok, uneven[0]
+    if not ok:
+        x, y = wit
+        assert len(x) != len(y) and pair_in_relation(t, x, y)
 
 
 def test_included_in_recognizable():

@@ -39,9 +39,10 @@ from dnacodec.properties import (
 )
 from dnacodec.transducers import (
     Transducer,
-    _balances,
+    _all_words,
     _mismatch,
     _path_pair,
+    _restriction,
     _shortest_completion,
     included_in_recognizable,
     is_functional,
@@ -561,8 +562,7 @@ def run_machines(draw, theta):
 
 
 def check_mismatch(t, theta):
-    s = trim(normalize(t))
-    labels, uneven = _balances(s)
+    s, labels, uneven, _, _ = _restriction(t, _all_words(t.alphabet), weak=True)
     assert uneven is None and is_length_preserving(s)[0]
     wit = _mismatch(s, theta, labels)
     brute = next(((x, y) for x, y in enumerate_pairs(s, 10) if y != theta(x)), None)
@@ -605,7 +605,6 @@ def test_mismatch_on_runs_against_enumerate_pairs(data):
 def test_mismatch_output_mark_first(theta, steps, witness):
     edges = tuple((i, x, y, i + 1) for i, (x, y) in enumerate(steps))
     t = Transducer(ABC, len(steps) + 1, edges, {0}, {len(steps)})
-    s = trim(normalize(t))
-    labels, uneven = _balances(s)
+    s, labels, uneven, _, _ = _restriction(t, _all_words(ABC), weak=True)
     assert uneven is None
     assert _mismatch(s, theta, labels) == witness
