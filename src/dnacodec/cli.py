@@ -126,7 +126,7 @@ def _theta_from_spec(spec, hint: Optional[Alphabet] = None) -> Permutation:
             return dna_delta()
         if name in ("identity", "mirror"):
             if alphabet is None:
-                raise ValueError(f"theta {name!r} needs an alphabet (use {name}:SYMBOLS)")
+                raise FormatError(f"theta {name!r} needs an alphabet: {name}:SYMBOLS in --theta or field 'theta'")
             maker = Permutation.identity if name == "identity" else Permutation.mirror
             return maker(alphabet)
         raise FormatError(f"field 'theta' must name dna-delta, identity or mirror, not {name!r}")
@@ -213,7 +213,11 @@ def _load_descriptor(arg: str) -> PropertyDescriptor:
 
 def _load_language(path: str, alphabet: Alphabet) -> Nfa:
     with open(path, encoding="utf-8") as fh:
-        machine = parse_fado(fh.read(), alphabet)
+        text = fh.read()
+    try:
+        machine = parse_fado(text, alphabet)
+    except FormatError as exc:
+        raise FormatError(f"language file {path!r}: {exc}") from None
     if not isinstance(machine, Nfa):
         raise FormatError(f"language file {path!r} holds a transducer, not an NFA")
     return machine
@@ -225,7 +229,7 @@ def _language_files(arg: str) -> list[str]:
             os.path.join(arg, name) for name in os.listdir(arg) if name.endswith(".fa")
         )
         if not files:
-            raise ValueError(f"no .fa files in directory {arg}")
+            raise FormatError(f"--language directory {arg!r} holds no .fa files")
         return files
     return [arg]
 
@@ -300,9 +304,9 @@ def _cmd_pcp(args) -> int:
     inst = _load_instance(args.instance)
     if args.action == "reduce":
         if not isinstance(inst, PcpInstance):
-            raise ValueError("reduce expects a classic instance")
+            raise FormatError("reduce expects a classic --instance, one without field 'theta'")
         if not args.theta:
-            raise ValueError("reduce needs --theta")
+            raise FormatError("reduce needs --theta")
         reduced = reduce_pcp_to_theta_pcp(inst, _theta_from_spec(args.theta))
         doc = {
             "alpha": list(reduced.alpha),
@@ -320,7 +324,7 @@ def _cmd_pcp(args) -> int:
         return 0
     # check
     if not args.solution:
-        raise ValueError("check needs --solution")
+        raise FormatError("check needs --solution")
     try:
         seq = tuple(int(part) for part in args.solution.split(","))
     except ValueError:
@@ -333,10 +337,10 @@ def _cmd_pcp(args) -> int:
 def _cmd_transducer_check(args) -> int:
     machine = parse_fado(_machine_text(args.machine))
     if not isinstance(machine, Transducer):
-        raise ValueError("expected a transducer document")
+        raise FormatError(f"argument MACHINE must be a transducer, not an NFA: {args.machine!r}")
     if args.mode in ("altering", "preserving"):
         if not args.theta:
-            raise ValueError(f"mode {args.mode} needs --theta")
+            raise FormatError(f"--mode {args.mode} needs --theta")
         theta = _theta_from_spec(args.theta, machine.alphabet)
         witness = bounded_counterexample(machine, theta, args.mode, args.bound)
         if witness is None:

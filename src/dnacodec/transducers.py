@@ -4,17 +4,18 @@ An edge is ``(src, inp, out, dst)`` where ``inp``/``out`` are words (often
 single letters) and ``""`` stands for the empty word.  A transducer
 *realizes* the relation of all ``(x, y)`` labelling an accepting path.
 
-Every decision procedure here works on the *normal form*, in which each
-edge carries one letter on one tape.  ``Transducer.view()`` builds it on
-demand: one pass buckets the edges by source, and the edges of a state are
-split into letter moves, chains of fresh states and epsilon targets when a
-walk first touches it, so the restriction search, the witness decoder and
-``accepts_pair`` pay only for the states they reach.  ``normalize`` fills
-every state and numbers the chain states densely; the normal form has a
-view of its own.  The view, the normal form and each bounded class check
-(``bounded_counterexample``: all words of one length at once, as bitsets
-over their lexicographic numbering, giving the shortlex-first refutation)
-are memoized on the machine, an immutable value queried against many languages.
+Every decision procedure here reads the *normal form*, in which each move
+carries one letter on one tape, through ``Transducer.view()``: one pass
+buckets the edges by source, and the edges of a state are split into letter
+moves, chains of fresh states and epsilon targets when a walk first touches
+it, so the restriction search, the witness decoder and ``accepts_pair`` pay
+only for the states they reach; ``compose`` and the bounded class check
+fill every state.  ``normalize`` turns the filled view into a machine, its
+chain states numbered densely, for serialization.  The view, the normal
+form and each bounded class check (``bounded_counterexample``: all words of
+one length at once, as bitsets over their lexicographic numbering, giving
+the shortlex-first refutation) are memoized on the machine, an immutable
+value queried against many languages.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class Transducer:
     initial: frozenset[int]
     final: frozenset[int]
     _normal_form: Optional["Transducer"] = field(default=None, repr=False, compare=False)
-    _is_normal: bool = field(default=False, repr=False, compare=False)
     _view: Optional["_NormalView"] = field(default=None, repr=False, compare=False)
     _checks: Optional[dict] = field(default=None, repr=False, compare=False)
 
@@ -60,15 +60,6 @@ class Transducer:
         self.final = frozenset(self.final)
         self.edges = tuple(self.edges)
         check_machine(self, _words_ok)
-
-    @property
-    def _norm(self) -> Optional["Transducer"]:
-        # A normal form is its own, marked by a flag: a self-reference is freed only by gc.
-        return self if self._is_normal else self._normal_form
-
-    @_norm.setter
-    def _norm(self, value: "Transducer") -> None:
-        self._is_normal, self._normal_form = (True, None) if value is self else (False, value)
 
     # -- constructors ----------------------------------------------------
 
@@ -91,13 +82,6 @@ class Transducer:
             self._view = _NormalView(self)
         return self._view
 
-    def grouped(self) -> tuple[list[list[tuple[str, int]]], list[list[tuple[str, int]]]]:
-        """``(in_edges, out_edges)`` per state of a normal form, shared: read only."""
-        if self._norm is not self:
-            raise ValueError("grouped() requires a normalized transducer")
-        v = self.view()
-        return v.ins, v.outs
-
 
 class _NormalView:
     """The normal form of a transducer, filled one state at a time.
@@ -111,21 +95,13 @@ class _NormalView:
     the later ones of a label of three or more letters are numbered past
     ``n + len(t.edges)`` as they are made and never sit in a list of more
     than one move.  ``fill`` then gives the state the moves of its closure,
-    distinct and sorted, and its final flag.  A machine marked normal is
-    its own normal form, built in one pass, moves in edge order.
+    distinct and sorted, and its final flag; ``filled`` fills every state.
     """
 
     __slots__ = ("ins", "outs", "final", "_edges", "_final", "_by_src", "_eps")
 
     def __init__(self, t: Transducer):
         n = max(t.n_states, 1)
-        if t._is_normal:
-            ins: list = [[] for _ in range(n)]
-            outs: list = [[] for _ in range(n)]
-            for p, x, y, q in t.edges:
-                (ins if x else outs)[p].append((x or y, q))
-            self.ins, self.outs, self.final = ins, outs, [q in t.final for q in range(n)]
-            return
         by_src: list[list[int]] = [[] for _ in range(n)]
         for i, e in enumerate(t.edges):
             by_src[e[0]].append(i)
@@ -187,6 +163,13 @@ class _NormalView:
         self.final[p] = fin = not self._final.isdisjoint(cl)
         return fin
 
+    def filled(self) -> "_NormalView":
+        """This view with every state of ``t`` filled, for walks that read them all."""
+        for p in range(len(self._by_src)):
+            if self.final[p] is None:
+                self.fill(p)
+        return self
+
 
 def normalize(t: Transducer) -> Transducer:
     """Equivalent machine whose edges each carry one letter on one tape.
@@ -196,13 +179,10 @@ def normalize(t: Transducer) -> Transducer:
     edge and position after the states of ``t``, and the ``("", "")``
     edges are removed by epsilon closure.  The view sorts its moves in
     that order of targets, so the result has sorted, distinct edges; it
-    is memoized and is its own normal form, with a view of its own.
+    is memoized and is its own normal form.
     """
-    if t._norm is None:
-        v, n = t.view(), max(t.n_states, 1)
-        for p in range(n):
-            if v.final[p] is None:
-                v.fill(p)
+    if t._normal_form is None:
+        v, n = t.view().filled(), max(t.n_states, 1)
         ins, outs = v.ins, v.outs
         ids, order = list(range(len(ins))), list(range(n))  # view id -> id, id -> view id
         for i, (_, x, y, _) in enumerate(t.edges):
@@ -216,23 +196,24 @@ def normalize(t: Transducer) -> Transducer:
             edges += [(p, "", b, ids[r]) for b, r in outs[c]]
             edges += [(p, a, "", ids[r]) for a, r in ins[c]]
         final = frozenset(p for p in range(n) if v.final[p])
-        t._norm = Transducer(t.alphabet, len(order), tuple(edges), t.initial, final, _is_normal=True)
-    return t._norm
+        tn = Transducer(t.alphabet, len(order), tuple(edges), t.initial, final)
+        t._normal_form = tn._normal_form = tn
+    return t._normal_form
 
 
 def trim(t: Transducer) -> Transducer:
     """Drop states not on any path from an initial to a final state; ``t`` itself if none."""
-    return _trimmed(t.alphabet, t.n_states, t.edges, t.initial, t.final, t._is_normal)[0] or t
+    return _trimmed(t.alphabet, t.n_states, t.edges, t.initial, t.final)[0] or t
 
 
-def _trimmed(alphabet: Alphabet, n: int, edges, initial, final, normal) -> tuple[Optional[Transducer], list[int]]:
+def _trimmed(alphabet: Alphabet, n: int, edges, initial, final) -> tuple[Optional[Transducer], list[int]]:
     """``(s, keep)``: the machine of these parts on ``keep``, the sorted states on
     some path from an initial to a final one; ``s`` is None when that is every state."""
     keep = trim_keep(n, edges, initial, final) if final else []
     if len(keep) == n:
         return None, keep
     if not keep:
-        return Transducer(alphabet, 0, (), frozenset(), frozenset(), _is_normal=True), keep
+        return Transducer(alphabet, 0, (), frozenset(), frozenset()), keep
     remap = {q: i for i, q in enumerate(keep)}
     s = Transducer(
         alphabet,
@@ -240,36 +221,30 @@ def _trimmed(alphabet: Alphabet, n: int, edges, initial, final, normal) -> tuple
         tuple((remap[s], x, y, remap[d]) for s, x, y, d in edges if s in remap and d in remap),
         frozenset(remap[q] for q in initial if q in remap),
         frozenset(remap[q] for q in final if q in remap),
-        _is_normal=normal,
     )
     return s, keep
 
 
 def inverse(t: Transducer) -> Transducer:
-    """Swap the tapes: realizes {(y, x) : (x, y) in t}.
-
-    The inverse of a normal form is a normal form, and is marked as one.
-    """
+    """Swap the tapes: realizes {(y, x) : (x, y) in t}."""
     edges = tuple((s, y, x, d) for s, x, y, d in t.edges)
-    return Transducer(t.alphabet, t.n_states, edges, t.initial, t.final, _is_normal=t._is_normal)
+    return Transducer(t.alphabet, t.n_states, edges, t.initial, t.final)
 
 
 def compose(outer: Transducer, inner: Transducer) -> Transducer:
     """Relational composition: ``inner`` runs first.
 
     Realizes {(x, z) : exists y with (x, y) in inner and (y, z) in outer}.
-    Product construction on normal forms: inner input moves and outer
-    output moves are free, while inner output letters synchronize with
-    outer input letters (leaving an epsilon edge to be cleaned up by a
-    later ``normalize``).
+    Product construction on the filled views of both: inner input moves
+    and outer output moves are free, while inner output letters
+    synchronize with outer input letters (leaving an epsilon edge, which
+    the result's own view closes over).
     """
     if outer.alphabet != inner.alphabet:
         raise ValueError("compose requires a common alphabet")
-    ti = normalize(inner)
-    to = normalize(outer)
-    i_ins, i_outs = ti.grouped()
-    o_ins, o_outs = to.grouped()
-    index, walk, state = numbering((p, q) for p in ti.initial for q in to.initial)
+    vi, vo = inner.view().filled(), outer.view().filled()
+    i_ins, i_outs, o_ins, o_outs = vi.ins, vi.outs, vo.ins, vo.outs
+    index, walk, state = numbering((p, q) for p in inner.initial for q in outer.initial)
     initial = frozenset(range(len(index)))
     edges: list[tuple[int, str, str, int]] = []
     for src, (p, q) in walk:
@@ -281,7 +256,7 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
             for c2, q2 in o_ins[q]:
                 if c == c2:
                     edges.append((src, "", "", state((p2, q2))))
-    final = frozenset(i for (p, q), i in index.items() if p in ti.final and q in to.final)
+    final = frozenset(i for (p, q), i in index.items() if vi.final[p] and vo.final[q])
     return Transducer(outer.alphabet, max(len(index), 1), tuple(edges), initial, final)
 
 
@@ -361,8 +336,8 @@ def _restriction(
                     balance.append(balance[src] - 1)
                     parents[dst] = (src, ("", b))
     n = max(len(index), 1)
-    s, keep = _trimmed(t.alphabet, n, edges, initial, final, True) if weak else (None, None)
-    s = s or Transducer(t.alphabet, n, tuple(edges), initial, frozenset(final), _is_normal=True)
+    s, keep = _trimmed(t.alphabet, n, edges, initial, final) if weak else (None, None)
+    s = s or Transducer(t.alphabet, n, tuple(edges), initial, frozenset(final))
     if not weak:
         return s, None, None, n, len(edges)
     if s.n_states < n:
@@ -463,7 +438,7 @@ def restrict_output(t: Transducer, m: Nfa) -> Transducer:
     """Keep only the pairs whose output word is accepted by ``m``.
 
     Kept as the inverse of an input restriction rather than a call of
-    ``restrict_input`` with a universal input language: normalizing the
+    ``restrict_input`` with a universal input language: the view of the
     inverse of a machine with two-letter edges, such as the trajectory
     operators T1/T3, splits each edge output letter first, and the
     compiled trajectory properties come out smaller that way (62 rather
@@ -666,7 +641,7 @@ def is_functional(
 ) -> tuple[bool, Optional[tuple[str, str, str]]]:
     """Does every input word have at most one output?
 
-    Checked on the square ``compose(tn, inverse(tn))``: the inner inverse
+    Checked on the square ``compose(t, inverse(t))``: the inner inverse
     reads an output y1 and writes its input x, the outer machine reads x
     and writes y2, so the square realizes the pairs of outputs of a common
     input and is a partial identity exactly when the machine is
@@ -675,14 +650,14 @@ def is_functional(
     "Squaring transducers" (TCS 292, 2003).  Returns ``(True, None)`` or
     ``(False, (x, y1, y2))`` with ``y1 != y2`` both outputs of ``x``.
     """
-    tn = trim(normalize(t))
-    ok, wit = is_partial_identity(compose(tn, inverse(tn)))
+    ti = inverse(t)
+    ok, wit = is_partial_identity(compose(t, ti))
     if ok:
         return True, None
     assert wit is not None
     y1, y2 = wit
-    pre1 = image(inverse(tn), Nfa.word(tn.alphabet, y1))
-    x = restriction_search(tn, Nfa.word(tn.alphabet, y2), pre1, swapped=True)[0]
+    pre1 = image(ti, Nfa.word(t.alphabet, y1))
+    x = restriction_search(t, Nfa.word(t.alphabet, y2), pre1, swapped=True)[0]
     assert x is not None, "square witness must share an input"
     return False, (x, y1, y2)
 
@@ -713,14 +688,13 @@ def included_in_recognizable(
     Returns ``(True, None)`` or ``(False, (x, y))`` with a realized pair
     outside every rectangle.
     """
-    tn = normalize(t)
     cap = resolve_state_cap(state_cap)
     dets = [determinize(a, cap) for a, _b in rectangles]
     det_adj = [d.adjacency()[1] for d in dets]
     index, walk, state = numbering([tuple(next(iter(d.initial)) for d in dets)], cap)
     edges: list[tuple[int, Optional[str], int]] = []
     for src, tup in walk:
-        for a in tn.alphabet:
+        for a in t.alphabet:
             nxt = tuple(det_adj[i][q][a][0] for i, q in enumerate(tup))
             edges.append((src, a, state(nxt)))
 
@@ -734,7 +708,7 @@ def included_in_recognizable(
     for sig in sorted(signatures, key=lambda s: sorted(s)):
         states = signatures[sig]
         l_sig = Nfa(
-            tn.alphabet, len(index), tuple(edges), frozenset({0}), frozenset(states)
+            t.alphabet, len(index), tuple(edges), frozenset({0}), frozenset(states)
         )
         if sig:
             allowed = rectangles[min(sig)][1]
@@ -742,9 +716,9 @@ def included_in_recognizable(
                 if i != min(sig):
                     allowed = union(allowed, rectangles[i][1])
         else:
-            allowed = Nfa.empty(tn.alphabet)
+            allowed = Nfa.empty(t.alphabet)
         forbidden = nfa_complement(allowed, cap)
-        residual = trim(restrict_input(tn, l_sig, forbidden))
+        residual = trim(restrict_input(t, l_sig, forbidden))
         if residual.n_states:
             return False, _shortest_completion(residual, min(residual.initial))
     return True, None
@@ -786,18 +760,18 @@ def _scan_words(t: Transducer, theta: Permutation, mode: str, max_len: int) -> O
     """``bounded_counterexample`` on all words of one length n at once.
 
     Bit x stands for the x-th word of length n in lexicographic order.  Node
-    (q, i) of step s holds the words w for which a run of the trimmed normal
-    form reaches q having read w[:i] and written theta(w)[:s - i].  Every
-    edge moves one tape, so a step follows each edge once and keeps the words
-    whose letter under the moving head fits its label.  Past ``_BLOCK``
+    (q, i) of step s holds the words w for which a run of the filled view
+    ``t.view()`` reaches q having read w[:i] and written theta(w)[:s - i].
+    Every move moves one tape, so a step follows each move once and keeps the
+    words whose letter under the moving head fits its label.  Past ``_BLOCK``
     words, blocks that fix the leading letters are walked in lexicographic order.
     """
-    tn = trim(normalize(t))
+    v = t.view().filled()
     sigma, pre = theta.alphabet, theta.inverse().image
     k, pos = len(sigma), sigma.position
     moves = [  # (tape, letter of w under the head, target); writing b needs theta^-1(b) there
-        [(0, pos(a), q2) for a, q2 in ins] + [(1, pos(pre(b)), q2) for b, q2 in outs]
-        for ins, outs in zip(*tn.grouped())
+        [(0, pos(a), q2) for a, q2 in ins or ()] + [(1, pos(pre(b)), q2) for b, q2 in outs or ()]
+        for ins, outs in zip(v.ins, v.outs)  # None: the unused slot of a one-letter edge
     ]
     for n in range(1, max_len + 1):
         m = max(p for p in range(n + 1) if k**p <= _BLOCK)  # the letters one bitset spans
@@ -809,7 +783,7 @@ def _scan_words(t: Transducer, theta: Permutation, mode: str, max_len: int) -> O
         for prefix in product(range(k), repeat=n - m):
             # masks[p][c]: the words with w[p] = c; row n, which is also row -1, has none
             masks = [[full if c == d else 0 for c in range(k)] for d in prefix] + tail + [[0] * k]
-            layer = {(q, 0): full for q in tn.initial}
+            layer = {(q, 0): full for q in t.initial}
             for step in range(2 * n):
                 ahead: dict[tuple[int, int], int] = {}
                 for (q, i), words in layer.items():
@@ -819,7 +793,7 @@ def _scan_words(t: Transducer, theta: Permutation, mode: str, max_len: int) -> O
                             key = q2, i + 1 - tape
                             ahead[key] = ahead.get(key, 0) | kept
                 layer = ahead
-            accepted = reduce(int.__or__, (w for (q, _), w in layer.items() if q in tn.final), 0)
+            accepted = reduce(int.__or__, (w for (q, _), w in layer.items() if v.final[q]), 0)
             if found := accepted if mode == "altering" else full & ~accepted:
                 index = (found & -found).bit_length() - 1
                 letters = (*prefix, *(index // r % k for r in sizes))

@@ -21,6 +21,17 @@ from dnacodec.transducers import Transducer
 # relation membership / image on raw edge lists
 
 
+def grouped(t: Transducer) -> tuple[list[list[tuple[str, int]]], list[list[tuple[str, int]]]]:
+    """``(ins, outs)``: per state of a machine whose edges each carry one
+    letter on one tape, its ``(letter, target)`` input and output moves in
+    edge order."""
+    ins: list[list[tuple[str, int]]] = [[] for _ in range(t.n_states)]
+    outs: list[list[tuple[str, int]]] = [[] for _ in range(t.n_states)]
+    for src, x, y, dst in t.edges:
+        (ins if x else outs)[src].append((x or y, dst))
+    return ins, outs
+
+
 def pair_in_relation(t: Transducer, u: str, v: str) -> bool:
     """Does the raw transducer relate input u to output v?  Plain DFS on
     (state, input-position, output-position) triples; word labels and

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from dnacodec import cli, transducers
 from dnacodec.alphabets import DNA
 from dnacodec.automata import Nfa
 from dnacodec.cli import build_parser, main
+from dnacodec.errors import FormatError
 from dnacodec.fado import parse_fado, serialize_fado
 from dnacodec.transducers import Transducer
 
@@ -432,6 +434,38 @@ def test_transducer_check_rejects_nfa_input(capsys):
         ["transducer", "check", fixture("fado", "nfa_finite.fa"), "--mode", "identity"]
     )
     assert rc == 2
+
+
+THETA_INSTANCE = json.dumps({"alpha": ["0"], "beta": ["1"], "theta": "mirror:01"})
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["transducer", "check", fixture("fado", "nfa_finite.fa"), "--mode", "identity"], "MACHINE"),
+        (["transducer", "check", fixture("fado", "t_identity_ab.fa"), "--mode", "altering"], "--theta"),
+        (["pcp", "reduce", "--instance", THETA_INSTANCE, "--theta", "mirror:01"], "--instance"),
+        (["pcp", "reduce", "--instance", SOLVABLE], "--theta"),
+        (["pcp", "check", "--instance", SOLVABLE], "--solution"),
+        (["pcp", "reduce", "--instance", SOLVABLE, "--theta", "identity"], "--theta"),
+        (["pcp", "solve", "--instance", THETA_INSTANCE.replace("mirror:01", "mirror")], "field 'theta'"),
+    ],
+)
+def test_bad_arguments_are_format_errors_naming_the_flag(argv, named, capsys):
+    args = build_parser().parse_args(argv)
+    with pytest.raises(FormatError, match=re.escape(named)):
+        args.handler(args)
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_bad_file_in_a_language_directory_is_named(tmp_path, capsys):
+    write_language(tmp_path, "code0.fa", ["AC"])
+    (tmp_path / "code1.fa").write_text("@NFA 1 * 0\n0 x 1\n")
+    rc = main(["satisfies", "--property", fixture("maximal", "desc_hamming_w.json"), "--language", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: language file ") and "code1.fa" in err and "labels ['x']" in err
 
 
 # -- misc ------------------------------------------------------------------------

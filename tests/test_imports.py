@@ -1,5 +1,5 @@
-"""Every module-level import and private helper in the package is used (no
-linter is required)."""
+"""Every module-level import, private helper and private class member in the
+package is used (no linter is required)."""
 
 import ast
 import os
@@ -44,21 +44,37 @@ def _reference(node):
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
+def _definitions(tree):
+    """``(label, name, nodes)`` for each module-level function and class and
+    each method, property and annotated field of a module-level class, with
+    every node that defines the name (a property's getter and setter are one)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node.name, [node]
+        members: dict[str, list] = {}
+        for member in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(member, ast.FunctionDef):
+                members.setdefault(member.name, []).append(member)
+            elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                members.setdefault(member.target.id, []).append(member)
+        for name, nodes in members.items():
+            yield f"{node.name}.{name}", name, nodes
+
+
 def dead_private_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_private`` functions and classes that no code in
+    """``_private`` definitions (see ``_definitions``) that no code in
     ``sources`` refers to outside their own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     uses = Counter(_reference(n) for tree in trees.values() for n in ast.walk(tree))
     dead = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        for label, name, nodes in _definitions(tree):
+            if not name.startswith("_") or name.startswith("__"):
                 continue
-            if not node.name.startswith("_") or node.name.startswith("__"):
-                continue
-            inside = sum(_reference(n) == node.name for n in ast.walk(node))
-            if uses[node.name] == inside:
-                dead.append(f"{module}: {node.name}")
+            inside = sum(_reference(n) == name for node in nodes for n in ast.walk(node))
+            if uses[name] == inside:
+                dead.append(f"{module}: {label}")
     return dead
 
 
@@ -66,6 +82,18 @@ def test_checker_flags_a_dead_helper():
     helpers = "def _dead(n):\n    return _dead(n - 1)\n\n\nclass _Used:\n    pass\n"
     caller = "from helpers import _Used\n\nx = _Used()\n"
     assert dead_private_helpers({"helpers.py": helpers, "caller.py": caller}) == ["helpers.py: _dead"]
+
+
+def test_checker_flags_a_dead_accessor():
+    box = (
+        "class Box:\n"
+        "    _cache: int = 0\n\n"
+        "    @property\n    def _norm(self):\n        return self._cache\n\n"
+        "    @_norm.setter\n    def _norm(self, value):\n        self._cache = value\n\n"
+        "    def _used(self):\n        return 1\n"
+    )
+    caller = "from box import Box\n\nBox()._used()\n"
+    assert dead_private_helpers({"box.py": box, "caller.py": caller}) == ["box.py: Box._norm"]
 
 
 def test_no_dead_private_helpers():

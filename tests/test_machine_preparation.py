@@ -1,24 +1,30 @@
-"""Machine preparation: constructor checks, the normal form, its on-demand view and
-its grouped adjacency."""
+"""Machine preparation: constructor checks, the normal form and its on-demand view."""
 
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dnacodec.alphabets import Alphabet, Permutation
+from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import Nfa, _symbols_ok, check_machine, theta_image, union
+from dnacodec.dna import PROPERTY_NAMES, VARIANTS, named_property
 from dnacodec.graphs import reachable
+from dnacodec.properties import W_KIND, is_maximal, satisfies
 from dnacodec.transducers import (
     Transducer,
     _restriction,
+    bounded_counterexample,
+    compose,
     image,
+    included_in_recognizable,
     inverse,
+    is_functional,
     normalize,
     restrict_input,
     restriction_search,
     trim,
 )
+from oracles import grouped
 
 AB = Alphabet.of("ab")
 
@@ -206,7 +212,7 @@ def test_view_filled_in_any_order_matches_the_normal_form(machine, rng):
         return Transducer(machine.alphabet, machine.n_states, machine.edges, machine.initial, machine.final)
 
     reference = normalize(fresh())
-    ins, outs = reference.grouped()
+    ins, outs = grouped(reference)
     final = reference.final
     t = fresh()
     v = t.view()
@@ -228,10 +234,10 @@ def test_view_filled_in_any_order_matches_the_normal_form(machine, rng):
             assert v.fill(q) == (q in final)
         assert (*moves(q), v.final[q]) == (ins[q], outs[q], q in final)
     assert all((*moves(q), v.final[q]) == (ins[q], outs[q], q in final) for q in order)
-    assert t._norm is None
+    assert t._normal_form is None
     tn = normalize(t)  # built on the view the loop filled
     assert _as_tuple(tn) == reference_normalize(t)
-    assert tn.view() is not v and tn.grouped() == (ins, outs)
+    assert tn.view() is not v and _filled(tn) == (ins, outs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,44 +255,65 @@ def test_searches_on_the_view_match_the_normal_form(machine, l, m):
     sn, labels_n, bad_n, states_n, transitions_n = _restriction(tn, l, m, weak=True)
     assert (labels, bad, states, transitions) == (labels_n, bad_n, states_n, transitions_n)
     assert (s and _as_tuple(s)) == (sn and _as_tuple(sn))
-    assert t._norm is None
+    assert t._normal_form is None
 
 
-# -- grouped adjacency -------------------------------------------------------
+# -- the view of each machine -------------------------------------------------
 
 
-def _fresh_grouped(t: Transducer) -> tuple:
-    ins = [[] for _ in range(t.n_states)]
-    outs = [[] for _ in range(t.n_states)]
-    for src, x, y, dst in t.edges:
-        (ins[src] if x else outs[src]).append((x or y, dst))
-    return ins, outs
+def _filled(t: Transducer) -> tuple:
+    """The moves of the states of ``t`` in its view, every state filled."""
+    v = t.view().filled()
+    return v.ins[: t.n_states], v.outs[: t.n_states]
 
 
-def test_grouped_is_stored_on_the_normal_form():
+def test_view_is_stored_on_the_machine():
     tn = normalize(EPS_CYCLE)
-    first = tn.grouped()
-    second = tn.grouped()
-    assert first[0] is second[0] and first[1] is second[1]
-    assert first == _fresh_grouped(tn)
+    v = tn.view()
+    assert tn.view() is v and v.filled() is v
+    assert _filled(tn) == grouped(tn)  # a normal form's edges are sorted and distinct
 
 
-def test_grouped_raises_on_every_call_for_a_non_normal_machine():
-    t = Transducer(AB, 2, ((0, "a", "", 1), (1, "", "", 0)), {0}, {1})
-    for _ in range(2):
-        with pytest.raises(ValueError, match="normalized"):
-            t.grouped()
-
-
-def test_derived_machines_compute_their_own_grouped_adjacency():
+def test_derived_machines_compute_their_own_view():
     tn = normalize(EPS_CHAIN)
-    ins, outs = tn.grouped()
+    ins, outs = _filled(tn)
     m = Nfa(AB, 2, ((0, "b", 1), (1, "a", 0)), {0}, {0, 1})
     derived = [trim(tn), inverse(tn), restrict_input(tn, m), restrict_input(tn, m, m)]
     assert derived[0] is not tn, "the trim of this machine drops a state"
     for d in derived:
-        d_ins, d_outs = d.grouped()
+        d_ins, d_outs = _filled(d)
         assert d_ins is not ins and d_outs is not outs
-        assert (d_ins, d_outs) == _fresh_grouped(d)
-    i_ins, i_outs = derived[1].grouped()
-    assert (i_ins, i_outs) == (outs, ins)
+        assert (d_ins, d_outs) == tuple([sorted(set(moves)) for moves in side] for side in grouped(d))
+    assert _filled(derived[1]) == (outs, ins)
+
+
+# -- no decide path builds a whole normal form ---------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(transducers(), transducers(), st.sampled_from(THETAS))
+@example(EPS_CYCLE, EPS_CHAIN, THETAS[0])
+def test_class_checks_and_compose_build_no_normal_form(t, u, theta):
+    t, u = (Transducer(m.alphabet, m.n_states, m.edges, m.initial, m.final) for m in (t, u))
+    for mode in ("altering", "preserving"):
+        bounded_counterexample(t, theta, mode, 3)
+    compose(t, u)
+    is_functional(t)
+    included_in_recognizable(u, [(Nfa.finite(AB, ["a", "ab"]), Nfa.universal(AB))])
+    assert t._normal_form is None and u._normal_form is None
+
+
+def test_named_properties_decide_without_a_normal_form():
+    delta = dna_delta()
+    codes = [Nfa.finite(DNA, words) for words in (["ACG", "CGT"], ["AAC", "GTT", "ACGT"], ["A", "C"])]
+    maximal_checked = 0
+    for name in PROPERTY_NAMES:
+        for variant in VARIANTS if name != "nonoverlapping" else VARIANTS[:1]:
+            p = named_property(name, variant, delta)
+            for l in codes:
+                verdict = satisfies(p, l)
+                if verdict.satisfied and p.kind == W_KIND:
+                    is_maximal(p, l)
+                    maximal_checked += 1
+            assert p.transducer._normal_form is None, p.name
+    assert maximal_checked

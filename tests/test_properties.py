@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
-from dnacodec.automata import Nfa, accepts, complement, enumerate_words, parse_regex, remove_epsilon
+from dnacodec.automata import Nfa, accepts, complement, enumerate_words, parse_regex, remove_epsilon, theta_image
 from dnacodec.errors import ClassAssertionRefuted, ResourceLimitError
 from dnacodec.properties import (
     INPUT_ALTERING,
@@ -24,7 +24,7 @@ from dnacodec.properties import (
     satisfies_W_preserving,
 )
 from dnacodec.trajectories import build_op_transducer
-from dnacodec.transducers import Transducer, accepts_pair
+from dnacodec.transducers import Transducer, accepts_pair, restriction_search
 from oracles import brute_is_maximal, brute_satisfies, pair_in_relation, violates_S, violates_W
 
 ZO = Alphabet.of("01")
@@ -206,7 +206,11 @@ def test_altering_route_tolerates_empty_self_pair():
     assert accepts_pair(t, "", "")
     weak = PropertyDescriptor(t, MIRROR_ZO, kind=W_KIND, asserted_class=INPUT_ALTERING)
     l = Nfa.finite(ZO, [""])
-    assert satisfies(weak, l).satisfied  # weak reading tolerates (eps, eps)
+    v = satisfies(weak, l)
+    assert v.satisfied  # weak reading tolerates (eps, eps)
+    # one search, which skips (eps, eps), is all the stats count
+    _, states, edges = restriction_search(t, l, theta_image(l, MIRROR_ZO), nonempty=True)
+    assert (v.stats["restriction_states"], v.stats["restriction_edges"]) == (states, edges)
     strict = PropertyDescriptor(t, MIRROR_ZO, kind=S_KIND)
     v = satisfies(strict, l)
     assert not v.satisfied and v.witness == ("", "")

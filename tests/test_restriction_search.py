@@ -295,7 +295,7 @@ def test_violated_call_fills_only_the_states_it_reaches():
     l = script.random_language(rng, 6, dense=True)
     verdict = satisfies_S(PropertyDescriptor(t, dna_delta(), kind=S_KIND), l)
     assert not verdict.satisfied
-    assert t._norm is None, "no whole normal form is built"
+    assert t._normal_form is None, "no whole normal form is built"
     v = t.view()
     filled = sum(fin is not None for fin in v.final[: t.n_states])
     assert filled * 10 < t.n_states and len(v.final) > t.n_states

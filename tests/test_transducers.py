@@ -27,7 +27,7 @@ from dnacodec.transducers import (
     union,
 )
 from dnacodec.transducers import _all_words
-from oracles import enumerate_pairs, outputs_up_to, pair_in_relation
+from oracles import enumerate_pairs, grouped, outputs_up_to, pair_in_relation
 
 AB = Alphabet.of("ab")
 
@@ -281,12 +281,13 @@ def test_inverse_duality_random(seed):
         assert accepts_pair(tt, x, y)
 
 
-def test_inverse_of_a_normal_form_is_marked_normal():
+def test_inverse_of_a_normal_form_normalizes_to_its_own_edges():
     tn = normalize(doubler())
+    assert normalize(tn) is tn
     ti = inverse(tn)
-    assert ti._norm is ti
-    assert normalize(ti) is ti
-    assert inverse(doubler())._norm is None  # word labels still need splitting
+    tin = normalize(ti)
+    assert _machine(tin) == (ti.n_states, tuple(sorted(ti.edges)), ti.initial, ti.final)
+    assert normalize(tin) is tin and ti._normal_form is tin
 
 
 def test_free_output_tape_is_one_machine_per_alphabet(monkeypatch):
@@ -304,7 +305,7 @@ def test_free_output_tape_is_one_machine_per_alphabet(monkeypatch):
 def _pair_restrict_input(t, m):
     """Input-only restriction on ``(T-state, m-state)`` tuple keys."""
     tn = normalize(t)
-    ins, outs = tn.grouped()
+    ins, outs = grouped(tn)
     mf = remove_epsilon(m)
     _, m_sym = mf.adjacency()
     index, walk, state = numbering((p, q) for p in tn.initial for q in mf.initial)
@@ -317,15 +318,13 @@ def _pair_restrict_input(t, m):
         for b, p2 in outs[p]:
             edges.append((src, "", b, state((p2, q))))
     final = frozenset(i for (p, q), i in index.items() if p in tn.final and q in mf.final)
-    out = Transducer(t.alphabet, max(len(index), 1), tuple(edges), initial, final)
-    out._norm = out
-    return out
+    return Transducer(t.alphabet, max(len(index), 1), tuple(edges), initial, final)
 
 
 def _triple_restriction(t, theta, l):
     """T restricted to inputs in L and outputs in theta(L), on packed triples."""
     tn = normalize(t)
-    ins, outs = tn.grouped()
+    ins, outs = grouped(tn)
     lf = remove_epsilon(l)
     tlf = remove_epsilon(theta_image(l, theta))
     _, l_sym = lf.adjacency()

@@ -54,7 +54,7 @@ from dnacodec.transducers import (
     restriction_search,
     trim,
 )
-from oracles import enumerate_pairs, pair_in_relation, violates_W
+from oracles import enumerate_pairs, grouped, pair_in_relation, violates_W
 
 CAP = 2000  # the references give up (ResourceLimitError) past this many items
 
@@ -70,7 +70,7 @@ def subset_identity(tn, cap=CAP):
     """
     if tn.n_states == 0:
         return True, None
-    ins, outs = tn.grouped()
+    ins, outs = grouped(tn)
     n = tn.n_states
     starts = [(q, 0, "") for q in sorted(tn.initial)]
     parents, seen, queue = {}, set(starts), deque(starts)
@@ -112,7 +112,7 @@ def subset_identity(tn, cap=CAP):
 def square(t):
     """The input-synchronized square: the two outputs of one input as a pair."""
     tn = trim(normalize(t))
-    ins, outs = tn.grouped()
+    ins, outs = grouped(tn)
     index, walk, state = numbering((p, q) for p in tn.initial for q in tn.initial)
     initial = frozenset(range(len(index)))
     edges = []
@@ -214,7 +214,7 @@ def reference_weak(p, l):
         if not theta.antimorphic:
             inv = theta.inverse()
             edges = tuple((a, x, inv.image(y) if y else y, b) for a, x, y, b in s.edges)
-            relabeled = Transducer(s.alphabet, s.n_states, edges, s.initial, s.final, _is_normal=True)
+            relabeled = Transducer(s.alphabet, s.n_states, edges, s.initial, s.final)
             return subset_identity(relabeled)[0]
         if not theta.is_involution():
             return None
