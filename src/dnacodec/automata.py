@@ -244,11 +244,6 @@ def trim(m: Nfa) -> Nfa:
     )
 
 
-def reverse(m: Nfa) -> Nfa:
-    edges = tuple((d, sym, s) for s, sym, d in m.edges)
-    return Nfa(m.alphabet, m.n_states, edges, m.final, m.initial)
-
-
 def remove_epsilon(m: Nfa) -> Nfa:
     """An equivalent machine without epsilon edges (``m`` itself if it has none)."""
     eps_adj, sym_adj = m.adjacency()

@@ -11,11 +11,11 @@ class ResourceLimitError(DnaCodecError):
     """A construction or search exceeded a configured cap.
 
     Raised instead of silently returning a wrong or partial answer whenever
-    a worst-case-exponential step (subset construction, pair enumeration)
-    outgrows its budget.  Callers can retry with a larger cap via the
-    ``DNACODEC_STATE_CAP`` environment variable, the ``state_cap`` keyword
-    of the subset constructions and maximality deciders, or the
-    ``item_cap`` keyword of ``satisfies`` and ``satisfies_W_general``.
+    a worst-case-exponential step (a subset construction, or the input
+    classes of ``included_in_recognizable``) outgrows its budget.  Callers
+    can retry with a larger cap via the ``DNACODEC_STATE_CAP`` environment
+    variable or the ``state_cap`` keyword of the subset constructions and
+    maximality deciders.  The general weak route never raises it.
     """
 
 

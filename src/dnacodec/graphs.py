@@ -48,21 +48,6 @@ def reachable(succ: list[list[int]], sources: Iterable[int]) -> set[int]:
     return seen
 
 
-def reaches(succ: list[list[int]], sources: Iterable[int], targets: frozenset[int]) -> bool:
-    """Does some state of ``sources`` reach ``targets``?  Stops at the first hit."""
-    seen = set(sources)
-    stack = list(seen)
-    while stack:
-        q = stack.pop()
-        if q in targets:
-            return True
-        for r in succ[q]:
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return False
-
-
 def trim_keep(n: int, edges: Sequence[tuple], initial: Iterable[int], final: Iterable[int]) -> list[int]:
     """The sorted states on some path from ``initial`` to ``final``."""
     succ: list[list[int]] = [[] for _ in range(n)]

@@ -33,7 +33,7 @@ from .automata import (
     theta_image,
     union as nfa_union,
 )
-from .errors import ClassAssertionRefuted, ResourceLimitError
+from .errors import ClassAssertionRefuted
 from .graphs import topological_order
 from .transducers import (
     Transducer,
@@ -153,8 +153,12 @@ def satisfies_S(p: PropertyDescriptor, l: Nfa) -> Verdict:
     return Verdict(False, _decode_intersection_witness(p, l, y), "satisfies_S", stats)
 
 
-def _dag_pairs(t: Transducer, item_cap: int) -> Optional[list[tuple[str, str]]]:
-    """All realized pairs of a normalized transducer, or None when it has a cycle."""
+_LISTING_CAP = 10**6  # pairs held at once by ``_dag_pairs``; past it ``_mismatch`` decides
+
+
+def _dag_pairs(t: Transducer) -> Optional[list[tuple[str, str]]]:
+    """All realized pairs of a normalized transducer, in order, or None when
+    it has a cycle or the pairs held at its states pass ``_LISTING_CAP``."""
     order = topological_order(t.n_states, t.edges)
     if order is None:
         return None
@@ -169,15 +173,15 @@ def _dag_pairs(t: Transducer, item_cap: int) -> Optional[list[tuple[str, str]]]:
             for sx, sy in suffixes[dst]:
                 bucket.add((x + sx, y + sy))
         total += len(bucket)
-        if total > item_cap:
-            raise ResourceLimitError("pair enumeration exceeded its cap")
+        if total > _LISTING_CAP:
+            return None
     result: set[tuple[str, str]] = set()
     for q in t.initial:
         result |= suffixes[q]
     return sorted(result, key=lambda p: (len(p[0]) + len(p[1]), p))
 
 
-def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) -> Verdict:
+def satisfies_W_general(p: PropertyDescriptor, l: Nfa) -> Verdict:
     """Weak satisfaction, exact for every transducer.
 
     The property holds iff every pair (x, y) of the restricted relation S
@@ -194,8 +198,9 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) ->
     morphic theta, mirrored ones for an antimorphic one).
     ``transducers._mismatch`` finds such a run from the walk's labels in
     polynomial time, for any permutation.  An acyclic S with an
-    antimorphic theta instead has its pairs listed in order (``_dag_pairs``,
-    at most ``item_cap``), so the witness is the least offending pair.
+    antimorphic theta instead has its pairs listed in order (``_dag_pairs``),
+    so the witness is the least offending pair; a listing that would pass
+    ``_LISTING_CAP`` pairs gives way to the search, so every call answers.
     ``stats["route"]`` says which decided: ``"acyclic"`` for the listing,
     ``"mismatch"`` for the balance argument (the length check, then the
     search).
@@ -212,7 +217,7 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) ->
         return Verdict(False, (bad[0], theta.inverse()(bad[1])), decider, stats)
     if s.n_states == 0:
         return Verdict(True, None, decider, stats)
-    pairs = _dag_pairs(s, item_cap) if theta.antimorphic else None
+    pairs = _dag_pairs(s) if theta.antimorphic else None
     stats["route"] = "mismatch" if pairs is None else "acyclic"
     if pairs is not None:
         bad = next(((x, y) for x, y in pairs if y != theta(x)), None)
@@ -224,21 +229,19 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa, item_cap: int = 10**6) ->
     return Verdict(False, (x, theta.inverse()(y)), decider, stats)
 
 
-def satisfies_W_preserving(
-    p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6, item_cap: int = 10**6
-) -> Verdict:
+def satisfies_W_preserving(p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6) -> Verdict:
     """Weak satisfaction for an asserted input-preserving transducer.
 
     The assertion (theta(w) is among T's outputs on every w) is checked on
     all words up to ``assertion_bound`` and refuted loudly; the answer
-    itself comes from :func:`satisfies_W_general`, with its ``item_cap``,
-    which is exact whether or not the assertion holds beyond the bound.
+    itself comes from :func:`satisfies_W_general`, which is exact whether
+    or not the assertion holds beyond the bound.
     """
     _check_language(p, l)
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_preserving expects a weak-kind descriptor")
     _check_assertion(p, "preserving", assertion_bound)
-    verdict = satisfies_W_general(p, l, item_cap)
+    verdict = satisfies_W_general(p, l)
     verdict.stats["assertion_bound"] = assertion_bound
     return verdict
 
@@ -265,12 +268,7 @@ def _altering_route(
     return Verdict(False, (u, v), "satisfies_S", stats)
 
 
-def satisfies(
-    p: PropertyDescriptor,
-    l: Nfa,
-    assertion_bound: int = 6,
-    item_cap: int = 10**6,
-) -> Verdict:
+def satisfies(p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6) -> Verdict:
     """Decide satisfaction, dispatching on kind and asserted class."""
     _check_language(p, l)
     if p.kind == S_KIND:
@@ -278,8 +276,8 @@ def satisfies(
     if p.asserted_class == INPUT_ALTERING:
         return _altering_route(p, l, assertion_bound)
     if p.asserted_class == INPUT_PRESERVING:
-        return satisfies_W_preserving(p, l, assertion_bound, item_cap)
-    return satisfies_W_general(p, l, item_cap)
+        return satisfies_W_preserving(p, l, assertion_bound)
+    return satisfies_W_general(p, l)
 
 
 def _extension_universe(p: PropertyDescriptor, l: Nfa) -> Nfa:

@@ -36,7 +36,7 @@ from .automata import (
     union,
 )
 from .errors import ResourceLimitError
-from .graphs import numbering, path_to, reachable, reaches, successors, trim_keep
+from .graphs import numbering, path_to, reachable, successors, trim_keep
 
 
 def _words_ok(alphabet: Alphabet, labels: set) -> bool:
@@ -309,7 +309,7 @@ def _restriction(
     edges: list[tuple[int, str, str, int]] = []
     final: set[int] = set()
     balance = [0] * len(index)
-    parents: dict[int, tuple[int, tuple[str, str]]] = {}
+    parents: dict[int, tuple[int, tuple[int, str, str, int]]] = {}
     for src, packed in walk:
         qt, ql, qo = packed // nlo, packed // no % nl, packed % no
         fin = t_final[qt]
@@ -317,24 +317,24 @@ def _restriction(
             fin = fill(qt)
         if fin and ql in l_final and qo in o_final:
             if weak and balance[src]:
-                return None, None, _path_pair(parents, src), len(index), len(edges)
+                return None, None, _words(path_to(parents, src)), len(index), len(edges)
             final.add(src)
         l_here = l_sym[ql]
         for a, qt2 in ins[qt]:
             for ql2 in l_here.get(a, ()):
                 dst = state((qt2 * nl + ql2) * no + qo)
-                edges.append((src, a, "", dst))
+                edges.append(e := (src, a, "", dst))
                 if weak and dst == len(balance):
                     balance.append(balance[src] + 1)
-                    parents[dst] = (src, (a, ""))
+                    parents[dst] = (src, e)
         o_here = o_sym[qo]
         for b, qt2 in outs[qt]:
             for qo2 in o_here.get(b, ()):
                 dst = state((qt2 * nl + ql) * no + qo2)
-                edges.append((src, "", b, dst))
+                edges.append(e := (src, "", b, dst))
                 if weak and dst == len(balance):
                     balance.append(balance[src] - 1)
-                    parents[dst] = (src, ("", b))
+                    parents[dst] = (src, e)
     n = max(len(index), 1)
     s, keep = _trimmed(t.alphabet, n, edges, initial, final) if weak else (None, None)
     s = s or Transducer(t.alphabet, n, tuple(edges), initial, frozenset(final))
@@ -347,8 +347,8 @@ def _restriction(
         return s, balance, None, s.n_states, len(s.edges)
     p, x, y, q = clash
     cx, cy = _shortest_completion(s, q)
-    px, py = _path_pair(parents, keep[p])
-    qx, qy = _path_pair(parents, keep[q])
+    px, py = _words(path_to(parents, keep[p]))
+    qx, qy = _words(path_to(parents, keep[q]))
     w = (px + x + cx, py + y + cy)
     return None, None, w if len(w[0]) != len(w[1]) else (qx + cx, qy + cy), s.n_states, len(s.edges)
 
@@ -447,9 +447,9 @@ def restrict_output(t: Transducer, m: Nfa) -> Transducer:
     return inverse(restrict_input(inverse(t), m))
 
 
-def image(t: Transducer, m: Optional[Nfa] = None) -> Nfa:
-    """The NFA of output words of ``t`` (restricted to inputs in ``m``)."""
-    tn = restrict_input(t, m) if m is not None else normalize(t)
+def image(t: Transducer, m: Nfa) -> Nfa:
+    """The NFA of the output words of ``t`` on inputs in ``m``."""
+    tn = restrict_input(t, m)
     edges = tuple(
         (p, out if out else None, q) for p, _inp, out, q in tn.edges
     )
@@ -458,7 +458,7 @@ def image(t: Transducer, m: Optional[Nfa] = None) -> Nfa:
 
 def relation_empty(t: Transducer) -> bool:
     """True when the machine realizes no pair at all."""
-    return not reaches(successors(t.n_states, t.edges), t.initial, t.final)
+    return reachable(successors(t.n_states, t.edges), t.initial).isdisjoint(t.final)
 
 
 def _leaving(t: Transducer) -> list[list[tuple[int, str, str, int]]]:
@@ -490,18 +490,12 @@ def _shortest_completion(
     queue = [start]
     for q in queue:  # breadth first: the list grows while it is walked
         if q in goals:
-            return _path_pair(parents, q)
-        for _, x, y, dst in adj[q]:
-            if dst not in parents:
-                parents[dst] = (q, (x, y))
-                queue.append(dst)
+            return _words(path_to(parents, q))
+        for e in adj[q]:
+            if e[3] not in parents:
+                parents[e[3]] = (q, e)
+                queue.append(e[3])
     raise AssertionError("no path into the goal states")  # pragma: no cover - trimmed: one exists
-
-
-def _path_pair(parents: dict, node) -> tuple[str, str]:
-    """The input and output words on the parent chain ending at ``node``."""
-    steps = path_to(parents, node)
-    return "".join(x for x, _ in steps), "".join(y for _, y in steps)
 
 
 def _words(edges: list) -> tuple[str, str]:
@@ -674,11 +668,13 @@ def is_length_preserving(
     return wit is None, wit
 
 
+_ATOM_CAP = 4096  # the most input classes ``included_in_recognizable`` checks one by one
+
+
 def included_in_recognizable(
     t: Transducer,
     rectangles: Sequence[tuple[Nfa, Nfa]],
     state_cap: Optional[int] = None,
-    atom_cap: int = 4096,
 ) -> tuple[bool, Optional[tuple[str, str]]]:
     """Is the realized relation included in the union of A_i x B_i?
 
@@ -702,8 +698,8 @@ def included_in_recognizable(
     for tup, s in index.items():
         sig = frozenset(i for i, q in enumerate(tup) if q in dets[i].final)
         signatures.setdefault(sig, []).append(s)
-    if len(signatures) > atom_cap:
-        raise ResourceLimitError(f"{len(signatures)} input classes exceed the atom cap {atom_cap}")
+    if len(signatures) > _ATOM_CAP:
+        raise ResourceLimitError(f"{len(signatures)} input classes exceed the atom cap {_ATOM_CAP}")
 
     for sig in sorted(signatures, key=lambda s: sorted(s)):
         states = signatures[sig]

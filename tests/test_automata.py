@@ -18,7 +18,6 @@ from dnacodec.automata import (
     parse_regex,
     plus,
     remove_epsilon,
-    reverse,
     shortest_word,
     star,
     theta_image,
@@ -107,10 +106,8 @@ def test_determinize_preserves_language():
     assert enumerate_words(d, 3) == enumerate_words(m, 3)
 
 
-def test_trim_reverse_remove_epsilon():
+def test_trim_remove_epsilon():
     m = parse_regex("AC|AG", DNA)
-    r = reverse(m)
-    assert sorted(enumerate_words(r, 2)) == ["CA", "GA"]
     t = trim(union(m, Nfa.empty(DNA)))
     assert sorted(enumerate_words(t, 2)) == ["AC", "AG"]
     ne = remove_epsilon(star(Nfa.word(DNA, "A")))

@@ -1,13 +1,16 @@
 """Every module-level import, private helper and private class member in the
-package is used (no linter is required)."""
+package is used, and so is every public module-level function and class that
+is neither exported nor named by the benchmark (no linter is required)."""
 
 import ast
+import glob
 import os
 from collections import Counter
 
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dnacodec")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 MODULES = sorted(
     name for name in os.listdir(SRC) if name.endswith(".py") and name != "__init__.py"
 )
@@ -62,20 +65,64 @@ def _definitions(tree):
             yield f"{node.name}.{name}", name, nodes
 
 
-def dead_private_helpers(sources: dict[str, str]) -> list[str]:
-    """``_private`` definitions (see ``_definitions``) that no code in
-    ``sources`` refers to outside their own definition."""
+def _imported_or_named(node):
+    """The name a node refers to without an object: a bare or imported name.
+    An import counts as a use, as the unused-import check stands behind it."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.name if isinstance(node, ast.alias) else None
+
+
+def _unreferenced(sources: dict[str, str], reference, wanted) -> list[str]:
+    """The definitions (see ``_definitions``) whose ``label`` and ``name``
+    pass ``wanted`` and that no code in ``sources`` refers to, by
+    ``reference``, outside their own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    uses = Counter(_reference(n) for tree in trees.values() for n in ast.walk(tree))
+    uses = Counter(reference(n) for tree in trees.values() for n in ast.walk(tree))
     dead = []
     for module, tree in trees.items():
         for label, name, nodes in _definitions(tree):
-            if not name.startswith("_") or name.startswith("__"):
+            if not wanted(label, name):
                 continue
-            inside = sum(_reference(n) == name for node in nodes for n in ast.walk(node))
+            inside = sum(reference(n) == name for node in nodes for n in ast.walk(node))
             if uses[name] == inside:
                 dead.append(f"{module}: {label}")
     return dead
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Unreferenced ``_private`` definitions."""
+    return _unreferenced(sources, _reference, lambda label, name: name[0] == "_" and name[:2] != "__")
+
+
+def dead_public_names(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """Unreferenced public module-level functions and classes not in
+    ``exempt``.  A method or attribute of the same name, such as
+    ``list.reverse``, does not count as a reference to one of them."""
+    return _unreferenced(
+        sources, _imported_or_named, lambda label, name: label == name and name[0] != "_" and name not in exempt
+    )
+
+
+def exported(source: str) -> set[str]:
+    """The names listed in the module's ``__all__``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def named(source: str) -> set[str]:
+    """Every name, attribute, imported name and string constant in ``source``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        elif ref := _reference(node):
+            names.add(ref)
+    return names
 
 
 def test_checker_flags_a_dead_helper():
@@ -96,9 +143,35 @@ def test_checker_flags_a_dead_accessor():
     assert dead_private_helpers({"box.py": box, "caller.py": caller}) == ["box.py: Box._norm"]
 
 
-def test_no_dead_private_helpers():
+def _package_sources() -> dict[str, str]:
     sources = {}
     for module in MODULES + ["__init__.py"]:
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             sources[module] = fh.read()
-    assert dead_private_helpers(sources) == []
+    return sources
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_helpers(_package_sources()) == []
+
+
+def test_checker_flags_a_dead_public_name():
+    helpers = (
+        "def dead(xs):\n    xs.dead()\n    return dead(xs)\n\n\n"
+        "def kept():\n    pass\n\n\nclass Shown:\n    pass\n\n\ndef used():\n    pass\n"
+    )
+    caller = "from helpers import used as alias\n\nalias()\n"
+    package = '__all__ = ["Shown"]\n'
+    bench = 'SPANS = [("helpers", "kept")]\n'
+    exempt = exported(package) | named(bench)
+    sources = {"helpers.py": helpers, "caller.py": caller, "__init__.py": package}
+    assert dead_public_names(sources, exempt) == ["helpers.py: dead"]
+
+
+def test_no_dead_public_names():
+    sources = _package_sources()
+    exempt = exported(sources["__init__.py"])
+    for path in glob.glob(os.path.join(PERFBENCH, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            exempt |= named(fh.read())
+    assert dead_public_names(sources, exempt) == []

@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dnacodec import properties
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import Nfa, accepts, complement, enumerate_words, parse_regex, remove_epsilon, theta_image
-from dnacodec.errors import ClassAssertionRefuted, ResourceLimitError
+from dnacodec.errors import ClassAssertionRefuted
 from dnacodec.properties import (
     INPUT_ALTERING,
     INPUT_PRESERVING,
@@ -166,12 +167,17 @@ def test_preserving_route_exact_beyond_the_assertion_bound():
     assert v.stats["assertion_bound"] == 1
 
 
-def test_preserving_route_keeps_the_item_cap():
-    words = dna_lang(["ACG", "CGT", "AAA"])
+def test_weak_listing_past_its_cap_gives_way_to_the_mismatch_search(monkeypatch):
+    words = ["ACG", "CGT", "AAA"]
     for asserted in (UNRESTRICTED, INPUT_PRESERVING):
         p = PropertyDescriptor(universal_machine(DNA), DELTA, kind=W_KIND, asserted_class=asserted)
-        with pytest.raises(ResourceLimitError):
-            satisfies(p, words, item_cap=1)
+        listed = satisfies(p, dna_lang(words))
+        monkeypatch.setattr(properties, "_LISTING_CAP", 0)
+        searched = satisfies(p, dna_lang(words))
+        monkeypatch.undo()
+        assert (listed.stats["route"], searched.stats["route"]) == ("acyclic", "mismatch")
+        assert not listed.satisfied and not searched.satisfied
+        assert_w_witness(p.transducer, DELTA, set(words), searched.witness)
 
 
 def test_preserving_assertion_refuted():

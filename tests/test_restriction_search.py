@@ -51,10 +51,10 @@ from oracles import pair_in_relation, violates_S
 
 
 def _built_decode(p, l, s, avoid_self=False):
-    y = shortest_word(image(s))
+    y = shortest_word(image(s, Nfa.universal(s.alphabet)))
     v = p.theta.inverse()(y)
     on_y = restrict_input(normalize(p.transducer), l, Nfa.word(p.theta.alphabet, y))
-    preimages = image(inverse(on_y))
+    preimages = image(inverse(on_y), Nfa.universal(on_y.alphabet))
     u = shortest_word(preimages)
     if avoid_self and u == v:
         u2 = shortest_word(nfa_intersect(preimages, nfa_complement(Nfa.word(p.theta.alphabet, v))))

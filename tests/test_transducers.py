@@ -113,7 +113,7 @@ def test_restrict_and_image():
     assert accepts_pair(ro, "a", "aa") and not accepts_pair(ro, "ab", "aabb")
     img = image(t, Nfa.finite(AB, ["ab", "b"]))
     assert sorted(enumerate_words(img, 6)) == ["aabb", "bb"]
-    full = image(swap_machine())
+    full = image(swap_machine(), Nfa.universal(AB))
     assert accepts(full, "ba")
 
 

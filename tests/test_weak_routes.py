@@ -19,16 +19,17 @@ import os
 import random
 import time
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnacodec import transducers
+from dnacodec import properties, transducers
 from dnacodec.alphabets import BINARY, DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import Nfa, accepts, concat, parse_regex, star, theta_image, union
 from dnacodec.errors import ResourceLimitError
 from dnacodec.fado import parse_fado
-from dnacodec.graphs import numbering, reachable, successors, topological_order
+from dnacodec.graphs import numbering, path_to, reachable, successors, topological_order
 from dnacodec.properties import (
     INPUT_PRESERVING,
     W_KIND,
@@ -41,9 +42,9 @@ from dnacodec.transducers import (
     Transducer,
     _all_words,
     _mismatch,
-    _path_pair,
     _restriction,
     _shortest_completion,
+    _words,
     included_in_recognizable,
     is_functional,
     is_length_preserving,
@@ -76,7 +77,7 @@ def subset_identity(tn, cap=CAP):
     parents, seen, queue = {}, set(starts), deque(starts)
 
     def violation(cfg, ex, ey, dst):
-        px, py = _path_pair(parents, cfg)
+        px, py = _words(path_to(parents, cfg))
         cx, cy = _shortest_completion(tn, dst)
         return px + ex + cx, py + ey + cy
 
@@ -84,7 +85,7 @@ def subset_identity(tn, cap=CAP):
         cfg = queue.popleft()
         q, side, pending = cfg
         if pending and q in tn.final:
-            return False, _path_pair(parents, cfg)
+            return False, _words(path_to(parents, cfg))
         moves = []
         for tape, edges in ((0, ins[q]), (1, outs[q])):
             for a, q2 in edges:
@@ -104,7 +105,7 @@ def subset_identity(tn, cap=CAP):
                 if len(seen) >= cap:
                     raise ResourceLimitError("identity reference exceeded its cap")
                 seen.add(nxt)
-                parents[nxt] = (cfg, (ex, ey))
+                parents[nxt] = (cfg, (q, ex, ey, nxt[0]))
                 queue.append(nxt)
     return True, None
 
@@ -122,6 +123,16 @@ def square(t):
         edges += [(src, "", b, state((p, q2))) for b, q2 in outs[q]]
     final = frozenset(i for (p, q), i in index.items() if p in tn.final and q in tn.final)
     return Transducer(tn.alphabet, max(len(index), 1), edges, initial, final)
+
+
+def listed_pairs(s):
+    """The pairs of an acyclic ``s``, listed by ``_dag_pairs``; past CAP
+    items the references give up."""
+    with mock.patch.object(properties, "_LISTING_CAP", CAP):
+        pairs = _dag_pairs(s)
+    if pairs is None:
+        raise ResourceLimitError("pair listing exceeded the reference cap")
+    return pairs
 
 
 def length_at_most(alphabet, n):
@@ -181,7 +192,7 @@ def pumping_route(s, theta):
     """The verdict of the parent's cyclic antimorphic-involution route on a
     trimmed, length-preserving, cyclic restriction ``s``."""
     short = trim(restrict_input(s, length_at_most(s.alphabet, s.n_states)))
-    if any(y != theta(x) for x, y in _dag_pairs(short, CAP)):
+    if any(y != theta(x) for x, y in listed_pairs(short)):
         return False
     long_part = trim(restrict_input(s, length_more_than(s.alphabet, s.n_states)))
     if relation_empty(long_part):
@@ -221,7 +232,7 @@ def reference_weak(p, l):
         if not is_length_preserving(s)[0]:
             return False
         if topological_order(s.n_states, s.edges) is not None:
-            return all(y == theta(x) for x, y in _dag_pairs(s, CAP))
+            return all(y == theta(x) for x, y in listed_pairs(s))
         return pumping_route(s, theta)
     except ResourceLimitError:
         return None
@@ -356,6 +367,36 @@ def test_general_decider_against_brute_force_and_parent(case):
 @given(weak_instances(starred_antimorphic=True))
 def test_starred_antimorphic_against_brute_force_and_pumping(case):
     check_weak(case)
+
+
+@st.composite
+def acyclic_antimorphic_instances(draw):
+    """A weak descriptor with an antimorphic theta and a finite language of
+    2 to 6 nonempty words, so that the restriction is acyclic and its pairs
+    can be listed.  The machine joins a random one to a state of letter for
+    letter loops, which relates many words of one length: about a third of
+    the instances are violated."""
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    theta = draw(st.sampled_from([t for t in all_permutations(alphabet) if t.antimorphic]))
+    letter = st.sampled_from(alphabet.symbols)
+    loops = draw(st.lists(st.tuples(letter, letter), min_size=1, max_size=4))
+    base = Transducer(alphabet, 1, tuple((0, a, b, 0) for a, b in loops), {0}, {0})
+    t = union(base, draw(machines(alphabet, draw(st.sampled_from([None, theta.image])))))
+    word = st.text(alphabet="".join(alphabet.symbols), min_size=1, max_size=3)
+    words = draw(st.sets(word, min_size=2, max_size=6))
+    return PropertyDescriptor(t, theta, kind=W_KIND), Nfa.finite(alphabet, sorted(words))
+
+
+@settings(max_examples=400, deadline=None)
+@given(acyclic_antimorphic_instances())
+def test_listing_past_its_cap_keeps_the_verdict(case):
+    p, l = case
+    listed = satisfies_W_general(p, l)
+    with mock.patch.object(properties, "_LISTING_CAP", 0):
+        searched = satisfies_W_general(p, l)
+    assert searched.satisfied == listed.satisfied
+    if listed.stats.get("route") == "acyclic":
+        assert searched.stats["route"] == "mismatch"
 
 
 @settings(max_examples=400, deadline=None)
