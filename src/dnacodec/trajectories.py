@@ -12,8 +12,9 @@ language operator: delete something from a language word, keep a nonempty
 core, insert something else.  A language avoids unwanted bonds when the
 theta-image of the language never meets the operator's output.  This module
 provides the word-level operations, the four elementary transducers the
-operator factors through, the direct language-level operator, and the
-compilation of a trajectory pair into a property descriptor.
+operator factors through (T4 is T2 on the trajectories that hold a 1), and
+the compilation of a trajectory pair into a property descriptor; the
+language-level operator is the image under the compiled machine.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .alphabets import Alphabet, Permutation
-from .automata import Nfa, intersect as nfa_intersect, parse_regex, remove_epsilon, trim as nfa_trim, union as nfa_union
+from .automata import Nfa, intersect as nfa_intersect, parse_regex, remove_epsilon, trim as nfa_trim
 from .properties import PropertyDescriptor, S_KIND, UNRESTRICTED
 from .transducers import (
     Transducer,
@@ -88,8 +89,8 @@ def delete_on_trajectory(y: str, t: str, w: str) -> Optional[str]:
 class TrajectoryPair:
     """A deletion/insertion pair of trajectory regular expressions.
 
-    ``strict`` additionally forbids the do-nothing case where nothing is
-    deleted and nothing is inserted.
+    ``strict`` lets the operator also delete and insert nothing (where e1
+    and e2 allow it), which makes the property stricter.
     """
 
     e1: str
@@ -108,6 +109,9 @@ def trajectory_nfa(e: str) -> Nfa:
 
 _OPS = ("T1", "T2", "T3", "T4")
 
+# Trajectories that hold a 1: state 0 is "no 1 yet", state 1 "a 1 seen".
+_ONE_SEEN = Nfa(_BINARY, 2, ((0, "0", 0), (0, "1", 1), (1, "0", 1), (1, "1", 1)), {0}, {1})
+
 
 def build_op_transducer(which: str, e: str, alphabet: Alphabet) -> Transducer:
     """One of the four elementary trajectory operators as a transducer.
@@ -118,8 +122,8 @@ def build_op_transducer(which: str, e: str, alphabet: Alphabet) -> Transducer:
     * ``T3``: delete a nonempty word along ``e`` — the inverse of T4
 
     T2 reads the trajectory automaton directly: 0-transitions copy an input
-    letter, 1-transitions emit a fresh output letter.  T4 doubles the states
-    with a flag recording that at least one letter was inserted.
+    letter, 1-transitions emit a fresh output letter.  T4 is T2 on the
+    trajectories of ``e`` that hold a 1.
     """
     if which not in _OPS:
         raise ValueError(f"operator must be one of {_OPS}, got {which!r}")
@@ -130,55 +134,34 @@ def build_op_transducer(which: str, e: str, alphabet: Alphabet) -> Transducer:
     n = trajectory_nfa(e)
     if n.n_states == 0:
         return Transducer.empty(alphabet)
-    symbols = alphabet.symbols
-    edges: list[tuple[int, str, str, int]] = []
-    if which == "T2":
-        for src, sym, dst in n.edges:
-            for a in symbols:
-                if sym == "0":
-                    edges.append((src, a, a, dst))
-                else:
-                    edges.append((src, "", a, dst))
-        out = Transducer(
-            alphabet, n.n_states, tuple(edges), frozenset(n.initial), frozenset(n.final)
-        )
-    else:  # T4: flag bit tracks "inserted at least once"
-        for src, sym, dst in n.edges:
-            for flag in (0, 1):
-                for a in symbols:
-                    if sym == "0":
-                        edges.append((2 * src + flag, a, a, 2 * dst + flag))
-                    else:
-                        edges.append((2 * src + flag, "", a, 2 * dst + 1))
-        out = Transducer(
-            alphabet,
-            2 * n.n_states,
-            tuple(edges),
-            frozenset(2 * q for q in n.initial),
-            frozenset(2 * q + 1 for q in n.final),
-        )
-    return out
+    if which == "T4":
+        n = nfa_intersect(n, _ONE_SEEN)
+    edges = tuple((src, a if sym == "0" else "", a, dst) for src, sym, dst in n.edges for a in alphabet)
+    return Transducer(alphabet, n.n_states, edges, n.initial, n.final)
+
+
+def _operator(p: TrajectoryPair, alphabet: Alphabet) -> Transducer:
+    """The bond-free operator of ``p`` as one machine: delete along e1, keep
+    a nonempty core, insert along e2.  The non-strict variant must delete or
+    insert something: the union of "deleted something" and "inserted
+    something"."""
+    nonempty = Nfa.nonempty(alphabet)
+    t1 = build_op_transducer("T1", p.e1, alphabet)
+    t2 = build_op_transducer("T2", p.e2, alphabet)
+    if p.strict:
+        return compose(t2, restrict_output(t1, nonempty))
+    t3 = build_op_transducer("T3", p.e1, alphabet)
+    t4 = build_op_transducer("T4", p.e2, alphabet)
+    return t_union(
+        compose(t2, restrict_output(t3, nonempty)),
+        compose(t4, restrict_output(t1, nonempty)),
+    )
 
 
 def bond_free_operator(p: TrajectoryPair, l: Nfa) -> Nfa:
-    """Apply the deletion-then-insertion operator to a language, stepwise.
-
-    Strict variant: delete along e1, keep nonempty cores, insert along e2.
-    Non-strict variant: same, except that the deleted and inserted words
-    may not both be empty — the union of "deleted something" and
-    "inserted something".
-    """
-    a = l.alphabet
-    nonempty = Nfa.nonempty(a)
-    t1 = build_op_transducer("T1", p.e1, a)
-    t2 = build_op_transducer("T2", p.e2, a)
-    if p.strict:
-        return image(t2, nfa_intersect(image(t1, l), nonempty))
-    t3 = build_op_transducer("T3", p.e1, a)
-    t4 = build_op_transducer("T4", p.e2, a)
-    deleted_some = image(t2, nfa_intersect(image(t3, l), nonempty))
-    inserted_some = image(t4, nfa_intersect(image(t1, l), nonempty))
-    return nfa_union(deleted_some, inserted_some)
+    """The bond-free operator applied to a language: its image under the
+    machine that ``compile_trajectory_property`` compiles."""
+    return image(_operator(p, l.alphabet), l)
 
 
 def compile_trajectory_property(p: TrajectoryPair, theta: Permutation) -> PropertyDescriptor:
@@ -190,24 +173,8 @@ def compile_trajectory_property(p: TrajectoryPair, theta: Permutation) -> Proper
     """
     if not theta.antimorphic or not theta.is_involution():
         raise ValueError("trajectory properties require an antimorphic involution")
-    a = theta.alphabet
-    nonempty = Nfa.nonempty(a)
-    t1 = build_op_transducer("T1", p.e1, a)
-    t2 = build_op_transducer("T2", p.e2, a)
-    if p.strict:
-        machine = compose(t2, restrict_output(t1, nonempty))
-    else:
-        t3 = build_op_transducer("T3", p.e1, a)
-        t4 = build_op_transducer("T4", p.e2, a)
-        machine = t_union(
-            compose(t2, restrict_output(t3, nonempty)),
-            compose(t4, restrict_output(t1, nonempty)),
-        )
     flavor = "strict" if p.strict else "nonstrict"
     return PropertyDescriptor(
-        machine,
-        theta,
-        kind=S_KIND,
-        asserted_class=UNRESTRICTED,
+        _operator(p, theta.alphabet), theta, kind=S_KIND, asserted_class=UNRESTRICTED,
         name=f"bond-free({p.e1}; {p.e2}; {flavor})",
     )

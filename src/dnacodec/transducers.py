@@ -568,7 +568,11 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
         return None
 
     states = successors(n, tn.edges)
-    reach = [reachable(states, (p,)) for p in range(n)]
+
+    @cache  # on first query: a search that stops early asks about few states
+    def reach(p: int) -> set[int]:
+        return reachable(states, (p,))
+
     spread = max(lam) - min(lam)
     fits: dict[tuple[int, int], dict] = {}
 
@@ -577,7 +581,7 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
         found: dict = {}
         for e1 in succ[f]:
             for e2 in pred[g]:
-                if e2[0] not in reach[e1[3]]:
+                if e2[0] not in reach(e1[3]):
                     continue
                 if e1[1] and e2[2] and e2[2] != pi(e1[1]):
                     found.setdefault(0, (e1, e2))
@@ -585,7 +589,7 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
                     found.setdefault(lam[e2[0]] - lam[e1[3]], (e1, e2))
         return found
 
-    queue = [(f, g, 0) for f in sorted(tn.initial) for g in sorted(tn.final) if g in reach[f]]
+    queue = [(f, g, 0) for f in sorted(tn.initial) for g in sorted(tn.final) if g in reach(f)]
     seen = set(queue)
     for node in queue:
         f, g, d = node
@@ -601,13 +605,13 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
             return px + mx + qx, py + my + qy
         for e in succ[f]:  # the forward head reads: d falls
             nxt = (e[3], g, d - 1 if e[1] else d)
-            if nxt[2] >= -spread and g in reach[e[3]] and nxt not in seen:
+            if nxt[2] >= -spread and g in reach(e[3]) and nxt not in seen:
                 seen.add(nxt)
                 parents[nxt] = (node, (0, e))
                 queue.append(nxt)
         for e in pred[g]:  # the backward head writes: d rises
             nxt = (f, e[0], d + 1 if e[2] else d)
-            if nxt[2] <= spread and e[0] in reach[f] and nxt not in seen:
+            if nxt[2] <= spread and e[0] in reach(f) and nxt not in seen:
                 seen.add(nxt)
                 parents[nxt] = (node, (1, e))
                 queue.append(nxt)

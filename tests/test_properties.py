@@ -6,10 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnacodec import properties
+from dnacodec import properties, transducers
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import Nfa, accepts, complement, enumerate_words, parse_regex, remove_epsilon, theta_image
 from dnacodec.errors import ClassAssertionRefuted
+from dnacodec.graphs import reachable
 from dnacodec.properties import (
     INPUT_ALTERING,
     INPUT_PRESERVING,
@@ -178,6 +179,24 @@ def test_weak_listing_past_its_cap_gives_way_to_the_mismatch_search(monkeypatch)
         assert (listed.stats["route"], searched.stats["route"]) == ("acyclic", "mismatch")
         assert not listed.satisfied and not searched.satisfied
         assert_w_witness(p.transducer, DELTA, set(words), searched.witness)
+
+
+def test_mismatch_search_finds_reachability_on_demand(monkeypatch):
+    """Every pair of equal-length words against all words of length 1-3: the
+    antimorphic search asks for the reachable set of few of the states."""
+    t = Transducer(DNA, 1, tuple((0, a, b, 0) for a in DNA for b in DNA), {0}, {0})
+    words = ["".join(w) for n in range(1, 4) for w in itertools.product("ACGT", repeat=n)]
+    searches = []
+
+    def counted(succ, sources):
+        searches.append(sources)
+        return reachable(succ, sources)
+
+    monkeypatch.setattr(properties, "_LISTING_CAP", 0)
+    monkeypatch.setattr(transducers, "reachable", counted)
+    v = satisfies_W_general(PropertyDescriptor(t, DELTA, kind=W_KIND), dna_lang(words))
+    assert (len(words), v.satisfied, v.witness, v.stats["route"]) == (84, False, ("C", "A"), "mismatch")
+    assert 0 < len(searches) < v.stats["restriction_states"]
 
 
 def test_preserving_assertion_refuted():

@@ -104,7 +104,7 @@ def test_delete_operators_are_inverses_of_insert_operators():
         assert accepts_pair(inverse(t4), "ab", "a") == accepts_pair(t3, "ab", "a")
 
 
-@pytest.mark.parametrize("e", ["0*", "1*0+1*", "0+1*", "(0|1)*"])
+@pytest.mark.parametrize("e", ["0*", "1*0+1*", "0+1*", "(0|1)*", "∅"])
 def test_insert_transducers_match_word_oracle(e):
     t2 = build_op_transducer("T2", e, AB)
     t4 = build_op_transducer("T4", e, AB)
@@ -118,7 +118,7 @@ def test_insert_transducers_match_word_oracle(e):
         assert got_one == want_one
 
 
-@pytest.mark.parametrize("e", ["0*", "1*0+1*", "0+1*", "(0|1)*"])
+@pytest.mark.parametrize("e", ["0*", "1*0+1*", "0+1*", "(0|1)*", "∅"])
 def test_delete_transducers_match_word_oracle(e):
     t1 = build_op_transducer("T1", e, AB)
     t3 = build_op_transducer("T3", e, AB)
