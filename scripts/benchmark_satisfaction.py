@@ -13,6 +13,12 @@ it, so a violation found early leaves most of it unbuilt.  The weak decider then
 runs on a fresh copy of the same machine, as a W-kind descriptor, and its
 wall time and the lengths of its witness are printed beside.
 
+Random machines are almost always violated early, so every third case is
+a parity-structured pair that satisfies the property: every path into a
+final state of the transducer has odd ``|x| + |y|``, while the language
+and its theta-image hold only words of even length.  Such a call explores
+the whole product, and shows the walk that finishes a satisfied search.
+
 Usage:
     python scripts/benchmark_satisfaction.py
     python scripts/benchmark_satisfaction.py --transducer-edges 5000 --cases 8
@@ -61,6 +67,41 @@ def random_language(rng: random.Random, n_states: int, dense: bool) -> Nfa:
     return Nfa(DNA, n_states, tuple(edges), frozenset({0}), finals)
 
 
+def parity_transducer(rng: random.Random, n_states: int, n_edges: int) -> Transducer:
+    """A random transducer whose final states are all reached with odd |x| + |y|."""
+    letters = sorted(DNA)
+    par = [0] + [rng.randrange(2) for _ in range(n_states - 1)]  # of |x| + |y| into each state
+
+    def edge(p: int, q: int) -> tuple[int, str, str, int]:
+        if par[p] == par[q]:
+            if rng.random() < 0.05:
+                return (p, "", "", q)
+            return (p, rng.choice(letters), rng.choice(letters), q)
+        if rng.random() < 0.5:
+            return (p, rng.choice(letters), "", q)
+        return (p, "", rng.choice(letters), q)
+
+    edges = [edge(q, q + 1) for q in range(n_states - 1)]
+    while len(edges) < n_edges:
+        edges.append(edge(rng.randrange(n_states), rng.randrange(n_states)))
+    odd = [q for q in range(n_states) if par[q]]
+    finals = frozenset(rng.sample(odd, min(len(odd), max(1, n_states // 4))))
+    return Transducer(DNA, n_states, tuple(edges), frozenset({0}), finals)
+
+
+def even_language(rng: random.Random, n_states: int) -> Nfa:
+    """A complete random NFA that accepts only words of even length."""
+    letters = sorted(DNA)
+    par = [0] + [rng.randrange(2) for _ in range(n_states - 1)]
+    if 1 not in par:
+        par[-1] = 1
+    even = [q for q in range(n_states) if not par[q]]
+    odd = [q for q in range(n_states) if par[q]]
+    edges = [(q, a, rng.choice(even if par[q] else odd)) for q in range(n_states) for a in letters]
+    finals = frozenset(rng.sample(even, len(even) // 2 + 1))
+    return Nfa(DNA, n_states, tuple(edges), frozenset({0}), finals)
+
+
 def timed(decide, *args):
     """``(result, seconds)`` of one call, with the garbage collector off."""
     gc.collect()  # no collection lands in the timed call
@@ -91,8 +132,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     total_words = 0
     start = time.perf_counter()
     for i in range(args.cases):
-        t = random_transducer(rng, args.transducer_states, args.transducer_edges)
-        language = random_language(rng, args.language_states, dense=i % 2 == 0)
+        if i % 3 == 2:  # satisfied: the whole product is explored
+            t = parity_transducer(rng, args.transducer_states, args.transducer_edges)
+            language = even_language(rng, max(args.language_states, 2))
+        else:
+            t = random_transducer(rng, args.transducer_states, args.transducer_edges)
+            language = random_language(rng, args.language_states, dense=i % 2 == 0)
         strict = PropertyDescriptor(t, theta, kind=S_KIND)
         verdict, decide_time = timed(satisfies_S, strict, language)
         view = t.view()

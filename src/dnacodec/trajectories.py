@@ -31,6 +31,7 @@ from .transducers import (
     image,
     inverse,
     restrict_output,
+    trim,
     union as t_union,
 )
 
@@ -141,21 +142,21 @@ def build_op_transducer(which: str, e: str, alphabet: Alphabet) -> Transducer:
 
 
 def _operator(p: TrajectoryPair, alphabet: Alphabet) -> Transducer:
-    """The bond-free operator of ``p`` as one machine: delete along e1, keep
-    a nonempty core, insert along e2.  The non-strict variant must delete or
-    insert something: the union of "deleted something" and "inserted
-    something"."""
+    """The bond-free operator of ``p`` as one trimmed machine: delete along
+    e1, keep a nonempty core, insert along e2.  The non-strict variant must
+    delete or insert something: the union of "deleted something" and
+    "inserted something"."""
     nonempty = Nfa.nonempty(alphabet)
     t1 = build_op_transducer("T1", p.e1, alphabet)
     t2 = build_op_transducer("T2", p.e2, alphabet)
     if p.strict:
-        return compose(t2, restrict_output(t1, nonempty))
+        return trim(compose(t2, restrict_output(t1, nonempty)))
     t3 = build_op_transducer("T3", p.e1, alphabet)
     t4 = build_op_transducer("T4", p.e2, alphabet)
-    return t_union(
+    return trim(t_union(
         compose(t2, restrict_output(t3, nonempty)),
         compose(t4, restrict_output(t1, nonempty)),
-    )
+    ))
 
 
 def bond_free_operator(p: TrajectoryPair, l: Nfa) -> Nfa:

@@ -10,12 +10,14 @@ buckets the edges by source, and the edges of a state are split into letter
 moves, chains of fresh states and epsilon targets when a walk first touches
 it, so the restriction search, the witness decoder and ``accepts_pair`` pay
 only for the states they reach; ``compose`` and the bounded class check
-fill every state.  ``normalize`` turns the filled view into a machine, its
-chain states numbered densely, for serialization.  The view, the normal
-form and each bounded class check (``bounded_counterexample``: all words of
-one length at once, as bitsets over their lexicographic numbering, giving
-the shortlex-first refutation) are memoized on the machine, an immutable
-value queried against many languages.
+fill every state.  A restriction search that finds nothing early finishes
+on a reachability walk over bitsets of (L, theta(L)) state pairs.
+``normalize`` turns the filled view into a machine, its chain states
+numbered densely, for serialization.  The view, the normal form and each
+bounded class check (``bounded_counterexample``: all words of one length
+at once, as bitsets over their lexicographic numbering, giving the
+shortlex-first refutation) are memoized on the machine, an immutable value
+queried against many languages.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .automata import (
     union,
 )
 from .errors import ResourceLimitError
-from .graphs import numbering, path_to, reachable, successors, trim_keep
+from .graphs import INF, numbering, path_to, reachable, successors, trim_keep
 
 
 def _words_ok(alphabet: Alphabet, labels: set) -> bool:
@@ -378,6 +380,13 @@ def restriction_search(
     a group that claims nothing has no moves.  Under ``nonempty`` the starts
     enter as ``~key``, a copy never final.  T is read through ``t.view()``,
     so only the states the walk reaches are filled.
+
+    A satisfied call has no group to stop at: after ``_BIT_AFTER`` triples
+    with no hit, ``_bit_walk`` runs once from the triples seen and the
+    starts, and either sizes the whole product, none of it final, or
+    leaves the grouped search to go on.  It runs only where the (m, outputs)
+    state pairs fit ``_BIT_PAIRS`` bits, and not under ``nonempty``, whose
+    start copies a mask of pairs cannot tell from the triples themselves.
     """
     v = t.view()
     ins, outs = (v.outs, v.ins) if swapped else (v.ins, v.outs)
@@ -392,6 +401,7 @@ def restriction_search(
     moves: dict[str, list[int]] = {b: [] for b in t.alphabet}  # in alphabet order
     seen: set[int] = set()
     transitions = 0
+    bit_after = INF if nonempty or nlo > _BIT_PAIRS else _BIT_AFTER
     while layer:
         ahead = []
         for node, group in layer:  # node: None, or (parent node, last letter)
@@ -430,8 +440,61 @@ def restriction_search(
                     node, b = node
                     word.append(b)
                 return "".join(reversed(word)), len(seen), transitions
+            if len(seen) >= bit_after:  # likely satisfied: try the whole product at once
+                bit_after = INF
+                if sized := _bit_walk(v, ins, outs, lf, of, seen.union(starts)):
+                    return None, *sized
         layer = ahead
     return None, len(seen), transitions
+
+
+_BIT_AFTER = 1500  # the triples the grouped search claims with no hit before ``_bit_walk`` runs
+_BIT_PAIRS = 64  # the most (m, outputs) state pairs a mask of ``_bit_walk`` holds
+
+
+def _bit_walk(v: _NormalView, ins: list, outs: list, lf: Nfa, of: Nfa, keys: set) -> Optional[tuple[int, int]]:
+    """``(states, transitions)`` of the product of ``restriction_search``
+    when no triple reachable from the packed ``keys`` is final, else None.
+
+    One int mask per T state, with bit ``ql * no + qo`` for each (m,
+    outputs) state pair reached with it.  A state passes on only its newly
+    set bits, so each bit crosses each move once, and the successor counts
+    of the masks passed sum to the transitions.  The grouped search pays
+    per triple; this walk pays per T state and move, memoized per (tape,
+    letter, mask), while a mask is a machine word or two whose ANDs, ORs,
+    hashes and memo hits cost about what one triple does.  A memo miss costs
+    a step per pair and larger masks repeat less, so past ``_BIT_PAIRS``
+    pairs the walk pays per bit and for big-int operations too, and loses.
+    """
+    l_sym, o_sym = lf.adjacency()[1], of.adjacency()[1]
+    no = max(of.n_states, 1)
+    nlo = max(lf.n_states, 1) * no
+    # per tape and letter, per pair i = ql * no + qo: the pairs of its successors
+    rows = [
+        {a: [[q * no + i % no for q in l_sym[i // no].get(a, ())] for i in range(nlo)] for a in lf.alphabet},
+        {a: [[i - i % no + q for q in o_sym[i % no].get(a, ())] for i in range(nlo)] for a in lf.alphabet},
+    ]
+    accept = sum(1 << ql * no + qo for ql in lf.final for qo in of.final)
+    masks: dict[int, int] = {}
+    for key in keys:
+        masks[key // nlo] = masks.get(key // nlo, 0) | 1 << key % nlo
+    memos: list[dict] = [{}, {}]  # per tape: (letter, mask) -> (successor mask, count)
+    todo, transitions = dict(masks), 0  # todo: per T state, the bits it has yet to pass on
+    while todo:
+        qt, new = todo.popitem()
+        fin = v.final[qt]
+        if (v.fill(qt) if fin is None else fin) and new & accept:
+            return None
+        for memo, tape_rows, moves in zip(memos, rows, (ins[qt], outs[qt])):
+            for a, qt2 in moves:
+                if (got := memo.get((a, new))) is None:
+                    succ = [j for i, row in enumerate(tape_rows[a]) if new >> i & 1 for j in row]
+                    memo[a, new] = got = sum(1 << j for j in set(succ)), len(succ)
+                transitions += got[1]
+                if add := got[0] & ~masks.get(qt2, 0):
+                    masks[qt2] = masks.get(qt2, 0) | add
+                    todo[qt2] = todo.get(qt2, 0) | add
+    return sum(mask.bit_count() for mask in masks.values()), transitions
 
 
 def restrict_output(t: Transducer, m: Nfa) -> Transducer:
@@ -570,8 +633,14 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
     states = successors(n, tn.edges)
 
     @cache  # on first query: a search that stops early asks about few states
-    def reach(p: int) -> set[int]:
-        return reachable(states, (p,))
+    def reach(p: int) -> bytearray:  # bit q set when q is reachable from p
+        bits = bytearray(n + 7 >> 3)
+        for q in reachable(states, (p,)):
+            bits[q >> 3] |= 1 << (q & 7)
+        return bits
+
+    def reaches(p: int, q: int) -> int:
+        return reach(p)[q >> 3] >> (q & 7) & 1
 
     spread = max(lam) - min(lam)
     fits: dict[tuple[int, int], dict] = {}
@@ -581,7 +650,7 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
         found: dict = {}
         for e1 in succ[f]:
             for e2 in pred[g]:
-                if e2[0] not in reach(e1[3]):
+                if not reaches(e1[3], e2[0]):
                     continue
                 if e1[1] and e2[2] and e2[2] != pi(e1[1]):
                     found.setdefault(0, (e1, e2))
@@ -589,7 +658,7 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
                     found.setdefault(lam[e2[0]] - lam[e1[3]], (e1, e2))
         return found
 
-    queue = [(f, g, 0) for f in sorted(tn.initial) for g in sorted(tn.final) if g in reach(f)]
+    queue = [(f, g, 0) for f in sorted(tn.initial) for g in sorted(tn.final) if reaches(f, g)]
     seen = set(queue)
     for node in queue:
         f, g, d = node
@@ -605,13 +674,13 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
             return px + mx + qx, py + my + qy
         for e in succ[f]:  # the forward head reads: d falls
             nxt = (e[3], g, d - 1 if e[1] else d)
-            if nxt[2] >= -spread and g in reach(e[3]) and nxt not in seen:
+            if nxt[2] >= -spread and reaches(e[3], g) and nxt not in seen:
                 seen.add(nxt)
                 parents[nxt] = (node, (0, e))
                 queue.append(nxt)
         for e in pred[g]:  # the backward head writes: d rises
             nxt = (f, e[0], d + 1 if e[2] else d)
-            if nxt[2] <= spread and e[0] in reach(f) and nxt not in seen:
+            if nxt[2] <= spread and reaches(f, e[0]) and nxt not in seen:
                 seen.add(nxt)
                 parents[nxt] = (node, (1, e))
                 queue.append(nxt)

@@ -10,14 +10,17 @@ import importlib.util
 import os
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnacodec.alphabets import BINARY, DNA, Permutation, dna_delta
+from dnacodec import transducers
 from dnacodec.automata import (
     Nfa,
     complement as nfa_complement,
     enumerate_words,
     intersect as nfa_intersect,
+    remove_epsilon,
     shortest_word,
     theta_image,
 )
@@ -42,6 +45,7 @@ from dnacodec.transducers import (
     relation_empty,
     restrict_input,
     restrict_output,
+    restriction_search,
     trim,
     union as t_union,
 )
@@ -303,3 +307,95 @@ def test_violated_call_fills_only_the_states_it_reaches():
     words = [i for i, (_, x, y, _) in enumerate(t.edges) if len(x) + len(y) > 1]
     split = sum(v.ins[t.n_states + i] is not None for i in words)
     assert split * 10 < len(words)
+
+
+# -- the bit walk that finishes a satisfied search --------------------------------
+
+
+@st.composite
+def searches(draw):
+    """A T of at most 5 states with epsilon edges, labels of 0-3 letters and
+    up to 3 initial states, two NFAs with epsilon edges, and the flags.  The
+    letters are two of the alphabet's, so that the tapes often agree."""
+    alphabet = draw(st.sampled_from((BINARY, DNA)))
+    letters = alphabet.symbols[:2]
+    word = st.text(st.sampled_from(letters), max_size=3)
+    n = draw(st.integers(1, 5))
+    states = st.integers(0, n - 1)
+    t = Transducer(
+        alphabet, n, tuple(draw(st.lists(st.tuples(states, word, word, states), min_size=1, max_size=4 * n))),
+        draw(st.frozensets(states, min_size=1, max_size=3)), draw(st.frozensets(states, min_size=1, max_size=n)),
+    )
+
+    def nfa():  # "" is accepted only through epsilon edges, so most hits lie past the first group
+        k = draw(st.integers(2, 5))
+        l_states = st.integers(0, k - 1)
+        edges = st.tuples(l_states, st.sampled_from((None,) + letters), l_states)
+        return Nfa(
+            alphabet, k, tuple(draw(st.lists(edges, min_size=k, max_size=4 * k))),
+            draw(st.frozensets(st.integers(0, 1), min_size=1)),
+            draw(st.frozensets(st.integers(2, k - 1) if k > 2 else st.just(1), min_size=1)),
+        )
+
+    nonempty = draw(st.sampled_from((False, False, False, True)))  # the walk never runs under it
+    return t, nfa(), nfa(), nonempty, draw(st.booleans())
+
+
+def _search_with(after, pairs, t, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transducers, "_BIT_AFTER", after)
+        mp.setattr(transducers, "_BIT_PAIRS", pairs)
+        return restriction_search(t, *args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(searches())
+def test_bit_walk_matches_the_grouped_search(search):
+    # The walk runs after the first group that claims a triple, or never.
+    t, m, outputs, nonempty, swapped = search
+    forced = _search_with(0, 10**9, t, m, outputs, nonempty, swapped)
+    assert forced == _search_with(0, 0, t, m, outputs, nonempty, swapped)
+
+
+def _spied(monkeypatch):
+    """The results of every ``_bit_walk`` call, as they happen."""
+    calls = []
+    walk = transducers._bit_walk
+
+    def spy(*args):
+        calls.append(walk(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(transducers, "_bit_walk", spy)
+    return calls
+
+
+def _parity_instance(seed, language_states):
+    # every final state of T has odd |x| + |y|, every word of L even length
+    script = _benchmark_script()
+    rng = random.Random(seed)
+    t = script.parity_transducer(rng, 700, 2400)
+    return PropertyDescriptor(t, dna_delta(), kind=S_KIND), script.even_language(rng, language_states)
+
+
+def test_satisfied_search_enters_the_walk_once(monkeypatch):
+    calls = _spied(monkeypatch)
+    p, l = _parity_instance(5, 4)
+    verdict = satisfies_S(p, l)
+    full = restrict_input(p.transducer, l, theta_image(l, p.theta))
+    assert verdict.satisfied and full.n_states > transducers._BIT_AFTER
+    assert calls == [(full.n_states, len(full.edges))]
+    assert verdict.stats == {"restriction_states": full.n_states, "restriction_edges": len(full.edges)}
+
+
+def test_walk_keeps_to_its_cost_rule(monkeypatch):
+    calls = _spied(monkeypatch)
+    p, l = _parity_instance(6, 9)
+    pairs = remove_epsilon(l).n_states * remove_epsilon(theta_image(l, p.theta)).n_states
+    verdict = satisfies_S(p, l)
+    assert pairs > transducers._BIT_PAIRS and verdict.satisfied
+    assert verdict.stats["restriction_states"] > transducers._BIT_AFTER
+    p, l = _parity_instance(5, 4)
+    y, states, _ = restriction_search(p.transducer, l, theta_image(l, p.theta), nonempty=True)
+    assert y is None and states > transducers._BIT_AFTER
+    assert calls == []

@@ -186,7 +186,7 @@ def test_compiled_machine_realizes_strict_operator():
 
 @pytest.mark.parametrize(
     "e1,e2,strict,size",
-    [("1*0+1*", "0+", True, (62, 208)), ("1*0+1*", "0+", False, (154, 516)), ("0+", "0+", True, (39, 60))],
+    [("1*0+1*", "0+", True, (62, 208)), ("1*0+1*", "0+", False, (92, 308)), ("0+", "0+", True, (39, 60))],
 )
 def test_compiled_descriptor_sizes(e1, e2, strict, size):
     # restrict_output normalizes the inverse of T1/T3, which splits each
