@@ -3,7 +3,9 @@
 States are dense integers ``0..n_states-1``; an edge is ``(src, sym, dst)``
 where ``sym`` is a single alphabet character or ``None`` for an epsilon
 move.  Machines are treated as immutable values: every operation returns a
-fresh ``Nfa``.
+fresh ``Nfa``.  A machine is validated once, where it enters the library
+(the constructor and its classmethods, the parser); an operation on checked
+machines builds its result through ``Nfa._trusted``, unchecked.
 
 Potentially exponential constructions (subset construction and everything
 built on it) take a ``state_cap`` and raise :class:`ResourceLimitError`
@@ -83,7 +85,8 @@ class Nfa:
 
     @classmethod
     def _trusted(cls, alphabet, n_states, edges, initial, final) -> "Nfa":
-        """An ``Nfa`` made by an operation on checked machines that keeps states and labels valid."""
+        """An ``Nfa`` made by an operation on checked machines that keeps states and labels
+        valid: the machine was validated where it entered the library, not here again."""
         m = object.__new__(cls)
         m.alphabet, m.n_states, m.edges, m._adj = alphabet, n_states, tuple(edges), None
         m.initial, m.final = frozenset(initial), frozenset(final)
@@ -232,16 +235,9 @@ def trim(m: Nfa) -> Nfa:
     if len(keep) == m.n_states:
         return m
     remap = {q: i for i, q in enumerate(keep)}
-    edges = tuple(
-        (remap[s], sym, remap[d]) for s, sym, d in m.edges if s in remap and d in remap
-    )
-    return Nfa(
-        m.alphabet,
-        len(keep),
-        edges,
-        frozenset(remap[q] for q in m.initial if q in remap),
-        frozenset(remap[q] for q in m.final if q in remap),
-    )
+    edges = ((remap[s], sym, remap[d]) for s, sym, d in m.edges if s in remap and d in remap)
+    initial, final = ([remap[q] for q in qs if q in remap] for qs in (m.initial, m.final))
+    return Nfa._trusted(m.alphabet, len(keep), edges, initial, final)
 
 
 def remove_epsilon(m: Nfa) -> Nfa:
@@ -260,7 +256,7 @@ def remove_epsilon(m: Nfa) -> Nfa:
                 for r in dsts:
                     edges.append((p, sym, r))
     edges = list(dict.fromkeys(edges))  # first-seen order: a set's would follow the hash seed
-    return Nfa(m.alphabet, max(m.n_states, 1), tuple(edges), m.initial, frozenset(final))
+    return Nfa._trusted(m.alphabet, max(m.n_states, 1), edges, m.initial, final)
 
 
 def union(a, b):
@@ -270,8 +266,7 @@ def union(a, b):
     off = a.n_states
     edges = a.edges + tuple((e[0] + off, *e[1:-1], e[-1] + off) for e in b.edges)
     initial, final = a.initial | {q + off for q in b.initial}, a.final | {q + off for q in b.final}
-    build = Nfa._trusted if isinstance(a, Nfa) else type(a)
-    return build(a.alphabet, off + b.n_states, edges, initial, final)
+    return type(a)._trusted(a.alphabet, off + b.n_states, edges, initial, final)
 
 
 def concat(a: Nfa, b: Nfa) -> Nfa:
@@ -281,13 +276,7 @@ def concat(a: Nfa, b: Nfa) -> Nfa:
     edges = list(a.edges)
     edges.extend((s + off, sym, d + off) for s, sym, d in b.edges)
     edges.extend((f, None, i + off) for f in a.final for i in b.initial)
-    return Nfa(
-        a.alphabet,
-        a.n_states + b.n_states,
-        tuple(edges),
-        a.initial,
-        frozenset(q + off for q in b.final),
-    )
+    return Nfa._trusted(a.alphabet, a.n_states + b.n_states, edges, a.initial, (q + off for q in b.final))
 
 
 def star(m: Nfa) -> Nfa:
@@ -295,7 +284,7 @@ def star(m: Nfa) -> Nfa:
     edges = list(m.edges)
     edges.extend((hub, None, i) for i in m.initial)
     edges.extend((f, None, hub) for f in m.final)
-    return Nfa(m.alphabet, m.n_states + 1, tuple(edges), frozenset({hub}), frozenset({hub}))
+    return Nfa._trusted(m.alphabet, m.n_states + 1, edges, (hub,), (hub,))
 
 
 def plus(m: Nfa) -> Nfa:
@@ -323,7 +312,7 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
                     for q2 in q2s:
                         edges.append((src, sym, state((p2, q2))))
     final = frozenset(i for (p, q), i in index.items() if p in a.final and q in b.final)
-    return Nfa(a.alphabet, max(len(index), 1), tuple(edges), initial, final)
+    return Nfa._trusted(a.alphabet, max(len(index), 1), edges, initial, final)
 
 
 def _subset_walk(m: Nfa):
@@ -384,12 +373,12 @@ def determinize(m: Nfa, state_cap: Optional[int] = None) -> Nfa:
         for a, off in lanes:
             edges.append((src, a, state(acc >> off & full)))
     accepting = frozenset(i for subset, i in index.items() if subset & final)
-    return Nfa(m.alphabet, len(index), tuple(edges), frozenset({0}), accepting)
+    return Nfa._trusted(m.alphabet, len(index), edges, (0,), accepting)
 
 
 def complement(m: Nfa, state_cap: Optional[int] = None) -> Nfa:
     d = determinize(m, state_cap)
-    return Nfa(d.alphabet, d.n_states, d.edges, d.initial, frozenset(range(d.n_states)) - d.final)
+    return Nfa._trusted(d.alphabet, d.n_states, d.edges, d.initial, frozenset(range(d.n_states)) - d.final)
 
 
 def missing_word(m: Nfa, state_cap: Optional[int] = None) -> Optional[str]:
@@ -431,12 +420,11 @@ def theta_image(m: Nfa, theta: Permutation) -> Nfa:
     """
     if theta.alphabet != m.alphabet:
         raise ValueError("permutation alphabet does not match the machine")
-    edges = tuple(
-        (s, None if sym is None else theta.image(sym), d) for s, sym, d in m.edges
-    )
+    pi = theta.image
     if not theta.antimorphic:
+        edges = tuple((s, None if sym is None else pi(sym), d) for s, sym, d in m.edges)
         return Nfa._trusted(m.alphabet, m.n_states, edges, m.initial, m.final)
-    edges = tuple((d, sym, s) for s, sym, d in edges)
+    edges = tuple((d, None if sym is None else pi(sym), s) for s, sym, d in m.edges)
     return Nfa._trusted(m.alphabet, m.n_states, edges, m.final, m.initial)
 
 

@@ -61,7 +61,7 @@ from .properties import (
     satisfies,
 )
 from .trajectories import TrajectoryPair, compile_trajectory_property
-from .transducers import Transducer, bounded_counterexample, is_functional, is_partial_identity
+from .transducers import Transducer, bounded_counterexample, is_functional, is_partial_identity, normalize, trim
 
 _CLASS_NAMES = {
     "unrestricted": UNRESTRICTED,
@@ -286,7 +286,8 @@ def _cmd_build_property(args) -> int:
         "kind": built.kind,
         "class": short_class,
         "theta": _theta_spec_payload(built.theta),
-        "transducer": serialize_fado(built.transducer),
+        # trimmed after normalizing: a state kept only by epsilon edges is on no path
+        "transducer": serialize_fado(trim(normalize(built.transducer))),
     }
     _write_json(doc, args.output)
     return 0

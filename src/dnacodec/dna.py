@@ -26,7 +26,7 @@ from .properties import (
     UNRESTRICTED,
     W_KIND,
 )
-from .transducers import Transducer, union as t_union
+from .transducers import Transducer, trim, union as t_union
 
 STRICT = "strict"
 NORMAL = "normal"
@@ -72,7 +72,9 @@ def build_pattern_transducer(
     ``family="strict"`` is the 3-state machine that also realizes the pure
     core pairs (w, w); ``family="weak"`` is the 4-state machine that
     demands at least one context letter — an upper path forcing a right
-    context and a lower path forcing a left context.
+    context and a lower path forcing a left context.  The machine is
+    returned trimmed: a pattern that bans both contexts of one side leaves
+    a path's state with no way in (state 2) or out (state 1).
     """
     symbols = alphabet.symbols
     edges: list[tuple[int, str, str, int]] = []
@@ -110,7 +112,7 @@ def build_pattern_transducer(
             if pat.x_allowed:
                 edges.append((0, "", a, 2))
         contexts(3, pat.v_allowed, pat.y_allowed)
-        return Transducer(alphabet, 4, tuple(edges), frozenset({0}), frozenset({3}))
+        return trim(Transducer(alphabet, 4, tuple(edges), frozenset({0}), frozenset({3})))
     raise ValueError(f"family must be '{STRICT}' or '{WEAK}', got {family!r}")
 
 

@@ -7,8 +7,11 @@ through the same code; the edges of one call all have the same length.
 ``succ`` is an adjacency list: ``succ[q]`` lists the targets of the edges
 leaving ``q``.
 
-``numbering`` is the one place that decides how the states of a product
-construction are numbered and where a state cap stops it.
+``numbering`` decides how the states of a product construction are
+numbered and where a state cap stops it.  The one exception is the
+restriction walk (``transducers._restriction``), which numbers its triples
+inline, in the same breadth-first order, to save a call per edge; a budget
+on product sizes has to be checked there as well.
 """
 
 from __future__ import annotations

@@ -191,7 +191,8 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa) -> Verdict:
     with the balance of the path that found it, inputs minus outputs, and
     stops at the first accepting triple whose balance is not 0; a walk that
     completes trims S once and checks that every kept edge moves the
-    balance by its one letter.  Either failure gives a pair with
+    balance by its one letter; one that found no accepting triple returns
+    the empty S at once.  Either failure gives a pair with
     ``|x| != |y|``.  Otherwise every state of S has one balance, and a pair
     off theta is a run with an input letter a and an output letter
     b != pi(a) at positions that theta matches up (the same position for a

@@ -63,6 +63,16 @@ class Transducer:
         self.edges = tuple(self.edges)
         check_machine(self, _words_ok)
 
+    @classmethod
+    def _trusted(cls, alphabet, n_states, edges, initial, final) -> "Transducer":
+        """A ``Transducer`` made by an operation on checked machines that keeps states and
+        labels valid: the machine was validated where it entered the library, not here again."""
+        t = object.__new__(cls)
+        t.alphabet, t.n_states, t.edges = alphabet, n_states, tuple(edges)
+        t.initial, t.final = frozenset(initial), frozenset(final)
+        t._normal_form = t._view = t._checks = None
+        return t
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -198,7 +208,7 @@ def normalize(t: Transducer) -> Transducer:
             edges += [(p, "", b, ids[r]) for b, r in outs[c]]
             edges += [(p, a, "", ids[r]) for a, r in ins[c]]
         final = frozenset(p for p in range(n) if v.final[p])
-        tn = Transducer(t.alphabet, len(order), tuple(edges), t.initial, final)
+        tn = Transducer._trusted(t.alphabet, len(order), edges, t.initial, final)
         t._normal_form = tn._normal_form = tn
     return t._normal_form
 
@@ -214,23 +224,16 @@ def _trimmed(alphabet: Alphabet, n: int, edges, initial, final) -> tuple[Optiona
     keep = trim_keep(n, edges, initial, final) if final else []
     if len(keep) == n:
         return None, keep
-    if not keep:
-        return Transducer(alphabet, 0, (), frozenset(), frozenset()), keep
     remap = {q: i for i, q in enumerate(keep)}
-    s = Transducer(
-        alphabet,
-        len(keep),
-        tuple((remap[s], x, y, remap[d]) for s, x, y, d in edges if s in remap and d in remap),
-        frozenset(remap[q] for q in initial if q in remap),
-        frozenset(remap[q] for q in final if q in remap),
-    )
-    return s, keep
+    kept = ((remap[s], x, y, remap[d]) for s, x, y, d in edges if s in remap and d in remap)
+    initial, final = ([remap[q] for q in qs if q in remap] for qs in (initial, final))
+    return Transducer._trusted(alphabet, len(keep), kept, initial, final), keep
 
 
 def inverse(t: Transducer) -> Transducer:
     """Swap the tapes: realizes {(y, x) : (x, y) in t}."""
     edges = tuple((s, y, x, d) for s, x, y, d in t.edges)
-    return Transducer(t.alphabet, t.n_states, edges, t.initial, t.final)
+    return Transducer._trusted(t.alphabet, t.n_states, edges, t.initial, t.final)
 
 
 def compose(outer: Transducer, inner: Transducer) -> Transducer:
@@ -259,7 +262,7 @@ def compose(outer: Transducer, inner: Transducer) -> Transducer:
                 if c == c2:
                     edges.append((src, "", "", state((p2, q2))))
     final = frozenset(i for (p, q), i in index.items() if vi.final[p] and vo.final[q])
-    return Transducer(outer.alphabet, max(len(index), 1), tuple(edges), initial, final)
+    return Transducer._trusted(outer.alphabet, max(len(index), 1), edges, initial, final)
 
 
 def restrict_input(t: Transducer, m: Nfa, outputs: Optional[Nfa] = None) -> Transducer:
@@ -290,9 +293,11 @@ def _restriction(
     ``uneven`` too: the parent chain of p, the edge and a shortest completion
     from q, or else the chain of q and that completion.  Otherwise every path
     from an initial state to a state q of ``s`` has balance ``labels[q]``.
-    With ``uneven``, ``s`` and ``labels`` are None.  ``states`` and
-    ``transitions`` size ``s`` (trimmed under ``weak``), or what the walk
-    found up to an uneven accepting triple.
+    With ``uneven``, ``s`` and ``labels`` are None.  A walk that reaches
+    no accepting triple returns the empty machine, ``[]`` and no trim or
+    edge pass.  ``states`` and ``transitions`` size ``s`` (trimmed under
+    ``weak``), or what the walk found up to an uneven accepting triple.
+    The triples are numbered inline, as ``graphs.numbering`` would.
     """
     of = _all_words(t.alphabet) if outputs is None else remove_epsilon(outputs)
     if not t.alphabet == m.alphabet == of.alphabet:
@@ -304,27 +309,28 @@ def _restriction(
     _, o_sym = of.adjacency()
     nl, no = max(lf.n_states, 1), max(of.n_states, 1)
     nlo, l_final, o_final = nl * no, lf.final, of.final
-    index, walk, state = numbering(
-        (qt * nl + ql) * no + qo for qt in t.initial for ql in lf.initial for qo in of.initial
-    )
-    initial = frozenset(range(len(index)))
+    keys = list(dict.fromkeys((qt * nl + ql) * no + qo for qt in t.initial for ql in lf.initial for qo in of.initial))
+    index = {key: i for i, key in enumerate(keys)}
+    initial = range(len(keys))
     edges: list[tuple[int, str, str, int]] = []
     final: set[int] = set()
-    balance = [0] * len(index)
+    balance = [0] * len(keys)
     parents: dict[int, tuple[int, tuple[int, str, str, int]]] = {}
-    for src, packed in walk:
+    for src, packed in enumerate(keys):  # the list grows while it is walked
         qt, ql, qo = packed // nlo, packed // no % nl, packed % no
         fin = t_final[qt]
         if fin is None:
             fin = fill(qt)
         if fin and ql in l_final and qo in o_final:
             if weak and balance[src]:
-                return None, None, _words(path_to(parents, src)), len(index), len(edges)
+                return None, None, _words(path_to(parents, src)), len(keys), len(edges)
             final.add(src)
         l_here = l_sym[ql]
         for a, qt2 in ins[qt]:
             for ql2 in l_here.get(a, ()):
-                dst = state((qt2 * nl + ql2) * no + qo)
+                if (dst := index.get(key := (qt2 * nl + ql2) * no + qo)) is None:
+                    dst = index[key] = len(keys)
+                    keys.append(key)
                 edges.append(e := (src, a, "", dst))
                 if weak and dst == len(balance):
                     balance.append(balance[src] + 1)
@@ -332,14 +338,18 @@ def _restriction(
         o_here = o_sym[qo]
         for b, qt2 in outs[qt]:
             for qo2 in o_here.get(b, ()):
-                dst = state((qt2 * nl + ql) * no + qo2)
+                if (dst := index.get(key := (qt2 * nl + ql) * no + qo2)) is None:
+                    dst = index[key] = len(keys)
+                    keys.append(key)
                 edges.append(e := (src, "", b, dst))
                 if weak and dst == len(balance):
                     balance.append(balance[src] - 1)
                     parents[dst] = (src, e)
-    n = max(len(index), 1)
+    n = max(len(keys), 1)
+    if weak and not final:  # the trimmed product is empty
+        return Transducer._trusted(t.alphabet, 0, (), (), ()), [], None, 0, 0
     s, keep = _trimmed(t.alphabet, n, edges, initial, final) if weak else (None, None)
-    s = s or Transducer(t.alphabet, n, tuple(edges), initial, frozenset(final))
+    s = s or Transducer._trusted(t.alphabet, n, edges, initial, final)
     if not weak:
         return s, None, None, n, len(edges)
     if s.n_states < n:
@@ -776,9 +786,7 @@ def included_in_recognizable(
 
     for sig in sorted(signatures, key=lambda s: sorted(s)):
         states = signatures[sig]
-        l_sig = Nfa(
-            t.alphabet, len(index), tuple(edges), frozenset({0}), frozenset(states)
-        )
+        l_sig = Nfa._trusted(t.alphabet, len(index), edges, (0,), states)
         if sig:
             allowed = rectangles[min(sig)][1]
             for i in sorted(sig):

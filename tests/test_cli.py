@@ -12,8 +12,10 @@ from dnacodec import cli, transducers
 from dnacodec.alphabets import DNA
 from dnacodec.automata import Nfa
 from dnacodec.cli import build_parser, main
+from dnacodec.dna import PROPERTY_NAMES, VARIANTS
 from dnacodec.errors import FormatError
 from dnacodec.fado import parse_fado, serialize_fado
+from dnacodec.graphs import trim_keep
 from dnacodec.transducers import Transducer
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -302,6 +304,28 @@ def test_build_trajectory_property_descriptor(capsys):
     assert doc["kind"] == "S" and doc["class"] == "unrestricted"
 
 
+BUILT = [  # (build-property arguments, the states of the machine it writes or None)
+    (["--trajectory", "1*0+1*", "0+", "--strict"], 46),
+    (["--trajectory", "1*0+1*", "0+"], 68),
+    (["--trajectory", "0+", "0+", "--strict"], 27),
+] + [
+    (["--dna", name, "--variant", v], None)
+    for name in PROPERTY_NAMES
+    for v in VARIANTS
+    if name != "nonoverlapping" or v == "strict"
+]
+
+
+@pytest.mark.parametrize("argv, states", BUILT, ids=[" ".join(argv) for argv, _ in BUILT])
+def test_build_property_writes_a_trim_machine(argv, states, capsys):
+    # the normal form is trimmed before it is written: the compiled machines'
+    # epsilon edges keep states that lie on no path once they are closed
+    assert main(["build-property", *argv]) == 0
+    t = parse_fado(json.loads(capsys.readouterr().out)["transducer"], DNA)
+    assert trim_keep(t.n_states, t.edges, t.initial, t.final) == list(range(t.n_states))
+    assert states is None or t.n_states == states
+
+
 def test_build_property_to_file_then_use_it(tmp_path, capsys):
     out = tmp_path / "desc.json"
     rc = main(["build-property", "--dna", "nonoverlapping", "--variant", "strict", "-o", str(out)])
@@ -466,6 +490,13 @@ def test_bad_file_in_a_language_directory_is_named(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: language file ") and "code1.fa" in err and "labels ['x']" in err
+
+
+def test_descriptor_with_a_foreign_label_is_rejected(tmp_path, capsys):
+    desc = tmp_path / "desc.json"
+    desc.write_text(json.dumps({"alphabet": "ACGT", "transducer": "@Transducer 0 * 0\n0 A x 0\n"}))
+    rc = main(["satisfies", "--property", str(desc), "--language", write_language(tmp_path, "l.fa", ["AC"])])
+    assert rc == 2 and "labels ['x'] not in the given alphabet" in capsys.readouterr().err
 
 
 # -- misc ------------------------------------------------------------------------

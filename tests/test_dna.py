@@ -1,5 +1,7 @@
 """The named DNA-bonding property family and its hierarchy."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from dnacodec.dna import (
     named_property,
 )
 from dnacodec.errors import DnaCodecError
+from dnacodec.graphs import trim_keep
 from dnacodec.properties import (
     INPUT_ALTERING,
     S_KIND,
@@ -109,6 +112,23 @@ def test_weak_family_forces_a_context_letter():
 
 
 # -- descriptor wiring ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", [STRICT, WEAK])
+@pytest.mark.parametrize("letters", ["".join(c) for k in range(5) for c in itertools.combinations("uvxy", k)])
+def test_pattern_machines_are_trim(letters, family):
+    t = build_pattern_transducer(ConstellationPattern.of(letters), family, DNA)
+    assert trim_keep(t.n_states, t.edges, t.initial, t.final) == list(range(t.n_states))
+    # a weak machine loses the state of each path whose context side is banned
+    banned = sum(not set(letters) & set(side) for side in ("ux", "vy"))
+    assert t.n_states == (3 if family == STRICT else (4, 3, 0)[banned])
+
+
+def test_named_property_machines_are_trim():
+    for name in PROPERTY_NAMES:
+        for variant in (STRICT, NORMAL, WEAK) if name != "nonoverlapping" else (STRICT,):
+            t = named_property(name, variant, dna_delta()).transducer
+            assert trim_keep(t.n_states, t.edges, t.initial, t.final) == list(range(t.n_states)), (name, variant)
 
 
 def test_variant_to_kind_mapping():

@@ -75,6 +75,15 @@ def test_explicit_alphabet_must_cover_labels():
     assert m.alphabet == DNA
 
 
+def test_parser_rejects_foreign_labels_and_numbers_states_densely():
+    for text in ("@Transducer 1 * 0\n0 A x 1\n", "@Transducer 1 * 0\n0 x @epsilon 1\n"):
+        with pytest.raises(FormatError, match=r"labels \['x'\] not in the given alphabet"):
+            parse_fado(text, DNA)
+    # names are numbered as they first appear, so no edge can point past the states
+    m = parse_fado("@NFA 7 * 3\n3 A 7\n9 C 3\n", DNA)
+    assert (m.n_states, m.edges, m.initial, m.final) == (3, ((1, "A", 0), (2, "C", 1)), {1}, {0})
+
+
 def test_error_line_numbers():
     with pytest.raises(FormatError) as err:
         parse_fado("@DFA 1 * 0\n0 A 1\n")

@@ -175,3 +175,43 @@ def test_no_dead_public_names():
         with open(path, encoding="utf-8") as fh:
             exempt |= named(fh.read())
     assert dead_public_names(sources, exempt) == []
+
+
+# Operations that derive a machine from checked machines build it through
+# ``_trusted``; only the constructors, the parser and the builders check.
+TRUSTED_BUILDERS = {
+    "automata.py": {
+        "trim", "remove_epsilon", "union", "concat", "star", "intersect", "determinize", "complement", "theta_image",
+    },
+    "transducers.py": {"_trimmed", "_restriction", "normalize", "inverse", "compose", "image", "included_in_recognizable"},
+}
+
+
+def checked_builds(source: str, functions: set[str]) -> list[str]:
+    """``function: Class`` for each call ``Transducer(...)`` or ``Nfa(...)``
+    inside the module-level ``functions``; a listed function that is missing
+    is reported too, so a rename cannot slip past."""
+    found, calls = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            found.add(node.name)
+            calls += [
+                f"{node.name}: {call.func.id}"
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("Transducer", "Nfa")
+            ]
+    return calls + [f"{name}: missing" for name in sorted(functions - found)]
+
+
+def test_checker_flags_a_checked_build():
+    source = (
+        "def kept(a):\n    return Nfa._trusted(a.alphabet, 1, (), (0,), ())\n\n\n"
+        "def checked(a):\n    return Transducer(a.alphabet, 1, (), (0,), ())\n"
+    )
+    assert checked_builds(source, {"kept", "checked", "gone"}) == ["checked: Transducer", "gone: missing"]
+
+
+@pytest.mark.parametrize("module", sorted(TRUSTED_BUILDERS))
+def test_derived_machines_are_built_unchecked(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert checked_builds(fh.read(), TRUSTED_BUILDERS[module]) == []

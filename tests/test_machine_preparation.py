@@ -6,7 +6,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
-from dnacodec.automata import Nfa, _symbols_ok, check_machine, theta_image, union
+from dnacodec.automata import (
+    Nfa,
+    complement,
+    concat,
+    determinize,
+    intersect,
+    remove_epsilon,
+    star,
+    theta_image,
+    trim as nfa_trim,
+    union,
+)
 from dnacodec.dna import PROPERTY_NAMES, VARIANTS, named_property
 from dnacodec.graphs import reachable
 from dnacodec.properties import W_KIND, is_maximal, satisfies
@@ -192,12 +203,20 @@ THETAS = [Permutation(AB, table, anti) for table in (("a", "b"), ("b", "a")) for
 
 
 @settings(max_examples=300, deadline=None)
-@given(nfas(), nfas(), transducers(), st.sampled_from(THETAS))
-def test_unchecked_results_pass_check_machine(a, b, t, theta):
-    # union, theta_image and image build their Nfa without check_machine
-    for m in (union(a, b), theta_image(a, theta), image(t, a)):
-        assert type(m) is Nfa
-        check_machine(m, _symbols_ok)
+@given(nfas(), nfas(), transducers(), transducers(), st.sampled_from(THETAS))
+@example(Nfa(AB, 3, ((0, "a", 1), (2, "b", 0)), {0}, {1}), Nfa.universal(AB), EPS_CHAIN, EPS_CYCLE, THETAS[3])
+def test_unchecked_results_pass_check_machine(a, b, t, u, theta):
+    # Every operation on checked machines builds its result through
+    # ``_trusted``, unchecked; the checked constructor must take each as it is.
+    results = [
+        nfa_trim(a), remove_epsilon(a), union(a, b), concat(a, b), star(a), intersect(a, b),
+        determinize(a), complement(a), theta_image(a, theta), image(t, a),
+        normalize(t), trim(t), trim(normalize(t)), inverse(t), compose(t, u), union(t, u),
+        restrict_input(t, a), restrict_input(t, a, b), _restriction(t, a, b, weak=True)[0],
+    ]
+    for m in filter(None, results):  # a weak walk that finds an uneven pair gives None
+        rebuilt = type(m)(m.alphabet, m.n_states, m.edges, m.initial, m.final)
+        assert (rebuilt.n_states, rebuilt.edges, rebuilt.initial, rebuilt.final) == _as_tuple(m)
 
 
 # -- the normal form on demand -----------------------------------------------

@@ -449,6 +449,23 @@ def test_one_weak_decision_trims_once(monkeypatch):
     assert len(passes) == 1
 
 
+def test_weak_walk_with_no_accepting_triple_skips_the_trim(monkeypatch):
+    passes = []
+    for name in ("trim_keep", "_trimmed"):  # _trimmed itself skips trim_keep when nothing is final
+        spied = getattr(transducers, name)
+        monkeypatch.setattr(transducers, name, lambda *args, f=spied, name=name: passes.append(name) or f(*args))
+    t, l, outputs = Transducer.identity(BINARY), Nfa.finite(BINARY, ["01"]), Nfa.finite(BINARY, ["10"])
+    # the walk reads a 0 and finds triples, but T realizes no pair (01, 10): none accepts
+    s, labels, uneven, states, transitions = _restriction(t, l, outputs, weak=True)
+    assert (s.n_states, s.edges, s.initial, s.final) == (0, (), frozenset(), frozenset())
+    assert (labels, uneven, states, transitions) == ([], None, 0, 0)
+    v = satisfies_W_general(PropertyDescriptor(t, Permutation.mirror(BINARY), kind=W_KIND), l)
+    assert v.satisfied and v.stats == {"restriction_states": 0, "restriction_edges": 0}
+    assert passes == []
+    _restriction(t, l, l, weak=True)  # (01, 01) accepts: the walk trims
+    assert passes == ["_trimmed", "trim_keep"]
+
+
 def test_uneven_pair_ends_the_product_walk():
     # Case 0 of ``benchmark_satisfaction.py --transducer-states 1250
     # --transducer-edges 5000 --language-states 12``.  Its whole restriction
