@@ -11,11 +11,8 @@ instances used throughout, but any letter bijection works.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-_GENERIC_DIGITS = string.digits + string.ascii_uppercase
 
 
 @dataclass(frozen=True)
@@ -42,13 +39,6 @@ class Alphabet:
     def of(cls, chars: Iterable[str]) -> "Alphabet":
         return cls(tuple(chars))
 
-    @classmethod
-    def generic(cls, k: int) -> "Alphabet":
-        """The k-symbol alphabet 0,1,...  Digits, then capital letters."""
-        if not 1 <= k <= len(_GENERIC_DIGITS):
-            raise ValueError(f"generic alphabet supports 1..{len(_GENERIC_DIGITS)} symbols")
-        return cls(tuple(_GENERIC_DIGITS[:k]))
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -66,9 +56,6 @@ class Alphabet:
             if ch not in self:
                 raise ValueError(f"symbol {ch!r} not in alphabet {''.join(self.symbols)!r}")
         return word
-
-    def contains_word(self, word: str) -> bool:
-        return all(ch in self for ch in word)
 
 
 DNA = Alphabet.of("ACGT")

@@ -3,9 +3,11 @@
 States are dense integers ``0..n_states-1``; an edge is ``(src, sym, dst)``
 where ``sym`` is a single alphabet character or ``None`` for an epsilon
 move.  Machines are treated as immutable values: every operation returns a
-fresh ``Nfa``.  A machine is validated once, where it enters the library
-(the constructor and its classmethods, the parser); an operation on checked
-machines builds its result through ``Nfa._trusted``, unchecked.
+fresh ``Nfa``.  ``Machine`` holds what an ``Nfa`` and a ``Transducer``
+share: the five parts, the one check and the one unchecked build.  A
+machine is validated once, where it enters the library (the constructor
+and its classmethods, the parser); an operation on checked machines builds
+its result through ``_trusted``, unchecked.
 
 Potentially exponential constructions (subset construction and everything
 built on it) take a ``state_cap`` and raise :class:`ResourceLimitError`
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .alphabets import Alphabet, Permutation
 from .errors import FormatError, ResourceLimitError
@@ -39,58 +41,67 @@ def resolve_state_cap(explicit: Optional[int] = None) -> int:
     return int(env)
 
 
-def check_machine(m, labels_ok: Callable[[Alphabet, set], bool]) -> None:
-    """Raise ``ValueError`` naming an edge, label or state of ``m`` out of place.
-
-    ``m`` is an ``Nfa`` or a ``Transducer``.  One pass checks each edge's states and
-    gathers the distinct labels for one ``labels_ok`` call; only its failure costs a search.
-    """
-    n, edges = m.n_states, m.edges
-    labels: set = set()
-    add = labels.add
-    for e in edges:
-        if not (0 <= e[0] < n and 0 <= e[-1] < n):
-            raise ValueError(f"edge {e} out of range for {n} states")
-        add(e[1])
-        add(e[-2])  # a transducer's output; on an NFA edge the same label again
-    if not labels_ok(m.alphabet, labels):
-        e, a = next((e, a) for e in edges for a in e[1:-1] if not labels_ok(m.alphabet, {a}))
-        raise ValueError(f"edge {e}: label {a!r} is not over {''.join(m.alphabet)!r}")
-    for q in m.initial | m.final:
-        if not 0 <= q < n:
-            raise ValueError(f"state {q} out of range for {n} states")
-
-
 def _symbols_ok(alphabet: Alphabet, labels: set) -> bool:
     """Is every NFA label a symbol of ``alphabet`` or ``None``?"""
     return not labels.difference(alphabet.symbols, (None,))
 
 
 @dataclass(eq=False)
-class Nfa:
-    """An NFA over ``alphabet``; epsilon edges carry the symbol ``None``."""
+class Machine:
+    """The parts an ``Nfa`` and a ``Transducer`` share; each kind says which labels it takes."""
 
     alphabet: Alphabet
     n_states: int
-    edges: tuple[tuple[int, Optional[str], int], ...]
+    edges: tuple
     initial: frozenset[int]
     final: frozenset[int]
-    _adj: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        """Raise ``ValueError`` naming an edge, label or state out of place.
+
+        One pass checks each edge's states and gathers the distinct labels for one
+        ``_labels_ok`` call; only its failure costs a search.
+        """
         self.initial = frozenset(self.initial)
         self.final = frozenset(self.final)
-        self.edges = tuple(self.edges)
-        check_machine(self, _symbols_ok)
+        self.edges = edges = tuple(self.edges)
+        n, labels_ok = self.n_states, self._labels_ok
+        labels: set = set()
+        add = labels.add
+        for e in edges:
+            if not (0 <= e[0] < n and 0 <= e[-1] < n):
+                raise ValueError(f"edge {e} out of range for {n} states")
+            add(e[1])
+            add(e[-2])  # a transducer's output; on an NFA edge the same label again
+        if not labels_ok(self.alphabet, labels):
+            e, a = next((e, a) for e in edges for a in e[1:-1] if not labels_ok(self.alphabet, {a}))
+            raise ValueError(f"edge {e}: label {a!r} is not over {''.join(self.alphabet)!r}")
+        for q in self.initial | self.final:
+            if not 0 <= q < n:
+                raise ValueError(f"state {q} out of range for {n} states")
 
     @classmethod
-    def _trusted(cls, alphabet, n_states, edges, initial, final) -> "Nfa":
-        """An ``Nfa`` made by an operation on checked machines that keeps states and labels
-        valid: the machine was validated where it entered the library, not here again."""
+    def _trusted(cls, alphabet, n_states, edges, initial, final):
+        """A machine made by an operation on checked machines that keeps states and labels
+        valid: it was validated where it entered the library, not here again.  Its cached
+        fields keep their class default, None."""
         m = object.__new__(cls)
-        m.alphabet, m.n_states, m.edges, m._adj = alphabet, n_states, tuple(edges), None
+        m.alphabet, m.n_states, m.edges = alphabet, n_states, tuple(edges)
         m.initial, m.final = frozenset(initial), frozenset(final)
         return m
+
+    @classmethod
+    def empty(cls, alphabet: Alphabet):
+        """The machine accepting nothing (for a transducer, the empty relation)."""
+        return cls(alphabet, 1, (), frozenset({0}), frozenset())
+
+
+@dataclass(eq=False)
+class Nfa(Machine):
+    """An NFA over ``alphabet``; epsilon edges carry the symbol ``None``."""
+
+    _adj: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _labels_ok = staticmethod(_symbols_ok)
 
     # -- adjacency -------------------------------------------------------
 
@@ -118,11 +129,6 @@ class Nfa:
         return self.closure(out)
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def empty(cls, alphabet: Alphabet) -> "Nfa":
-        """The machine accepting nothing."""
-        return cls(alphabet, 1, (), frozenset({0}), frozenset())
 
     @classmethod
     def epsilon(cls, alphabet: Alphabet) -> "Nfa":
@@ -260,7 +266,7 @@ def remove_epsilon(m: Nfa) -> Nfa:
 
 
 def union(a, b):
-    """Two machines of one kind, ``Nfa`` or ``Transducer``, side by side."""
+    """Two machines of one kind, ``Nfa`` or ``Transducer``, side by side, built by its ``_trusted``."""
     if a.alphabet != b.alphabet:
         raise ValueError("union requires a common alphabet")
     off = a.n_states

@@ -107,13 +107,28 @@ def _words_field(doc: dict, name: str) -> tuple[str, ...]:
     return tuple(words)
 
 
-def _machine_text(arg: str) -> str:
-    """File contents when ``arg`` is a path, otherwise the inline text with
-    literal \\n sequences unescaped."""
-    if os.path.isfile(arg):
-        with open(arg, encoding="utf-8") as fh:
-            return fh.read()
-    return unescape_cli_text(arg)
+def _machine(
+    source: str, kind: type, where: str, alphabet: Optional[Alphabet] = None, base_dir: str = "", inline: bool = True
+):
+    """The machine of ``kind`` (``Nfa`` or ``Transducer``) that ``source`` holds.
+
+    Under ``inline``, ``source`` is the document itself, literal \\n sequences
+    unescaped, when it holds a line break or starts with ``@``; otherwise it is a
+    path, relative to ``base_dir``.  A parse or kind error names ``where``.
+    """
+    if inline and ("\n" in source or source.lstrip().startswith("@")):
+        text = unescape_cli_text(source)
+    else:
+        with open(os.path.join(base_dir, source), encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        machine = parse_fado(text, alphabet)
+    except FormatError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+    if not isinstance(machine, kind):
+        want, got = ("an NFA", "a transducer") if kind is Nfa else ("a transducer", "an NFA")
+        raise FormatError(f"{where} must hold {want}, but holds {got}")
+    return machine
 
 
 def _theta_from_spec(spec, hint: Optional[Alphabet] = None) -> Permutation:
@@ -166,15 +181,7 @@ def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
     elif isinstance(source, dict):
         raise FormatError("field 'transducer' must hold a 'dna' or a 'trajectory' entry")
     else:
-        text = source
-        if "\n" not in text and not text.lstrip().startswith("@"):
-            with open(os.path.join(base_dir, text), encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = unescape_cli_text(text)
-        machine = parse_fado(text, alphabet)
-        if not isinstance(machine, Transducer):
-            raise FormatError("field 'transducer' must hold a transducer, not an NFA")
+        machine = _machine(source, Transducer, "field 'transducer'", alphabet, base_dir)
         theta = _theta_from_spec(theta_spec, machine.alphabet)
         built = PropertyDescriptor(machine, theta)
 
@@ -211,18 +218,6 @@ def _load_descriptor(arg: str) -> PropertyDescriptor:
     return _descriptor_from_doc(*_json_arg(arg))
 
 
-def _load_language(path: str, alphabet: Alphabet) -> Nfa:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        machine = parse_fado(text, alphabet)
-    except FormatError as exc:
-        raise FormatError(f"language file {path!r}: {exc}") from None
-    if not isinstance(machine, Nfa):
-        raise FormatError(f"language file {path!r} holds a transducer, not an NFA")
-    return machine
-
-
 def _language_files(arg: str) -> list[str]:
     if os.path.isdir(arg):
         files = sorted(
@@ -248,7 +243,7 @@ def _run_over_languages(args, decide) -> int:
     p = _load_descriptor(args.property)
     results = []
     for path in _language_files(args.language):
-        lang = _load_language(path, p.theta.alphabet)
+        lang = _machine(path, Nfa, f"language file {path!r}", p.theta.alphabet, inline=False)
         results.append((path, decide(p, lang, assertion_bound=args.assertion_bound)))
     if args.json:
         payload = [dict(_verdict_payload(v), file=path) for path, v in results]
@@ -336,9 +331,7 @@ def _cmd_pcp(args) -> int:
 
 
 def _cmd_transducer_check(args) -> int:
-    machine = parse_fado(_machine_text(args.machine))
-    if not isinstance(machine, Transducer):
-        raise FormatError(f"argument MACHINE must be a transducer, not an NFA: {args.machine!r}")
+    machine = _machine(args.machine, Transducer, f"argument MACHINE {args.machine!r}")
     if args.mode in ("altering", "preserving"):
         if not args.theta:
             raise FormatError(f"--mode {args.mode} needs --theta")

@@ -54,15 +54,6 @@ class ConstellationPattern:
             raise ValueError(f"unknown context letters {sorted(extra)}")
         return cls("u" in letters, "v" in letters, "x" in letters, "y" in letters)
 
-    def letters(self) -> str:
-        return "".join(
-            c
-            for c, ok in zip(
-                "uvxy", (self.u_allowed, self.v_allowed, self.x_allowed, self.y_allowed)
-            )
-            if ok
-        )
-
 
 def build_pattern_transducer(
     pat: ConstellationPattern, family: str, alphabet: Alphabet

@@ -17,14 +17,12 @@ with no labelled transitions and no explicit alphabet default to {a, b}.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from .alphabets import Alphabet
-from .automata import Nfa
+from .automata import Machine, Nfa
 from .errors import FormatError
 from .transducers import Transducer, normalize
-
-Machine = Union[Nfa, Transducer]
 
 _EPSILON = "@epsilon"
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Union
 
 from .alphabets import Permutation, compose as perm_compose
@@ -184,13 +185,6 @@ def map_solution(inst: PcpInstance, seq) -> tuple[int, ...]:
     return tuple(seq) + tail
 
 
-def _union_all(machines: list[Nfa]) -> Nfa:
-    out = machines[0]
-    for m in machines[1:]:
-        out = nfa_union(out, m)
-    return out
-
-
 def _block_code(inst: PcpInstance, theta: Permutation):
     """Fixed-width binary block code over theta's first two letters for the
     instance's letters followed by its tile indices."""
@@ -202,7 +196,7 @@ def _block_code(inst: PcpInstance, theta: Permutation):
         key: "".join(b[(idx >> (m - 1 - bit)) & 1] for bit in range(m))
         for idx, key in enumerate(keys)
     }
-    return sigma, h, m
+    return sigma, h
 
 
 def pcp_to_preserving_transducer(inst: PcpInstance, theta: Permutation) -> Transducer:
@@ -221,7 +215,7 @@ def pcp_to_preserving_transducer(inst: PcpInstance, theta: Permutation) -> Trans
     if len(theta.alphabet) < 2:
         raise ValueError("need at least two letters to block-code the instance")
     alphabet = theta.alphabet
-    sigma, h, _m = _block_code(inst, theta)
+    sigma, h = _block_code(inst, theta)
     ell = len(inst)
 
     def h_sigma(w: str) -> str:
@@ -231,8 +225,8 @@ def pcp_to_preserving_transducer(inst: PcpInstance, theta: Permutation) -> Trans
     all_keys = [("s", c) for c in sigma] + idx_keys
 
     # Component 1: full relation on inputs outside the h(Σ⁺ A_ℓ⁺) format.
-    sigma_blocks = _union_all([Nfa.word(alphabet, h[("s", c)]) for c in sigma])
-    index_blocks = _union_all([Nfa.word(alphabet, h[k]) for k in idx_keys])
+    sigma_blocks = reduce(nfa_union, [Nfa.word(alphabet, h[("s", c)]) for c in sigma])
+    index_blocks = reduce(nfa_union, [Nfa.word(alphabet, h[k]) for k in idx_keys])
     formatted = concat(plus(sigma_blocks), plus(index_blocks))
     outside = complement(formatted)
     edges: list[tuple[int, str, str, int]] = [

@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 from .alphabets import Alphabet, Permutation
 from .automata import (
+    Machine,
     Nfa,
-    check_machine,
     complement as nfa_complement,
     determinize,
     remove_epsilon,
@@ -47,38 +47,11 @@ def _words_ok(alphabet: Alphabet, labels: set) -> bool:
 
 
 @dataclass(eq=False)
-class Transducer:
-    alphabet: Alphabet
-    n_states: int
-    edges: tuple[tuple[int, str, str, int], ...]
-    initial: frozenset[int]
-    final: frozenset[int]
+class Transducer(Machine):
     _normal_form: Optional["Transducer"] = field(default=None, repr=False, compare=False)
     _view: Optional["_NormalView"] = field(default=None, repr=False, compare=False)
     _checks: Optional[dict] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.initial = frozenset(self.initial)
-        self.final = frozenset(self.final)
-        self.edges = tuple(self.edges)
-        check_machine(self, _words_ok)
-
-    @classmethod
-    def _trusted(cls, alphabet, n_states, edges, initial, final) -> "Transducer":
-        """A ``Transducer`` made by an operation on checked machines that keeps states and
-        labels valid: the machine was validated where it entered the library, not here again."""
-        t = object.__new__(cls)
-        t.alphabet, t.n_states, t.edges = alphabet, n_states, tuple(edges)
-        t.initial, t.final = frozenset(initial), frozenset(final)
-        t._normal_form = t._view = t._checks = None
-        return t
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def empty(cls, alphabet: Alphabet) -> "Transducer":
-        """The transducer realizing the empty relation."""
-        return cls(alphabet, 1, (), frozenset({0}), frozenset())
+    _labels_ok = staticmethod(_words_ok)
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Transducer":

@@ -18,7 +18,6 @@ def test_alphabet_basics():
     assert a.check_word("GATTACA") == "GATTACA"
     with pytest.raises(ValueError):
         a.check_word("GATTAXA")
-    assert a.contains_word("ACG") and not a.contains_word("xyz")
 
 
 def test_alphabet_validation():
@@ -28,7 +27,6 @@ def test_alphabet_validation():
         Alphabet.of(["ab"])
     with pytest.raises(ValueError):
         Alphabet.of("aa")
-    assert len(Alphabet.generic(3)) == 3
 
 
 def test_dna_delta_values():

@@ -496,7 +496,21 @@ def test_descriptor_with_a_foreign_label_is_rejected(tmp_path, capsys):
     desc = tmp_path / "desc.json"
     desc.write_text(json.dumps({"alphabet": "ACGT", "transducer": "@Transducer 0 * 0\n0 A x 0\n"}))
     rc = main(["satisfies", "--property", str(desc), "--language", write_language(tmp_path, "l.fa", ["AC"])])
-    assert rc == 2 and "labels ['x'] not in the given alphabet" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert rc == 2 and "field 'transducer': line 1: labels ['x'] not in the given alphabet" in err
+
+
+def test_malformed_inline_machine_names_the_argument(capsys):
+    rc = main(["transducer", "check", "@Transducer 0 * 0\\n0 A 0", "--mode", "identity"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: argument MACHINE ") and "expected 4 fields per transition" in err
+
+
+def test_transducer_check_on_a_missing_path_names_it(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-machine.fa")
+    rc = main(["transducer", "check", missing, "--mode", "identity"])
+    err = capsys.readouterr().err
+    assert rc == 2 and missing in err and "unknown machine kind" not in err
 
 
 # -- misc ------------------------------------------------------------------------

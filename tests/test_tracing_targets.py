@@ -3,6 +3,8 @@
 ``perfbench/tracing.py`` names its targets as ``(module, attribute, metric)``
 triples in ``SPANS`` and ``COUNTS``.  The file is only parsed here, not
 imported, so a renamed target fails this test instead of a traced run.
+A method target ``Class.member`` is read from ``Class.__dict__``, so it
+must be defined on that class itself, not inherited.
 """
 
 import ast
@@ -34,8 +36,9 @@ def test_tracer_names_its_targets():
 
 @pytest.mark.parametrize("module, attr", traced_targets())
 def test_traced_target_resolves(module, attr):
-    obj = importlib.import_module(f"dnacodec.{module}")
-    for part in attr.split("."):
-        assert hasattr(obj, part), f"dnacodec.{module} has no {attr}"
-        obj = getattr(obj, part)
-    assert callable(obj)
+    owner = importlib.import_module(f"dnacodec.{module}")
+    *classes, member = attr.split(".")
+    for part in classes:
+        owner = getattr(owner, part)
+    assert member in vars(owner) if classes else hasattr(owner, member), f"dnacodec.{module} has no own {attr}"
+    assert callable(getattr(owner, member))
