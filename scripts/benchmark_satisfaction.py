@@ -19,9 +19,17 @@ final state of the transducer has odd ``|x| + |y|``, while the language
 and its theta-image hold only words of even length.  Such a call explores
 the whole product, and shows the walk that finishes a satisfied search.
 
+``--universality K`` times ``missing_word`` instead, for k = 1..K, on two
+near-universal DNA languages: "the (k+1)-th letter from the end is not C",
+whose forward subset search grows exponentially with k, and its mirror
+"the (k+1)-th letter from the start is not C", whose backward search does.
+Beside each time it prints how many subsets each direction alone sees
+before it finds the rejected word.
+
 Usage:
     python scripts/benchmark_satisfaction.py
     python scripts/benchmark_satisfaction.py --transducer-edges 5000 --cases 8
+    python scripts/benchmark_satisfaction.py --universality 13
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import time
 from typing import Optional
 
 from dnacodec.alphabets import DNA, dna_delta
-from dnacodec.automata import Nfa
+from dnacodec.automata import DEFAULT_STATE_CAP, Nfa, _subset_search, _subset_walk, missing_word
 from dnacodec.properties import S_KIND, W_KIND, PropertyDescriptor, satisfies_S, satisfies_W_general
 from dnacodec.transducers import Transducer
 
@@ -102,6 +110,42 @@ def even_language(rng: random.Random, n_states: int) -> Nfa:
     return Nfa(DNA, n_states, tuple(edges), frozenset({0}), finals)
 
 
+def near_universal(k: int, letter: str) -> Nfa:
+    """DNA words of length <= k, or whose (k+1)-th letter from the end is not ``letter``."""
+    edges = [(i, a, i + 1) for i in range(k) for a in DNA]
+    guess = k + 1
+    edges += [(guess, a, guess) for a in DNA]
+    edges += [(guess, a, guess + 1) for a in DNA if a != letter]
+    edges += [(guess + 1 + j, a, guess + 2 + j) for j in range(k) for a in DNA]
+    n = guess + 2 + k
+    return Nfa(DNA, n, tuple(edges), frozenset({0, guess}), frozenset(range(k + 1)) | {n - 1})
+
+
+def reverse(m: Nfa) -> Nfa:
+    """``m`` read backwards: its edges flipped, its initial and final states swapped."""
+    return Nfa(m.alphabet, m.n_states, tuple((d, a, s) for s, a, d in m.edges), m.final, m.initial)
+
+
+def subsets_seen(m: Nfa) -> Optional[int]:
+    """How many subsets the forward subset search of ``m`` alone sees before it finds
+    a rejected word (None if ``m`` is universal)."""
+    for found in _subset_search(_subset_walk(m), DEFAULT_STATE_CAP):
+        if found:
+            return len(found[0])
+    return None
+
+
+def universality(max_k: int) -> None:
+    for k in range(1, max_k + 1):
+        end = near_universal(k, "C")
+        for shape, m in (("from the end", end), ("from the start", reverse(end))):
+            times = sorted(timed(missing_word, m)[1] for _ in range(5))
+            print(
+                f"k={k:2} {shape:14} {missing_word(m)}: {times[2] * 1e3:.2f}ms (median of 5), "
+                f"forward {subsets_seen(m):,} subsets, backward {subsets_seen(reverse(m)):,}"
+            )
+
+
 def timed(decide, *args):
     """``(result, seconds)`` of one call, with the garbage collector off."""
     gc.collect()  # no collection lands in the timed call
@@ -121,7 +165,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--transducer-states", type=int, default=800)
     parser.add_argument("--transducer-edges", type=int, default=3000)
     parser.add_argument("--language-states", type=int, default=4)
+    parser.add_argument("--universality", type=int, default=0, metavar="K")
     args = parser.parse_args(argv)
+    if args.universality:
+        universality(args.universality)
+        return 0
 
     rng = random.Random(args.seed)
     theta = dna_delta()

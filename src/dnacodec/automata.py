@@ -387,34 +387,82 @@ def complement(m: Nfa, state_cap: Optional[int] = None) -> Nfa:
     return Nfa._trusted(d.alphabet, d.n_states, d.edges, d.initial, frozenset(range(d.n_states)) - d.final)
 
 
+def _subset_search(walk, cap: int):
+    """Breadth-first search of a ``_subset_walk`` for a subset with no final state: each
+    ``next`` expands one subset and yields None, or ``(parents, levels, subset)`` on
+    finding one, where ``levels[d]`` lists the subsets first seen at depth ``d``, up to
+    the depth before the subset's.  It returns once every subset is seen, and raises
+    ``ResourceLimitError`` when a new subset turns up once ``cap`` have been seen."""
+    start, final, step, lanes, full = walk
+    parents: dict[int, Optional[tuple[int, str]]] = {start: None}
+    levels = [[start]]
+    for level in levels:  # the list grows while it is walked
+        deeper: list[int] = []
+        for subset in level:
+            acc = step(subset)
+            for a, off in lanes:
+                nxt = acc >> off & full
+                if nxt in parents:
+                    continue
+                if len(parents) >= cap:
+                    raise ResourceLimitError(f"universality check exceeded the cap of {cap} subsets")
+                parents[nxt] = (subset, a)
+                if not nxt & final:
+                    yield parents, levels, nxt
+                    return
+                deeper.append(nxt)
+            yield None
+        if deeper:
+            levels.append(deeper)
+
+
 def missing_word(m: Nfa, state_cap: Optional[int] = None) -> Optional[str]:
     """The shortlex-least word the machine rejects, or None when it is universal.
 
-    Lazy subset-construction BFS: stops at the first non-accepting subset,
-    so universality of e.g. a union of small parts rarely pays the full
-    exponential price.  ``ResourceLimitError`` is raised when a new subset
-    turns up once ``state_cap`` subsets, the start one included, have been
-    seen; never when the empty word is rejected.
+    Two breadth-first subset searches take turns, one subset each.  Forward, over
+    ``m``, spells the word along the parents of its first subset with no final
+    state.  Backward, over ``m`` reversed, reaches after ``v`` the states that read
+    ``v`` reversed into a final state; its first subset that misses the initial
+    states gives the shortest rejected length.  The word is then spelled from the
+    forward start: with ``r`` letters left, the least letter whose successor misses
+    a backward subset first seen at depth ``r - 1`` (missing a shallower one would
+    reject a shorter word).  If either search sees every subset, ``m`` is universal.
+
+    Each search stops when a new subset turns up once it has seen ``state_cap``,
+    the start one included; ``ResourceLimitError`` is raised when both have stopped.
     """
+    cap = resolve_state_cap(state_cap)
     if not m.closure(m.initial) & m.final:
         return ""
-    cap = resolve_state_cap(state_cap)
-    start, final, step, lanes, full = _subset_walk(m)
-    parents: dict[int, Optional[tuple[int, str]]] = {start: None}  # every subset seen
-    queue = [start]
-    for subset in queue:  # breadth-first: the list grows while it is walked
-        acc = step(subset)
+    start, _, step, lanes, full = walk = _subset_walk(m)
+    back = Nfa._trusted(m.alphabet, m.n_states, ((d, a, s) for s, a, d in m.edges), m.final, m.initial)
+    forward = _subset_search(walk, cap)
+    searches = [forward, _subset_search(_subset_walk(back), cap)]
+    while True:
+        search = searches.pop(0)
+        try:
+            found = next(search)
+        except StopIteration:  # this search saw every subset
+            return None
+        except ResourceLimitError:
+            if not searches:
+                raise
+            continue
+        if found:
+            break
+        searches.append(search)
+    parents, levels, subset = found
+    if search is forward:
+        return "".join(path_to(parents, subset))
+    cur, word = start, []
+    for level in reversed(levels):  # with r letters left, the subsets first seen at depth r - 1
+        acc = step(cur)
         for a, off in lanes:
-            nxt = acc >> off & full
-            if nxt in parents:
-                continue
-            if len(parents) >= cap:
-                raise ResourceLimitError(f"universality check exceeded the cap of {cap} subsets")
-            parents[nxt] = (subset, a)
-            if not nxt & final:
-                return "".join(path_to(parents, nxt))
-            queue.append(nxt)
-    return None
+            cur = acc >> off & full
+            if any(not cur & p for p in level):
+                word.append(a)
+                break
+    return "".join(word)
 
 
 def theta_image(m: Nfa, theta: Permutation) -> Nfa:

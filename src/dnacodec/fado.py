@@ -68,7 +68,7 @@ def parse_fado(text: str, alphabet: Optional[Alphabet] = None) -> Machine:
 
     arity = 4 if kind == "@Transducer" else 3
     rows: list[tuple] = []
-    labels: set[str] = set()
+    labels: dict[str, int] = {}  # each label -> the line it first appears on
     for lineno, line in numbered[1:]:
         parts = line.split()
         if len(parts) != arity:
@@ -79,16 +79,16 @@ def parse_fado(text: str, alphabet: Optional[Alphabet] = None) -> Machine:
             if label != _EPSILON and len(label) != 1:
                 raise FormatError(f"multi-symbol label {label!r}", lineno)
             if label != _EPSILON:
-                labels.add(label)
+                labels.setdefault(label, lineno)
         rows.append((state(parts[0]),) + tuple(parts[1:-1]) + (state(parts[-1]),))
 
     if alphabet is None:
         alphabet = Alphabet.of(sorted(labels)) if labels else Alphabet.of("ab")
     else:
-        missing = labels - set(alphabet.symbols)
+        missing = labels.keys() - set(alphabet.symbols)
         if missing:
             raise FormatError(
-                f"labels {sorted(missing)} not in the given alphabet", header_no
+                f"labels {sorted(missing)} not in the given alphabet", min(labels[a] for a in missing)
             )
     n_states = max(len(names), 1)
 

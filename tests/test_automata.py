@@ -77,6 +77,8 @@ def test_malformed_state_cap_variable_is_named(monkeypatch, value):
     monkeypatch.setenv("DNACODEC_STATE_CAP", value)
     with pytest.raises(FormatError, match=r"DNACODEC_STATE_CAP must be a positive integer"):
         missing_word(Nfa.universal(DNA))
+    with pytest.raises(FormatError, match=r"DNACODEC_STATE_CAP must be a positive integer"):
+        missing_word(Nfa.empty(DNA))  # even when the empty word is rejected
     assert missing_word(Nfa.universal(DNA), state_cap=1) is None  # the keyword wins
 
 
@@ -84,6 +86,8 @@ def test_malformed_state_cap_variable_is_named(monkeypatch, value):
 def test_explicit_state_cap_below_one_is_named(cap):
     with pytest.raises(FormatError, match=rf"state_cap must be a positive integer, not {cap}"):
         missing_word(Nfa.finite(DNA, ["", "A"]), cap)
+    with pytest.raises(FormatError, match=rf"state_cap must be a positive integer, not {cap}"):
+        missing_word(Nfa.empty(DNA), cap)  # even when the empty word is rejected
     with pytest.raises(FormatError, match="state_cap"):
         determinize(Nfa.universal(DNA), state_cap=cap)
 
@@ -236,6 +240,45 @@ def _frozenset_missing_word(m, cap):
     return _frozenset_search(m, cap)[0]
 
 
+def _reverse(m):
+    """``m`` with its edges flipped and its initial and final states swapped."""
+    return Nfa(m.alphabet, m.n_states, tuple((d, a, s) for s, a, d in m.edges), m.final, m.initial)
+
+
+def _two_way_missing_word(m, cap):
+    """The two-way rule on ``frozenset`` subsets: the forward search's outcome when
+    it answers within ``cap`` subsets, else the search of the reverse's outcome.  A
+    word ``u`` of the reverse gives the length; the word is spelled from the start,
+    each letter the least whose successor misses some subset the reverse reaches on
+    exactly as many letters as are left to spell."""
+    found = _outcome(_frozenset_missing_word, m, cap)
+    if not isinstance(found, tuple):
+        return found
+    back = _reverse(m)
+    found = _outcome(_frozenset_missing_word, back, cap)
+    if not isinstance(found, str):  # None, or both searches stopped at the cap
+        return found
+    levels = [{back.closure(back.initial)}]
+    for _ in found[1:]:
+        levels.append({back.step(p, a) for p in levels[-1] for a in m.alphabet})
+    word, cur = "", m.closure(m.initial)
+    for level in reversed(levels):
+        a = next(a for a in m.alphabet if any(not m.step(cur, a) & p for p in level))
+        word, cur = word + a, m.step(cur, a)
+    return word
+
+
+def _assert_capped_outcomes(m, caps):
+    """At each cap ``missing_word`` gives the two-way outcome, and the forward
+    search's answer wherever that search answers on its own."""
+    for cap in caps:
+        outcome = _outcome(missing_word, m, cap)
+        assert outcome == _outcome(_two_way_missing_word, m, cap)
+        forward = _outcome(_frozenset_missing_word, m, cap)
+        if not isinstance(forward, tuple):
+            assert outcome == forward
+
+
 def _first_rejected(m, max_len):
     """The shortlex-least word of length <= max_len that ``m`` rejects."""
     for length in range(max_len + 1):
@@ -294,8 +337,7 @@ def test_determinize_matches_frozenset_subsets(m):
 def test_missing_word_matches_frozenset_search_and_brute_force(m):
     w = missing_word(m)
     assert w == _frozenset_missing_word(m, 1 << 20)
-    for cap in (1, 2, 3):
-        assert _outcome(missing_word, m, cap) == _outcome(_frozenset_missing_word, m, cap)
+    _assert_capped_outcomes(m, (1, 2, 3))
     bound = 4 if len(m.alphabet) == 4 else 8
     brute = _first_rejected(m, bound)
     assert brute == (w if w is not None and len(w) <= bound else None)
@@ -340,10 +382,10 @@ def test_multi_byte_subsets_match_frozenset_subsets(m):
         assert _outcome(lambda: _dfa(determinize(m, cap))) == _outcome(
             lambda: _dfa(_frozenset_determinize(m, cap))
         )
-    found = _outcome(_frozenset_search, m, WIDE_CAP)
-    assert _outcome(missing_word, m, WIDE_CAP) == _outcome(_frozenset_missing_word, m, WIDE_CAP)
-    for cap in _caps_around(found[1]):
-        assert _outcome(missing_word, m, cap) == _outcome(_frozenset_missing_word, m, cap)
+    caps = {WIDE_CAP}
+    for machine in (m, _reverse(m)):  # around each direction's subset count
+        caps |= _caps_around(_outcome(_frozenset_search, machine, WIDE_CAP)[1])
+    _assert_capped_outcomes(m, sorted(caps))
 
 
 def _near_universal_dna(k, letter):
@@ -366,3 +408,25 @@ def test_missing_word_near_universal_family(letter):
     assert missing_word(m) == letter + "A" * 8
     assert missing_word(m) == _frozenset_missing_word(m, 1 << 20)
     assert _first_rejected(_near_universal_dna(3, letter), 4) == letter + "AAA"
+    # the mirrored language: the (k+1)-th letter from the start is not ``letter``
+    mirrored = _reverse(m)
+    assert missing_word(mirrored) == "A" * 8 + letter == _frozenset_missing_word(mirrored, 1 << 20)
+    assert _first_rejected(_reverse(_near_universal_dna(3, letter)), 4) == "AAA" + letter
+    # the forward search of m, which is the backward one of the mirrored shape, needs
+    # 512-768 subsets; the other direction needs 10-11
+    with pytest.raises(ResourceLimitError):
+        _frozenset_search(m, 20)
+    assert missing_word(m, 20) == letter + "A" * 8
+    assert missing_word(mirrored, 20) == "A" * 8 + letter
+    m = _near_universal_dna(13, letter)
+    assert missing_word(m) == letter + "A" * 13
+    assert missing_word(_reverse(m)) == "A" * 13 + letter
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_nfas(), small_nfas(total=True), wide_nfas(), wide_nfas(total=True)))
+def test_missing_word_of_reversed_machines_matches_brute_force(m):
+    m = _reverse(m)  # the backward search now runs over the drawn machine
+    w = missing_word(m)
+    bound = 4 if len(m.alphabet) == 4 else 8
+    assert _first_rejected(m, bound) == (w if w is not None and len(w) <= bound else None)

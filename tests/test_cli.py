@@ -497,7 +497,7 @@ def test_descriptor_with_a_foreign_label_is_rejected(tmp_path, capsys):
     desc.write_text(json.dumps({"alphabet": "ACGT", "transducer": "@Transducer 0 * 0\n0 A x 0\n"}))
     rc = main(["satisfies", "--property", str(desc), "--language", write_language(tmp_path, "l.fa", ["AC"])])
     err = capsys.readouterr().err
-    assert rc == 2 and "field 'transducer': line 1: labels ['x'] not in the given alphabet" in err
+    assert rc == 2 and "field 'transducer': line 2: labels ['x'] not in the given alphabet" in err
 
 
 def test_malformed_inline_machine_names_the_argument(capsys):

@@ -100,6 +100,13 @@ def test_error_line_numbers():
     with pytest.raises(FormatError) as err:
         parse_fado("")
     assert err.value.line == 1
+    # a label outside an explicit alphabet is reported at the first edge carrying one
+    with pytest.raises(FormatError, match=r"labels \['x', 'y'\] not in the given alphabet") as err:
+        parse_fado("@NFA 1 * 0\n0 A 1\n\n1 y 0\n0 x 1\n", DNA)
+    assert err.value.line == 4
+    with pytest.raises(FormatError) as err:
+        parse_fado("@Transducer 1 * 0\n0 A C 1\n1 G x 0\n", DNA)
+    assert err.value.line == 3
 
 
 def test_serialize_normalizes_word_labels():
