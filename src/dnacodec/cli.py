@@ -100,11 +100,16 @@ def _field(doc: dict, name: str, types: tuple, default=_REQUIRED, path: str = ""
     return value
 
 
-def _words_field(doc: dict, name: str) -> tuple[str, ...]:
-    words = _field(doc, name, (list,))
-    if not all(isinstance(w, str) for w in words):
-        raise FormatError(f"field {name!r} must be a list of strings")
-    return tuple(words)
+def _tiles(doc: dict, name: str, theta: Optional[Permutation]) -> tuple[str, ...]:
+    """Field ``name`` of a correspondence instance: nonempty words, over theta's letters if given."""
+    tiles, letters = _field(doc, name, (list,)), "".join(theta.alphabet.symbols) if theta else ""
+    for w in tiles:
+        if not isinstance(w, str) or not w or letters and w.strip(letters):
+            over = f" over {letters!r}" if letters else ""
+            raise FormatError(f"field {name!r} must list nonempty words{over}, not {w!r}")
+    if not tiles:
+        raise FormatError(f"field {name!r} must list at least one tile")
+    return tuple(tiles)
 
 
 def _machine(
@@ -152,7 +157,10 @@ def _theta_from_spec(spec, hint: Optional[Alphabet] = None) -> Permutation:
         symbols = _field(spec, "alphabet", (str,), None, "theta.")
         alphabet = Alphabet.of(symbols if symbols is not None else sorted(table))
         mode = _field(spec, "mode", (str,), "antimorphic", "theta.", ("antimorphic", "morphic"))
-        return Permutation.from_mapping(alphabet, table, antimorphic=mode == "antimorphic")
+        try:
+            return Permutation.from_mapping(alphabet, table, antimorphic=mode == "antimorphic")
+        except ValueError as exc:
+            raise FormatError(f"field 'theta.table': {exc}") from None
     raise FormatError(f"field 'theta' must be a string or an object, not {type(spec).__name__}")
 
 
@@ -271,6 +279,9 @@ def _cmd_build_property(args) -> int:
     alphabet = Alphabet.of(args.alphabet) if args.alphabet else DNA
     theta = _theta_from_spec(args.theta, alphabet)
     if args.dna:
+        for flag, value, choices in (("--dna", args.dna, PROPERTY_NAMES), ("--variant", args.variant, VARIANTS)):
+            if value not in choices:
+                raise FormatError(f"{flag} must be one of {', '.join(choices)}, not {value!r}")
         built = named_property(args.dna, args.variant, theta)
     else:
         e1, e2 = args.trajectory
@@ -290,10 +301,11 @@ def _cmd_build_property(args) -> int:
 
 def _load_instance(arg: str):
     doc = _object(_json_arg(arg)[0], "instance document")
-    alpha, beta = _words_field(doc, "alpha"), _words_field(doc, "beta")
-    if "theta" in doc:
-        return ThetaPcpInstance(alpha, beta, _theta_from_spec(doc["theta"]))
-    return PcpInstance(alpha, beta)
+    theta = _theta_from_spec(doc["theta"]) if "theta" in doc else None
+    alpha, beta = _tiles(doc, "alpha", theta), _tiles(doc, "beta", theta)
+    if len(alpha) != len(beta):
+        raise FormatError(f"field 'beta' must list as many tiles as field 'alpha' ({len(alpha)}), not {len(beta)}")
+    return PcpInstance(alpha, beta) if theta is None else ThetaPcpInstance(alpha, beta, theta)
 
 
 def _cmd_pcp(args) -> int:
@@ -312,6 +324,8 @@ def _cmd_pcp(args) -> int:
         _write_json(doc, args.output)
         return 0
     if args.action == "solve":
+        if args.bound < 1:
+            raise FormatError(f"--bound must be at least 1, not {args.bound}")
         seq = solve_bounded(inst, args.bound)
         if seq is None:
             print(f"no solution within {args.bound} tiles")
@@ -321,11 +335,10 @@ def _cmd_pcp(args) -> int:
     # check
     if not args.solution:
         raise FormatError("check needs --solution")
-    try:
-        seq = tuple(int(part) for part in args.solution.split(","))
+    try:  # check_solution raises it too, for an index out of range
+        result = check_solution(inst, [int(part) for part in args.solution.split(",")])
     except ValueError:
-        raise FormatError(f"--solution must list tile indices as 0,1,..., not {args.solution!r}") from None
-    result = check_solution(inst, seq)
+        raise FormatError(f"--solution must list indices below {len(inst)} as 0,1,..., not {args.solution!r}") from None
     print(f"{'valid' if result.ok else 'invalid'}: {result.left!r} vs {result.right!r}")
     return 0 if result.ok else 1
 
@@ -335,6 +348,8 @@ def _cmd_transducer_check(args) -> int:
     if args.mode in ("altering", "preserving"):
         if not args.theta:
             raise FormatError(f"--mode {args.mode} needs --theta")
+        if args.bound < 0:
+            raise FormatError(f"--bound: word bound must be at least 0, not {args.bound}")
         theta = _theta_from_spec(args.theta, machine.alphabet)
         witness = bounded_counterexample(machine, theta, args.mode, args.bound)
         if witness is None:

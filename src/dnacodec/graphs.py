@@ -4,8 +4,10 @@ States are dense integers ``0..n-1``.  An edge is any tuple whose first
 item is its source and whose last item is its target, so NFA edges
 ``(src, sym, dst)`` and transducer edges ``(src, inp, out, dst)`` go
 through the same code; the edges of one call all have the same length.
-``succ`` is an adjacency list: ``succ[q]`` lists the targets of the edges
-leaving ``q``.
+Per state, ``succ[q]`` lists either the targets of the edges leaving ``q``
+(target lists, which ``reachable`` reads) or those edges themselves, in
+edge order (the edge index ``leaving(n, edges)``, which ``topological_order``
+and ``shortest_path`` read; a product builds it once for all its walks).
 
 ``numbering`` decides how the states of a product construction are
 numbered and where a state cap stops it.  The one exception is the
@@ -17,7 +19,7 @@ on product sizes has to be checked there as well.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Container, Hashable, Iterable, Optional, Sequence
 
 from .errors import ResourceLimitError
 
@@ -30,12 +32,11 @@ def _target(edges: Sequence[tuple]) -> int:
     return len(edges[0]) - 1 if edges else 0
 
 
-def successors(n: int, edges: Sequence[tuple]) -> list[list[int]]:
-    """Per state, the targets of its edges in edge order."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    last = _target(edges)
+def leaving(n: int, edges: Sequence[tuple]) -> list[list[tuple]]:
+    """The edge index: per state, the edges leaving it, in edge order."""
+    succ: list[list[tuple]] = [[] for _ in range(n)]
     for e in edges:
-        succ[e[0]].append(e[last])
+        succ[e[0]].append(e)
     return succ
 
 
@@ -63,22 +64,37 @@ def trim_keep(n: int, edges: Sequence[tuple], initial: Iterable[int], final: Ite
     return sorted(reachable(succ, initial) & reachable(pred, final))
 
 
-def topological_order(n: int, edges: Sequence[tuple]) -> Optional[list[int]]:
-    """All states ordered so that every edge points forward, or None on a cycle."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
-    last = _target(edges)
-    for e in edges:
-        dst = e[last]
-        succ[e[0]].append(dst)
-        indegree[dst] += 1
-    order = [q for q in range(n) if not indegree[q]]
+def topological_order(succ: list[list[tuple]]) -> Optional[list[int]]:
+    """All states of the edge index ``succ`` ordered so that every edge points
+    forward, or None on a cycle."""
+    indegree = [0] * len(succ)
+    last = _target(next(filter(None, succ), ()))
+    for es in succ:
+        for e in es:
+            indegree[e[last]] += 1
+    order = [q for q, d in enumerate(indegree) if not d]
     for q in order:  # Kahn: the list grows while it is walked
-        for r in succ[q]:
-            indegree[r] -= 1
+        for e in succ[q]:
+            indegree[r := e[last]] -= 1
             if not indegree[r]:
                 order.append(r)
-    return order if len(order) == n else None
+    return order if len(order) == len(succ) else None
+
+
+def shortest_path(succ: list[list[tuple]], start: int, goals: Container[int]) -> Optional[list[tuple]]:
+    """The edges of a shortest path from ``start`` into ``goals``, breadth first
+    over the edge index ``succ`` and the first found of that length; None if none."""
+    last = _target(next(filter(None, succ), ()))
+    parents: dict = {start: None}
+    queue = [start]
+    for q in queue:  # the list grows while it is walked
+        if q in goals:
+            return path_to(parents, q)
+        for e in succ[q]:
+            if e[last] not in parents:
+                parents[e[last]] = (q, e)
+                queue.append(e[last])
+    return None
 
 
 def distances_to(n: int, edges: Sequence[tuple], targets: Iterable[int]) -> list[float]:

@@ -11,8 +11,9 @@ and a *kind*:
   property.  Equivalently, every pair of the restricted relation must lie
   on the graph of theta.
 
-Both kinds are decidable for every transducer; the weak kind by one
-polynomial search (:func:`satisfies_W_general`).  A descriptor may still
+Both kinds are decidable for every transducer; the weak kind in polynomial
+time by ``transducers._weak_pair``, which also chooses its route
+(:func:`satisfies_W_general`).  A descriptor may still
 *assert* a transducer class, which is sanity-checked on all short words
 and refuted loudly with :class:`ClassAssertionRefuted`.  The input-altering
 assertion sends the weak kind through the strict search; the input-preserving
@@ -34,12 +35,9 @@ from .automata import (
     union as nfa_union,
 )
 from .errors import ClassAssertionRefuted
-from .graphs import topological_order
 from .transducers import (
     Transducer,
-    _leaving,
-    _mismatch,
-    _restriction,
+    _weak_pair,
     accepts_pair,
     bounded_counterexample,
     image,
@@ -153,81 +151,30 @@ def satisfies_S(p: PropertyDescriptor, l: Nfa) -> Verdict:
     return Verdict(False, _decode_intersection_witness(p, l, y), "satisfies_S", stats)
 
 
-_LISTING_CAP = 10**6  # pairs held at once by ``_dag_pairs``; past it ``_mismatch`` decides
-
-
-def _dag_pairs(t: Transducer) -> Optional[list[tuple[str, str]]]:
-    """All realized pairs of a normalized transducer, in order, or None when
-    it has a cycle or the pairs held at its states pass ``_LISTING_CAP``."""
-    order = topological_order(t.n_states, t.edges)
-    if order is None:
-        return None
-    succ = _leaving(t)
-    suffixes: list[set[tuple[str, str]]] = [set() for _ in range(t.n_states)]
-    total = 0
-    for node in reversed(order):  # children before parents
-        bucket = suffixes[node]
-        if node in t.final:
-            bucket.add(("", ""))
-        for _, x, y, dst in succ[node]:
-            for sx, sy in suffixes[dst]:
-                bucket.add((x + sx, y + sy))
-        total += len(bucket)
-        if total > _LISTING_CAP:
-            return None
-    result: set[tuple[str, str]] = set()
-    for q in t.initial:
-        result |= suffixes[q]
-    return sorted(result, key=lambda p: (len(p[0]) + len(p[1]), p))
-
-
 def satisfies_W_general(p: PropertyDescriptor, l: Nfa) -> Verdict:
     """Weak satisfaction, exact for every transducer.
 
-    The property holds iff every pair (x, y) of the restricted relation S
-    satisfies y = theta(x).  Since theta preserves length, S must first be
-    length-preserving.  One breadth-first walk of the product builds S
-    (``transducers._restriction``) and decides that: it labels each triple
-    with the balance of the path that found it, inputs minus outputs, and
-    stops at the first accepting triple whose balance is not 0; a walk that
-    completes trims S once and checks that every kept edge moves the
-    balance by its one letter; one that found no accepting triple returns
-    the empty S at once.  Either failure gives a pair with
-    ``|x| != |y|``.  Otherwise every state of S has one balance, and a pair
-    off theta is a run with an input letter a and an output letter
-    b != pi(a) at positions that theta matches up (the same position for a
-    morphic theta, mirrored ones for an antimorphic one).
-    ``transducers._mismatch`` finds such a run from the walk's labels in
-    polynomial time, for any permutation.  An acyclic S with an
-    antimorphic theta instead has its pairs listed in order (``_dag_pairs``),
-    so the witness is the least offending pair; a listing that would pass
-    ``_LISTING_CAP`` pairs gives way to the search, so every call answers.
-    ``stats["route"]`` says which decided: ``"acyclic"`` for the listing,
-    ``"mismatch"`` for the balance argument (the length check, then the
-    search).
+    The property holds iff every pair (x, y) of the restricted relation S,
+    T with inputs in L and outputs in theta(L), satisfies y = theta(x).
+    ``transducers._weak_pair`` decides that by the balance argument of
+    Beal, Carton, Prieur and Sakarovitch, "Squaring transducers" (TCS 292,
+    2003), in polynomial time for every permutation, and chooses the route:
+    ``stats["route"]`` is ``"length"`` when a pair of unequal lengths
+    decided, ``"acyclic"`` when the pairs of an acyclic S were listed under
+    an antimorphic theta (the witness is then the least offending pair),
+    ``"mismatch"`` for the polynomial search; an empty S has no route.
     """
     _check_language(p, l)
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_general expects a weak-kind descriptor")
     theta = p.theta
-    s, labels, bad, states, transitions = _restriction(p.transducer, l, theta_image(l, theta), weak=True)
+    bad, route, states, transitions = _weak_pair(p.transducer, l, theta_image(l, theta), theta)
     stats = {"restriction_states": states, "restriction_edges": transitions}
-    decider = "satisfies_W_general"
-    if bad is not None:  # a pair of unequal lengths
-        stats["route"] = "mismatch"
-        return Verdict(False, (bad[0], theta.inverse()(bad[1])), decider, stats)
-    if s.n_states == 0:
-        return Verdict(True, None, decider, stats)
-    pairs = _dag_pairs(s) if theta.antimorphic else None
-    stats["route"] = "mismatch" if pairs is None else "acyclic"
-    if pairs is not None:
-        bad = next(((x, y) for x, y in pairs if y != theta(x)), None)
-    else:
-        bad = _mismatch(s, theta, labels)
+    if route is not None:
+        stats["route"] = route
     if bad is None:
-        return Verdict(True, None, decider, stats)
-    x, y = bad
-    return Verdict(False, (x, theta.inverse()(y)), decider, stats)
+        return Verdict(True, None, "satisfies_W_general", stats)
+    return Verdict(False, (bad[0], theta.inverse()(bad[1])), "satisfies_W_general", stats)
 
 
 def satisfies_W_preserving(p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6) -> Verdict:

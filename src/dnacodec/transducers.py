@@ -12,6 +12,8 @@ it, so the restriction search, the witness decoder and ``accepts_pair`` pay
 only for the states they reach; ``compose`` and the bounded class check
 fill every state.  A restriction search that finds nothing early finishes
 on a reachability walk over bitsets of (L, theta(L)) state pairs.
+The weak decision ``_weak_pair`` chooses its route here, for both
+``properties.satisfies_W_general`` and ``is_partial_identity``.
 ``normalize`` turns the filled view into a machine, its chain states
 numbered densely, for serialization.  The view, the normal form and each
 bounded class check (``bounded_counterexample``: all words of one length
@@ -38,7 +40,7 @@ from .automata import (
     union,
 )
 from .errors import ResourceLimitError
-from .graphs import INF, numbering, path_to, reachable, successors, trim_keep
+from .graphs import INF, leaving, numbering, path_to, reachable, shortest_path, topological_order, trim_keep
 
 
 def _words_ok(alphabet: Alphabet, labels: set) -> bool:
@@ -331,7 +333,7 @@ def _restriction(
     if clash is None:
         return s, balance, None, s.n_states, len(s.edges)
     p, x, y, q = clash
-    cx, cy = _shortest_completion(s, q)
+    cx, cy = _words(shortest_path(leaving(s.n_states, s.edges), q, s.final))
     px, py = _words(path_to(parents, keep[p]))
     qx, qy = _words(path_to(parents, keep[q]))
     w = (px + x + cx, py + y + cy)
@@ -504,15 +506,7 @@ def image(t: Transducer, m: Nfa) -> Nfa:
 
 def relation_empty(t: Transducer) -> bool:
     """True when the machine realizes no pair at all."""
-    return reachable(successors(t.n_states, t.edges), t.initial).isdisjoint(t.final)
-
-
-def _leaving(t: Transducer) -> list[list[tuple[int, str, str, int]]]:
-    """Per state, the edges leaving it, in edge order."""
-    succ: list[list[tuple[int, str, str, int]]] = [[] for _ in range(t.n_states)]
-    for e in t.edges:
-        succ[e[0]].append(e)
-    return succ
+    return not trim_keep(t.n_states, t.edges, t.initial, t.final)
 
 
 def accepts_pair(t: Transducer, x: str, y: str) -> bool:
@@ -523,44 +517,81 @@ def accepts_pair(t: Transducer, x: str, y: str) -> bool:
 # -- decision procedures --------------------------------------------------
 
 
-def _shortest_completion(
-    tn: Transducer, start: int, goals: Optional[frozenset[int]] = None
-) -> tuple[str, str]:
-    """Labels of a shortest edge path from ``start`` into ``goals`` (the final states).
-
-    Only called where such a path exists, as on a trimmed machine.
-    """
-    goals = tn.final if goals is None else goals
-    adj = _leaving(tn)
-    parents: dict = {start: None}
-    queue = [start]
-    for q in queue:  # breadth first: the list grows while it is walked
-        if q in goals:
-            return _words(path_to(parents, q))
-        for e in adj[q]:
-            if e[3] not in parents:
-                parents[e[3]] = (q, e)
-                queue.append(e[3])
-    raise AssertionError("no path into the goal states")  # pragma: no cover - trimmed: one exists
-
-
 def _words(edges: list) -> tuple[str, str]:
     """The input and output words along a list of edges."""
     return "".join(e[1] for e in edges), "".join(e[2] for e in edges)
 
 
-def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tuple[str, str]]:
+_LISTING_CAP = 10**6  # pairs held at once by ``_dag_pairs``; past it ``_mismatch`` decides
+
+
+def _weak_pair(
+    t: Transducer, m: Nfa, outputs: Optional[Nfa], theta: Permutation
+) -> tuple[Optional[tuple[str, str]], Optional[str], int, int]:
+    """``(pair, route, states, transitions)``: a pair (x, y) of ``t`` with x
+    in ``m``, y in ``outputs`` (by default all words) and ``y != theta(x)``,
+    or None; the route that decided; and the product's size, as the weak
+    walk of ``_restriction`` gives it.
+
+    The balance argument: theta preserves length, so the walk first looks
+    for a pair of unequal lengths (route ``"length"``); without one it gives
+    the trimmed product S and one balance per state.  An empty S has no
+    pair and no route.  Otherwise ``_mismatch`` finds a pair off theta in
+    polynomial time for any permutation (route ``"mismatch"``).  An acyclic
+    S under an antimorphic theta instead has its pairs listed in order by
+    ``_dag_pairs`` (route ``"acyclic"``), so the pair is the least one off
+    theta; a listing past ``_LISTING_CAP`` pairs gives way to the search.
+    Both read S's one edge index, built here.
+    """
+    s, labels, uneven, states, transitions = _restriction(t, m, outputs, weak=True)
+    if uneven is not None:
+        return uneven, "length", states, transitions
+    if s.n_states == 0:
+        return None, None, states, transitions
+    succ = leaving(s.n_states, s.edges)
+    pairs = _dag_pairs(s, succ) if theta.antimorphic else None
+    if pairs is None:
+        return _mismatch(s, succ, theta, labels), "mismatch", states, transitions
+    return next(((x, y) for x, y in pairs if y != theta(x)), None), "acyclic", states, transitions
+
+
+def _dag_pairs(t: Transducer, succ: list) -> Optional[list[tuple[str, str]]]:
+    """All realized pairs of a normalized transducer with the edge index
+    ``succ``, in order, or None when it has a cycle or the pairs held at its
+    states pass ``_LISTING_CAP``."""
+    order = topological_order(succ)
+    if order is None:
+        return None
+    suffixes: list[set[tuple[str, str]]] = [set() for _ in range(t.n_states)]
+    total = 0
+    for node in reversed(order):  # children before parents
+        bucket = suffixes[node]
+        if node in t.final:
+            bucket.add(("", ""))
+        for _, x, y, dst in succ[node]:
+            for sx, sy in suffixes[dst]:
+                bucket.add((x + sx, y + sy))
+        total += len(bucket)
+        if total > _LISTING_CAP:
+            return None
+    result: set[tuple[str, str]] = set()
+    for q in t.initial:
+        result |= suffixes[q]
+    return sorted(result, key=lambda p: (len(p[0]) + len(p[1]), p))
+
+
+def _mismatch(tn: Transducer, succ: list, theta: Permutation, lam: list[int]) -> Optional[tuple[str, str]]:
     """A realized pair ``(x, y)`` of ``tn`` with ``y != theta(x)``, or None.
 
     ``tn`` is a trimmed product on which the weak walk of ``_restriction``
-    found no pair of unequal lengths, and ``lam`` are its labels: every
-    state q has one balance ``lam[q]``, inputs minus outputs on any path
-    from an initial state to q.  Every pair has ``|x| == |y|``, so
-    a pair is off theta exactly when one run of it carries an input edge
-    reading a and an output edge writing b with ``b != pi(a)`` (pi the
-    letter table) at matching positions: the i-th input against the i-th
-    output for a morphic theta, against the i-th output from the end for
-    an antimorphic one.  Both searches are polynomial.
+    found no pair of unequal lengths, ``succ`` its edge index, and ``lam``
+    its labels: every state q has one balance ``lam[q]``, inputs minus
+    outputs on any path from an initial state to q.  Every pair has
+    ``|x| == |y|``, so a pair is off theta exactly when one run of it
+    carries an input edge reading a and an output edge writing b with
+    ``b != pi(a)`` (pi the letter table) at matching positions: the i-th
+    input against the i-th output for a morphic theta, against the i-th
+    output from the end for an antimorphic one.  Both searches are polynomial.
 
     *Morphic.*  After the first of the two marks, at state r, a counter
     starts at ``lam[r]`` (input first, which needs ``lam[r] > 0``) or at
@@ -576,13 +607,6 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
     move independently, so their moves can be interleaved to keep |d| at
     most the spread Lambda of lam: N^2 * (2 Lambda + 1) nodes.
     """
-    n = tn.n_states
-    if n == 0:
-        return None
-    succ = _leaving(tn)
-    pred: list[list[tuple[int, str, str, int]]] = [[] for _ in range(n)]
-    for e in tn.edges:
-        pred[e[3]].append(e)
     pi = theta.image
     parents: dict = {}
     if not theta.antimorphic:
@@ -602,9 +626,7 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
                     nexts = [(r, first, c - 1 if c > 0 else c + 1)]
                 else:  # the second mark
                     if (y != pi(first)) if c > 0 else (first != pi(x)):
-                        px, py = _words(path_to(parents, node) + [e])
-                        cx, cy = _shortest_completion(tn, r)
-                        return px + cx, py + cy
+                        return _words(path_to(parents, node) + [e] + shortest_path(succ, r, tn.final))
                     continue
                 for nxt in nexts:
                     if nxt not in seen:
@@ -613,7 +635,11 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
                         queue.append(nxt)
         return None
 
-    states = successors(n, tn.edges)
+    n = len(succ)
+    pred: list[list[tuple[int, str, str, int]]] = [[] for _ in range(n)]
+    for e in tn.edges:
+        pred[e[3]].append(e)
+    states = [[e[3] for e in es] for es in succ]
 
     @cache  # on first query: a search that stops early asks about few states
     def reach(p: int) -> bytearray:  # bit q set when q is reachable from p
@@ -625,7 +651,7 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
     def reaches(p: int, q: int) -> int:
         return reach(p)[q >> 3] >> (q & 7) & 1
 
-    spread = max(lam) - min(lam)
+    spread = max(lam, default=0) - min(lam, default=0)  # lam is [] on an empty product
     fits: dict[tuple[int, int], dict] = {}
 
     def marks(f: int, g: int) -> dict:
@@ -651,10 +677,8 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
         if hit is not None:
             e1, e2 = hit
             steps = path_to(parents, node)
-            px, py = _words([e for head, e in steps if head == 0] + [e1])
-            mx, my = _shortest_completion(tn, e1[3], frozenset((e2[0],)))
-            qx, qy = _words([e2] + [e for head, e in reversed(steps) if head == 1])
-            return px + mx + qx, py + my + qy
+            forward = [e for head, e in steps if head == 0] + [e1] + shortest_path(succ, e1[3], (e2[0],))
+            return _words(forward + [e2] + [e for head, e in reversed(steps) if head == 1])
         for e in succ[f]:  # the forward head reads: d falls
             nxt = (e[3], g, d - 1 if e[1] else d)
             if nxt[2] >= -spread and reaches(e[3], g) and nxt not in seen:
@@ -673,16 +697,12 @@ def _mismatch(tn: Transducer, theta: Permutation, lam: list[int]) -> Optional[tu
 def is_partial_identity(t: Transducer) -> tuple[bool, Optional[tuple[str, str]]]:
     """Is the realized relation a subset of {(w, w)}?
 
-    The weak walk of ``_restriction`` over T x Sigma* x Sigma* finds a pair
-    of unequal lengths or gives every state of the trimmed product one
-    input-minus-output balance; a pair that then differs at some position
-    is found by the polynomial search ``_mismatch`` with the identity
-    permutation.  Returns ``(True, None)`` or ``(False, (x, y))`` with a
-    realized pair ``x != y``.
+    The weak decision ``_weak_pair`` over T x Sigma* x Sigma* with the
+    identity permutation: a pair of unequal lengths, else one that differs
+    at some position, found by the polynomial search ``_mismatch``.  Returns
+    ``(True, None)`` or ``(False, (x, y))`` with a realized pair ``x != y``.
     """
-    s, labels, wit, _, _ = _restriction(t, _all_words(t.alphabet), weak=True)
-    if wit is None:
-        wit = _mismatch(s, Permutation.identity(t.alphabet), labels)
+    wit = _weak_pair(t, _all_words(t.alphabet), None, Permutation.identity(t.alphabet))[0]
     return wit is None, wit
 
 
@@ -770,7 +790,8 @@ def included_in_recognizable(
         forbidden = nfa_complement(allowed, cap)
         residual = trim(restrict_input(t, l_sig, forbidden))
         if residual.n_states:
-            return False, _shortest_completion(residual, min(residual.initial))
+            path = shortest_path(leaving(residual.n_states, residual.edges), min(residual.initial), residual.final)
+            return False, _words(path)
     return True, None
 
 

@@ -403,6 +403,25 @@ def test_pcp_theta_instance_solve(capsys):
     assert capsys.readouterr().out.strip() == "solution: 0"
 
 
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"alpha": [], "beta": []}, "field 'alpha'"),
+        ({"alpha": ["0", ""], "beta": ["1", "0"]}, "field 'alpha'"),
+        ({"alpha": ["0"], "beta": [""]}, "field 'beta'"),
+        ({"alpha": ["0", "1"], "beta": ["1"]}, "field 'beta'"),
+        ({"alpha": ["0x"], "beta": ["1"], "theta": "mirror:01"}, "field 'alpha'"),
+        ({"alpha": ["0"], "beta": ["2"], "theta": "mirror:01"}, "field 'beta'"),
+    ],
+)
+def test_malformed_instance_names_the_field(doc, named, capsys):
+    args = build_parser().parse_args(["pcp", "solve", "--instance", json.dumps(doc)])
+    with pytest.raises(FormatError, match=re.escape(named)):
+        args.handler(args)
+    assert main(["pcp", "solve", "--instance", json.dumps(doc)]) == 2
+    assert named in capsys.readouterr().err
+
+
 # -- transducer check -----------------------------------------------------------
 
 
@@ -473,6 +492,16 @@ THETA_INSTANCE = json.dumps({"alpha": ["0"], "beta": ["1"], "theta": "mirror:01"
         (["pcp", "check", "--instance", SOLVABLE], "--solution"),
         (["pcp", "reduce", "--instance", SOLVABLE, "--theta", "identity"], "--theta"),
         (["pcp", "solve", "--instance", THETA_INSTANCE.replace("mirror:01", "mirror")], "field 'theta'"),
+        (["pcp", "solve", "--instance", SOLVABLE, "--bound", "0"], "--bound must be at least 1, not 0"),
+        (["pcp", "check", "--instance", SOLVABLE, "--solution", "5"], "--solution"),
+        (["pcp", "check", "--instance", SOLVABLE, "--solution", "0,-1"], "--solution"),
+        (
+            ["transducer", "check", fixture("fado", "t_identity_ab.fa"), "--mode", "preserving", "--theta", "mirror",
+             "--bound", "-3"],
+            "--bound: word bound must be at least 0, not -3",
+        ),
+        (["build-property", "--dna", "bogus"], "--dna must be one of "),
+        (["build-property", "--dna", "compliant", "--variant", "bogus"], "--variant must be one of "),
     ],
 )
 def test_bad_arguments_are_format_errors_naming_the_flag(argv, named, capsys):
@@ -545,6 +574,9 @@ def test_missing_language_file(capsys):
     assert rc == 2
 
 
+DNA_PROPERTY = {"dna": {"name": "compliant", "variant": "weak"}}
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -562,6 +594,8 @@ def test_missing_language_file(capsys):
         ({"transducer": {"dna": {"name": "bogus", "variant": "weak"}}}, "field 'transducer.dna.name'"),
         ({"transducer": {"dna": {"name": "compliant", "variant": "wek"}}}, "field 'transducer.dna.variant'"),
         ({"transducer": "@NFA 1 * 0\n0 A 1\n"}, "field 'transducer' must hold a transducer"),
+        ({"theta": {"table": dict(zip("ACGT", "TTCA"))}, "transducer": DNA_PROPERTY}, "field 'theta.table'"),
+        ({"theta": {"table": {"A": "T"}, "alphabet": "AT"}, "transducer": DNA_PROPERTY}, "field 'theta.table'"),
     ],
 )
 def test_malformed_descriptor_names_the_field(tmp_path, capsys, doc, field):

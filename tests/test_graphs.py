@@ -9,10 +9,11 @@ from dnacodec.errors import ResourceLimitError
 from dnacodec.graphs import (
     INF,
     distances_to,
+    leaving,
     numbering,
     path_to,
     reachable,
-    successors,
+    shortest_path,
     topological_order,
     trim_keep,
 )
@@ -27,6 +28,11 @@ def digraphs(draw, min_states=0):
     state = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(state, st.sampled_from([None, "a", "b"]), state), max_size=20))
     return n, edges
+
+
+def target_lists(n, edges):
+    """Per state, the targets of its edges in edge order: what ``reachable`` reads."""
+    return [[e[-1] for e in es] for es in leaving(n, edges)]
 
 
 def state_sets(n):
@@ -56,7 +62,7 @@ def reached_from(n, edges, sources):
 def test_reachability_and_trim(case):
     (n, edges), sources, targets = case
     expected = reached_from(n, edges, sources)
-    assert reachable(successors(n, edges), sources) == expected
+    assert reachable(target_lists(n, edges), sources) == expected
     reversed_edges = [(d, sym, s) for s, sym, d in edges]
     keep = expected & reached_from(n, reversed_edges, targets)
     assert trim_keep(n, edges, sources, targets) == sorted(keep)
@@ -71,7 +77,7 @@ def test_topological_order_and_cycle_states(graph):
     n, edges = graph
     reach = closure(n, edges)
     on_cycle = {q for q in range(n) if reach[q][q]}
-    order = topological_order(n, edges)
+    order = topological_order(leaving(n, edges))
     if on_cycle:
         assert order is None
     else:
@@ -103,7 +109,7 @@ def test_distances_match_bellman_ford(case):
 )
 def test_numbering_is_breadth_first_with_starts_first(case):
     (n, edges), starts, cap = case
-    succ = successors(n, edges)
+    succ = target_lists(n, edges)
     # reference: FIFO discovery order, duplicates of a start counted once
     order = list(dict.fromkeys(starts))
     queue = deque(order)
@@ -137,7 +143,7 @@ def test_numbering_is_breadth_first_with_starts_first(case):
 @given(digraphs(min_states=1).flatmap(lambda g: st.tuples(st.just(g), st.integers(0, g[0] - 1))))
 def test_path_to_follows_bfs_parents(case):
     (n, edges), root = case
-    succ = successors(n, edges)
+    succ = target_lists(n, edges)
     parents = {}
     seen = {root}
     queue = deque([root])
@@ -160,3 +166,22 @@ def test_path_to_follows_bfs_parents(case):
         assert all(src == hops[i] for i, (src, _dst) in enumerate(steps))
         assert hops[-1] == node
         assert len(steps) == hops_to[node]
+
+
+@settings(max_examples=200)
+@given(digraphs(min_states=1).flatmap(lambda g: st.tuples(st.just(g), st.integers(0, g[0] - 1), state_sets(g[0]))))
+def test_shortest_path_follows_edges_into_the_goals(case):
+    (n, edges), start, goals = case
+    hops_to = {start: 0}  # brute force: shortest hop counts by relaxation
+    for _ in range(n):
+        for s, _sym, d in edges:
+            if s in hops_to and hops_to[s] + 1 < hops_to.get(d, INF):
+                hops_to[d] = hops_to[s] + 1
+    path = shortest_path(leaving(n, edges), start, goals)
+    reached = [hops_to[q] for q in goals if q in hops_to]
+    if not reached:
+        assert path is None
+        return
+    assert len(path) == min(reached) and all(e in edges for e in path)
+    ends = [start] + [d for _s, _sym, d in path]
+    assert all(s == ends[i] for i, (s, _sym, _d) in enumerate(path)) and ends[-1] in goals

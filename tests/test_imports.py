@@ -215,3 +215,18 @@ def test_checker_flags_a_checked_build():
 def test_derived_machines_are_built_unchecked(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert checked_builds(fh.read(), TRUSTED_BUILDERS[module]) == []
+
+
+def test_properties_reaches_the_weak_decision_through_one_entry():
+    """``properties`` asks ``transducers._weak_pair`` for the weak decision
+    and walks no graph itself."""
+    with open(os.path.join(SRC, "properties.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [
+        (node.module or "", alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert [name for module, name in imported if module == "transducers" and name[0] == "_"] == ["_weak_pair"]
+    assert [name for module, name in imported if "graphs" in (module, name)] == []

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnacodec import properties, transducers
+from dnacodec import transducers
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import Nfa, accepts, complement, enumerate_words, parse_regex, remove_epsilon, theta_image
 from dnacodec.errors import ClassAssertionRefuted
@@ -146,7 +146,7 @@ def test_preserving_route_universal_machine():
     v = satisfies_W_preserving(p, dna_lang(["AC", "G"]))
     assert not v.satisfied
     assert_w_witness(t, DELTA, {"AC", "G"}, v.witness)
-    assert (v.decider, v.stats["route"]) == ("satisfies_W_general", "mismatch")
+    assert (v.decider, v.stats["route"]) == ("satisfies_W_general", "length")
 
 
 def test_preserving_route_empty_word_guard():
@@ -173,7 +173,7 @@ def test_weak_listing_past_its_cap_gives_way_to_the_mismatch_search(monkeypatch)
     for asserted in (UNRESTRICTED, INPUT_PRESERVING):
         p = PropertyDescriptor(universal_machine(DNA), DELTA, kind=W_KIND, asserted_class=asserted)
         listed = satisfies(p, dna_lang(words))
-        monkeypatch.setattr(properties, "_LISTING_CAP", 0)
+        monkeypatch.setattr(transducers, "_LISTING_CAP", 0)
         searched = satisfies(p, dna_lang(words))
         monkeypatch.undo()
         assert (listed.stats["route"], searched.stats["route"]) == ("acyclic", "mismatch")
@@ -192,7 +192,7 @@ def test_mismatch_search_finds_reachability_on_demand(monkeypatch):
         searches.append(sources)
         return reachable(succ, sources)
 
-    monkeypatch.setattr(properties, "_LISTING_CAP", 0)
+    monkeypatch.setattr(transducers, "_LISTING_CAP", 0)
     monkeypatch.setattr(transducers, "reachable", counted)
     v = satisfies_W_general(PropertyDescriptor(t, DELTA, kind=W_KIND), dna_lang(words))
     assert (len(words), v.satisfied, v.witness, v.stats["route"]) == (84, False, ("C", "A"), "mismatch")
@@ -319,7 +319,7 @@ def test_general_route_acyclic_on_finite_language():
     assert good.satisfied and good.stats.get("route") == "acyclic"
     bad = satisfies_W_general(p, dna_lang(["ACGT", "CG"]))
     # the restriction pairs words of unequal lengths: the length check decides
-    assert not bad.satisfied and bad.stats["route"] == "mismatch"
+    assert not bad.satisfied and bad.stats["route"] == "length"
     assert_w_witness(t, DELTA, {"ACGT", "CG"}, bad.witness)
 
 
@@ -336,7 +336,7 @@ def test_general_route_edge_off_the_balance_reports_the_trimmed_size():
     t = Transducer(AB, 4, edges, {0}, {2})
     v = satisfies_W_general(PropertyDescriptor(t, Permutation.mirror(AB), kind=W_KIND), Nfa.universal(AB))
     assert not v.satisfied and v.witness == ("", "ba")
-    assert v.stats == {"restriction_states": 3, "restriction_edges": 3, "route": "mismatch"}
+    assert v.stats == {"restriction_states": 3, "restriction_edges": 3, "route": "length"}
 
 
 def test_general_route_pumping_satisfied():
@@ -361,7 +361,7 @@ def test_general_route_length_violation():
     ins = build_op_transducer("T4", "0*1", DNA)  # appends one letter
     p = PropertyDescriptor(ins, DELTA, kind=W_KIND)
     v = satisfies_W_general(p, Nfa.universal(DNA))
-    assert not v.satisfied and v.stats["route"] == "mismatch"
+    assert not v.satisfied and v.stats["route"] == "length"
     u, w = v.witness
     assert u != w
     assert pair_in_relation(ins, u, DELTA(w))

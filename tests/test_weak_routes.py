@@ -24,26 +24,25 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnacodec import properties, transducers
+from dnacodec import transducers
 from dnacodec.alphabets import BINARY, DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import Nfa, accepts, concat, parse_regex, star, theta_image, union
 from dnacodec.errors import ResourceLimitError
 from dnacodec.fado import parse_fado
-from dnacodec.graphs import numbering, path_to, reachable, successors, topological_order
+from dnacodec.graphs import leaving, numbering, path_to, reachable, shortest_path, topological_order
 from dnacodec.properties import (
     INPUT_PRESERVING,
     W_KIND,
     PropertyDescriptor,
-    _dag_pairs,
     satisfies,
     satisfies_W_general,
 )
 from dnacodec.transducers import (
     Transducer,
     _all_words,
+    _dag_pairs,
     _mismatch,
     _restriction,
-    _shortest_completion,
     _words,
     included_in_recognizable,
     is_functional,
@@ -78,7 +77,7 @@ def subset_identity(tn, cap=CAP):
 
     def violation(cfg, ex, ey, dst):
         px, py = _words(path_to(parents, cfg))
-        cx, cy = _shortest_completion(tn, dst)
+        cx, cy = _words(shortest_path(leaving(tn.n_states, tn.edges), dst, tn.final))
         return px + ex + cx, py + ey + cy
 
     while queue:
@@ -128,8 +127,8 @@ def square(t):
 def listed_pairs(s):
     """The pairs of an acyclic ``s``, listed by ``_dag_pairs``; past CAP
     items the references give up."""
-    with mock.patch.object(properties, "_LISTING_CAP", CAP):
-        pairs = _dag_pairs(s)
+    with mock.patch.object(transducers, "_LISTING_CAP", CAP):
+        pairs = _dag_pairs(s, leaving(s.n_states, s.edges))
     if pairs is None:
         raise ResourceLimitError("pair listing exceeded the reference cap")
     return pairs
@@ -152,7 +151,7 @@ def pump_triples(s, theta, cap=CAP):
     adj = [[] for _ in range(s.n_states)]
     for src, x, y, dst in s.edges:
         adj[src].append((x, y, dst))
-    succ = successors(s.n_states, s.edges)
+    succ = [[e[3] for e in es] for es in leaving(s.n_states, s.edges)]
     on_cycle = {q for q in range(s.n_states) if q in reachable(succ, succ[q])}
     budget = [cap]
 
@@ -231,7 +230,7 @@ def reference_weak(p, l):
             return None
         if not is_length_preserving(s)[0]:
             return False
-        if topological_order(s.n_states, s.edges) is not None:
+        if topological_order(leaving(s.n_states, s.edges)) is not None:
             return all(y == theta(x) for x, y in listed_pairs(s))
         return pumping_route(s, theta)
     except ResourceLimitError:
@@ -351,7 +350,7 @@ def check_weak(case):
     if not v.satisfied:
         assert_weak_witness(p, member, v.witness)
     if v.stats["restriction_states"]:
-        assert v.stats["route"] in ("acyclic", "mismatch")
+        assert v.stats["route"] in ("length", "acyclic", "mismatch")
     reference = reference_weak(p, l)
     if reference is not None:
         assert v.satisfied == reference
@@ -392,7 +391,7 @@ def acyclic_antimorphic_instances(draw):
 def test_listing_past_its_cap_keeps_the_verdict(case):
     p, l = case
     listed = satisfies_W_general(p, l)
-    with mock.patch.object(properties, "_LISTING_CAP", 0):
+    with mock.patch.object(transducers, "_LISTING_CAP", 0):
         searched = satisfies_W_general(p, l)
     assert searched.satisfied == listed.satisfied
     if listed.stats.get("route") == "acyclic":
@@ -449,6 +448,16 @@ def test_one_weak_decision_trims_once(monkeypatch):
     assert len(passes) == 1
 
 
+def test_one_weak_decision_indexes_its_product_once(monkeypatch):
+    # cyclic and antimorphic: the mismatch search runs and decodes a witness
+    sizes = []
+    index = transducers.leaving
+    monkeypatch.setattr(transducers, "leaving", lambda n, edges: sizes.append(n) or index(n, edges))
+    v = satisfies_W_general(PropertyDescriptor(Transducer.identity(DNA), dna_delta(), kind=W_KIND), Nfa.universal(DNA))
+    assert not v.satisfied and v.stats["route"] == "mismatch"
+    assert sizes == [v.stats["restriction_states"]]
+
+
 def test_weak_walk_with_no_accepting_triple_skips_the_trim(monkeypatch):
     passes = []
     for name in ("trim_keep", "_trimmed"):  # _trimmed itself skips trim_keep when nothing is final
@@ -480,7 +489,7 @@ def test_uneven_pair_ends_the_product_walk():
     l = script.random_language(rng, 12, dense=True)
     p = PropertyDescriptor(t, dna_delta(), kind=W_KIND)
     v = satisfies_W_general(p, l)
-    assert not v.satisfied and v.stats["route"] == "mismatch"
+    assert not v.satisfied and v.stats["route"] == "length"
     assert_weak_witness(p, lambda w: accepts(l, w), v.witness)
     assert v.stats["restriction_states"] < 5000
 
@@ -622,7 +631,7 @@ def run_machines(draw, theta):
 def check_mismatch(t, theta):
     s, labels, uneven, _, _ = _restriction(t, _all_words(t.alphabet), weak=True)
     assert uneven is None and is_length_preserving(s)[0]
-    wit = _mismatch(s, theta, labels)
+    wit = _mismatch(s, leaving(s.n_states, s.edges), theta, labels)
     brute = next(((x, y) for x, y in enumerate_pairs(s, 10) if y != theta(x)), None)
     if brute is not None:
         assert wit is not None, brute
@@ -665,4 +674,4 @@ def test_mismatch_output_mark_first(theta, steps, witness):
     t = Transducer(ABC, len(steps) + 1, edges, {0}, {len(steps)})
     s, labels, uneven, _, _ = _restriction(t, _all_words(ABC), weak=True)
     assert uneven is None
-    assert _mismatch(s, theta, labels) == witness
+    assert _mismatch(s, leaving(s.n_states, s.edges), theta, labels) == witness
