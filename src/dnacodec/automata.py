@@ -2,9 +2,9 @@
 
 States are dense integers ``0..n_states-1``; an edge is ``(src, sym, dst)``
 where ``sym`` is a single alphabet character or ``None`` for an epsilon
-move.  Machines are treated as immutable values: every operation returns a
-fresh ``Nfa``.  ``Machine`` holds what an ``Nfa`` and a ``Transducer``
-share: the five parts, the one check and the one unchecked build.  A
+move.  Machines are immutable values.  ``Machine`` holds what an ``Nfa``
+and a ``Transducer`` share: the five parts, the one check and the one
+unchecked build; ``union`` and ``trim`` serve both kinds through it.  A
 machine is validated once, where it enters the library (the constructor
 and its classmethods, the parser); an operation on checked machines builds
 its result through ``_trusted``, unchecked.
@@ -235,15 +235,15 @@ def enumerate_words(m: Nfa, max_len: int) -> list[str]:
 # -- structural transforms ----------------------------------------------
 
 
-def trim(m: Nfa) -> Nfa:
-    """Drop states that are unreachable or cannot reach a final state; ``m`` itself if none."""
+def trim(m):
+    """Drop the states on no initial-to-final path, the rest renumbered in order; ``m`` itself if none."""
     keep = trim_keep(m.n_states, m.edges, m.initial, m.final)
     if len(keep) == m.n_states:
         return m
     remap = {q: i for i, q in enumerate(keep)}
-    edges = ((remap[s], sym, remap[d]) for s, sym, d in m.edges if s in remap and d in remap)
+    edges = ((remap[e[0]], *e[1:-1], remap[e[-1]]) for e in m.edges if e[0] in remap and e[-1] in remap)
     initial, final = ([remap[q] for q in qs if q in remap] for qs in (m.initial, m.final))
-    return Nfa._trusted(m.alphabet, len(keep), edges, initial, final)
+    return type(m)._trusted(m.alphabet, len(keep), edges, initial, final)
 
 
 def remove_epsilon(m: Nfa) -> Nfa:

@@ -4,12 +4,12 @@ Subcommands::
 
     dnacodec satisfies --property desc.json --language lang.fa [--json]
     dnacodec maximal   --property desc.json --language lang.fa [--json]
-    dnacodec build-property (--dna NAME --variant V | --trajectory E1 E2
+    dnacodec build-property (--dna NAME [--variant V] | --trajectory E1 E2
                              [--strict]) --theta T [--alphabet SYMS] [-o OUT]
     dnacodec pcp {reduce,solve,check} --instance inst.json [--theta T]
                              [--bound N] [--solution 0,1] [-o OUT]
     dnacodec transducer check --mode {altering,preserving,functional,identity}
-                             --bound N MACHINE [--theta T]
+                             [--bound N] MACHINE [--theta T]
 
 Exit codes: 0 for a positive verdict, 1 for a negative one (witness
 printed), 2 for errors (parse failures, resource caps, refuted class
@@ -203,6 +203,13 @@ def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
     return dataclasses.replace(built, **changes) if changes else built
 
 
+def _refuse(args, where: str, owners: dict) -> None:
+    """Raise a FormatError for a flag given to ``where`` that only its owner in ``owners`` reads."""
+    for flag, owner in owners.items():
+        if owner != where and getattr(args, flag[2:]) is not None:
+            raise FormatError(f"{flag} applies only to {owner}, not {where}")
+
+
 def _json_arg(arg: str) -> tuple[object, str]:
     """The JSON document that ``arg`` holds inline or names by path, and the
     directory that relative paths inside it start from."""
@@ -276,16 +283,18 @@ def _theta_spec_payload(theta: Permutation) -> dict:
 
 
 def _cmd_build_property(args) -> int:
+    _refuse(args, "--dna" if args.dna else "--trajectory", {"--strict": "--trajectory", "--variant": "--dna"})
     alphabet = Alphabet.of(args.alphabet) if args.alphabet else DNA
     theta = _theta_from_spec(args.theta, alphabet)
     if args.dna:
-        for flag, value, choices in (("--dna", args.dna, PROPERTY_NAMES), ("--variant", args.variant, VARIANTS)):
+        variant = "strict" if args.variant is None else args.variant
+        for flag, value, choices in (("--dna", args.dna, PROPERTY_NAMES), ("--variant", variant, VARIANTS)):
             if value not in choices:
                 raise FormatError(f"{flag} must be one of {', '.join(choices)}, not {value!r}")
-        built = named_property(args.dna, args.variant, theta)
+        built = named_property(args.dna, variant, theta)
     else:
         e1, e2 = args.trajectory
-        built = compile_trajectory_property(TrajectoryPair(e1, e2, args.strict), theta)
+        built = compile_trajectory_property(TrajectoryPair(e1, e2, bool(args.strict)), theta)
     short_class = {v: k for k, v in _CLASS_NAMES.items()}[built.asserted_class]
     doc = {
         "name": built.name,
@@ -309,6 +318,8 @@ def _load_instance(arg: str):
 
 
 def _cmd_pcp(args) -> int:
+    owners = {"--theta": "pcp reduce", "--output": "pcp reduce", "--bound": "pcp solve", "--solution": "pcp check"}
+    _refuse(args, f"pcp {args.action}", owners)
     inst = _load_instance(args.instance)
     if args.action == "reduce":
         if not isinstance(inst, PcpInstance):
@@ -324,11 +335,12 @@ def _cmd_pcp(args) -> int:
         _write_json(doc, args.output)
         return 0
     if args.action == "solve":
-        if args.bound < 1:
-            raise FormatError(f"--bound must be at least 1, not {args.bound}")
-        seq = solve_bounded(inst, args.bound)
+        bound = 6 if args.bound is None else args.bound
+        if bound < 1:
+            raise FormatError(f"--bound must be at least 1, not {bound}")
+        seq = solve_bounded(inst, bound)
         if seq is None:
-            print(f"no solution within {args.bound} tiles")
+            print(f"no solution within {bound} tiles")
             return 1
         print("solution: " + ",".join(str(j) for j in seq))
         return 0
@@ -346,17 +358,19 @@ def _cmd_pcp(args) -> int:
 def _cmd_transducer_check(args) -> int:
     machine = _machine(args.machine, Transducer, f"argument MACHINE {args.machine!r}")
     if args.mode in ("altering", "preserving"):
+        bound = 6 if args.bound is None else args.bound
         if not args.theta:
             raise FormatError(f"--mode {args.mode} needs --theta")
-        if args.bound < 0:
-            raise FormatError(f"--bound: word bound must be at least 0, not {args.bound}")
+        if bound < 0:
+            raise FormatError(f"--bound: word bound must be at least 0, not {bound}")
         theta = _theta_from_spec(args.theta, machine.alphabet)
-        witness = bounded_counterexample(machine, theta, args.mode, args.bound)
+        witness = bounded_counterexample(machine, theta, args.mode, bound)
         if witness is None:
-            print(f"no {args.mode} counterexample up to length {args.bound}")
+            print(f"no {args.mode} counterexample up to length {bound}")
             return 0
         print(f"counterexample: {witness!r}")
         return 1
+    _refuse(args, f"--mode {args.mode}", dict.fromkeys(("--bound", "--theta"), "--mode altering or preserving"))
     if args.mode == "functional":
         ok, witness = is_functional(machine)
     else:
@@ -394,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_build.add_mutually_exclusive_group(required=True)
     group.add_argument("--dna", help="named DNA property (e.g. compliant)")
     group.add_argument("--trajectory", nargs=2, metavar=("E1", "E2"), help="trajectory regexes")
-    p_build.add_argument("--variant", default="strict", help="strict|normal|weak (with --dna)")
-    p_build.add_argument("--strict", action="store_true", help="strict reading (with --trajectory)")
+    p_build.add_argument("--variant", help="strict (the default), normal or weak (with --dna)")
+    p_build.add_argument("--strict", action="store_true", default=None, help="strict reading (with --trajectory)")
     p_build.add_argument("--theta", default="dna-delta", help="permutation specification")
     p_build.add_argument("--alphabet", help="alphabet symbols for built-in theta names")
     p_build.add_argument("-o", "--output", help="write descriptor JSON here instead of stdout")
@@ -404,10 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pcp = sub.add_parser("pcp", help="correspondence-problem utilities")
     p_pcp.add_argument("action", choices=("reduce", "solve", "check"))
     p_pcp.add_argument("--instance", required=True, help="instance JSON (path or inline)")
-    p_pcp.add_argument("--theta", help="permutation for reduce")
-    p_pcp.add_argument("--bound", type=int, default=6, help="max tiles for solve")
-    p_pcp.add_argument("--solution", help="comma-separated indices for check")
-    p_pcp.add_argument("-o", "--output", help="write result JSON here")
+    p_pcp.add_argument("--theta", help="permutation (with reduce)")
+    p_pcp.add_argument("--bound", type=int, help="max tiles (with solve; default 6)")
+    p_pcp.add_argument("--solution", help="comma-separated indices (with check)")
+    p_pcp.add_argument("-o", "--output", help="write the reduced instance JSON here (with reduce)")
     p_pcp.set_defaults(handler=_cmd_pcp)
 
     p_t = sub.add_parser("transducer", help="transducer class checks")
@@ -417,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--mode", required=True, choices=("altering", "preserving", "functional", "identity")
     )
-    p_check.add_argument("--bound", type=int, default=6, help="word bound for class modes")
+    p_check.add_argument("--bound", type=int, help="word bound for class modes (default 6)")
     p_check.add_argument("--theta", help="permutation for class modes")
     p_check.set_defaults(handler=_cmd_transducer_check)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .alphabets import Alphabet, Permutation
-from .automata import Nfa, intersect as nfa_intersect, parse_regex, remove_epsilon, trim as nfa_trim
+from .automata import Nfa, intersect as nfa_intersect, parse_regex, remove_epsilon
 from .properties import PropertyDescriptor, S_KIND, UNRESTRICTED
 from .transducers import (
     Transducer,
@@ -105,7 +105,7 @@ class TrajectoryPair:
 
 def trajectory_nfa(e: str) -> Nfa:
     """Compile a trajectory regular expression to a trimmed ε-free NFA."""
-    return nfa_trim(remove_epsilon(parse_regex(e, _BINARY)))
+    return trim(remove_epsilon(parse_regex(e, _BINARY)))
 
 
 _OPS = ("T1", "T2", "T3", "T4")

@@ -502,6 +502,22 @@ THETA_INSTANCE = json.dumps({"alpha": ["0"], "beta": ["1"], "theta": "mirror:01"
         ),
         (["build-property", "--dna", "bogus"], "--dna must be one of "),
         (["build-property", "--dna", "compliant", "--variant", "bogus"], "--variant must be one of "),
+        # a flag the chosen mode never reads
+        (["build-property", "--trajectory", "0+", "0+", "--variant", "bogus"],
+         "--variant applies only to --dna, not --trajectory"),
+        (["build-property", "--dna", "compliant", "--variant", "weak", "--strict"],
+         "--strict applies only to --trajectory, not --dna"),
+        (["transducer", "check", fixture("fado", "t_identity_ab.fa"), "--mode", "identity", "--bound", "-5"],
+         "--bound applies only to --mode altering or preserving, not --mode identity"),
+        (["transducer", "check", fixture("fado", "t_identity_ab.fa"), "--mode", "functional", "--theta", "bogus"],
+         "--theta applies only to --mode altering or preserving, not --mode functional"),
+        (["pcp", "solve", "--instance", SOLVABLE, "--solution", "9"], "--solution applies only to pcp check, not pcp solve"),
+        (["pcp", "check", "--instance", SOLVABLE, "--solution", "0,1", "--bound", "-4"],
+         "--bound applies only to pcp solve, not pcp check"),
+        (["pcp", "solve", "--instance", SOLVABLE, "--theta", "bogus"], "--theta applies only to pcp reduce, not pcp solve"),
+        # the directory does not exist, so a write would raise an OSError, not the FormatError
+        (["pcp", "check", "--instance", SOLVABLE, "--solution", "0,1", "-o", os.path.join("no-such-dir", "out.json")],
+         "--output applies only to pcp reduce, not pcp check"),
     ],
 )
 def test_bad_arguments_are_format_errors_naming_the_flag(argv, named, capsys):

@@ -183,7 +183,7 @@ TRUSTED_BUILDERS = {
     "automata.py": {
         "trim", "remove_epsilon", "union", "concat", "star", "intersect", "determinize", "complement", "theta_image",
     },
-    "transducers.py": {"_trimmed", "_restriction", "normalize", "inverse", "compose", "image", "included_in_recognizable"},
+    "transducers.py": {"_restriction", "normalize", "inverse", "compose", "image", "included_in_recognizable"},
 }
 
 

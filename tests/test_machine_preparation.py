@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dnacodec import automata
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import (
     Nfa,
@@ -15,11 +16,10 @@ from dnacodec.automata import (
     remove_epsilon,
     star,
     theta_image,
-    trim as nfa_trim,
     union,
 )
 from dnacodec.dna import PROPERTY_NAMES, VARIANTS, named_property
-from dnacodec.graphs import reachable
+from dnacodec.graphs import reachable, trim_keep
 from dnacodec.properties import W_KIND, is_maximal, satisfies
 from dnacodec.transducers import (
     Transducer,
@@ -209,7 +209,7 @@ def test_unchecked_results_pass_check_machine(a, b, t, u, theta):
     # Every operation on checked machines builds its result through
     # ``_trusted``, unchecked; the checked constructor must take each as it is.
     results = [
-        nfa_trim(a), remove_epsilon(a), union(a, b), concat(a, b), star(a), intersect(a, b),
+        trim(a), remove_epsilon(a), union(a, b), concat(a, b), star(a), intersect(a, b),
         determinize(a), complement(a), theta_image(a, theta), image(t, a),
         normalize(t), trim(t), trim(normalize(t)), inverse(t), compose(t, u), union(t, u),
         restrict_input(t, a), restrict_input(t, a, b), _restriction(t, a, b, weak=True)[0],
@@ -217,6 +217,33 @@ def test_unchecked_results_pass_check_machine(a, b, t, u, theta):
     for m in filter(None, results):  # a weak walk that finds an uneven pair gives None
         rebuilt = type(m)(m.alphabet, m.n_states, m.edges, m.initial, m.final)
         assert (rebuilt.n_states, rebuilt.edges, rebuilt.initial, rebuilt.final) == _as_tuple(m)
+
+
+# -- one trim for both kinds -------------------------------------------------
+
+
+def test_transducers_trim_is_the_automata_trim():
+    assert trim is automata.trim  # imported from ``dnacodec.transducers``
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(nfas(), transducers()))
+@example(EPS_CYCLE)
+@example(EPS_CHAIN)
+@example(Nfa(AB, 3, ((0, None, 2), (2, "a", 1), (1, "b", 0)), {0}, {2}))
+def test_trim_keeps_the_useful_states_renumbered_in_order(m):
+    keep = trim_keep(m.n_states, m.edges, m.initial, m.final)
+    t = trim(m)
+    assert type(t) is type(m)
+    if len(keep) == m.n_states:
+        assert t is m
+        return
+    assert t.n_states == len(keep)
+    # read back through ``keep``, the edges are those of ``m`` between kept states, in order
+    back = [(keep[e[0]], *e[1:-1], keep[e[-1]]) for e in t.edges]
+    assert back == [e for e in m.edges if e[0] in keep and e[-1] in keep]
+    assert {keep[q] for q in t.initial} == m.initial & set(keep)
+    assert {keep[q] for q in t.final} == m.final & set(keep)
 
 
 # -- the normal form on demand -----------------------------------------------
