@@ -50,10 +50,8 @@ from .pcp import (
     solve_bounded,
 )
 from .properties import (
-    INPUT_ALTERING,
-    INPUT_PRESERVING,
+    CLASSES,
     S_KIND,
-    UNRESTRICTED,
     W_KIND,
     PropertyDescriptor,
     Verdict,
@@ -62,13 +60,6 @@ from .properties import (
 )
 from .trajectories import TrajectoryPair, compile_trajectory_property
 from .transducers import Transducer, bounded_counterexample, is_functional, is_partial_identity, normalize, trim
-
-_CLASS_NAMES = {
-    "unrestricted": UNRESTRICTED,
-    "altering": INPUT_ALTERING,
-    "preserving": INPUT_PRESERVING,
-}
-
 
 _REQUIRED = object()
 _TYPE_NAMES = {str: "a string", dict: "an object", list: "a list", bool: "a boolean"}
@@ -197,7 +188,7 @@ def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
     if "kind" in doc:
         changes["kind"] = _field(doc, "kind", (str,), choices=(S_KIND, W_KIND))
     if "class" in doc:
-        changes["asserted_class"] = _CLASS_NAMES[_field(doc, "class", (str,), choices=tuple(_CLASS_NAMES))]
+        changes["asserted_class"] = _field(doc, "class", (str,), choices=CLASSES)
     if "name" in doc:
         changes["name"] = _field(doc, "name", (str,))
     return dataclasses.replace(built, **changes) if changes else built
@@ -295,11 +286,10 @@ def _cmd_build_property(args) -> int:
     else:
         e1, e2 = args.trajectory
         built = compile_trajectory_property(TrajectoryPair(e1, e2, bool(args.strict)), theta)
-    short_class = {v: k for k, v in _CLASS_NAMES.items()}[built.asserted_class]
     doc = {
         "name": built.name,
         "kind": built.kind,
-        "class": short_class,
+        "class": built.asserted_class,
         "theta": _theta_spec_payload(built.theta),
         # trimmed after normalizing: a state kept only by epsilon edges is on no path
         "transducer": serialize_fado(trim(normalize(built.transducer))),

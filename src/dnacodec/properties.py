@@ -47,12 +47,12 @@ from .transducers import (
 
 S_KIND = "S"
 W_KIND = "W"
-UNRESTRICTED = "unrestricted"
-INPUT_ALTERING = "theta_input_altering"
-INPUT_PRESERVING = "theta_input_preserving"
-
 _KINDS = (S_KIND, W_KIND)
-_CLASSES = (UNRESTRICTED, INPUT_ALTERING, INPUT_PRESERVING)
+# the transducer classes, named as the descriptor's "class" field and the modes of ``bounded_counterexample``
+UNRESTRICTED = "unrestricted"
+INPUT_ALTERING = "altering"
+INPUT_PRESERVING = "preserving"
+CLASSES = (UNRESTRICTED, INPUT_ALTERING, INPUT_PRESERVING)
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ class PropertyDescriptor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.asserted_class not in _CLASSES:
-            raise ValueError(f"asserted_class must be one of {_CLASSES}, got {self.asserted_class!r}")
+        if self.asserted_class not in CLASSES:
+            raise ValueError(f"asserted_class must be one of {CLASSES}, got {self.asserted_class!r}")
         if self.transducer.alphabet != self.theta.alphabet:
             raise ValueError("transducer and permutation alphabets differ")
 
@@ -105,8 +105,8 @@ def _check_language(p: PropertyDescriptor, l: Nfa) -> None:
 
 
 _REFUTED = {
-    "altering": "transducer asserted input-altering but maps {!r} onto its theta-image",
-    "preserving": "transducer asserted input-preserving but misses theta({!r})",
+    INPUT_ALTERING: "transducer asserted input-altering but maps {!r} onto its theta-image",
+    INPUT_PRESERVING: "transducer asserted input-preserving but misses theta({!r})",
 }
 
 
@@ -188,7 +188,7 @@ def satisfies_W_preserving(p: PropertyDescriptor, l: Nfa, assertion_bound: int =
     _check_language(p, l)
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_preserving expects a weak-kind descriptor")
-    _check_assertion(p, "preserving", assertion_bound)
+    _check_assertion(p, INPUT_PRESERVING, assertion_bound)
     verdict = satisfies_W_general(p, l)
     verdict.stats["assertion_bound"] = assertion_bound
     return verdict
@@ -205,14 +205,14 @@ def _altering_route(
     skips the pair ("", ""); a hit that still decodes to a self-pair
     refutes the assertion.
     """
-    _check_assertion(p, "altering", assertion_bound)
+    _check_assertion(p, INPUT_ALTERING, assertion_bound)
     y, states, edges = restriction_search(p.transducer, l, theta_image(l, p.theta), nonempty=True)
     stats = {"restriction_states": states, "restriction_edges": edges, "assertion_bound": assertion_bound}
     if y is None:
         return Verdict(True, None, "satisfies_S", stats)
     u, v = _decode_intersection_witness(p, l, y, avoid_self=True)
     if u == v:
-        raise ClassAssertionRefuted(_REFUTED["altering"].format(u), u)
+        raise ClassAssertionRefuted(_REFUTED[INPUT_ALTERING].format(u), u)
     return Verdict(False, (u, v), "satisfies_S", stats)
 
 
@@ -258,7 +258,7 @@ def _require_maximality_hypotheses(p: PropertyDescriptor, l: Nfa, assertion_boun
                 "maximality for the strict kind is undecidable in general; "
                 "it requires an input-altering class assertion"
             )
-        _check_assertion(p, "altering", assertion_bound)
+        _check_assertion(p, INPUT_ALTERING, assertion_bound)
 
 
 def is_maximal(
@@ -283,7 +283,7 @@ def is_maximal(
     if w is None:
         return Verdict(True, None, "is_maximal", stats)
     if p.kind == S_KIND and accepts_pair(p.transducer, w, p.theta(w)):
-        raise ClassAssertionRefuted(_REFUTED["altering"].format(w), w)
+        raise ClassAssertionRefuted(_REFUTED[INPUT_ALTERING].format(w), w)
     return Verdict(False, w, "is_maximal", stats)
 
 

@@ -30,7 +30,7 @@ from .transducers import (
     compose,
     image,
     inverse,
-    restrict_output,
+    restrict_input,
     trim,
     union as t_union,
 )
@@ -43,26 +43,10 @@ def shuffle_on_trajectory(x: str, t: str, w: str) -> Optional[str]:
 
     Returns None when the trajectory does not fit the two lengths.
     """
-    if len(t) != len(x) + len(w):
+    if not set(t) <= {"0", "1"} or (t.count("0"), t.count("1")) != (len(x), len(w)):
         return None
-    out = []
-    i = j = 0
-    for c in t:
-        if c == "0":
-            if i == len(x):
-                return None
-            out.append(x[i])
-            i += 1
-        elif c == "1":
-            if j == len(w):
-                return None
-            out.append(w[j])
-            j += 1
-        else:
-            return None
-    if i != len(x) or j != len(w):
-        return None
-    return "".join(out)
+    letters = iter(x), iter(w)
+    return "".join(next(letters[int(c)]) for c in t)
 
 
 def delete_on_trajectory(y: str, t: str, w: str) -> Optional[str]:
@@ -70,20 +54,11 @@ def delete_on_trajectory(y: str, t: str, w: str) -> Optional[str]:
 
     Returns None when lengths disagree or the removed letters are not ``w``.
     """
-    if len(t) != len(y):
+    if len(t) != len(y) or not set(t) <= {"0", "1"}:
         return None
-    kept = []
-    removed = []
-    for c, a in zip(t, y):
-        if c == "0":
-            kept.append(a)
-        elif c == "1":
-            removed.append(a)
-        else:
-            return None
-    if "".join(removed) != w:
+    if "".join(a for c, a in zip(t, y) if c == "1") != w:
         return None
-    return "".join(kept)
+    return "".join(a for c, a in zip(t, y) if c == "0")
 
 
 @dataclass(frozen=True)
@@ -145,18 +120,21 @@ def _operator(p: TrajectoryPair, alphabet: Alphabet) -> Transducer:
     """The bond-free operator of ``p`` as one trimmed machine: delete along
     e1, keep a nonempty core, insert along e2.  The non-strict variant must
     delete or insert something: the union of "deleted something" and
-    "inserted something"."""
+    "inserted something".  T1/T3 with a nonempty core are the inverses of
+    T2/T4 on nonempty inputs: the view of T2/T4 splits each two-letter edge
+    input letter first, and the compiled properties come out smaller than
+    from T1/T3 on nonempty outputs (62 rather than 94 states for
+    ``1*0+1*``/``0+`` strict)."""
     nonempty = Nfa.nonempty(alphabet)
-    t1 = build_op_transducer("T1", p.e1, alphabet)
+
+    def deleting(op: str) -> Transducer:  # T1 from "T2", T3 from "T4"
+        return inverse(restrict_input(build_op_transducer(op, p.e1, alphabet), nonempty))
+
     t2 = build_op_transducer("T2", p.e2, alphabet)
     if p.strict:
-        return trim(compose(t2, restrict_output(t1, nonempty)))
-    t3 = build_op_transducer("T3", p.e1, alphabet)
+        return trim(compose(t2, deleting("T2")))
     t4 = build_op_transducer("T4", p.e2, alphabet)
-    return trim(t_union(
-        compose(t2, restrict_output(t3, nonempty)),
-        compose(t4, restrict_output(t1, nonempty)),
-    ))
+    return trim(t_union(compose(t2, deleting("T4")), compose(t4, deleting("T2"))))
 
 
 def bond_free_operator(p: TrajectoryPair, l: Nfa) -> Nfa:

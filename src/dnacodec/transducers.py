@@ -357,11 +357,10 @@ def restriction_search(
     so only the states the walk reaches are filled.
 
     A satisfied call has no group to stop at: after ``_BIT_AFTER`` triples
-    with no hit, ``_bit_walk`` runs once from the triples seen and the
-    starts, and either sizes the whole product, none of it final, or
+    with no hit, ``_bit_walk`` runs once from the triples seen, and
+    either sizes the whole product, none of it final, or
     leaves the grouped search to go on.  It runs only where the (m, outputs)
-    state pairs fit ``_BIT_PAIRS`` bits, and not under ``nonempty``, whose
-    start copies a mask of pairs cannot tell from the triples themselves.
+    state pairs fit ``_BIT_PAIRS`` bits.
     """
     v = t.view()
     ins, outs = (v.outs, v.ins) if swapped else (v.ins, v.outs)
@@ -376,7 +375,7 @@ def restriction_search(
     moves: dict[str, list[int]] = {b: [] for b in t.alphabet}  # in alphabet order
     seen: set[int] = set()
     transitions = 0
-    bit_after = INF if nonempty or nlo > _BIT_PAIRS else _BIT_AFTER
+    bit_after = INF if nlo > _BIT_PAIRS else _BIT_AFTER
     while layer:
         ahead = []
         for node, group in layer:  # node: None, or (parent node, last letter)
@@ -417,7 +416,7 @@ def restriction_search(
                 return "".join(reversed(word)), len(seen), transitions
             if len(seen) >= bit_after:  # likely satisfied: try the whole product at once
                 bit_after = INF
-                if sized := _bit_walk(v, ins, outs, lf, of, seen.union(starts)):
+                if sized := _bit_walk(v, ins, outs, lf, of, seen):  # the first group claimed every start
                     return None, *sized
         layer = ahead
     return None, len(seen), transitions
@@ -430,6 +429,9 @@ _BIT_PAIRS = 64  # the most (m, outputs) state pairs a mask of ``_bit_walk`` hol
 def _bit_walk(v: _NormalView, ins: list, outs: list, lf: Nfa, of: Nfa, keys: set) -> Optional[tuple[int, int]]:
     """``(states, transitions)`` of the product of ``restriction_search``
     when no triple reachable from the packed ``keys`` is final, else None.
+    A start copy ``~key`` of ``nonempty`` passes its bits on once and
+    counts as a state of its own, as in the grouped search; a final one,
+    the skipped pair, only leaves the grouped search to go on.
 
     One int mask per T state, with bit ``ql * no + qo`` for each (m,
     outputs) state pair reached with it.  A state passes on only its newly
@@ -451,12 +453,15 @@ def _bit_walk(v: _NormalView, ins: list, outs: list, lf: Nfa, of: Nfa, keys: set
     ]
     accept = sum(1 << ql * no + qo for ql in lf.final for qo in of.final)
     masks: dict[int, int] = {}
+    copied: dict[int, int] = {}
     for key in keys:
-        masks[key // nlo] = masks.get(key // nlo, 0) | 1 << key % nlo
+        packed, key = (masks, key) if key >= 0 else (copied, ~key)
+        packed[key // nlo] = packed.get(key // nlo, 0) | 1 << key % nlo
     memos: list[dict] = [{}, {}]  # per tape: (letter, mask) -> (successor mask, count)
     todo, transitions = dict(masks), 0  # todo: per T state, the bits it has yet to pass on
-    while todo:
-        qt, new = todo.popitem()
+    copies = sum(mask.bit_count() for mask in copied.values())
+    while copied or todo:
+        qt, new = (copied or todo).popitem()
         fin = v.final[qt]
         if (v.fill(qt) if fin is None else fin) and new & accept:
             return None
@@ -469,20 +474,7 @@ def _bit_walk(v: _NormalView, ins: list, outs: list, lf: Nfa, of: Nfa, keys: set
                 if add := got[0] & ~masks.get(qt2, 0):
                     masks[qt2] = masks.get(qt2, 0) | add
                     todo[qt2] = todo.get(qt2, 0) | add
-    return sum(mask.bit_count() for mask in masks.values()), transitions
-
-
-def restrict_output(t: Transducer, m: Nfa) -> Transducer:
-    """Keep only the pairs whose output word is accepted by ``m``.
-
-    Kept as the inverse of an input restriction rather than a call of
-    ``restrict_input`` with a universal input language: the view of the
-    inverse of a machine with two-letter edges, such as the trajectory
-    operators T1/T3, splits each edge output letter first, and the
-    compiled trajectory properties come out smaller that way (62 rather
-    than 94 states for ``1*0+1*``/``0+`` strict).
-    """
-    return inverse(restrict_input(inverse(t), m))
+    return sum(mask.bit_count() for mask in masks.values()) + copies, transitions
 
 
 def image(t: Transducer, m: Nfa) -> Nfa:

@@ -158,6 +158,19 @@ def test_satisfies_inline_descriptor(tmp_path, capsys):
     assert "NOT satisfied" in capsys.readouterr().out
 
 
+def test_satisfies_inline_trajectory_descriptor(tmp_path, capsys):
+    # the descriptor compiled on the fly decides as the one build-property writes
+    lang = write_language(tmp_path, "l.fa", ["ACG", "CGTA"])
+    built = str(tmp_path / "built.json")
+    assert main(["build-property", "--trajectory", "1*0+1*", "0+", "--strict", "-o", built]) == 0
+    inline = json.dumps({"transducer": {"trajectory": {"e1": "1*0+1*", "e2": "0+", "strict": True}}})
+    verdicts = []
+    for desc in (built, inline):
+        assert main(["satisfies", "--property", desc, "--language", lang, "--json"]) == 1
+        verdicts.append({k: v for k, v in json.loads(capsys.readouterr().out).items() if k != "stats"})
+    assert verdicts[0] == verdicts[1] and verdicts[0]["witness"] == ["CGTA", "ACG"]
+
+
 def test_satisfies_empty_directory_errors(tmp_path, capsys):
     rc = main(
         [
@@ -412,6 +425,7 @@ def test_pcp_theta_instance_solve(capsys):
         ({"alpha": ["0", "1"], "beta": ["1"]}, "field 'beta'"),
         ({"alpha": ["0x"], "beta": ["1"], "theta": "mirror:01"}, "field 'alpha'"),
         ({"alpha": ["0"], "beta": ["2"], "theta": "mirror:01"}, "field 'beta'"),
+        ({"alpha": ["0"], "beta": ["1"], "theta": 5}, "field 'theta' must be a string or an object, not int"),
     ],
 )
 def test_malformed_instance_names_the_field(doc, named, capsys):
@@ -453,6 +467,13 @@ def test_transducer_check_altering_inline(capsys):
     )
     assert rc == 1
     assert "counterexample: 'AT'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("machine, mode", [("t_swap_ab.fa", "altering"), ("t_identity_ab.fa", "preserving")])
+def test_transducer_check_class_mode_holds(machine, mode, capsys):
+    rc = main(["transducer", "check", fixture("fado", machine), "--mode", mode, "--theta", "identity"])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == f"no {mode} counterexample up to length 6"
 
 
 @pytest.mark.parametrize("mode", ["altering", "preserving"])
@@ -612,6 +633,8 @@ DNA_PROPERTY = {"dna": {"name": "compliant", "variant": "weak"}}
         ({"transducer": "@NFA 1 * 0\n0 A 1\n"}, "field 'transducer' must hold a transducer"),
         ({"theta": {"table": dict(zip("ACGT", "TTCA"))}, "transducer": DNA_PROPERTY}, "field 'theta.table'"),
         ({"theta": {"table": {"A": "T"}, "alphabet": "AT"}, "transducer": DNA_PROPERTY}, "field 'theta.table'"),
+        ({"theta": {"table": {"A": 1}}, "transducer": DNA_PROPERTY}, "field 'theta.table' must map symbols to strings"),
+        ({"transducer": {}}, "field 'transducer' must hold a 'dna' or a 'trajectory' entry"),
     ],
 )
 def test_malformed_descriptor_names_the_field(tmp_path, capsys, doc, field):

@@ -205,7 +205,7 @@ THETAS = [Permutation(AB, table, anti) for table in (("a", "b"), ("b", "a")) for
 @settings(max_examples=300, deadline=None)
 @given(nfas(), nfas(), transducers(), transducers(), st.sampled_from(THETAS))
 @example(Nfa(AB, 3, ((0, "a", 1), (2, "b", 0)), {0}, {1}), Nfa.universal(AB), EPS_CHAIN, EPS_CYCLE, THETAS[3])
-def test_unchecked_results_pass_check_machine(a, b, t, u, theta):
+def test_unchecked_results_pass_the_checked_constructor(a, b, t, u, theta):
     # Every operation on checked machines builds its result through
     # ``_trusted``, unchecked; the checked constructor must take each as it is.
     results = [

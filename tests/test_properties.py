@@ -129,6 +129,20 @@ def test_duplicate_language_edges_do_not_reach_the_restriction(language):
         assert twice.stats["restriction_edges"] == once.stats["restriction_edges"]
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"kind": "X"}, "kind must be one of"),
+        ({"asserted_class": "theta_input_altering"}, "asserted_class must be one of"),
+        ({"theta": MIRROR_ZO}, "transducer and permutation alphabets differ"),
+    ],
+)
+def test_descriptor_rejects_a_bad_field(changes, message):
+    fields = {"transducer": Transducer.identity(DNA), "theta": DELTA, **changes}
+    with pytest.raises(ValueError, match=message):
+        PropertyDescriptor(**fields)
+
+
 def test_language_alphabet_must_match():
     p = PropertyDescriptor(Transducer.identity(DNA), DELTA, kind=S_KIND)
     with pytest.raises(ValueError):
@@ -339,7 +353,7 @@ def test_general_route_edge_off_the_balance_reports_the_trimmed_size():
     assert v.stats == {"restriction_states": 3, "restriction_edges": 3, "route": "length"}
 
 
-def test_general_route_pumping_satisfied():
+def test_general_route_mismatch_satisfied():
     # (AT)* maps onto itself under delta, pairs are all diagonal
     p = PropertyDescriptor(Transducer.identity(DNA), DELTA, kind=W_KIND)
     l = parse_regex("(AT)*", DNA)
@@ -348,7 +362,7 @@ def test_general_route_pumping_satisfied():
     assert v.stats["route"] == "mismatch"
 
 
-def test_general_route_pumping_violation():
+def test_general_route_mismatch_violation():
     p = PropertyDescriptor(Transducer.identity(DNA), DELTA, kind=W_KIND)
     v = satisfies_W_general(p, Nfa.universal(DNA))
     assert not v.satisfied

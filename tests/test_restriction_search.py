@@ -44,7 +44,6 @@ from dnacodec.transducers import (
     normalize,
     relation_empty,
     restrict_input,
-    restrict_output,
     restriction_search,
     trim,
     union as t_union,
@@ -85,7 +84,7 @@ def built_altering_route(p, l, assertion_bound):
     if u != "":
         raise ClassAssertionRefuted(_REFUTED["altering"].format(u), u)
     nonempty = Nfa.nonempty(s.alphabet)
-    rest = t_union(restrict_input(s, nonempty), restrict_output(s, nonempty))
+    rest = t_union(restrict_input(s, nonempty), restrict_input(s, Nfa.universal(s.alphabet), nonempty))
     if relation_empty(trim(rest)):
         return True, None
     u, v = _built_decode(p, l, rest, avoid_self=True)
@@ -337,8 +336,7 @@ def searches(draw):
             draw(st.frozensets(st.integers(2, k - 1) if k > 2 else st.just(1), min_size=1)),
         )
 
-    nonempty = draw(st.sampled_from((False, False, False, True)))  # the walk never runs under it
-    return t, nfa(), nfa(), nonempty, draw(st.booleans())
+    return t, nfa(), nfa(), draw(st.booleans()), draw(st.booleans())
 
 
 def _search_with(after, pairs, t, *args):
@@ -396,6 +394,6 @@ def test_walk_keeps_to_its_cost_rule(monkeypatch):
     assert pairs > transducers._BIT_PAIRS and verdict.satisfied
     assert verdict.stats["restriction_states"] > transducers._BIT_AFTER
     p, l = _parity_instance(5, 4)
-    y, states, _ = restriction_search(p.transducer, l, theta_image(l, p.theta), nonempty=True)
+    y, states, transitions = restriction_search(p.transducer, l, theta_image(l, p.theta), nonempty=True)
     assert y is None and states > transducers._BIT_AFTER
-    assert calls == []
+    assert calls == [(states, transitions)]

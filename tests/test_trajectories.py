@@ -189,7 +189,7 @@ def test_compiled_machine_realizes_strict_operator():
     [("1*0+1*", "0+", True, (62, 208)), ("1*0+1*", "0+", False, (92, 308)), ("0+", "0+", True, (39, 60))],
 )
 def test_compiled_descriptor_sizes(e1, e2, strict, size):
-    # restrict_output normalizes the inverse of T1/T3, which splits each
-    # two-letter edge output letter first; these sizes depend on that order
+    # the deletion side restricts T2/T4, whose view splits each two-letter
+    # edge input letter first, and inverts the result; these sizes depend on that order
     built = compile_trajectory_property(TrajectoryPair(e1, e2, strict), dna_delta())
     assert (built.transducer.n_states, len(built.transducer.edges)) == size

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dnacodec.alphabets import BINARY, DNA, Alphabet, Permutation, dna_delta
-from dnacodec.automata import Nfa, accepts, enumerate_words, remove_epsilon, theta_image
+from dnacodec.automata import Nfa, accepts, concat, enumerate_words, intersect, remove_epsilon, theta_image
 from dnacodec.graphs import numbering
 from dnacodec.transducers import (
     Transducer,
@@ -22,7 +22,6 @@ from dnacodec.transducers import (
     normalize,
     relation_empty,
     restrict_input,
-    restrict_output,
     trim,
     union,
 )
@@ -109,12 +108,33 @@ def test_restrict_and_image():
     only_a = Nfa.finite(AB, ["a"])
     ra = restrict_input(t, only_a)
     assert accepts_pair(ra, "a", "aa") and not accepts_pair(ra, "b", "bb")
-    ro = restrict_output(t, Nfa.finite(AB, ["aa"]))
+    ro = restrict_input(t, Nfa.universal(AB), Nfa.finite(AB, ["aa"]))
     assert accepts_pair(ro, "a", "aa") and not accepts_pair(ro, "ab", "aabb")
     img = image(t, Nfa.finite(AB, ["ab", "b"]))
     assert sorted(enumerate_words(img, 6)) == ["aabb", "bb"]
     full = image(swap_machine(), Nfa.universal(AB))
     assert accepts(full, "ba")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: compose(Transducer.identity(DNA), Transducer.identity(AB)), "compose requires a common alphabet"),
+        (lambda: restrict_input(Transducer.identity(DNA), Nfa.universal(AB)), "restrict_input requires a common"),
+        (
+            lambda: bounded_counterexample(Transducer.identity(DNA), Permutation.identity(AB), "altering", 2),
+            "permutation alphabet does not match the transducer",
+        ),
+        (lambda: union(Nfa.universal(DNA), Nfa.universal(AB)), "union requires a common alphabet"),
+        (lambda: concat(Nfa.universal(DNA), Nfa.universal(AB)), "concat requires a common alphabet"),
+        (lambda: intersect(Nfa.universal(DNA), Nfa.universal(AB)), "intersect requires a common alphabet"),
+        (lambda: theta_image(Nfa.universal(DNA), Permutation.identity(AB)), "permutation alphabet does not match"),
+    ],
+    ids=["compose", "restrict_input", "bounded_counterexample", "union", "concat", "intersect", "theta_image"],
+)
+def test_operations_reject_machines_over_other_alphabets(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_enumerate_pairs_sorted_and_complete():

@@ -364,7 +364,7 @@ def test_general_decider_against_brute_force_and_parent(case):
 
 @settings(max_examples=300, deadline=None)
 @given(weak_instances(starred_antimorphic=True))
-def test_starred_antimorphic_against_brute_force_and_pumping(case):
+def test_starred_antimorphic_against_brute_force_and_parent(case):
     check_weak(case)
 
 
