@@ -26,10 +26,21 @@ whose forward subset search grows exponentially with k, and its mirror
 Beside each time it prints how many subsets each direction alone sees
 before it finds the rejected word.
 
+``--maximality N`` times ``is_maximal`` instead, per named DNA property
+(every weak one and every input-altering normal one), on N random codes
+over {A,C} of four words each, which satisfy all of them.  Beside the
+whole call it splits the time into its phases: the hypotheses check
+(satisfaction and class assertion), the empty-word check, building the
+extension universe and ``missing_word`` on it.  The last two are timed on
+every code, as a decider that always builds the universe would run them;
+``is_maximal`` runs them only on the codes whose empty word is blocked,
+which the ``built`` column counts.
+
 Usage:
     python scripts/benchmark_satisfaction.py
     python scripts/benchmark_satisfaction.py --transducer-edges 5000 --cases 8
     python scripts/benchmark_satisfaction.py --universality 13
+    python scripts/benchmark_satisfaction.py --maximality 12
 """
 
 from __future__ import annotations
@@ -37,11 +48,15 @@ from __future__ import annotations
 import argparse
 import gc
 import random
+import statistics
 import time
 from typing import Optional
 
+from dnacodec import properties
 from dnacodec.alphabets import DNA, dna_delta
 from dnacodec.automata import DEFAULT_STATE_CAP, Nfa, _subset_search, _subset_walk, missing_word
+from dnacodec.dna import NORMAL, PROPERTY_NAMES, WEAK, named_property
+from dnacodec.errors import DnaCodecError
 from dnacodec.properties import S_KIND, W_KIND, PropertyDescriptor, satisfies_S, satisfies_W_general
 from dnacodec.transducers import Transducer
 
@@ -146,6 +161,35 @@ def universality(max_k: int) -> None:
             )
 
 
+def maximality(n_codes: int, seed: int) -> None:
+    rng = random.Random(seed)
+    codes = [Nfa.finite(DNA, ["".join(rng.choice("AC") for _ in range(n)) for n in (6, 8, 10, 12)])
+             for _ in range(n_codes)]
+    print("median ms per code: is_maximal = hypotheses + empty word [+ universe + missing_word if built]")
+    for name in PROPERTY_NAMES:
+        for variant in (NORMAL, WEAK):
+            try:
+                p = named_property(name, variant, dna_delta())
+            except DnaCodecError:  # nonoverlapping exists only in the strict variant
+                continue
+            if p.kind == S_KIND and p.asserted_class != properties.INPUT_ALTERING:
+                continue  # maximality is undecidable for it
+            phases: dict[str, list[float]] = {"is_maximal": [], "hypotheses": [], "empty word": [],
+                                              "universe": [], "missing_word": []}
+            built = 0
+            for code in codes:
+                phases["is_maximal"].append(timed(properties.is_maximal, p, code)[1])
+                phases["hypotheses"].append(timed(properties._require_maximality_hypotheses, p, code, 6)[1])
+                blocked, seconds = timed(properties._blocks_empty_word, p, code)
+                phases["empty word"].append(seconds)
+                built += blocked
+                universe, seconds = timed(properties._extension_universe, p, code)
+                phases["universe"].append(seconds)
+                phases["missing_word"].append(timed(missing_word, universe)[1])
+            split = ", ".join(f"{phase} {statistics.median(times) * 1e3:.3f}" for phase, times in phases.items())
+            print(f"{name}.{variant}: {split}; built {built}/{n_codes}")
+
+
 def timed(decide, *args):
     """``(result, seconds)`` of one call, with the garbage collector off."""
     gc.collect()  # no collection lands in the timed call
@@ -166,9 +210,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--transducer-edges", type=int, default=3000)
     parser.add_argument("--language-states", type=int, default=4)
     parser.add_argument("--universality", type=int, default=0, metavar="K")
+    parser.add_argument("--maximality", type=int, default=0, metavar="N")
     args = parser.parse_args(argv)
-    if args.universality:
-        universality(args.universality)
+    if args.universality or args.maximality:
+        if args.universality:
+            universality(args.universality)
+        if args.maximality:
+            maximality(args.maximality, args.seed)
         return 0
 
     rng = random.Random(args.seed)

@@ -51,6 +51,8 @@ from .pcp import (
 )
 from .properties import (
     CLASSES,
+    INPUT_ALTERING,
+    INPUT_PRESERVING,
     S_KIND,
     W_KIND,
     PropertyDescriptor,
@@ -347,7 +349,7 @@ def _cmd_pcp(args) -> int:
 
 def _cmd_transducer_check(args) -> int:
     machine = _machine(args.machine, Transducer, f"argument MACHINE {args.machine!r}")
-    if args.mode in ("altering", "preserving"):
+    if args.mode in (INPUT_ALTERING, INPUT_PRESERVING):
         bound = 6 if args.bound is None else args.bound
         if not args.theta:
             raise FormatError(f"--mode {args.mode} needs --theta")
@@ -419,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = t_sub.add_parser("check")
     p_check.add_argument("machine", help="transducer file or inline text")
     p_check.add_argument(
-        "--mode", required=True, choices=("altering", "preserving", "functional", "identity")
+        "--mode", required=True, choices=(INPUT_ALTERING, INPUT_PRESERVING, "functional", "identity")
     )
     p_check.add_argument("--bound", type=int, help="word bound for class modes (default 6)")
     p_check.add_argument("--theta", help="permutation for class modes")

@@ -31,11 +31,14 @@ from .automata import (
     complement as nfa_complement,
     intersect as nfa_intersect,
     missing_word,
+    resolve_state_cap,
     theta_image,
     union as nfa_union,
 )
 from .errors import ClassAssertionRefuted
 from .transducers import (
+    INPUT_ALTERING,
+    INPUT_PRESERVING,
     Transducer,
     _weak_pair,
     accepts_pair,
@@ -50,8 +53,6 @@ W_KIND = "W"
 _KINDS = (S_KIND, W_KIND)
 # the transducer classes, named as the descriptor's "class" field and the modes of ``bounded_counterexample``
 UNRESTRICTED = "unrestricted"
-INPUT_ALTERING = "altering"
-INPUT_PRESERVING = "preserving"
 CLASSES = (UNRESTRICTED, INPUT_ALTERING, INPUT_PRESERVING)
 
 
@@ -231,21 +232,31 @@ def satisfies(p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6) -> Verdic
 def _extension_universe(p: PropertyDescriptor, l: Nfa) -> Nfa:
     """Words that can never be added to L: L itself plus both hit images.
 
-    A fresh word w outside this union cannot participate in any violation
-    with the existing language; for the strict kind the empty word is
-    additionally blocked whenever the transducer realizes (ε, ε), because
-    the strict reading rejects even the self-hit of the new word.
+    No word outside it takes part in a violation with L.  Built only once
+    :func:`_blocks_empty_word`, the one reader of the strict self-hit (ε, ε), finds ε blocked.
     """
     t = p.transducer
     theta_of_outputs = theta_image(image(t, l), p.theta.inverse())
     inputs_hitting = image(inverse(t), theta_image(l, p.theta))
-    universe = nfa_union(l, nfa_union(theta_of_outputs, inputs_hitting))
-    if p.kind == S_KIND and accepts_pair(t, "", ""):
-        universe = nfa_union(universe, Nfa.epsilon(l.alphabet))
-    return universe
+    return nfa_union(l, nfa_union(theta_of_outputs, inputs_hitting))
+
+
+def _blocks_empty_word(p: PropertyDescriptor, l: Nfa) -> bool:
+    """Is ε in L, an output of T on L, an input T maps into theta(L) or, if strict, (ε, ε) in T?"""
+    t, eps = p.transducer, Nfa.epsilon(l.alphabet)
+    return bool(l.closure(l.initial) & l.final) or (
+        restriction_search(t, l, eps)[0] is not None
+        or restriction_search(t, eps, theta_image(l, p.theta))[0] is not None
+        or p.kind == S_KIND and accepts_pair(t, "", "")
+    )
 
 
 def _require_maximality_hypotheses(p: PropertyDescriptor, l: Nfa, assertion_bound: int) -> None:
+    if p.kind == S_KIND and p.asserted_class != INPUT_ALTERING:
+        raise ValueError(
+            "maximality for the strict kind is undecidable in general; "
+            "it requires an input-altering class assertion"
+        )
     base = satisfies(p, l, assertion_bound)
     if not base.satisfied:
         raise ValueError(
@@ -253,11 +264,6 @@ def _require_maximality_hypotheses(p: PropertyDescriptor, l: Nfa, assertion_boun
             "maximality is only defined for satisfying languages"
         )
     if p.kind == S_KIND:
-        if p.asserted_class != INPUT_ALTERING:
-            raise ValueError(
-                "maximality for the strict kind is undecidable in general; "
-                "it requires an input-altering class assertion"
-            )
         _check_assertion(p, INPUT_ALTERING, assertion_bound)
 
 
@@ -269,17 +275,23 @@ def is_maximal(
 ) -> Verdict:
     """Is the (satisfying) language maximal for the property?
 
-    L is maximal when no word can be added without breaking satisfaction,
-    i.e. when the extension universe covers every word.  The witness of a
-    negative verdict is a shortest addable word.  A strict-kind witness w
-    with theta(w) in T(w), which the universe leaves out and the bounded
-    assertion check let pass, refutes the assertion loudly.
+    L is maximal when no word can be added without breaking satisfaction, i.e. when
+    the extension universe covers every word; the witness of a negative verdict is a
+    shortest addable word.  The empty word is decided first, from the universe's parts,
+    and only a blocked one has the universe built and searched: ``stats["route"]`` is
+    ``"empty-word"`` or ``"subsets"``, ``stats["universe_states"]`` the states built.
+    A strict-kind witness w with theta(w) in T(w), which the universe leaves out and
+    the bounded assertion check let pass, refutes the assertion loudly.
     """
     _check_language(p, l)
     _require_maximality_hypotheses(p, l, assertion_bound)
-    universe = _extension_universe(p, l)
-    w = missing_word(universe, state_cap)
-    stats = {"universe_states": universe.n_states, "assertion_bound": assertion_bound}
+    cap = resolve_state_cap(state_cap)  # a bad cap raises even when ε answers
+    stats = {"route": "empty-word", "universe_states": 0, "assertion_bound": assertion_bound}
+    if not _blocks_empty_word(p, l):
+        return Verdict(False, "", "is_maximal", stats)
+    universe = nfa_union(Nfa.epsilon(l.alphabet), _extension_universe(p, l))  # ε is blocked, as just decided
+    w = missing_word(universe, cap)
+    stats.update(route="subsets", universe_states=universe.n_states)
     if w is None:
         return Verdict(True, None, "is_maximal", stats)
     if p.kind == S_KIND and accepts_pair(p.transducer, w, p.theta(w)):

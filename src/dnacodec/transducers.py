@@ -505,6 +505,7 @@ def _words(edges: list) -> tuple[str, str]:
 
 
 _LISTING_CAP = 10**6  # pairs held at once by ``_dag_pairs``; past it ``_mismatch`` decides
+INPUT_ALTERING, INPUT_PRESERVING = "altering", "preserving"  # the classes ``bounded_counterexample`` refutes
 
 
 def _weak_pair(
@@ -792,7 +793,7 @@ def bounded_counterexample(
     a bitset (``_scan_words``); the first refutation is returned, None when
     the bound is exhausted.  The outcome is memoized on ``t``.
     """
-    if mode not in ("altering", "preserving"):
+    if mode not in (INPUT_ALTERING, INPUT_PRESERVING):
         raise ValueError(f"unknown transducer class {mode!r}")
     if theta.alphabet != t.alphabet:
         raise ValueError("permutation alphabet does not match the transducer")
@@ -847,7 +848,7 @@ def _scan_words(t: Transducer, theta: Permutation, mode: str, max_len: int) -> O
                             ahead[key] = ahead.get(key, 0) | kept
                 layer = ahead
             accepted = reduce(int.__or__, (w for (q, _), w in layer.items() if v.final[q]), 0)
-            if found := accepted if mode == "altering" else full & ~accepted:
+            if found := accepted if mode == INPUT_ALTERING else full & ~accepted:
                 index = (found & -found).bit_length() - 1
                 letters = (*prefix, *(index // r % k for r in sizes))
                 return "".join(sigma.symbols[c] for c in letters)

@@ -216,6 +216,16 @@ def test_maximal_negative_suggests_word(capsys):
     assert capsys.readouterr().out.strip() == "not maximal, can add: ''"
 
 
+@pytest.mark.parametrize(
+    "language, route, built", [("lang_nonempty_dna.fa", "empty-word", False), ("lang_universal_dna.fa", "subsets", True)]
+)
+def test_maximal_json_names_the_route_and_the_universe_built(language, route, built, capsys):
+    args = ["maximal", "--json", "--property", fixture("maximal", "desc_empty_altering.json")]
+    main(args + ["--language", fixture("maximal", language)])
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["route"] == route and (stats["universe_states"] > 0) == built
+
+
 def test_maximal_malformed_state_cap_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("DNACODEC_STATE_CAP", "abc")
     args = ["maximal", "--property", fixture("maximal", "desc_empty_altering.json")]

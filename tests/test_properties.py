@@ -8,8 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from dnacodec import transducers
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
-from dnacodec.automata import Nfa, accepts, complement, enumerate_words, parse_regex, remove_epsilon, theta_image
-from dnacodec.errors import ClassAssertionRefuted
+from dnacodec.automata import (
+    Nfa,
+    accepts,
+    complement,
+    enumerate_words,
+    missing_word,
+    parse_regex,
+    remove_epsilon,
+    theta_image,
+    union,
+)
+from dnacodec.errors import ClassAssertionRefuted, FormatError
 from dnacodec.graphs import reachable
 from dnacodec.properties import (
     INPUT_ALTERING,
@@ -18,6 +28,8 @@ from dnacodec.properties import (
     UNRESTRICTED,
     W_KIND,
     PropertyDescriptor,
+    _blocks_empty_word,
+    _extension_universe,
     find_extension,
     is_maximal,
     satisfies,
@@ -462,8 +474,10 @@ def test_maximality_requires_satisfaction():
 
 def test_maximality_strict_kind_needs_altering_assertion():
     p = PropertyDescriptor(zeros_to_ones(False), MIRROR_ZO, kind=S_KIND)
-    with pytest.raises(ValueError, match="input-altering"):
-        is_maximal(p, Nfa.finite(ZO, ["0"]))
+    for words in (["0"], ["0", "1"]):  # checked before the search: ["0", "1"] does not satisfy p either
+        assert satisfies(p, Nfa.finite(ZO, words)).satisfied == (words == ["0"])
+        with pytest.raises(ValueError, match="input-altering"):
+            is_maximal(p, Nfa.finite(ZO, words))
 
 
 def test_maximality_refutes_false_altering_assertion():
@@ -568,6 +582,61 @@ def test_find_extension_respects_bound():
     l = Nfa.finite(ZO, ["0"])
     assert find_extension(p, l, max_len=4) == "00"
     assert find_extension(p, l, max_len=1) is None
+
+
+def _random_language_with_epsilon_edges(rng):
+    n = rng.randint(1, 4)
+    edges = [(rng.randrange(n), rng.choice((None, "a", "b")), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+    return Nfa(AB, n, tuple(edges), rng.sample(range(n), rng.randint(1, n)), rng.sample(range(n), rng.randint(0, n)))
+
+
+def test_empty_word_check_agrees_with_the_built_universe():
+    rng = random.Random(2801)
+    labels = ["", "", "a", "b", "ab", "ba"]
+    seen = {True: 0, False: 0}
+    strict_only = epsilon_pairs = 0
+    for _ in range(5000):
+        n = rng.randint(1, 3)
+        edges = [(rng.randrange(n), rng.choice(labels), rng.choice(labels), rng.randrange(n))
+                 for _ in range(rng.randint(1, 2 * n + 1))]
+        epsilon_pairs += ("", "") in {e[1:3] for e in edges}
+        t = Transducer(AB, n, tuple(edges), {0}, rng.sample(range(n), rng.randint(1, n)))
+        p = PropertyDescriptor(t, rng.choice(AB_THETAS), kind=rng.choice((S_KIND, W_KIND)))
+        l = _random_language_with_epsilon_edges(rng)
+        universe = _extension_universe(p, l)
+        strict_clause = p.kind == S_KIND and pair_in_relation(t, "", "")
+        if strict_clause:  # the clause the universe leaves to the check
+            strict_only += missing_word(universe) == ""
+            universe = union(universe, Nfa.epsilon(AB))
+        blocked = _blocks_empty_word(p, l)
+        assert blocked == (missing_word(universe) != ""), (edges, p.theta, p.kind, l.edges)
+        seen[blocked] += 1
+    assert min(seen.values()) > 1000 and strict_only > 50 and epsilon_pairs > 1000
+
+
+def test_only_the_strict_self_hit_blocks_the_empty_word():
+    t = zeros_to_ones(accept_empty=True)  # realizes (ε, ε) and nothing else touching ε
+    l = Nfa.finite(ZO, ["0"])
+    strict = PropertyDescriptor(t, MIRROR_ZO, kind=S_KIND, asserted_class=INPUT_ALTERING)
+    assert missing_word(_extension_universe(strict, l)) == ""
+    assert _blocks_empty_word(strict, l)
+    v = is_maximal(strict, l)
+    assert (v.witness, v.stats["route"]) == ("00", "subsets") and v.stats["universe_states"] > 0
+    weak = PropertyDescriptor(t, MIRROR_ZO, kind=W_KIND)  # the weak reading tolerates the self-hit
+    assert not _blocks_empty_word(weak, l)
+    v = is_maximal(weak, l)
+    assert (v.witness, v.stats["route"], v.stats["universe_states"]) == ("", "empty-word", 0)
+
+
+def test_a_bad_state_cap_raises_where_the_empty_word_answers(monkeypatch):
+    p = PropertyDescriptor(zeros_to_ones(False), MIRROR_ZO, kind=W_KIND, asserted_class=INPUT_ALTERING)
+    l = Nfa.finite(ZO, ["0"])
+    assert is_maximal(p, l).stats["route"] == "empty-word"
+    with pytest.raises(FormatError, match="state_cap must be a positive integer, not 0"):
+        is_maximal(p, l, state_cap=0)
+    monkeypatch.setenv("DNACODEC_STATE_CAP", "abc")
+    with pytest.raises(FormatError, match="DNACODEC_STATE_CAP must be a positive integer"):
+        is_maximal(p, l)
 
 
 def test_refuted_assertions_keep_their_messages():

@@ -21,7 +21,7 @@ def _script(name: str):
         (
             "benchmark_satisfaction",
             ["--cases", "1", "--transducer-states", "50", "--transducer-edges", "120", "--language-states", "3",
-             "--universality", "2"],
+             "--universality", "2", "--maximality", "1"],
         ),
         ("property_hierarchy_demo", []),
     ],
