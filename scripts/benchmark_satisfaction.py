@@ -9,9 +9,12 @@ cases and commits), and how much of the transducer's normal form the
 call built: the states of the transducer it filled and the word-label
 edges it split into chains.  The search reads the transducer through its
 on-demand view, which splits the edges of a state when it first touches
-it, so a violation found early leaves most of it unbuilt.  The weak decider then
-runs on a fresh copy of the same machine, as a W-kind descriptor, and its
-wall time and the lengths of its witness are printed beside.
+it, so a violation found early leaves most of it unbuilt.  The same call
+is then timed again by phase on a fresh copy of the machine: building the
+view's edge index, the theta-image plus the restriction search, and
+decoding the witness.  The weak decider then runs on another fresh copy,
+as a W-kind descriptor, and its wall time and the lengths of its witness
+are printed beside.
 
 Random machines are almost always violated early, so every third case is
 a parity-structured pair that satisfies the property: every path into a
@@ -23,8 +26,8 @@ the whole product, and shows the walk that finishes a satisfied search.
 near-universal DNA languages: "the (k+1)-th letter from the end is not C",
 whose forward subset search grows exponentially with k, and its mirror
 "the (k+1)-th letter from the start is not C", whose backward search does.
-Beside each time it prints how many subsets each direction alone sees
-before it finds the rejected word.
+Beside each time it prints how many subsets the forward and the backward
+search saw, as the two take turns, and which of them answered.
 
 ``--maximality N`` times ``is_maximal`` instead, per named DNA property
 (every weak one and every input-altering normal one), on N random codes
@@ -52,13 +55,13 @@ import statistics
 import time
 from typing import Optional
 
-from dnacodec import properties
+from dnacodec import automata, properties
 from dnacodec.alphabets import DNA, dna_delta
-from dnacodec.automata import DEFAULT_STATE_CAP, Nfa, _subset_search, _subset_walk, missing_word
+from dnacodec.automata import Nfa, missing_word, theta_image
 from dnacodec.dna import NORMAL, PROPERTY_NAMES, WEAK, named_property
 from dnacodec.errors import DnaCodecError
 from dnacodec.properties import S_KIND, W_KIND, PropertyDescriptor, satisfies_S, satisfies_W_general
-from dnacodec.transducers import Transducer
+from dnacodec.transducers import Transducer, restriction_search
 
 
 def random_transducer(rng: random.Random, n_states: int, n_edges: int) -> Transducer:
@@ -141,24 +144,27 @@ def reverse(m: Nfa) -> Nfa:
     return Nfa(m.alphabet, m.n_states, tuple((d, a, s) for s, a, d in m.edges), m.final, m.initial)
 
 
-def subsets_seen(m: Nfa) -> Optional[int]:
-    """How many subsets the forward subset search of ``m`` alone sees before it finds
-    a rejected word (None if ``m`` is universal)."""
-    for found in _subset_search(_subset_walk(m), DEFAULT_STATE_CAP):
-        if found:
-            return len(found[0])
-    return None
-
-
 def universality(max_k: int) -> None:
     for k in range(1, max_k + 1):
         end = near_universal(k, "C")
         for shape, m in (("from the end", end), ("from the start", reverse(end))):
             times = sorted(timed(missing_word, m)[1] for _ in range(5))
+            word, forward, backward, answered_by = automata._missing_word(m)
             print(
-                f"k={k:2} {shape:14} {missing_word(m)}: {times[2] * 1e3:.2f}ms (median of 5), "
-                f"forward {subsets_seen(m):,} subsets, backward {subsets_seen(reverse(m)):,}"
+                f"k={k:2} {shape:14} {word}: {times[2] * 1e3:.2f}ms (median of 5), "
+                f"forward {forward:,} subsets, backward {backward:,}, answered {answered_by}"
             )
+
+
+def phases(p: PropertyDescriptor, language: Nfa) -> tuple[float, float, float]:
+    """Seconds of ``satisfies_S`` by phase on a fresh copy of the machine: the view's
+    edge index, the theta-image plus the restriction search, the witness decoding."""
+    t = p.transducer
+    fresh = PropertyDescriptor(Transducer(DNA, t.n_states, t.edges, t.initial, t.final), p.theta, kind=S_KIND)
+    index = timed(fresh.transducer.view)[1]
+    (y, _, _), search = timed(lambda: restriction_search(fresh.transducer, language, theta_image(language, p.theta)))
+    decode = 0.0 if y is None else timed(properties._decode_intersection_witness, fresh, language, y)[1]
+    return index, search, decode
 
 
 def maximality(n_codes: int, seed: int) -> None:
@@ -248,6 +254,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         total_work += work
         total_states += verdict.stats["restriction_states"]
         outcome = "satisfied" if verdict else f"witness {verdict.witness}"
+        index, search, decode = phases(strict, language)
         # a fresh copy of the machine, so the weak call builds its own view
         fresh = Transducer(DNA, t.n_states, t.edges, t.initial, t.final)
         weak, weak_time = timed(satisfies_W_general, PropertyDescriptor(fresh, theta, kind=W_KIND), language)
@@ -256,7 +263,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             f"case {i}: |T|={len(t.edges)} |A|={len(language.edges)} "
             f"work={work:,} explored states={verdict.stats['restriction_states']:,} "
             f"filled {filled:,}/{t.n_states:,} states, split {split:,}/{len(words):,} word labels, "
-            f"decide {decide_time * 1e3:.1f}ms {outcome}; "
+            f"decide {decide_time * 1e3:.1f}ms {outcome} (view index {index * 1e3:.2f}ms, "
+            f"theta-image + search {search * 1e3:.2f}ms, decode {decode * 1e3:.2f}ms); "
             f"weak {weak_time * 1e3:.1f}ms {weak_outcome}"
         )
     elapsed = time.perf_counter() - start

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 
@@ -148,8 +149,9 @@ class Permutation:
         return self._involution  # type: ignore[attr-defined]
 
 
+@cache
 def dna_delta() -> Permutation:
-    """The antimorphic DNA involution: A<->T, C<->G, word reversed."""
+    """The antimorphic DNA involution: A<->T, C<->G, word reversed; one shared instance."""
     return Permutation.from_mapping(DNA, {"A": "T", "T": "A", "C": "G", "G": "C"}, antimorphic=True)
 
 

@@ -137,8 +137,8 @@ class Nfa(Machine):
 
     @classmethod
     def word(cls, alphabet: Alphabet, w: str) -> "Nfa":
-        edges = tuple((i, ch, i + 1) for i, ch in enumerate(w))
-        return cls(alphabet, len(w) + 1, edges, frozenset({0}), frozenset({len(w)}))
+        edges = tuple((i, ch, i + 1) for i, ch in enumerate(alphabet.check_word(w)))
+        return cls._trusted(alphabet, len(w) + 1, edges, (0,), (len(w),))
 
     @classmethod
     def finite(cls, alphabet: Alphabet, words: Iterable[str]) -> "Nfa":
@@ -387,14 +387,14 @@ def complement(m: Nfa, state_cap: Optional[int] = None) -> Nfa:
     return Nfa._trusted(d.alphabet, d.n_states, d.edges, d.initial, frozenset(range(d.n_states)) - d.final)
 
 
-def _subset_search(walk, cap: int):
-    """Breadth-first search of a ``_subset_walk`` for a subset with no final state: each
-    ``next`` expands one subset and yields None, or ``(parents, levels, subset)`` on
-    finding one, where ``levels[d]`` lists the subsets first seen at depth ``d``, up to
-    the depth before the subset's.  It returns once every subset is seen, and raises
+def _subset_search(walk, cap: int, parents: dict):
+    """Breadth-first search of a ``_subset_walk`` for a subset with no final state, each one seen
+    entered in the empty dict ``parents`` with its parent: each ``next`` expands one subset and yields
+    None, or ``(levels, subset)`` on finding one, where ``levels[d]`` lists the subsets first seen at
+    depth ``d``, up to the depth before the subset's.  It returns once every subset is seen, and raises
     ``ResourceLimitError`` when a new subset turns up once ``cap`` have been seen."""
     start, final, step, lanes, full = walk
-    parents: dict[int, Optional[tuple[int, str]]] = {start: None}
+    parents[start] = None
     levels = [[start]]
     for level in levels:  # the list grows while it is walked
         deeper: list[int] = []
@@ -408,7 +408,7 @@ def _subset_search(walk, cap: int):
                     raise ResourceLimitError(f"universality check exceeded the cap of {cap} subsets")
                 parents[nxt] = (subset, a)
                 if not nxt & final:
-                    yield parents, levels, nxt
+                    yield levels, nxt
                     return
                 deeper.append(nxt)
             yield None
@@ -431,38 +431,45 @@ def missing_word(m: Nfa, state_cap: Optional[int] = None) -> Optional[str]:
     Each search stops when a new subset turns up once it has seen ``state_cap``,
     the start one included; ``ResourceLimitError`` is raised when both have stopped.
     """
+    return _missing_word(m, state_cap)[0]
+
+
+def _missing_word(m: Nfa, state_cap: Optional[int] = None) -> tuple[Optional[str], int, int, str]:
+    """``missing_word``'s word, the subsets its forward and backward searches saw, and the one that
+    answered, "forward" or "backward" (the forward start's subset when it rejects the empty word)."""
     cap = resolve_state_cap(state_cap)
     if not m.closure(m.initial) & m.final:
-        return ""
+        return "", 1, 0, "forward"
     start, _, step, lanes, full = walk = _subset_walk(m)
     back = Nfa._trusted(m.alphabet, m.n_states, ((d, a, s) for s, a, d in m.edges), m.final, m.initial)
-    forward = _subset_search(walk, cap)
-    searches = [forward, _subset_search(_subset_walk(back), cap)]
+    seen: dict[str, dict] = {"forward": {}, "backward": {}}  # per search, the subsets seen and their parents
+    searches = [(way, _subset_search(w, cap, seen[way])) for way, w in zip(seen, (walk, _subset_walk(back)))]
     while True:
-        search = searches.pop(0)
+        way, search = searches.pop(0)
         try:
             found = next(search)
         except StopIteration:  # this search saw every subset
-            return None
+            return None, len(seen["forward"]), len(seen["backward"]), way
         except ResourceLimitError:
             if not searches:
                 raise
             continue
         if found:
             break
-        searches.append(search)
-    parents, levels, subset = found
-    if search is forward:
-        return "".join(path_to(parents, subset))
-    cur, word = start, []
-    for level in reversed(levels):  # with r letters left, the subsets first seen at depth r - 1
-        acc = step(cur)
-        for a, off in lanes:
-            cur = acc >> off & full
-            if any(not cur & p for p in level):
-                word.append(a)
-                break
-    return "".join(word)
+        searches.append((way, search))
+    levels, subset = found
+    if way == "forward":
+        word = path_to(seen[way], subset)
+    else:
+        cur, word = start, []
+        for level in reversed(levels):  # with r letters left, the subsets first seen at depth r - 1
+            acc = step(cur)
+            for a, off in lanes:
+                cur = acc >> off & full
+                if any(not cur & p for p in level):
+                    word.append(a)
+                    break
+    return "".join(word), len(seen["forward"]), len(seen["backward"]), way
 
 
 def theta_image(m: Nfa, theta: Permutation) -> Nfa:

@@ -28,9 +28,9 @@ from typing import Optional
 from .alphabets import Permutation
 from .automata import (
     Nfa,
+    _missing_word,
     complement as nfa_complement,
     intersect as nfa_intersect,
-    missing_word,
     resolve_state_cap,
     theta_image,
     union as nfa_union,
@@ -275,13 +275,13 @@ def is_maximal(
 ) -> Verdict:
     """Is the (satisfying) language maximal for the property?
 
-    L is maximal when no word can be added without breaking satisfaction, i.e. when
-    the extension universe covers every word; the witness of a negative verdict is a
-    shortest addable word.  The empty word is decided first, from the universe's parts,
-    and only a blocked one has the universe built and searched: ``stats["route"]`` is
-    ``"empty-word"`` or ``"subsets"``, ``stats["universe_states"]`` the states built.
-    A strict-kind witness w with theta(w) in T(w), which the universe leaves out and
-    the bounded assertion check let pass, refutes the assertion loudly.
+    L is maximal when no word can be added without breaking satisfaction, i.e. when the extension
+    universe covers every word; the witness of a negative verdict is a shortest addable word.  The
+    empty word is decided first, from the universe's parts, and only a blocked one has the universe
+    built and searched: ``stats["route"]`` is ``"empty-word"`` or ``"subsets"``, ``universe_states``
+    the states built, and on ``"subsets"`` ``forward_subsets``, ``backward_subsets`` and ``answered_by``
+    say how ``missing_word`` went.  A strict-kind witness w with theta(w) in T(w), which the universe
+    leaves out and the bounded assertion check let pass, refutes the assertion loudly.
     """
     _check_language(p, l)
     _require_maximality_hypotheses(p, l, assertion_bound)
@@ -290,8 +290,9 @@ def is_maximal(
     if not _blocks_empty_word(p, l):
         return Verdict(False, "", "is_maximal", stats)
     universe = nfa_union(Nfa.epsilon(l.alphabet), _extension_universe(p, l))  # ε is blocked, as just decided
-    w = missing_word(universe, cap)
-    stats.update(route="subsets", universe_states=universe.n_states)
+    w, forward, backward, answered_by = _missing_word(universe, cap)
+    stats.update(route="subsets", universe_states=universe.n_states, forward_subsets=forward,
+                 backward_subsets=backward, answered_by=answered_by)
     if w is None:
         return Verdict(True, None, "is_maximal", stats)
     if p.kind == S_KIND and accepts_pair(p.transducer, w, p.theta(w)):

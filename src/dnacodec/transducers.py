@@ -5,11 +5,11 @@ single letters) and ``""`` stands for the empty word.  A transducer
 *realizes* the relation of all ``(x, y)`` labelling an accepting path.
 
 Every decision procedure here reads the *normal form*, in which each move
-carries one letter on one tape, through ``Transducer.view()``: one pass
-buckets the edges by source, and the edges of a state are split into letter
-moves, chains of fresh states and epsilon targets when a walk first touches
-it, so the restriction search, the witness decoder and ``accepts_pair`` pay
-only for the states they reach; ``compose`` and the bounded class check
+carries one letter on one tape, through ``Transducer.view()``: one pass links
+the edges by source, with no list per state, and the edges of a state are split
+into letter moves, chains of fresh states and epsilon targets when a walk first
+touches it, so the restriction search, the witness decoder and ``accepts_pair``
+pay only for the states they reach; ``compose`` and the bounded class check
 fill every state.  A restriction search that finds nothing early finishes on
 a reachability walk over bitsets of (L, theta(L)) state pairs.  The weak
 decision ``_weak_pair`` chooses its route here, for both
@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import product
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .alphabets import Alphabet, Permutation
@@ -74,7 +75,8 @@ class Transducer(Machine):
 class _NormalView:
     """The normal form of a transducer, filled one state at a time.
 
-    One pass over the edges buckets their indices by source.  ``fill``
+    One backward pass links the edges by source, in order and with no list per state:
+    ``_head[p]`` is p's first edge, ``_next[i]`` the next after edge i, -1 ends both.  ``fill``
     splits, on first touch, the edges leaving each state of the epsilon
     closure it reads: a letter edge becomes a ``(letter, target)`` input or
     output move, an epsilon edge an epsilon target, and a word label a
@@ -86,29 +88,28 @@ class _NormalView:
     distinct and sorted, and its final flag; ``filled`` fills every state.
     """
 
-    __slots__ = ("ins", "outs", "final", "_edges", "_final", "_by_src", "_eps")
+    __slots__ = ("ins", "outs", "final", "_edges", "_final", "_head", "_next", "_eps")
 
     def __init__(self, t: Transducer):
-        n = max(t.n_states, 1)
-        by_src: list[list[int]] = [[] for _ in range(n)]
-        for i, e in enumerate(t.edges):
-            by_src[e[0]].append(i)
+        n, m = max(t.n_states, 1), len(t.edges)
+        head, nxt = [-1] * n, [-1] * m  # backward, so each state's edges link up in order
+        for i, p in zip(range(m - 1, -1, -1), map(itemgetter(0), reversed(t.edges))):
+            nxt[i], head[p] = head[p], i
         # t's parts, not t, which holds the view: a cycle is freed only by gc
-        self._edges, self._final, self._by_src, self._eps = t.edges, t.final, by_src, {}
+        self._edges, self._final, self._head, self._next, self._eps = t.edges, t.final, head, nxt, {}
         # None until split (moves) or filled (flags); lists, as the search reads them per triple
-        self.ins: list = [None] * (n + len(t.edges))
-        self.outs: list = [None] * (n + len(t.edges))
-        self.final: list[Optional[bool]] = [None] * n + [False] * len(t.edges)
+        self.ins: list = [None] * (n + m)
+        self.outs: list = [None] * (n + m)
+        self.final: list[Optional[bool]] = [None] * n + [False] * m
 
     def fill(self, p: int, close: bool = True) -> Optional[bool]:
         """Give state ``p`` of ``t`` its moves and final flag; return the flag.  Under
         ``close=False`` a state with epsilon edges is only split: None, unfilled."""
         ins, outs, eps = self.ins, self.outs, self._eps
         if ins[p] is None:  # split here, not in a helper: once per state a walk reaches
-            n, edges = len(self._by_src), self._edges
-            ins[p] = p_ins = []
-            outs[p] = p_outs = []
-            for i in self._by_src[p]:
+            n, edges, nxt, i = len(self._head), self._edges, self._next, self._head[p]
+            ins[p], outs[p] = p_ins, p_outs = [], []
+            while i >= 0:
                 _, x, y, q = edges[i]
                 k = len(x) + len(y)
                 if k == 1:
@@ -127,6 +128,7 @@ class _NormalView:
                         side[src].append((a, dst))
                 else:
                     eps.setdefault(p, []).append(q)
+                i = nxt[i]
         if p not in eps:
             if len(ins[p]) > 1:
                 ins[p] = sorted(set(ins[p]))
@@ -153,7 +155,7 @@ class _NormalView:
 
     def filled(self) -> "_NormalView":
         """This view with every state of ``t`` filled, for walks that read them all."""
-        for p in range(len(self._by_src)):
+        for p in range(len(self._head)):
             if self.final[p] is None:
                 self.fill(p)
         return self

@@ -40,6 +40,11 @@ def test_dna_delta_values():
     assert delta.image("C") == "G"
 
 
+def test_dna_delta_is_one_shared_instance():
+    assert dna_delta() is dna_delta()
+    assert dna_delta().inverse() is dna_delta().inverse()  # memoized on the one instance
+
+
 def test_morphic_vs_antimorphic_application():
     table = {"A": "C", "C": "A", "G": "T", "T": "G"}
     morphic = Permutation.from_mapping(DNA, table, antimorphic=False)

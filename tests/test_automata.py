@@ -72,6 +72,14 @@ def test_complement_and_universality():
     assert not is_universal(m)
 
 
+def test_word_machine_checks_its_word_once():
+    m = Nfa.word(DNA, "GAT")
+    assert (m.n_states, m.edges, m.initial, m.final) == (4, ((0, "G", 1), (1, "A", 2), (2, "T", 3)), {0}, {3})
+    assert Nfa.word(DNA, "").final == {0}
+    with pytest.raises(ValueError, match="symbol 'X' not in alphabet 'ACGT'"):
+        Nfa.word(DNA, "AX")
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5", " "])
 def test_malformed_state_cap_variable_is_named(monkeypatch, value):
     monkeypatch.setenv("DNACODEC_STATE_CAP", value)

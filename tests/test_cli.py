@@ -224,6 +224,8 @@ def test_maximal_json_names_the_route_and_the_universe_built(language, route, bu
     main(args + ["--language", fixture("maximal", language)])
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert stats["route"] == route and (stats["universe_states"] > 0) == built
+    search_keys = {"forward_subsets", "backward_subsets", "answered_by"}  # how missing_word went
+    assert search_keys & stats.keys() == (search_keys if built else set())
 
 
 def test_maximal_malformed_state_cap_exits_2(monkeypatch, capsys):

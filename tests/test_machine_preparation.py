@@ -1,5 +1,6 @@
 """Machine preparation: constructor checks, the normal form and its on-demand view."""
 
+import gc
 import random
 
 import pytest
@@ -331,6 +332,112 @@ def test_derived_machines_compute_their_own_view():
         assert d_ins is not ins and d_outs is not outs
         assert (d_ins, d_outs) == tuple([sorted(set(moves)) for moves in side] for side in grouped(d))
     assert _filled(derived[1]) == (outs, ins)
+
+
+class _BucketedView:
+    """The view as it was built with one list of edge numbers per state: the
+    reference the linked index of ``_NormalView`` must reproduce move for move."""
+
+    def __init__(self, t: Transducer):
+        n = max(t.n_states, 1)
+        self.by_src: list = [[] for _ in range(n)]
+        for i, e in enumerate(t.edges):
+            self.by_src[e[0]].append(i)
+        self.edges, self.t_final, self.eps = t.edges, t.final, {}
+        self.ins: list = [None] * (n + len(t.edges))
+        self.outs: list = [None] * (n + len(t.edges))
+        self.final: list = [None] * n + [False] * len(t.edges)
+
+    def fill(self, p: int, close: bool = True):
+        ins, outs, eps, n = self.ins, self.outs, self.eps, len(self.by_src)
+        if ins[p] is None:
+            ins[p], outs[p] = [], []
+            for i in self.by_src[p]:
+                _, x, y, q = self.edges[i]
+                k = len(x) + len(y)
+                if k == 1:
+                    (ins[p] if x else outs[p]).append((x or y, q))
+                elif k == 2 and len(x) == 1:
+                    ins[p].append((x, n + i))
+                    ins[n + i], outs[n + i] = (), ((y, q),)
+                elif k:
+                    chain = [n + i, *range(len(ins), len(ins) + k - 2)]
+                    ins[n + i], outs[n + i] = [], []
+                    ins += [[] for _ in chain[1:]]
+                    outs += [[] for _ in chain[1:]]
+                    self.final += [False] * (k - 2)
+                    steps = [(a, ins) for a in x] + [(b, outs) for b in y]
+                    for (a, side), src, dst in zip(steps, [p, *chain], [*chain, q]):
+                        side[src].append((a, dst))
+                else:
+                    eps.setdefault(p, []).append(q)
+        if p not in eps:
+            ins[p], outs[p] = sorted(set(ins[p])), sorted(set(outs[p]))
+            self.final[p] = p in self.t_final
+            return self.final[p]
+        if not close:
+            return None
+        cl, stack = {p}, [p]
+        while stack:
+            for r in eps.get(stack.pop(), ()):
+                if r not in cl:
+                    if ins[r] is None:
+                        self.fill(r, False)
+                    cl.add(r)
+                    stack.append(r)
+        ins[p] = sorted({move for q in cl for move in ins[q]})
+        outs[p] = sorted({move for q in cl for move in outs[q]})
+        self.final[p] = not self.t_final.isdisjoint(cl)
+        return self.final[p]
+
+
+def _moves(side: list) -> list:
+    """A view's move lists, each as a list, so sorted lists and tuples compare alike."""
+    return [None if moves is None else list(moves) for moves in side]
+
+
+@st.composite
+def linked_transducers(draw):
+    """Machines with epsilon edges, labels of 0-3 letters and up to 3 initial states."""
+    n = draw(st.integers(1, 6))
+    states = st.integers(0, n - 1)
+    label = st.text("ab", max_size=3)
+    edges = draw(st.lists(st.tuples(states, label, label, states) | st.tuples(states, st.just(""), st.just(""), states),
+                          max_size=4 * n))
+    initial = draw(st.sets(states, max_size=3))
+    return Transducer(AB, n, tuple(edges), initial, draw(st.sets(states, max_size=n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(linked_transducers(), st.randoms(use_true_random=False))
+@example(EPS_CYCLE, random.Random(0))
+@example(EPS_CHAIN, random.Random(1))
+def test_linked_index_fills_like_per_state_lists(machine, rng):
+    t = Transducer(machine.alphabet, machine.n_states, machine.edges, machine.initial, machine.final)
+    v, ref = t.view(), _BucketedView(t)
+    order = list(range(t.n_states))
+    rng.shuffle(order)
+    for q in order[: rng.randint(0, len(order))] + order:  # a partial pass, then every state
+        assert v.fill(q) == ref.fill(q)
+        # the chain states past n + len(t.edges) too, numbered in the order they were made
+        assert (_moves(v.ins), _moves(v.outs), v.final) == (_moves(ref.ins), _moves(ref.outs), ref.final)
+
+
+def test_view_index_makes_no_container_per_state():
+    rng = random.Random(29)
+    n = 1000
+    edges = tuple((rng.randrange(n), rng.choice(LABELS), rng.choice(LABELS), rng.randrange(n)) for _ in range(4 * n))
+    t = Transducer(AB, n, edges, {0}, {1})
+    gc.collect()
+    gc.disable()  # no collection frees objects while they are counted
+    try:
+        before = len(gc.get_objects())
+        v = t.view()
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert v.final[: n] == [None] * n
+    assert added < 50, f"building the view made {added} tracked objects; per-state lists would make over {n}"
 
 
 # -- no decide path builds a whole normal form ---------------------------------

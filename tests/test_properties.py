@@ -549,6 +549,24 @@ def test_maximality_empty_relation_reduces_to_universality():
     assert not v.satisfied and v.witness == ""
 
 
+def test_maximality_stats_say_how_the_subset_search_went():
+    p = PropertyDescriptor(Transducer.empty(DNA), DELTA, kind=S_KIND, asserted_class=INPUT_ALTERING)
+    short = Nfa.finite(DNA, ["", *DNA, *("".join(w) for w in itertools.product(DNA, repeat=2))])
+    third_from_end = union(short, parse_regex("(A|C|G|T)*(A|C|G)(A|C|G|T)(A|C|G|T)", DNA))  # misses TAA
+    cases = [
+        (Nfa.universal(DNA), None, 2, 2, "forward"),
+        (complement(Nfa.word(DNA, "AC")), "AC", 4, 3, "forward"),
+        (third_from_end, "TAA", 25, 13, "backward"),
+    ]
+    for l, witness, forward, backward, answered_by in cases:
+        v = is_maximal(p, l)
+        assert (v.satisfied, v.witness) == (witness is None, witness)
+        assert v.stats["route"] == "subsets"
+        assert (v.stats["forward_subsets"], v.stats["backward_subsets"], v.stats["answered_by"]) == (
+            forward, backward, answered_by)
+    assert not {"forward_subsets", "backward_subsets", "answered_by"} & is_maximal(p, Nfa.empty(DNA)).stats.keys()
+
+
 def test_maximality_witness_is_addable():
     t = zeros_to_ones(accept_empty=True)
     p = PropertyDescriptor(t, MIRROR_ZO, kind=S_KIND, asserted_class=INPUT_ALTERING)

@@ -23,6 +23,8 @@ def _script(name: str):
             ["--cases", "1", "--transducer-states", "50", "--transducer-edges", "120", "--language-states", "3",
              "--universality", "2", "--maximality", "1"],
         ),
+        # the default mode, with one satisfied case (every third) and its phase split
+        ("benchmark_satisfaction", ["--cases", "3", "--transducer-states", "50", "--transducer-edges", "120"]),
         ("property_hierarchy_demo", []),
     ],
 )
