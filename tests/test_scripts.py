@@ -23,9 +23,9 @@ def _script(name: str):
             ["--cases", "1", "--transducer-states", "50", "--transducer-edges", "120", "--language-states", "3",
              "--universality", "2", "--maximality", "1"],
         ),
+        ("property_hierarchy_demo", []),
         # the default mode, with one satisfied case (every third) and its phase split
         ("benchmark_satisfaction", ["--cases", "3", "--transducer-states", "50", "--transducer-edges", "120"]),
-        ("property_hierarchy_demo", []),
     ],
 )
 def test_script_main_returns_0_on_tiny_arguments(name, argv, capsys):
