@@ -11,8 +11,10 @@ edges it split into chains.  The search reads the transducer through its
 on-demand view, which splits the edges of a state when it first touches
 it, so a violation found early leaves most of it unbuilt.  The same call
 is then timed again by phase on a fresh copy of the machine: building the
-view's edge index, the theta-image plus the restriction search, and
-decoding the witness.  The weak decider then runs on another fresh copy,
+view's edge index, the theta-image plus the grouped restriction search,
+the bit walk that finishes a satisfied search (``transducers._bit_walk``,
+timed through a wrapper; 0 where the search stops before it), and decoding
+the witness.  The weak decider then runs on another fresh copy,
 as a W-kind descriptor, and its wall time and the lengths of its witness
 are printed beside.
 
@@ -55,7 +57,7 @@ import statistics
 import time
 from typing import Optional
 
-from dnacodec import automata, properties
+from dnacodec import automata, properties, transducers
 from dnacodec.alphabets import DNA, dna_delta
 from dnacodec.automata import Nfa, missing_word, theta_image
 from dnacodec.dna import NORMAL, PROPERTY_NAMES, WEAK, named_property
@@ -156,15 +158,31 @@ def universality(max_k: int) -> None:
             )
 
 
-def phases(p: PropertyDescriptor, language: Nfa) -> tuple[float, float, float]:
+def phases(p: PropertyDescriptor, language: Nfa) -> tuple[float, float, float, float]:
     """Seconds of ``satisfies_S`` by phase on a fresh copy of the machine: the view's
-    edge index, the theta-image plus the restriction search, the witness decoding."""
+    edge index, the theta-image plus the grouped restriction search, the bit walk,
+    the witness decoding."""
     t = p.transducer
     fresh = PropertyDescriptor(Transducer(DNA, t.n_states, t.edges, t.initial, t.final), p.theta, kind=S_KIND)
     index = timed(fresh.transducer.view)[1]
-    (y, _, _), search = timed(lambda: restriction_search(fresh.transducer, language, theta_image(language, p.theta)))
+    walk, walked = transducers._bit_walk, []
+
+    def timed_walk(*args):
+        start = time.perf_counter()
+        try:
+            return walk(*args)
+        finally:
+            walked.append(time.perf_counter() - start)
+
+    transducers._bit_walk = timed_walk  # restriction_search looks the walk up when it runs it
+    try:
+        (y, _, _), search = timed(
+            lambda: restriction_search(fresh.transducer, language, theta_image(language, p.theta))
+        )
+    finally:
+        transducers._bit_walk = walk
     decode = 0.0 if y is None else timed(properties._decode_intersection_witness, fresh, language, y)[1]
-    return index, search, decode
+    return index, search - sum(walked), sum(walked), decode
 
 
 def maximality(n_codes: int, seed: int) -> None:
@@ -254,7 +272,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         total_work += work
         total_states += verdict.stats["restriction_states"]
         outcome = "satisfied" if verdict else f"witness {verdict.witness}"
-        index, search, decode = phases(strict, language)
+        index, search, walk, decode = phases(strict, language)
         # a fresh copy of the machine, so the weak call builds its own view
         fresh = Transducer(DNA, t.n_states, t.edges, t.initial, t.final)
         weak, weak_time = timed(satisfies_W_general, PropertyDescriptor(fresh, theta, kind=W_KIND), language)
@@ -264,7 +282,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             f"work={work:,} explored states={verdict.stats['restriction_states']:,} "
             f"filled {filled:,}/{t.n_states:,} states, split {split:,}/{len(words):,} word labels, "
             f"decide {decide_time * 1e3:.1f}ms {outcome} (view index {index * 1e3:.2f}ms, "
-            f"theta-image + search {search * 1e3:.2f}ms, decode {decode * 1e3:.2f}ms); "
+            f"theta-image + grouped search {search * 1e3:.2f}ms, bit walk {walk * 1e3:.2f}ms, "
+            f"decode {decode * 1e3:.2f}ms); "
             f"weak {weak_time * 1e3:.1f}ms {weak_outcome}"
         )
     elapsed = time.perf_counter() - start

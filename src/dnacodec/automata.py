@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from .alphabets import Alphabet, Permutation
 from .errors import FormatError, ResourceLimitError
-from .graphs import INF, distances_to, numbering, path_to, reachable, trim_keep
+from .graphs import INF, bit_image, distances_to, numbering, path_to, reachable, trim_keep
 
 DEFAULT_STATE_CAP = 1 << 20
 
@@ -329,42 +329,19 @@ def _subset_walk(m: Nfa):
     ``a`` is ``row >> off & full`` for each ``(a, off)`` of ``lanes``, in
     alphabet order, ``n_states`` bits per letter.  Each state's successor
     mask per letter is epsilon-closed, and closure distributes over union,
-    so these are exactly the subsets ``Nfa.step`` gives.  ``step`` reads the
-    subset a byte at a time from the low end, stops after its highest set
-    byte and ORs one row per nonzero byte, built on first use and cached per
-    byte position under the byte's value.
+    so these are exactly the subsets ``Nfa.step`` gives.  ``step`` is
+    ``graphs.bit_image`` of the per-state rows.
     """
     n = m.n_states
     eps_adj, sym_adj = m.adjacency()
     closed = [sum(1 << r for r in reachable(eps_adj, [q])) for q in range(n)]
     lanes = [(a, i * n) for i, a in enumerate(m.alphabet)]
-    per_state = []
+    rows = [0] * n
     for q in range(n):
-        row = 0
         for a, off in lanes:
             for r in sym_adj[q].get(a, ()):
-                row |= closed[r] << off
-        per_state.append(row)
-    caches = [({}, per_state[base : base + 8]) for base in range(0, n, 8)]
-
-    def step(subset: int) -> int:
-        acc = 0
-        for rows, states in caches:
-            byte = subset & 255
-            if byte:
-                row = rows.get(byte)
-                if row is None:
-                    row = 0
-                    for j, r in enumerate(states):
-                        if byte >> j & 1:
-                            row |= r
-                    rows[byte] = row
-                acc |= row
-            subset >>= 8
-            if not subset:
-                break
-        return acc
-
+                rows[q] |= closed[r] << off
+    step = bit_image(rows)
     start = sum(1 << q for q in reachable(eps_adj, m.initial))
     return start, sum(1 << q for q in m.final), step, lanes, (1 << n) - 1
 

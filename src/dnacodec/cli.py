@@ -129,20 +129,20 @@ def _machine(
     return machine
 
 
-def _theta_from_spec(spec, hint: Optional[Alphabet] = None) -> Permutation:
+def _theta_from_spec(spec, hint: Optional[Alphabet] = None, where: str = "field 'theta'") -> Permutation:
     if isinstance(spec, str):
         name, _, alpha_part = spec.partition(":")
         alphabet = Alphabet.of(alpha_part) if alpha_part else hint
         if name == "dna-delta":
             if alphabet not in (None, DNA):
-                raise FormatError(f"field 'theta' dna-delta acts on ACGT, not {''.join(alphabet)!r}")
+                raise FormatError(f"{where} dna-delta acts on ACGT, not {''.join(alphabet)!r}")
             return dna_delta()
         if name in ("identity", "mirror"):
             if alphabet is None:
                 raise FormatError(f"theta {name!r} needs an alphabet: {name}:SYMBOLS in --theta or field 'theta'")
             maker = Permutation.identity if name == "identity" else Permutation.mirror
             return maker(alphabet)
-        raise FormatError(f"field 'theta' must name dna-delta, identity or mirror, not {name!r}")
+        raise FormatError(f"{where} must name dna-delta, identity or mirror, not {name!r}")
     if isinstance(spec, dict):
         table = _field(spec, "table", (dict,), path="theta.")
         if not all(isinstance(img, str) for img in table.values()):
@@ -155,6 +155,15 @@ def _theta_from_spec(spec, hint: Optional[Alphabet] = None) -> Permutation:
         except ValueError as exc:
             raise FormatError(f"field 'theta.table': {exc}") from None
     raise FormatError(f"field 'theta' must be a string or an object, not {type(spec).__name__}")
+
+
+def _theta_first(spec, source: str, where: str, alphabet=None, base_dir="", theta_where="field 'theta'"):
+    """``(theta, transducer)``: unless ``alphabet`` is given, a spec that fixes its own (dna-delta,
+    NAME:SYMBOLS or a table) is resolved first and the transducer parsed over theta's alphabet."""
+    fixed = alphabet is None and (isinstance(spec, dict) or spec == "dna-delta" or spec.partition(":")[2] != "")
+    theta = _theta_from_spec(spec, where=theta_where) if fixed else None
+    machine = _machine(source, Transducer, where, theta.alphabet if theta else alphabet, base_dir)
+    return theta or _theta_from_spec(spec, machine.alphabet, theta_where), machine
 
 
 def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
@@ -182,8 +191,7 @@ def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
     elif isinstance(source, dict):
         raise FormatError("field 'transducer' must hold a 'dna' or a 'trajectory' entry")
     else:
-        machine = _machine(source, Transducer, "field 'transducer'", alphabet, base_dir)
-        theta = _theta_from_spec(theta_spec, machine.alphabet)
+        theta, machine = _theta_first(theta_spec, source, "field 'transducer'", alphabet, base_dir)
         built = PropertyDescriptor(machine, theta)
 
     changes = {}
@@ -278,7 +286,7 @@ def _theta_spec_payload(theta: Permutation) -> dict:
 def _cmd_build_property(args) -> int:
     _refuse(args, "--dna" if args.dna else "--trajectory", {"--strict": "--trajectory", "--variant": "--dna"})
     alphabet = Alphabet.of(args.alphabet) if args.alphabet else DNA
-    theta = _theta_from_spec(args.theta, alphabet)
+    theta = _theta_from_spec(args.theta, alphabet, "--theta")
     if args.dna:
         variant = "strict" if args.variant is None else args.variant
         for flag, value, choices in (("--dna", args.dna, PROPERTY_NAMES), ("--variant", variant, VARIANTS)):
@@ -318,7 +326,7 @@ def _cmd_pcp(args) -> int:
             raise FormatError("reduce expects a classic --instance, one without field 'theta'")
         if not args.theta:
             raise FormatError("reduce needs --theta")
-        reduced = reduce_pcp_to_theta_pcp(inst, _theta_from_spec(args.theta))
+        reduced = reduce_pcp_to_theta_pcp(inst, _theta_from_spec(args.theta, where="--theta"))
         doc = {
             "alpha": list(reduced.alpha),
             "beta": list(reduced.beta),
@@ -348,14 +356,14 @@ def _cmd_pcp(args) -> int:
 
 
 def _cmd_transducer_check(args) -> int:
-    machine = _machine(args.machine, Transducer, f"argument MACHINE {args.machine!r}")
+    where = f"argument MACHINE {args.machine!r}"
     if args.mode in (INPUT_ALTERING, INPUT_PRESERVING):
         bound = 6 if args.bound is None else args.bound
         if not args.theta:
             raise FormatError(f"--mode {args.mode} needs --theta")
         if bound < 0:
             raise FormatError(f"--bound: word bound must be at least 0, not {bound}")
-        theta = _theta_from_spec(args.theta, machine.alphabet)
+        theta, machine = _theta_first(args.theta, args.machine, where, theta_where="--theta")
         witness = bounded_counterexample(machine, theta, args.mode, bound)
         if witness is None:
             print(f"no {args.mode} counterexample up to length {bound}")
@@ -363,6 +371,7 @@ def _cmd_transducer_check(args) -> int:
         print(f"counterexample: {witness!r}")
         return 1
     _refuse(args, f"--mode {args.mode}", dict.fromkeys(("--bound", "--theta"), "--mode altering or preserving"))
+    machine = _machine(args.machine, Transducer, where)
     if args.mode == "functional":
         ok, witness = is_functional(machine)
     else:

@@ -19,7 +19,7 @@ on product sizes has to be checked there as well.
 from __future__ import annotations
 
 from collections import deque
-from typing import Container, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Container, Hashable, Iterable, Optional, Sequence
 
 from .errors import ResourceLimitError
 
@@ -125,6 +125,29 @@ def distances_to(n: int, edges: Sequence[tuple], targets: Iterable[int]) -> list
                 else:
                     dq.appendleft((nd, p))
     return dist
+
+
+def bit_image(rows: Sequence[int]) -> Callable[[int], int]:
+    """``image(mask)``: the OR of ``rows[i]`` over the bits ``i`` set in ``mask``, read a byte at a time
+    from the low end up to its highest set byte; each byte position caches its ORs under the byte's value."""
+    caches = [({}, rows[base : base + 8]) for base in range(0, len(rows), 8)]
+
+    def image(mask: int) -> int:
+        acc = 0
+        for memo, part in caches:
+            if byte := mask & 255:
+                if (row := memo.get(byte)) is None:
+                    row = 0
+                    for j, r in enumerate(part):
+                        if byte >> j & 1:
+                            row |= r
+                    memo[byte] = row
+                acc |= row
+            if not (mask := mask >> 8):
+                break
+        return acc
+
+    return image
 
 
 def numbering(starts: Iterable[Hashable], cap: Optional[int] = None):

@@ -42,7 +42,7 @@ from .automata import (
     union,
 )
 from .errors import ResourceLimitError
-from .graphs import INF, leaving, numbering, path_to, reachable, shortest_path, topological_order, trim_keep
+from .graphs import INF, bit_image, leaving, numbering, path_to, reachable, shortest_path, topological_order, trim_keep
 
 
 def _words_ok(alphabet: Alphabet, labels: set) -> bool:
@@ -428,55 +428,66 @@ _BIT_AFTER = 1500  # the triples the grouped search claims with no hit before ``
 _BIT_PAIRS = 64  # the most (m, outputs) state pairs a mask of ``_bit_walk`` holds
 
 
+class _Moves(dict):
+    """``_bit_walk``'s memo for one tape and letter: mask -> (successor mask, count), filled on a miss."""
+
+    def __init__(self, rows: list[list[int]]):  # per pair: the pairs of its successors
+        self.image = bit_image([sum(1 << j for j in row) for row in rows])
+        self.counts = [(k, sum(1 << i for i, row in enumerate(rows) if len(row) == k)) for k in {*map(len, rows)} - {0}]
+
+    def __missing__(self, mask: int) -> tuple[int, int]:  # the count: over k, k times the pairs with k successors
+        self[mask] = got = self.image(mask), sum(k * (mask & pairs).bit_count() for k, pairs in self.counts)
+        return got
+
+
 def _bit_walk(v: _NormalView, ins: list, outs: list, lf: Nfa, of: Nfa, keys: set) -> Optional[tuple[int, int]]:
     """``(states, transitions)`` of the product of ``restriction_search``
     when no triple reachable from the packed ``keys`` is final, else None.
-    A start copy ``~key`` of ``nonempty`` passes its bits on once and
-    counts as a state of its own, as in the grouped search; a final one,
-    the skipped pair, only leaves the grouped search to go on.
+    A start copy ``~key`` of ``nonempty`` passes its bits on once and counts
+    as a state of its own, as in the grouped search; a final one, the
+    skipped pair, only leaves the grouped search to go on.
 
-    One int mask per T state, with bit ``ql * no + qo`` for each (m,
-    outputs) state pair reached with it.  A state passes on only its newly
-    set bits, so each bit crosses each move once, and the successor counts
-    of the masks passed sum to the transitions.  The grouped search pays
-    per triple; this walk pays per T state and move, memoized per (tape,
-    letter, mask), while a mask is a machine word or two whose ANDs, ORs,
-    hashes and memo hits cost about what one triple does.  A memo miss costs
-    a step per pair and larger masks repeat less, so past ``_BIT_PAIRS``
-    pairs the walk pays per bit and for big-int operations too, and loses.
+    One int mask per state of the view, bit ``ql * no + qo`` for each (m,
+    outputs) state pair reached with it.  A state passes on only its new
+    bits, so each bit crosses each move once and the counts of the masks
+    passed sum to the transitions.  A move is one ``_Moves`` lookup keyed by
+    the mask; a miss reads it a byte at a time, so past ``_BIT_PAIRS`` pairs
+    the walk loses.  A chain state (id n or more: one move, never final)
+    passes its new bits on at once, not through ``todo``.
     """
     l_sym, o_sym = lf.adjacency()[1], of.adjacency()[1]
-    no = max(of.n_states, 1)
-    nlo = max(lf.n_states, 1) * no
-    # per tape and letter, per pair i = ql * no + qo: the pairs of its successors
-    rows = [
-        {a: [[q * no + i % no for q in l_sym[i // no].get(a, ())] for i in range(nlo)] for a in lf.alphabet},
-        {a: [[i - i % no + q for q in o_sym[i % no].get(a, ())] for i in range(nlo)] for a in lf.alphabet},
-    ]
+    nlo = max(lf.n_states, 1) * (no := max(of.n_states, 1))
+    t_in = {a: _Moves([[q * no + i % no for q in l_sym[i // no].get(a, ())] for i in range(nlo)]) for a in lf.alphabet}
+    t_out = {a: _Moves([[i - i % no + q for q in o_sym[i % no].get(a, ())] for i in range(nlo)]) for a in lf.alphabet}
     accept = sum(1 << ql * no + qo for ql in lf.final for qo in of.final)
-    masks: dict[int, int] = {}
-    copied: dict[int, int] = {}
+    n, final, fill = len(v._head), v.final, v.fill
+    masks, copied = [0] * len(ins), [0] * len(ins)
     for key in keys:
         packed, key = (masks, key) if key >= 0 else (copied, ~key)
-        packed[key // nlo] = packed.get(key // nlo, 0) | 1 << key % nlo
-    memos: list[dict] = [{}, {}]  # per tape: (letter, mask) -> (successor mask, count)
-    todo, transitions = dict(masks), 0  # todo: per T state, the bits it has yet to pass on
-    copies = sum(mask.bit_count() for mask in copied.values())
-    while copied or todo:
+        packed[key // nlo] |= 1 << key % nlo
+    copies, transitions = sum(map(int.bit_count, copied)), 0
+    copied, todo = ({qt: mask for qt, mask in enumerate(packed) if mask} for packed in (copied, masks))
+    while copied or todo:  # per state, the bits it has yet to pass on: a start copy's first, then the product's
         qt, new = (copied or todo).popitem()
-        fin = v.final[qt]
-        if (v.fill(qt) if fin is None else fin) and new & accept:
+        if (fin := final[qt]) is None:
+            fin = fill(qt)
+            masks += [0] * (len(ins) - len(masks))  # the chain states the fill made for long labels
+        if fin and new & accept:
             return None
-        for memo, tape_rows, moves in zip(memos, rows, (ins[qt], outs[qt])):
+        for tape, moves in ((t_in, ins[qt]), (t_out, outs[qt])):
             for a, qt2 in moves:
-                if (got := memo.get((a, new))) is None:
-                    succ = [j for i, row in enumerate(tape_rows[a]) if new >> i & 1 for j in row]
-                    memo[a, new] = got = sum(1 << j for j in set(succ)), len(succ)
-                transitions += got[1]
-                if add := got[0] & ~masks.get(qt2, 0):
-                    masks[qt2] = masks.get(qt2, 0) | add
+                succ, count = tape[a][new]
+                transitions += count
+                while (add := succ & ~masks[qt2]) and qt2 >= n:
+                    masks[qt2] |= add
+                    chain = ins[qt2]
+                    (b, qt2), = chain or outs[qt2]
+                    succ, count = (t_in if chain else t_out)[b][add]
+                    transitions += count
+                if add:
+                    masks[qt2] |= add
                     todo[qt2] = todo.get(qt2, 0) | add
-    return sum(mask.bit_count() for mask in masks.values()) + copies, transitions
+    return sum(map(int.bit_count, masks)) + copies, transitions
 
 
 def image(t: Transducer, m: Nfa) -> Nfa:

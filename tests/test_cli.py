@@ -171,6 +171,46 @@ def test_satisfies_inline_trajectory_descriptor(tmp_path, capsys):
     assert verdicts[0] == verdicts[1] and verdicts[0]["witness"] == ["CGTA", "ACG"]
 
 
+# labels over A and T only; the second spelling adds an edge over C and G from a state no path reaches
+PARTIAL = "@Transducer 1 * 0\n0 A T 1\n"
+SPELLED_OUT = PARTIAL + "2 C G 2\n"
+
+
+@pytest.mark.parametrize(
+    "theta, words, rc",
+    [
+        (None, ["A", "CC"], 1),  # dna-delta, the default: delta(A) = T is reproduced
+        ("dna-delta", ["AA"], 0),
+        ("mirror:ACGT", ["A", "T"], 1),
+        ({"table": dict(zip("ACGT", "TGCA")), "mode": "morphic"}, ["A", "G"], 1),
+    ],
+)
+def test_satisfies_reads_a_transducer_over_some_of_thetas_letters(tmp_path, capsys, theta, words, rc):
+    lang = write_language(tmp_path, "l.fa", words)
+    outputs = []
+    for machine in (PARTIAL, SPELLED_OUT):
+        doc = {"transducer": machine} if theta is None else {"transducer": machine, "theta": theta}
+        assert main(["satisfies", "--property", json.dumps(doc), "--language", lang, "--json"]) == rc
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_theta_with_an_empty_symbol_list_takes_the_transducers_letters(tmp_path, capsys):
+    # "mirror:" fixes no alphabet, so theta is built over the letters the machine uses, A and T
+    lang = write_language(tmp_path, "l.fa", ["A", "T"])
+    doc = json.dumps({"transducer": PARTIAL, "theta": "mirror:"})
+    assert main(["satisfies", "--property", doc, "--language", lang]) == 1
+    assert capsys.readouterr().out == "NOT satisfied, witness: ('A', 'T')\n"
+
+
+def test_transducer_check_reads_a_machine_over_some_of_thetas_letters(capsys):
+    outputs = []
+    for machine in (PARTIAL, SPELLED_OUT):
+        assert main(["transducer", "check", machine, "--mode", "altering", "--theta", "dna-delta"]) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == "counterexample: 'A'\n"
+
+
 def test_satisfies_empty_directory_errors(tmp_path, capsys):
     rc = main(
         [
@@ -551,6 +591,11 @@ THETA_INSTANCE = json.dumps({"alpha": ["0"], "beta": ["1"], "theta": "mirror:01"
         # the directory does not exist, so a write would raise an OSError, not the FormatError
         (["pcp", "check", "--instance", SOLVABLE, "--solution", "0,1", "-o", os.path.join("no-such-dir", "out.json")],
          "--output applies only to pcp reduce, not pcp check"),
+        # errors in a --theta flag name the flag
+        (["build-property", "--dna", "compliant", "--theta", "bogus"],
+         "--theta must name dna-delta, identity or mirror, not 'bogus'"),
+        (["transducer", "check", PARTIAL, "--mode", "altering", "--theta", "dna-delta:AT"],
+         "--theta dna-delta acts on ACGT, not 'AT'"),
     ],
 )
 def test_bad_arguments_are_format_errors_naming_the_flag(argv, named, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dnacodec.errors import ResourceLimitError
 from dnacodec.graphs import (
     INF,
+    bit_image,
     distances_to,
     leaving,
     numbering,
@@ -185,3 +186,20 @@ def test_shortest_path_follows_edges_into_the_goals(case):
     assert len(path) == min(reached) and all(e in edges for e in path)
     ends = [start] + [d for _s, _sym, d in path]
     assert all(s == ends[i] for i, (s, _sym, _d) in enumerate(path)) and ends[-1] in goals
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 70).flatmap(
+    lambda n: st.tuples(st.lists(st.integers(0, 2**70 - 1), min_size=n, max_size=n),
+                        st.lists(st.integers(0, 2**n - 1), max_size=12))
+))
+def test_bit_image_is_the_or_of_the_rows_of_its_bits(case):
+    # several masks per image, so that later ones read bytes that earlier ones cached
+    rows, masks = case
+    image = bit_image(rows)
+    for mask in masks:
+        expected = 0
+        for i, row in enumerate(rows):
+            if mask >> i & 1:
+                expected |= row
+        assert image(mask) == expected

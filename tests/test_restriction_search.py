@@ -314,8 +314,10 @@ def test_violated_call_fills_only_the_states_it_reaches():
 @st.composite
 def searches(draw):
     """A T of at most 5 states with epsilon edges, labels of 0-3 letters and
-    up to 3 initial states, two NFAs with epsilon edges, and the flags.  The
-    letters are two of the alphabet's, so that the tapes often agree."""
+    up to 3 initial states, two NFAs of 2-8 states with epsilon edges, so
+    that the walk's masks of state pairs span one to eight bytes, and the
+    flags.  The letters are two of the alphabet's, so that the tapes often
+    agree."""
     alphabet = draw(st.sampled_from((BINARY, DNA)))
     letters = alphabet.symbols[:2]
     word = st.text(st.sampled_from(letters), max_size=3)
@@ -327,7 +329,7 @@ def searches(draw):
     )
 
     def nfa():  # "" is accepted only through epsilon edges, so most hits lie past the first group
-        k = draw(st.integers(2, 5))
+        k = draw(st.integers(2, 8))
         l_states = st.integers(0, k - 1)
         edges = st.tuples(l_states, st.sampled_from((None,) + letters), l_states)
         return Nfa(
@@ -353,6 +355,21 @@ def test_bit_walk_matches_the_grouped_search(search):
     t, m, outputs, nonempty, swapped = search
     forced = _search_with(0, 10**9, t, m, outputs, nonempty, swapped)
     assert forced == _search_with(0, 0, t, m, outputs, nonempty, swapped)
+
+
+@pytest.mark.parametrize("nonempty", [False, True])
+def test_forced_walk_on_swapped_tapes_matches_the_grouped_search(monkeypatch, nonempty):
+    # The parity machine's A/T edges carry one letter per tape, so the view
+    # gives each a chain state.  Its inverse, searched with swapped tapes,
+    # has the chain state's one move on the list the walk reads as inputs.
+    calls = _spied(monkeypatch)
+    p, l = _parity_instance(7, 4)
+    assert sum(len(x) == len(y) == 1 for _, x, y, _ in p.transducer.edges) > 100
+    args = (l, theta_image(l, p.theta), nonempty)
+    forced = _search_with(0, 10**9, inverse(p.transducer), *args, True)
+    assert calls and calls[-1] is not None, "the walk decided the search"
+    assert forced[0] is None and forced[1] > transducers._BIT_AFTER
+    assert forced == _search_with(0, 0, inverse(p.transducer), *args, True)
 
 
 def _spied(monkeypatch):
