@@ -34,7 +34,8 @@ search saw, as the two take turns, and which of them answered.
 ``--maximality N`` times ``is_maximal`` instead, per named DNA property
 (every weak one and every input-altering normal one), on N random codes
 over {A,C} of four words each, which satisfy all of them.  Beside the
-whole call it splits the time into its phases: the hypotheses check
+whole call it splits the time into its phases, through the private helpers
+``is_maximal`` runs them with: building theta(L) once, the hypotheses check
 (satisfaction and class assertion), the empty-word check, building the
 extension universe and ``missing_word`` on it.  The last two are timed on
 every code, as a decider that always builds the universe would run them;
@@ -59,7 +60,7 @@ from typing import Optional
 
 from dnacodec import automata, properties, transducers
 from dnacodec.alphabets import DNA, dna_delta
-from dnacodec.automata import Nfa, missing_word, theta_image
+from dnacodec.automata import Nfa, missing_word
 from dnacodec.dna import NORMAL, PROPERTY_NAMES, WEAK, named_property
 from dnacodec.errors import DnaCodecError
 from dnacodec.properties import S_KIND, W_KIND, PropertyDescriptor, satisfies_S, satisfies_W_general
@@ -177,7 +178,7 @@ def phases(p: PropertyDescriptor, language: Nfa) -> tuple[float, float, float, f
     transducers._bit_walk = timed_walk  # restriction_search looks the walk up when it runs it
     try:
         (y, _, _), search = timed(
-            lambda: restriction_search(fresh.transducer, language, theta_image(language, p.theta))
+            lambda: restriction_search(fresh.transducer, language, properties._theta_l(fresh, language))
         )
     finally:
         transducers._bit_walk = walk
@@ -185,11 +186,18 @@ def phases(p: PropertyDescriptor, language: Nfa) -> tuple[float, float, float, f
     return index, search - sum(walked), sum(walked), decode
 
 
+def hypotheses(p: PropertyDescriptor, code: Nfa, tl: Nfa) -> None:
+    """``is_maximal``'s hypotheses check on theta(L) = ``tl``: satisfaction, then a strict descriptor's class."""
+    properties._decide(p, code, tl, p.asserted_class, 6)
+    if p.kind == S_KIND:
+        properties._check_assertion(p, properties.INPUT_ALTERING, 6)
+
+
 def maximality(n_codes: int, seed: int) -> None:
     rng = random.Random(seed)
     codes = [Nfa.finite(DNA, ["".join(rng.choice("AC") for _ in range(n)) for n in (6, 8, 10, 12)])
              for _ in range(n_codes)]
-    print("median ms per code: is_maximal = hypotheses + empty word [+ universe + missing_word if built]")
+    print("median ms per code: is_maximal = theta(L) + hypotheses + empty word [+ universe + missing_word if built]")
     for name in PROPERTY_NAMES:
         for variant in (NORMAL, WEAK):
             try:
@@ -198,16 +206,18 @@ def maximality(n_codes: int, seed: int) -> None:
                 continue
             if p.kind == S_KIND and p.asserted_class != properties.INPUT_ALTERING:
                 continue  # maximality is undecidable for it
-            phases: dict[str, list[float]] = {"is_maximal": [], "hypotheses": [], "empty word": [],
-                                              "universe": [], "missing_word": []}
+            phases: dict[str, list[float]] = {"is_maximal": [], "theta(L)": [], "hypotheses": [],
+                                              "empty word": [], "universe": [], "missing_word": []}
             built = 0
             for code in codes:
                 phases["is_maximal"].append(timed(properties.is_maximal, p, code)[1])
-                phases["hypotheses"].append(timed(properties._require_maximality_hypotheses, p, code, 6)[1])
-                blocked, seconds = timed(properties._blocks_empty_word, p, code)
+                tl, seconds = timed(properties._theta_l, p, code)
+                phases["theta(L)"].append(seconds)
+                phases["hypotheses"].append(timed(hypotheses, p, code, tl)[1])
+                blocked, seconds = timed(properties._blocks_empty_word, p, code, tl)
                 phases["empty word"].append(seconds)
                 built += blocked
-                universe, seconds = timed(properties._extension_universe, p, code)
+                universe, seconds = timed(properties._extension_universe, p, code, tl)
                 phases["universe"].append(seconds)
                 phases["missing_word"].append(timed(missing_word, universe)[1])
             split = ", ".join(f"{phase} {statistics.median(times) * 1e3:.3f}" for phase, times in phases.items())

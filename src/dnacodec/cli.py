@@ -37,8 +37,8 @@ import sys
 from functools import cache
 from typing import Optional
 
-from .alphabets import DNA, Alphabet, Permutation, dna_delta
-from .automata import Nfa
+from .alphabets import BINARY, DNA, Alphabet, Permutation, dna_delta
+from .automata import Nfa, parse_regex
 from .dna import PROPERTY_NAMES, VARIANTS, named_property
 from .errors import DnaCodecError, FormatError
 from .fado import parse_fado, serialize_fado, unescape_cli_text
@@ -166,6 +166,16 @@ def _theta_first(spec, source: str, where: str, alphabet=None, base_dir="", thet
     return theta or _theta_from_spec(spec, machine.alphabet, theta_where), machine
 
 
+def _trajectory_property(e1: str, e2: str, strict: bool, theta: Permutation, where: str) -> PropertyDescriptor:
+    """Compile a trajectory pair; an error in E1 or E2 names it as ``where.format(1)`` or ``(2)``."""
+    for i, expr in enumerate((e1, e2), 1):
+        try:
+            parse_regex(expr, BINARY)
+        except (FormatError, ValueError) as exc:
+            raise FormatError(f"{where.format(i)}: {exc}") from None
+    return compile_trajectory_property(TrajectoryPair(e1, e2, strict), theta)
+
+
 def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
     doc = _object(doc, "descriptor document")
     source = _field(doc, "transducer", (str, dict))
@@ -182,12 +192,12 @@ def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
     elif isinstance(source, dict) and "trajectory" in source:
         spec = _object(source["trajectory"], "field 'transducer.trajectory'")
         theta = _theta_from_spec(theta_spec, alphabet or DNA)
-        pair = TrajectoryPair(
+        built = _trajectory_property(
             _field(spec, "e1", (str,), path="transducer.trajectory."),
             _field(spec, "e2", (str,), path="transducer.trajectory."),
             _field(spec, "strict", (bool,), False, "transducer.trajectory."),
+            theta, "field 'transducer.trajectory.e{}'",
         )
-        built = compile_trajectory_property(pair, theta)
     elif isinstance(source, dict):
         raise FormatError("field 'transducer' must hold a 'dna' or a 'trajectory' entry")
     else:
@@ -294,8 +304,7 @@ def _cmd_build_property(args) -> int:
                 raise FormatError(f"{flag} must be one of {', '.join(choices)}, not {value!r}")
         built = named_property(args.dna, variant, theta)
     else:
-        e1, e2 = args.trajectory
-        built = compile_trajectory_property(TrajectoryPair(e1, e2, bool(args.strict)), theta)
+        built = _trajectory_property(*args.trajectory, bool(args.strict), theta, "--trajectory E{}")
     doc = {
         "name": built.name,
         "kind": built.kind,

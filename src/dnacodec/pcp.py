@@ -250,13 +250,11 @@ def pcp_to_preserving_transducer(inst: PcpInstance, theta: Permutation) -> Trans
             # escapes: the letter word ran out while index output remains…
             for key in idx_keys:
                 e.append((0, h[key], out_block, 1))
-            # …or it continues with a wrong letter sequence…
-            for r in range(1, len(tile) + 1):
-                for z in itertools.product(sigma, repeat=r):
-                    cand = "".join(z)
-                    if tile.startswith(cand):
-                        continue
-                    e.append((0, h_sigma(cand), out_block, 1))
+            # …or it continues with a wrong letter, read up to its first
+            # deviation from the tile; state 1 absorbs whatever follows…
+            for k, c in itertools.product(range(len(tile)), sigma):
+                if c != tile[k]:
+                    e.append((0, h_sigma(tile[:k] + c), out_block, 1))
             # …or it stops partway into the tile at an index block.
             for cut in range(1, len(tile)):
                 prefix = h_sigma(tile[:cut])

@@ -13,11 +13,13 @@ and a *kind*:
 
 Both kinds are decidable for every transducer; the weak kind in polynomial
 time by ``transducers._weak_pair``, which also chooses its route
-(:func:`satisfies_W_general`).  A descriptor may still
-*assert* a transducer class, which is sanity-checked on all short words
-and refuted loudly with :class:`ClassAssertionRefuted`.  The input-altering
-assertion sends the weak kind through the strict search; the input-preserving
-one is only a checked contract, decided by the general weak route.
+(:func:`satisfies_W_general`).  A descriptor may still *assert* a
+transducer class, which is sanity-checked on all short words and refuted
+loudly with :class:`ClassAssertionRefuted`.  The input-altering assertion
+sends the weak kind through the strict search; the input-preserving one is
+only a checked contract, decided by the general weak route.  One private
+dispatcher, ``_decide``, holds this route table, and each public decider
+builds theta(L) once, in ``_theta_l``.
 """
 
 from __future__ import annotations
@@ -81,14 +83,14 @@ class Verdict:
 
     ``witness`` explains a negative verdict: a pair of language words for
     satisfaction questions, a single addable word for maximality.  On the
-    strict and altering routes ``stats["restriction_states"]`` and
-    ``stats["restriction_edges"]`` count the triples the search explored up
-    to the first group holding a hit (all when none does) and the
-    transitions leaving them; the altering route runs one search, which
-    skips the pair ("", "").  On the weak route they count the triples and
-    edges its walk found up to an accepting triple of nonzero balance, when
-    it stops at one, and otherwise give the trimmed restriction's size, also
-    when an edge of it breaks the balance labelling.
+    strict searches (``decider`` ``"satisfies_S"``, the altering route's
+    too) ``stats["restriction_states"]`` and ``["restriction_edges"]`` count
+    the triples explored up to the first group holding a hit (all when none
+    does) and the transitions leaving them.  On the weak route they count
+    the triples and edges its walk found up to an accepting triple of
+    nonzero balance, when it stops at one, and otherwise give the trimmed
+    restriction's size, also when an edge of it breaks the balance
+    labelling.  A route behind a class check adds ``assertion_bound``.
     """
 
     satisfied: bool
@@ -100,9 +102,11 @@ class Verdict:
         return self.satisfied
 
 
-def _check_language(p: PropertyDescriptor, l: Nfa) -> None:
+def _theta_l(p: PropertyDescriptor, l: Nfa) -> Nfa:
+    """theta(L), once L is checked against the property: every public decider's one build of it."""
     if l.alphabet != p.theta.alphabet:
         raise ValueError("language alphabet does not match the property")
+    return theta_image(l, p.theta)
 
 
 _REFUTED = {
@@ -136,20 +140,48 @@ def _decode_intersection_witness(
     return u, v
 
 
-def satisfies_S(p: PropertyDescriptor, l: Nfa) -> Verdict:
-    """Decide the strict reading: theta(L) shares no pair with T on L.
-
-    Also used by the weak dispatcher for input-altering transducers, where
-    the two readings coincide on nonempty words.  ``restriction_search``
-    stops at the first group of triples that holds a violation, so the
-    stats count the triples explored up to it: on a satisfied call, all.
-    """
-    _check_language(p, l)
-    y, states, transitions = restriction_search(p.transducer, l, theta_image(l, p.theta))
+def _strict(p: PropertyDescriptor, l: Nfa, tl: Nfa, nonempty: bool = False) -> Verdict:
+    """The strict search of T on L against ``tl`` = theta(L).  ``nonempty`` is the input-altering
+    weak route: it skips the self-pair ("", ""), the one pair where the two readings part for such
+    machines, and a hit that still decodes to a self-pair refutes the assertion."""
+    y, states, transitions = restriction_search(p.transducer, l, tl, nonempty=nonempty)
     stats = {"restriction_states": states, "restriction_edges": transitions}
     if y is None:
         return Verdict(True, None, "satisfies_S", stats)
-    return Verdict(False, _decode_intersection_witness(p, l, y), "satisfies_S", stats)
+    u, v = _decode_intersection_witness(p, l, y, avoid_self=nonempty)
+    if nonempty and u == v:
+        raise ClassAssertionRefuted(_REFUTED[INPUT_ALTERING].format(u), u)
+    return Verdict(False, (u, v), "satisfies_S", stats)
+
+
+def _weak(p: PropertyDescriptor, l: Nfa, tl: Nfa) -> Verdict:
+    """The weak decision of ``transducers._weak_pair`` on L and ``tl`` = theta(L)."""
+    bad, route, states, transitions = _weak_pair(p.transducer, l, tl, p.theta)
+    stats = {"restriction_states": states, "restriction_edges": transitions}
+    if route is not None:
+        stats["route"] = route
+    if bad is None:
+        return Verdict(True, None, "satisfies_W_general", stats)
+    return Verdict(False, (bad[0], p.theta.inverse()(bad[1])), "satisfies_W_general", stats)
+
+
+def _decide(p: PropertyDescriptor, l: Nfa, tl: Nfa, asserted_class: str, assertion_bound: int) -> Verdict:
+    """The route table: the strict kind takes the strict search; the weak kind
+    ``_weak_pair``, or, once an asserted class passes its bounded check, the
+    strict search without ("", "") if the class is input-altering."""
+    if p.kind == S_KIND:
+        return _strict(p, l, tl)
+    if asserted_class == UNRESTRICTED:
+        return _weak(p, l, tl)
+    _check_assertion(p, asserted_class, assertion_bound)
+    verdict = _strict(p, l, tl, nonempty=True) if asserted_class == INPUT_ALTERING else _weak(p, l, tl)
+    verdict.stats["assertion_bound"] = assertion_bound
+    return verdict
+
+
+def satisfies_S(p: PropertyDescriptor, l: Nfa) -> Verdict:
+    """Decide the strict reading: theta(L) shares no pair with T on L."""
+    return _strict(p, l, _theta_l(p, l))
 
 
 def satisfies_W_general(p: PropertyDescriptor, l: Nfa) -> Verdict:
@@ -165,17 +197,10 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa) -> Verdict:
     an antimorphic theta (the witness is then the least offending pair),
     ``"mismatch"`` for the polynomial search; an empty S has no route.
     """
-    _check_language(p, l)
+    tl = _theta_l(p, l)
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_general expects a weak-kind descriptor")
-    theta = p.theta
-    bad, route, states, transitions = _weak_pair(p.transducer, l, theta_image(l, theta), theta)
-    stats = {"restriction_states": states, "restriction_edges": transitions}
-    if route is not None:
-        stats["route"] = route
-    if bad is None:
-        return Verdict(True, None, "satisfies_W_general", stats)
-    return Verdict(False, (bad[0], theta.inverse()(bad[1])), "satisfies_W_general", stats)
+    return _weak(p, l, tl)
 
 
 def satisfies_W_preserving(p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6) -> Verdict:
@@ -186,85 +211,37 @@ def satisfies_W_preserving(p: PropertyDescriptor, l: Nfa, assertion_bound: int =
     itself comes from :func:`satisfies_W_general`, which is exact whether
     or not the assertion holds beyond the bound.
     """
-    _check_language(p, l)
+    tl = _theta_l(p, l)
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_preserving expects a weak-kind descriptor")
-    _check_assertion(p, INPUT_PRESERVING, assertion_bound)
-    verdict = satisfies_W_general(p, l)
-    verdict.stats["assertion_bound"] = assertion_bound
-    return verdict
-
-
-def _altering_route(
-    p: PropertyDescriptor, l: Nfa, assertion_bound: int
-) -> Verdict:
-    """Weak satisfaction for an asserted input-altering transducer.
-
-    For such machines the weak and strict readings agree on nonempty
-    words; the only divergence is the self-pair on the empty word, which
-    the weak reading tolerates and the strict one does not.  So one search
-    skips the pair ("", ""); a hit that still decodes to a self-pair
-    refutes the assertion.
-    """
-    _check_assertion(p, INPUT_ALTERING, assertion_bound)
-    y, states, edges = restriction_search(p.transducer, l, theta_image(l, p.theta), nonempty=True)
-    stats = {"restriction_states": states, "restriction_edges": edges, "assertion_bound": assertion_bound}
-    if y is None:
-        return Verdict(True, None, "satisfies_S", stats)
-    u, v = _decode_intersection_witness(p, l, y, avoid_self=True)
-    if u == v:
-        raise ClassAssertionRefuted(_REFUTED[INPUT_ALTERING].format(u), u)
-    return Verdict(False, (u, v), "satisfies_S", stats)
+    return _decide(p, l, tl, INPUT_PRESERVING, assertion_bound)
 
 
 def satisfies(p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6) -> Verdict:
     """Decide satisfaction, dispatching on kind and asserted class."""
-    _check_language(p, l)
-    if p.kind == S_KIND:
-        return satisfies_S(p, l)
-    if p.asserted_class == INPUT_ALTERING:
-        return _altering_route(p, l, assertion_bound)
-    if p.asserted_class == INPUT_PRESERVING:
-        return satisfies_W_preserving(p, l, assertion_bound)
-    return satisfies_W_general(p, l)
+    return _decide(p, l, _theta_l(p, l), p.asserted_class, assertion_bound)
 
 
-def _extension_universe(p: PropertyDescriptor, l: Nfa) -> Nfa:
-    """Words that can never be added to L: L itself plus both hit images.
+def _extension_universe(p: PropertyDescriptor, l: Nfa, tl: Nfa) -> Nfa:
+    """Words that can never be added to L: L itself plus both hit images (``tl`` = theta(L)).
 
     No word outside it takes part in a violation with L.  Built only once
     :func:`_blocks_empty_word`, the one reader of the strict self-hit (ε, ε), finds ε blocked.
     """
     t = p.transducer
     theta_of_outputs = theta_image(image(t, l), p.theta.inverse())
-    inputs_hitting = image(inverse(t), theta_image(l, p.theta))
+    inputs_hitting = image(inverse(t), tl)
     return nfa_union(l, nfa_union(theta_of_outputs, inputs_hitting))
 
 
-def _blocks_empty_word(p: PropertyDescriptor, l: Nfa) -> bool:
-    """Is ε in L, an output of T on L, an input T maps into theta(L) or, if strict, (ε, ε) in T?"""
+def _blocks_empty_word(p: PropertyDescriptor, l: Nfa, tl: Nfa) -> bool:
+    """Is ε in L, an output of T on L, an input T maps into ``tl`` = theta(L) or, if strict, (ε, ε) in T?"""
     t, eps = p.transducer, Nfa.epsilon(l.alphabet)
     return bool(l.closure(l.initial) & l.final) or (
         restriction_search(t, l, eps)[0] is not None
-        or restriction_search(t, eps, theta_image(l, p.theta))[0] is not None
+        or restriction_search(t, eps, tl)[0] is not None
         or p.kind == S_KIND and accepts_pair(t, "", "")
     )
-
-
-def _require_maximality_hypotheses(p: PropertyDescriptor, l: Nfa, assertion_bound: int) -> None:
-    if p.kind == S_KIND and p.asserted_class != INPUT_ALTERING:
-        raise ValueError(
-            "maximality for the strict kind is undecidable in general; "
-            "it requires an input-altering class assertion"
-        )
-    base = satisfies(p, l, assertion_bound)
-    if not base.satisfied:
-        raise ValueError(
-            f"language does not satisfy the property (witness {base.witness!r}); "
-            "maximality is only defined for satisfying languages"
-        )
-    if p.kind == S_KIND:
-        _check_assertion(p, INPUT_ALTERING, assertion_bound)
 
 
 def is_maximal(
@@ -276,20 +253,33 @@ def is_maximal(
     """Is the (satisfying) language maximal for the property?
 
     L is maximal when no word can be added without breaking satisfaction, i.e. when the extension
-    universe covers every word; the witness of a negative verdict is a shortest addable word.  The
-    empty word is decided first, from the universe's parts, and only a blocked one has the universe
-    built and searched: ``stats["route"]`` is ``"empty-word"`` or ``"subsets"``, ``universe_states``
-    the states built, and on ``"subsets"`` ``forward_subsets``, ``backward_subsets`` and ``answered_by``
-    say how ``missing_word`` went.  A strict-kind witness w with theta(w) in T(w), which the universe
-    leaves out and the bounded assertion check let pass, refutes the assertion loudly.
+    universe covers every word; the witness of a negative verdict is a shortest addable word.  After
+    the hypotheses, the empty word is decided from the universe's parts, and only a blocked one has
+    the universe built and searched, all on one theta(L): ``stats["route"]`` is ``"empty-word"`` or
+    ``"subsets"``, ``universe_states`` the states built, and on ``"subsets"`` ``forward_subsets``,
+    ``backward_subsets`` and ``answered_by`` say how ``missing_word`` went.  A strict-kind witness w
+    with theta(w) in T(w), which the universe leaves out and the bounded assertion check let pass,
+    refutes the assertion loudly.
     """
-    _check_language(p, l)
-    _require_maximality_hypotheses(p, l, assertion_bound)
+    tl = _theta_l(p, l)
+    if p.kind == S_KIND and p.asserted_class != INPUT_ALTERING:
+        raise ValueError(
+            "maximality for the strict kind is undecidable in general; "
+            "it requires an input-altering class assertion"
+        )
+    base = _decide(p, l, tl, p.asserted_class, assertion_bound)
+    if not base.satisfied:
+        raise ValueError(
+            f"language does not satisfy the property (witness {base.witness!r}); "
+            "maximality is only defined for satisfying languages"
+        )
+    if p.kind == S_KIND:
+        _check_assertion(p, INPUT_ALTERING, assertion_bound)
     cap = resolve_state_cap(state_cap)  # a bad cap raises even when ε answers
     stats = {"route": "empty-word", "universe_states": 0, "assertion_bound": assertion_bound}
-    if not _blocks_empty_word(p, l):
+    if not _blocks_empty_word(p, l, tl):
         return Verdict(False, "", "is_maximal", stats)
-    universe = nfa_union(Nfa.epsilon(l.alphabet), _extension_universe(p, l))  # ε is blocked, as just decided
+    universe = nfa_union(Nfa.epsilon(l.alphabet), _extension_universe(p, l, tl))  # ε is blocked, as just decided
     w, forward, backward, answered_by = _missing_word(universe, cap)
     stats.update(route="subsets", universe_states=universe.n_states, forward_subsets=forward,
                  backward_subsets=backward, answered_by=answered_by)

@@ -596,6 +596,10 @@ THETA_INSTANCE = json.dumps({"alpha": ["0"], "beta": ["1"], "theta": "mirror:01"
          "--theta must name dna-delta, identity or mirror, not 'bogus'"),
         (["transducer", "check", PARTIAL, "--mode", "altering", "--theta", "dna-delta:AT"],
          "--theta dna-delta acts on ACGT, not 'AT'"),
+        # errors in a trajectory expression name the flag and which of E1 and E2
+        (["build-property", "--trajectory", "0+2", "0+"], "--trajectory E1: symbol '2' not in alphabet '01'"),
+        (["build-property", "--trajectory", "0+(", "0+"], "--trajectory E1: empty sub-expression in regex '0+('"),
+        (["build-property", "--trajectory", "0+", "(1", "--strict"], "--trajectory E2: unbalanced parenthesis"),
     ],
 )
 def test_bad_arguments_are_format_errors_naming_the_flag(argv, named, capsys):
@@ -692,6 +696,10 @@ DNA_PROPERTY = {"dna": {"name": "compliant", "variant": "weak"}}
         ({"theta": {"table": {"A": "T"}, "alphabet": "AT"}, "transducer": DNA_PROPERTY}, "field 'theta.table'"),
         ({"theta": {"table": {"A": 1}}, "transducer": DNA_PROPERTY}, "field 'theta.table' must map symbols to strings"),
         ({"transducer": {}}, "field 'transducer' must hold a 'dna' or a 'trajectory' entry"),
+        ({"transducer": {"trajectory": {"e1": "0+2", "e2": "0+"}}},
+         "field 'transducer.trajectory.e1': symbol '2' not in alphabet '01'"),
+        ({"transducer": {"trajectory": {"e1": "0+", "e2": "0+("}}},
+         "field 'transducer.trajectory.e2': empty sub-expression in regex '0+('"),
     ],
 )
 def test_malformed_descriptor_names_the_field(tmp_path, capsys, doc, field):

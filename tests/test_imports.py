@@ -230,3 +230,18 @@ def test_properties_reaches_the_weak_decision_through_one_entry():
     ]
     assert [name for module, name in imported if module == "transducers" and name[0] == "_"] == ["_weak_pair"]
     assert [name for module, name in imported if "graphs" in (module, name)] == []
+
+
+def test_properties_builds_theta_of_l_in_one_function():
+    """``properties`` applies ``theta_image`` to the language ``l`` in one helper, so a new
+    construction of theta(L) changes one place; its only other call maps T(L) in the universe."""
+    with open(os.path.join(SRC, "properties.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    calls = [
+        (node.name, ast.unparse(call.args[0]))
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "theta_image"
+    ]
+    assert calls == [("_theta_l", "l"), ("_extension_universe", "image(t, l)")]

@@ -1,11 +1,13 @@
 """Correspondence problems, bounded solving, and transducer encodings."""
 
 import itertools
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnacodec.alphabets import Alphabet, Permutation
+from dnacodec.automata import Nfa, complement, concat, plus, union
 from dnacodec.pcp import (
     PcpInstance,
     SolutionCheck,
@@ -15,15 +17,17 @@ from dnacodec.pcp import (
     pcp_to_preserving_transducer,
     reduce_pcp_to_theta_pcp,
     solve_bounded,
+    _block_code,
     theta_pcp_to_one_state_transducer,
 )
-from dnacodec.transducers import bounded_counterexample
+from dnacodec.transducers import Transducer, bounded_counterexample, union as t_union
 from oracles import (
     PCP_PRESERVING_WITNESS,
     PCP_SOLVABLE,
     PCP_SOLVABLE_SOLUTION,
     PCP_UNSOLVABLE,
     brute_pcp_solution,
+    outputs_up_to,
     pair_in_relation,
 )
 
@@ -191,6 +195,62 @@ def test_preserving_encoding_of_solvable_instance():
 def test_preserving_encoding_of_unsolvable_instance():
     t = pcp_to_preserving_transducer(classic(PCP_UNSOLVABLE), MIRROR)
     assert bounded_counterexample(t, MIRROR, "preserving", 12) is None
+
+
+def wrong_sequence_encoding(inst, theta):
+    """The preserving encoding as first built: one escape edge per wrong letter sequence of up to
+    a tile's length, not per first deviation.  The reference for the relation of the current one."""
+    alphabet, (sigma, h) = theta.alphabet, _block_code(inst, theta)
+    idx_keys = [("i", j) for j in range(len(inst))]
+    all_keys = [("s", c) for c in sigma] + idx_keys
+
+    def h_sigma(w):
+        return "".join(h[("s", c)] for c in w)
+
+    blocks = [reduce(union, [Nfa.word(alphabet, h[k]) for k in keys]) for keys in (all_keys[: len(sigma)], idx_keys)]
+    outside = complement(concat(plus(blocks[0]), plus(blocks[1])))
+    sink = outside.n_states
+    edges = [(src, sym, "", dst) for src, sym, dst in outside.edges] + [(f, "", "", sink) for f in outside.final]
+    edges += [(sink, "", a, sink) for a in alphabet.symbols]
+    t_r = Transducer(alphabet, sink + 1, tuple(edges), frozenset(outside.initial), frozenset({sink}))
+
+    def chain_component(tiles):
+        e = []
+        for j, tile in enumerate(tiles):
+            out_block = theta(h[("i", j)])
+            e.append((0, h_sigma(tile), out_block, 0))
+            e += [(0, h[key], out_block, 1) for key in idx_keys]
+            for r in range(1, len(tile) + 1):
+                for z in itertools.product(sigma, repeat=r):
+                    if not tile.startswith("".join(z)):
+                        e.append((0, h_sigma("".join(z)), out_block, 1))
+            for cut in range(1, len(tile)):
+                e += [(0, h_sigma(tile[:cut]) + h[key], out_block, 1) for key in idx_keys]
+        e += [(0, h[("s", a)], theta(h[("s", b)]), 1) for a, b in itertools.product(sigma, repeat=2)]
+        for key in all_keys:
+            e += [(1, h[key], "", 1), (1, "", theta(h[key]), 1)]
+        return Transducer(alphabet, 2, tuple(e), frozenset({0}), frozenset({1}))
+
+    return t_union(t_r, t_union(chain_component(inst.alpha), chain_component(inst.beta)))
+
+
+def long_tiles(n):
+    return PcpInstance(("01" * (n // 2), "1"), ("0", "10" * (n // 2)))
+
+
+@pytest.mark.parametrize("n", [4, 8, 14])
+def test_preserving_encoding_has_one_escape_per_first_deviation(n):
+    # the wrong-sequence escapes grew as 2^n: 142, 1,110 and 65,634 edges
+    assert len(pcp_to_preserving_transducer(long_tiles(n), MIRROR).edges) <= 80 + 6 * n
+
+
+@pytest.mark.parametrize("inst", [classic(), classic(PCP_UNSOLVABLE), long_tiles(4)], ids=["solvable", "unsolvable", "long"])
+def test_preserving_encoding_keeps_the_relation_of_the_wrong_sequence_escapes(inst):
+    t, reference = pcp_to_preserving_transducer(inst, MIRROR), wrong_sequence_encoding(inst, MIRROR)
+    assert len(t.edges) <= len(reference.edges)
+    for n in range(9):
+        for x in map("".join, itertools.product("01", repeat=n)):
+            assert outputs_up_to(t, x, 4) == outputs_up_to(reference, x, 4), x
 
 
 def test_one_state_encoding_altering_iff_unsolvable():

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnacodec import transducers
+from dnacodec import properties, transducers
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import (
     Nfa,
@@ -435,6 +435,76 @@ def test_dispatcher_routes_by_kind_and_class():
     assert (preserving.decider, preserving.stats["route"]) == ("satisfies_W_general", "acyclic")
 
 
+def _outcome(decide):
+    """What a decider call shows: the whole Verdict, with the stats' key order, or the refutation."""
+    try:
+        v = decide()
+    except ClassAssertionRefuted as exc:
+        return "refuted", exc.witness, str(exc)
+    return v.satisfied, v.witness, v.decider, list(v.stats.items())
+
+
+def test_dispatcher_agrees_with_each_dedicated_route():
+    """On random descriptors of every (kind, class) pair, ``satisfies`` gives what the public route
+    of that pair gives.  The weak input-altering route has no public entry of its own: its stats are
+    the search without ("", "") plus the bound, and a scan refutation is the bounded check's word."""
+    rng = random.Random(3101)
+    labels = ["", "", "a", "b", "ab", "ba"]
+    seen = {}
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        edges = [(rng.randrange(n), rng.choice(labels), rng.choice(labels), rng.randrange(n))
+                 for _ in range(rng.randint(1, 2 * n + 2))]
+        t = Transducer(AB, n, tuple(edges), {0}, rng.sample(range(n), rng.randint(1, n)))
+        kind, asserted = rng.choice((S_KIND, W_KIND)), rng.choice((UNRESTRICTED, INPUT_ALTERING, INPUT_PRESERVING))
+        p = PropertyDescriptor(t, rng.choice(AB_THETAS), kind=kind, asserted_class=asserted)
+        l, bound = _random_language_with_epsilon_edges(rng), rng.randint(0, 3)
+        got = _outcome(lambda: satisfies(p, l, bound))
+        if kind == S_KIND:
+            assert got == _outcome(lambda: satisfies_S(p, l))
+        elif asserted == UNRESTRICTED:
+            assert got == _outcome(lambda: satisfies_W_general(p, l))
+        elif asserted == INPUT_PRESERVING:
+            assert got == _outcome(lambda: satisfies_W_preserving(p, l, bound))
+        else:
+            scanned = transducers.bounded_counterexample(t, p.theta, INPUT_ALTERING, bound)
+            if scanned is not None:
+                assert got[:2] == ("refuted", scanned)
+            elif got[0] == "refuted":  # a hit that decodes to a self-pair
+                assert pair_in_relation(t, got[1], p.theta(got[1]))
+                seen["decoded"] = seen.get("decoded", 0) + 1
+            else:
+                _, states, edges = restriction_search(t, l, theta_image(l, p.theta), nonempty=True)
+                assert (got[2], got[3]) == ("satisfies_S", [("restriction_states", states),
+                                                            ("restriction_edges", edges), ("assertion_bound", bound)])
+        key = (kind, asserted, got[0])
+        seen[key] = seen.get(key, 0) + 1
+    for kind in (S_KIND, W_KIND):
+        for asserted in (UNRESTRICTED, INPUT_ALTERING, INPUT_PRESERVING):
+            assert seen.get((kind, asserted, True), 0) > 20 and seen.get((kind, asserted, False), 0) > 20
+    assert seen[W_KIND, INPUT_ALTERING, "refuted"] > 20 and seen[W_KIND, INPUT_PRESERVING, "refuted"] > 20
+    assert seen["decoded"] > 2
+
+
+def test_is_maximal_builds_theta_of_l_once(monkeypatch):
+    """The hypotheses, the empty-word check and the universe all read one theta(L)."""
+    built = []
+
+    def counting(m, theta):
+        built.append(m is l)
+        return theta_image(m, theta)
+
+    monkeypatch.setattr(properties, "theta_image", counting)
+    l = Nfa.finite(ZO, ["0"])
+    weak = PropertyDescriptor(zeros_to_ones(False), MIRROR_ZO, kind=W_KIND, asserted_class=INPUT_ALTERING)
+    assert is_maximal(weak, l).stats["route"] == "empty-word"
+    assert built == [True]
+    del built[:]
+    strict = PropertyDescriptor(zeros_to_ones(True), MIRROR_ZO, kind=S_KIND, asserted_class=INPUT_ALTERING)
+    assert is_maximal(strict, l).stats["route"] == "subsets"
+    assert built == [True, False]  # theta(L), then the theta-preimage of T(L) in the universe
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.text(alphabet="ACGT", min_size=0, max_size=3), min_size=0, max_size=3),
@@ -621,12 +691,13 @@ def test_empty_word_check_agrees_with_the_built_universe():
         t = Transducer(AB, n, tuple(edges), {0}, rng.sample(range(n), rng.randint(1, n)))
         p = PropertyDescriptor(t, rng.choice(AB_THETAS), kind=rng.choice((S_KIND, W_KIND)))
         l = _random_language_with_epsilon_edges(rng)
-        universe = _extension_universe(p, l)
+        tl = theta_image(l, p.theta)
+        universe = _extension_universe(p, l, tl)
         strict_clause = p.kind == S_KIND and pair_in_relation(t, "", "")
         if strict_clause:  # the clause the universe leaves to the check
             strict_only += missing_word(universe) == ""
             universe = union(universe, Nfa.epsilon(AB))
-        blocked = _blocks_empty_word(p, l)
+        blocked = _blocks_empty_word(p, l, tl)
         assert blocked == (missing_word(universe) != ""), (edges, p.theta, p.kind, l.edges)
         seen[blocked] += 1
     assert min(seen.values()) > 1000 and strict_only > 50 and epsilon_pairs > 1000
@@ -636,12 +707,13 @@ def test_only_the_strict_self_hit_blocks_the_empty_word():
     t = zeros_to_ones(accept_empty=True)  # realizes (ε, ε) and nothing else touching ε
     l = Nfa.finite(ZO, ["0"])
     strict = PropertyDescriptor(t, MIRROR_ZO, kind=S_KIND, asserted_class=INPUT_ALTERING)
-    assert missing_word(_extension_universe(strict, l)) == ""
-    assert _blocks_empty_word(strict, l)
+    tl = theta_image(l, MIRROR_ZO)
+    assert missing_word(_extension_universe(strict, l, tl)) == ""
+    assert _blocks_empty_word(strict, l, tl)
     v = is_maximal(strict, l)
     assert (v.witness, v.stats["route"]) == ("00", "subsets") and v.stats["universe_states"] > 0
     weak = PropertyDescriptor(t, MIRROR_ZO, kind=W_KIND)  # the weak reading tolerates the self-hit
-    assert not _blocks_empty_word(weak, l)
+    assert not _blocks_empty_word(weak, l, tl)
     v = is_maximal(weak, l)
     assert (v.witness, v.stats["route"], v.stats["universe_states"]) == ("", "empty-word", 0)
 
