@@ -37,10 +37,13 @@ over {A,C} of four words each, which satisfy all of them.  Beside the
 whole call it splits the time into its phases, through the private helpers
 ``is_maximal`` runs them with: building theta(L) once, the hypotheses check
 (satisfaction and class assertion), the empty-word check, building the
-extension universe and ``missing_word`` on it.  The last two are timed on
-every code, as a decider that always builds the universe would run them;
-``is_maximal`` runs them only on the codes whose empty word is blocked,
-which the ``built`` column counts.
+extension universe and ``missing_word`` on it.  The theta(L) phase also
+shows the median states and initial states of the machine it built: under
+the antimorphic DNA involution a code becomes the trie of its theta-words,
+with one initial state, where ``theta_image`` would keep one per word.  The
+last two phases are timed on every code, as a decider that always builds
+the universe would run them; ``is_maximal`` runs them only on the codes
+whose empty word is blocked, which the ``built`` column counts.
 
 Usage:
     python scripts/benchmark_satisfaction.py
@@ -209,10 +212,13 @@ def maximality(n_codes: int, seed: int) -> None:
             phases: dict[str, list[float]] = {"is_maximal": [], "theta(L)": [], "hypotheses": [],
                                               "empty word": [], "universe": [], "missing_word": []}
             built = 0
+            states, starts = [], []  # of each theta(L) built
             for code in codes:
                 phases["is_maximal"].append(timed(properties.is_maximal, p, code)[1])
                 tl, seconds = timed(properties._theta_l, p, code)
                 phases["theta(L)"].append(seconds)
+                states.append(tl.n_states)
+                starts.append(len(tl.initial))
                 phases["hypotheses"].append(timed(hypotheses, p, code, tl)[1])
                 blocked, seconds = timed(properties._blocks_empty_word, p, code, tl)
                 phases["empty word"].append(seconds)
@@ -220,7 +226,10 @@ def maximality(n_codes: int, seed: int) -> None:
                 universe, seconds = timed(properties._extension_universe, p, code, tl)
                 phases["universe"].append(seconds)
                 phases["missing_word"].append(timed(missing_word, universe)[1])
-            split = ", ".join(f"{phase} {statistics.median(times) * 1e3:.3f}" for phase, times in phases.items())
+            label = {"theta(L)": f"theta(L) (states {statistics.median(states):g}, "
+                                 f"initial {statistics.median(starts):g})"}
+            split = ", ".join(f"{label.get(phase, phase)} {statistics.median(times) * 1e3:.3f}"
+                              for phase, times in phases.items())
             print(f"{name}.{variant}: {split}; built {built}/{n_codes}")
 
 

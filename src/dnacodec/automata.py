@@ -26,6 +26,7 @@ from .errors import FormatError, ResourceLimitError
 from .graphs import INF, bit_image, distances_to, numbering, path_to, reachable, trim_keep
 
 DEFAULT_STATE_CAP = 1 << 20
+_LIST_WORDS, _LIST_MOVES = 64, 4096  # the most words ``list_words`` lists, and the most moves it makes
 
 
 def resolve_state_cap(explicit: Optional[int] = None) -> int:
@@ -137,28 +138,12 @@ class Nfa(Machine):
 
     @classmethod
     def word(cls, alphabet: Alphabet, w: str) -> "Nfa":
-        edges = tuple((i, ch, i + 1) for i, ch in enumerate(alphabet.check_word(w)))
-        return cls._trusted(alphabet, len(w) + 1, edges, (0,), (len(w),))
+        return cls._trusted(alphabet, *_trie((alphabet.check_word(w),)))
 
     @classmethod
     def finite(cls, alphabet: Alphabet, words: Iterable[str]) -> "Nfa":
         """A trie accepting exactly the given finite set of words."""
-        children: list[dict[str, int]] = [{}]
-        final: set[int] = set()
-        for w in words:
-            cur = 0
-            for ch in w:
-                nxt = children[cur].get(ch)
-                if nxt is None:
-                    nxt = len(children)
-                    children.append({})
-                    children[cur][ch] = nxt
-                cur = nxt
-            final.add(cur)
-        edges = tuple(
-            (src, ch, dst) for src, kids in enumerate(children) for ch, dst in kids.items()
-        )
-        return cls(alphabet, len(children), edges, frozenset({0}), frozenset(final))
+        return cls._trusted(alphabet, *_trie(map(alphabet.check_word, words)))
 
     @classmethod
     def universal(cls, alphabet: Alphabet) -> "Nfa":
@@ -171,6 +156,19 @@ class Nfa(Machine):
         """All nonempty words."""
         edges = tuple((0, a, 1) for a in alphabet) + tuple((1, a, 1) for a in alphabet)
         return cls(alphabet, 2, edges, frozenset({0}), frozenset({1}))
+
+
+def _trie(words: Iterable[str]) -> tuple[int, tuple, tuple, set]:
+    """``(n_states, edges, initial, final)`` of the trie of ``words``; the caller checks the words."""
+    kids, final = [{}], set()
+    for w in words:
+        cur = 0
+        for ch in w:
+            if (cur := (here := kids[cur]).get(ch)) is None:
+                cur = here[ch] = len(kids)
+                kids.append({})
+        final.add(cur)
+    return len(kids), tuple((src, ch, dst) for src, out in enumerate(kids) for ch, dst in out.items()), (0,), final
 
 
 # -- basic queries -------------------------------------------------------
@@ -206,6 +204,24 @@ def shortest_word(m: Nfa) -> Optional[str]:
         else:  # pragma: no cover - contradicts the distance invariant
             raise AssertionError("inconsistent distance labelling")
     return "".join(out)
+
+
+def list_words(m: Nfa) -> Optional[list[str]]:
+    """The words of ``m`` in depth-first order, or None once the walk meets an epsilon edge, a cycle
+    (a word of ``n_states`` letters), more than ``_LIST_WORDS`` words or more than ``_LIST_MOVES`` moves."""
+    (eps_adj, sym_adj), final, n = m.adjacency(), m.final, m.n_states
+    words, stack, moves = {}, [(q, "") for q in m.initial], _LIST_MOVES
+    while stack:
+        q, w = stack.pop()
+        if q in final:
+            words[w] = None
+        for a, targets in sym_adj[q].items():
+            moves -= len(targets)
+            for r in targets:
+                stack.append((r, w + a))
+        if eps_adj[q] or len(w) >= n or moves < 0 or len(words) > _LIST_WORDS:
+            return None
+    return list(words)
 
 
 def enumerate_words(m: Nfa, max_len: int) -> list[str]:

@@ -18,8 +18,8 @@ transducer class, which is sanity-checked on all short words and refuted
 loudly with :class:`ClassAssertionRefuted`.  The input-altering assertion
 sends the weak kind through the strict search; the input-preserving one is
 only a checked contract, decided by the general weak route.  One private
-dispatcher, ``_decide``, holds this route table, and each public decider
-builds theta(L) once, in ``_theta_l``.
+dispatcher, ``_decide``, holds this route table; each public decider builds
+theta(L) once, in ``_theta_l`` (the trie of its theta-words for a listed L).
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ from .alphabets import Permutation
 from .automata import (
     Nfa,
     _missing_word,
+    _trie,
     complement as nfa_complement,
     intersect as nfa_intersect,
+    list_words,
     resolve_state_cap,
     theta_image,
     union as nfa_union,
@@ -91,6 +93,7 @@ class Verdict:
     nonzero balance, when it stops at one, and otherwise give the trimmed
     restriction's size, also when an edge of it breaks the balance
     labelling.  A route behind a class check adds ``assertion_bound``.
+    Triples are counted over theta(L) as ``_theta_l`` builds it.
     """
 
     satisfied: bool
@@ -103,10 +106,11 @@ class Verdict:
 
 
 def _theta_l(p: PropertyDescriptor, l: Nfa) -> Nfa:
-    """theta(L), once L is checked against the property: every public decider's one build of it."""
+    """Check L against the property and build theta(L) once: a trie of theta-words if ``list_words`` lists L."""
     if l.alphabet != p.theta.alphabet:
         raise ValueError("language alphabet does not match the property")
-    return theta_image(l, p.theta)
+    words = list_words(l) if p.theta.antimorphic and len(l.final) > 1 else None
+    return theta_image(l, p.theta) if words is None else Nfa._trusted(l.alphabet, *_trie(map(p.theta, words)))
 
 
 _REFUTED = {

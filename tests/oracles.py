@@ -112,6 +112,24 @@ def is_empty(m: Nfa) -> bool:
     return True
 
 
+def accepts_word(m: Nfa, w: str) -> bool:
+    """Does the machine accept w?  A search over (state, position) pairs on its raw edges."""
+    seen: set[tuple[int, int]] = set()
+    stack = [(q, 0) for q in m.initial]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        q, i = node
+        if i == len(w) and q in m.final:
+            return True
+        for src, sym, dst in m.edges:
+            if src == q and (sym is None or w.startswith(sym, i)):
+                stack.append((dst, i if sym is None else i + 1))
+    return False
+
+
 def is_universal(m: Nfa, state_cap: Optional[int] = None) -> bool:
     """Does the machine accept every word?  The library's subset search."""
     return missing_word(m, state_cap) is None

@@ -14,6 +14,7 @@ from dnacodec.automata import (
     determinize,
     enumerate_words,
     intersect,
+    list_words,
     missing_word,
     parse_regex,
     plus,
@@ -159,6 +160,53 @@ def test_theta_image():
     m = Nfa.finite(DNA, ["ACG", "T"])
     img = theta_image(m, delta)
     assert sorted(enumerate_words(img, 3)) == ["A", "CGT"]
+
+
+def test_list_words_lists_a_finite_language_or_gives_none():
+    trie = Nfa.finite(DNA, ["AC", "G", "", "AC"])
+    assert list_words(trie) == ["", "G", "AC"]  # depth first, each word once
+    twice = Nfa(DNA, 4, ((0, "A", 1), (0, "A", 2), (1, "C", 3), (2, "C", 3)), {0}, {3})
+    assert list_words(twice) == ["AC"]
+    assert list_words(Nfa.empty(DNA)) == []
+    words = enumerate_words(Nfa.universal(BINARY), 6)  # 127 words
+    assert sorted(list_words(Nfa.finite(BINARY, words[:64]))) == sorted(words[:64])
+    assert list_words(Nfa.finite(BINARY, words[:65])) is None
+    assert list_words(Nfa(DNA, 2, ((0, None, 1),), {0}, {1})) is None
+    assert list_words(Nfa(DNA, 2, ((0, None, 1),), {1}, {1})) == [""]  # an epsilon edge off the walk
+
+
+@pytest.mark.parametrize("layers, listed", [(11, True), (12, False)])
+def test_list_words_gives_none_past_its_move_budget(layers, listed):
+    """Layer i holds states 2i and 2i + 1, and each has an A move to both states of layer i + 1: one word
+    A^layers, reached by 2**(layers + 1) - 2 moves, which the 4,096-move budget allows for 11 layers only."""
+    edges = tuple((2 * i + j, "A", 2 * i + 2 + k) for i in range(layers) for j in (0, 1) for k in (0, 1))
+    m = Nfa(DNA, 2 * layers + 2, edges, {0}, {2 * layers, 2 * layers + 1})
+    assert list_words(m) == (["A" * layers] if listed else None)
+
+
+class _CountingMoves(dict):
+    """One state's moves, counting how often a walk reads them."""
+
+    reads = 0
+
+    def items(self):
+        _CountingMoves.reads += 1
+        return super().items()
+
+
+@pytest.mark.parametrize("edges, final", [
+    (((0, "A", 0),), {0}),  # A*
+    (((0, "A", 1), (1, "C", 1), (0, "G", 2)), {2}),  # a loop in a dead part
+    (((0, "A", 1), (1, "C", 2), (2, "G", 1), (1, "T", 3)), {3}),  # A(CG)*T
+])
+def test_list_words_meets_a_cycle_within_n_states_letters(edges, final):
+    """A cycle ends the walk at depth ``n_states``, long before the caps would."""
+    m = Nfa(DNA, 1 + max(max(e[0], e[2]) for e in edges), edges, {0}, final)
+    eps_adj, sym_adj = m.adjacency()
+    m._adj = (eps_adj, [_CountingMoves(moves) for moves in sym_adj])
+    _CountingMoves.reads = 0
+    assert list_words(m) is None
+    assert _CountingMoves.reads <= 4 * m.n_states
 
 
 def test_regex_grammar():

@@ -233,15 +233,21 @@ def test_properties_reaches_the_weak_decision_through_one_entry():
 
 
 def test_properties_builds_theta_of_l_in_one_function():
-    """``properties`` applies ``theta_image`` to the language ``l`` in one helper, so a new
-    construction of theta(L) changes one place; its only other call maps T(L) in the universe."""
+    """``properties`` builds theta(L) in one helper, so a new construction of it changes one place:
+    only ``_theta_l`` lists the words of ``l`` and builds their trie, and ``theta_image`` is applied
+    to ``l`` there alone; its only other call maps T(L) in the universe."""
     with open(os.path.join(SRC, "properties.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
-    calls = [
-        (node.name, ast.unparse(call.args[0]))
+    calls = sorted(
+        (node.name, call.func.id, ast.unparse(call.args[0]))
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
         for call in ast.walk(node)
-        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "theta_image"
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("theta_image", "list_words", "_trie")
+    )
+    assert calls == [
+        ("_extension_universe", "theta_image", "image(t, l)"),
+        ("_theta_l", "_trie", "map(p.theta, words)"),
+        ("_theta_l", "list_words", "l"),
+        ("_theta_l", "theta_image", "l"),
     ]
-    assert calls == [("_theta_l", "l"), ("_extension_universe", "image(t, l)")]

@@ -6,13 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnacodec import properties, transducers
+from dnacodec import automata, properties, transducers
 from dnacodec.alphabets import DNA, Alphabet, Permutation, dna_delta
 from dnacodec.automata import (
     Nfa,
     accepts,
     complement,
     enumerate_words,
+    list_words,
     missing_word,
     parse_regex,
     remove_epsilon,
@@ -30,6 +31,7 @@ from dnacodec.properties import (
     PropertyDescriptor,
     _blocks_empty_word,
     _extension_universe,
+    _theta_l,
     find_extension,
     is_maximal,
     satisfies,
@@ -39,7 +41,7 @@ from dnacodec.properties import (
 )
 from dnacodec.trajectories import build_op_transducer
 from dnacodec.transducers import Transducer, accepts_pair, restriction_search
-from oracles import brute_is_maximal, brute_satisfies, pair_in_relation, violates_S, violates_W
+from oracles import accepts_word, brute_is_maximal, brute_satisfies, pair_in_relation, violates_S, violates_W
 
 ZO = Alphabet.of("01")
 AB = Alphabet.of("ab")
@@ -260,7 +262,7 @@ def test_altering_route_tolerates_empty_self_pair():
     v = satisfies(weak, l)
     assert v.satisfied  # weak reading tolerates (eps, eps)
     # one search, which skips (eps, eps), is all the stats count
-    _, states, edges = restriction_search(t, l, theta_image(l, MIRROR_ZO), nonempty=True)
+    _, states, edges = restriction_search(t, l, _theta_l(weak, l), nonempty=True)
     assert (v.stats["restriction_states"], v.stats["restriction_edges"]) == (states, edges)
     strict = PropertyDescriptor(t, MIRROR_ZO, kind=S_KIND)
     v = satisfies(strict, l)
@@ -474,7 +476,7 @@ def test_dispatcher_agrees_with_each_dedicated_route():
                 assert pair_in_relation(t, got[1], p.theta(got[1]))
                 seen["decoded"] = seen.get("decoded", 0) + 1
             else:
-                _, states, edges = restriction_search(t, l, theta_image(l, p.theta), nonempty=True)
+                _, states, edges = restriction_search(t, l, _theta_l(p, l), nonempty=True)
                 assert (got[2], got[3]) == ("satisfies_S", [("restriction_states", states),
                                                             ("restriction_edges", edges), ("assertion_bound", bound)])
         key = (kind, asserted, got[0])
@@ -487,22 +489,31 @@ def test_dispatcher_agrees_with_each_dedicated_route():
 
 
 def test_is_maximal_builds_theta_of_l_once(monkeypatch):
-    """The hypotheses, the empty-word check and the universe all read one theta(L)."""
+    """The hypotheses, the empty-word check and the universe all read one theta(L), whichever
+    branch of ``_theta_l`` builds it: the trie of a listed L or ``theta_image``."""
     built = []
 
-    def counting(m, theta):
-        built.append(m is l)
+    def image(m, theta):
+        built.append("image of L" if m is l else "image")
         return theta_image(m, theta)
 
-    monkeypatch.setattr(properties, "theta_image", counting)
-    l = Nfa.finite(ZO, ["0"])
+    def trie(words):
+        built.append("trie")
+        return automata._trie(words)
+
+    monkeypatch.setattr(properties, "theta_image", image)
+    monkeypatch.setattr(properties, "_trie", trie)
     weak = PropertyDescriptor(zeros_to_ones(False), MIRROR_ZO, kind=W_KIND, asserted_class=INPUT_ALTERING)
-    assert is_maximal(weak, l).stats["route"] == "empty-word"
-    assert built == [True]
-    del built[:]
     strict = PropertyDescriptor(zeros_to_ones(True), MIRROR_ZO, kind=S_KIND, asserted_class=INPUT_ALTERING)
-    assert is_maximal(strict, l).stats["route"] == "subsets"
-    assert built == [True, False]  # theta(L), then the theta-preimage of T(L) in the universe
+    listed = Nfa.finite(ZO, ["0", "00"])
+    with_epsilon_edge = Nfa(ZO, 4, ((0, None, 1), (1, "0", 2), (2, "0", 3)), {0}, {2, 3})  # the same, not listed
+    for l, theta_of_l in ((listed, "trie"), (with_epsilon_edge, "image of L")):
+        del built[:]
+        assert is_maximal(weak, l).stats["route"] == "empty-word"
+        assert built == [theta_of_l]
+        del built[:]
+        assert is_maximal(strict, l).stats["route"] == "subsets"
+        assert built == [theta_of_l, "image"]  # theta(L), then the theta-preimage of T(L) in the universe
 
 
 @settings(max_examples=60, deadline=None)
@@ -678,6 +689,61 @@ def _random_language_with_epsilon_edges(rng):
     return Nfa(AB, n, tuple(edges), rng.sample(range(n), rng.randint(1, n)), rng.sample(range(n), rng.randint(0, n)))
 
 
+def _theta_l_case(rng):
+    """``(shape, L)`` over ``AB`` for ``_theta_l``.  A trie or a finite nondeterministic L (several
+    starts, a letter to several states, so duplicate paths; ε in L when a start is final) is listed;
+    an ε edge or a cycle at a start, a cycle in a dead part or more than 64 words is not."""
+    shape = rng.choice(("trie", "dag", "epsilon edge", "cycle", "dead cycle", "past the cap"))
+    if shape == "trie":
+        return shape, Nfa.finite(AB, ["".join(rng.choices("ab", k=rng.randint(0, 4))) for _ in range(rng.randint(0, 5))])
+    if shape == "past the cap":  # both letters on every step: 2^6 words of length 6, and more
+        edges = [(q, a, q + 1) for q in range(6) for a in "ab"]
+        return shape, Nfa(AB, 7, tuple(edges), {0}, {5, 6, *rng.sample(range(5), rng.randint(0, 2))})
+    n = rng.randint(2, 5)
+    edges = [(q, rng.choice("ab"), rng.randint(q + 1, n - 1)) for q in range(n - 1) for _ in range(rng.randint(1, 3))]
+    initial, final = rng.sample(range(n), rng.randint(1, 2)), rng.sample(range(n), rng.randint(1, n))
+    start = initial[0]
+    if shape == "epsilon edge":
+        edges.append((start, None, rng.randrange(n)))
+    elif shape == "cycle":
+        edges.append((start, rng.choice("ab"), start))
+    elif shape == "dead cycle":  # a state no final is reached from, on a loop
+        edges += [(start, rng.choice("ab"), n), (n, rng.choice("ab"), n)]
+        n += 1
+    return shape, Nfa(AB, n, tuple(edges), initial, final)
+
+
+def test_theta_of_l_is_the_language_theta_image_gives():
+    """``_theta_l`` accepts exactly the words ``theta_image`` accepts, and theta(L) is theta of L,
+    by the raw-edge oracle on all words up to n + 2 letters for n states.  An antimorphic theta of a
+    listed L with several final states is a trie: one start and at most one edge per state and letter."""
+    rng = random.Random(3201)
+    seen = {}
+    for _ in range(300):
+        shape, l = _theta_l_case(rng)
+        theta = rng.choice(AB_THETAS)
+        tl, image = _theta_l(PropertyDescriptor(Transducer.identity(AB), theta), l), theta_image(l, theta)
+        for k in range(l.n_states + 3):
+            for w in map("".join, itertools.product("ab", repeat=k)):
+                assert accepts_word(tl, w) == accepts_word(image, w) == accepts_word(l, theta.inverse()(w)), (
+                    shape, l, theta, w)
+        listed = shape in ("trie", "dag")
+        assert (list_words(l) is not None) == listed, (shape, l)
+        if listed and theta.antimorphic and len(l.final) > 1:
+            moves = [(q, a) for q, a, _ in tl.edges]
+            assert tl.initial == {0} and len(set(moves)) == len(moves) and None not in {a for _, a in moves}
+            seen["trie"] = seen.get("trie", 0) + 1
+        else:
+            assert (tl.n_states, tl.edges, tl.initial, tl.final) == (image.n_states, image.edges, image.initial, image.final)
+        key = (shape, theta.antimorphic, bool(tl.initial & tl.final))
+        seen[key] = seen.get(key, 0) + 1
+    for shape in ("trie", "dag", "epsilon edge", "cycle", "dead cycle", "past the cap"):
+        for antimorphic in (False, True):
+            assert seen.get((shape, antimorphic, False), 0) + seen.get((shape, antimorphic, True), 0) > 10
+    assert seen.get(("trie", True, True), 0) > 3 and seen.get(("dag", True, True), 0) > 3  # ε in a listed L
+    assert seen["trie"] > 25
+
+
 def test_empty_word_check_agrees_with_the_built_universe():
     rng = random.Random(2801)
     labels = ["", "", "a", "b", "ab", "ba"]
@@ -691,7 +757,7 @@ def test_empty_word_check_agrees_with_the_built_universe():
         t = Transducer(AB, n, tuple(edges), {0}, rng.sample(range(n), rng.randint(1, n)))
         p = PropertyDescriptor(t, rng.choice(AB_THETAS), kind=rng.choice((S_KIND, W_KIND)))
         l = _random_language_with_epsilon_edges(rng)
-        tl = theta_image(l, p.theta)
+        tl = _theta_l(p, l)
         universe = _extension_universe(p, l, tl)
         strict_clause = p.kind == S_KIND and pair_in_relation(t, "", "")
         if strict_clause:  # the clause the universe leaves to the check
@@ -707,7 +773,7 @@ def test_only_the_strict_self_hit_blocks_the_empty_word():
     t = zeros_to_ones(accept_empty=True)  # realizes (ε, ε) and nothing else touching ε
     l = Nfa.finite(ZO, ["0"])
     strict = PropertyDescriptor(t, MIRROR_ZO, kind=S_KIND, asserted_class=INPUT_ALTERING)
-    tl = theta_image(l, MIRROR_ZO)
+    tl = _theta_l(strict, l)
     assert missing_word(_extension_universe(strict, l, tl)) == ""
     assert _blocks_empty_word(strict, l, tl)
     v = is_maximal(strict, l)

@@ -34,6 +34,7 @@ from dnacodec.properties import (
     W_KIND,
     PropertyDescriptor,
     _check_assertion,
+    _theta_l,
     satisfies,
     satisfies_S,
 )
@@ -160,7 +161,7 @@ def test_search_matches_the_built_restriction(instance, assertion_bound):
     got = satisfies_S(strict, l)
     assert (got.satisfied, got.witness) == built_satisfies_S(strict, l)
     if got.satisfied:  # the search walked the whole restriction
-        full = restrict_input(t, l, theta_image(l, theta))
+        full = restrict_input(t, l, _theta_l(strict, l))
         assert got.stats == {"restriction_states": full.n_states, "restriction_edges": len(full.edges)}
     words = finite_words(l)
     if words is not None:
