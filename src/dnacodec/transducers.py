@@ -7,18 +7,19 @@ single letters) and ``""`` stands for the empty word.  A transducer
 Every decision procedure here reads the *normal form*, in which each move
 carries one letter on one tape, through ``Transducer.view()``: one pass links
 the edges by source, with no list per state, and the edges of a state are split
-into letter moves, chains of fresh states and epsilon targets when a walk first
+into letter moves, chains of fresh states and epsilon targets when a search first
 touches it, so the restriction search, the witness decoder and ``accepts_pair``
 pay only for the states they reach; ``compose`` and the bounded class check
 fill every state.  A restriction search that finds nothing early finishes on
-a reachability walk over bitsets of (L, theta(L)) state pairs.  The weak
-decision ``_weak_pair`` chooses its route here, for both
-``properties.satisfies_W_general`` and ``is_partial_identity``; its walk
-compacts its own product, and ``trim`` and ``union`` are ``automata``'s.
-``normalize`` turns the filled view into a machine, its chain states numbered
-densely, for serialization.  The view, the normal form and each bounded class
-check (``bounded_counterexample``: all words of one length at once, as bitsets
-over their lexicographic numbering, giving the shortlex-first refutation) are
+a reachability walk over bitsets of (L, theta(L)) state pairs, which reads a
+state of one-letter edges off those links, unsplit.  The weak decision
+``_weak_pair`` chooses its route here, for ``is_partial_identity`` and
+``properties.satisfies_W_general``; its walk compacts its own product, and
+``trim`` and ``union`` are ``automata``'s.  ``normalize`` turns the filled
+view into a machine, its chain states numbered densely, for serialization.
+The view, the normal form and each bounded class check
+(``bounded_counterexample``: all words of one length at once, as bitsets over
+their lexicographic numbering, giving the shortlex-first refutation) are
 memoized on the machine, an immutable value queried against many languages.
 """
 
@@ -86,6 +87,7 @@ class _NormalView:
     ``n + len(t.edges)`` as they are made and never sit in a list of more
     than one move.  ``fill`` then gives the state the moves of its closure,
     distinct and sorted, and its final flag; ``filled`` fills every state.
+    ``_bit_walk`` reads a state of one-letter edges off the links, unfilled.
     """
 
     __slots__ = ("ins", "outs", "final", "_edges", "_final", "_head", "_next", "_eps")
@@ -418,7 +420,7 @@ def restriction_search(
                 return "".join(reversed(word)), len(seen), transitions
             if len(seen) >= bit_after:  # likely satisfied: try the whole product at once
                 bit_after = INF
-                if sized := _bit_walk(v, ins, outs, lf, of, seen):  # the first group claimed every start
+                if sized := _bit_walk(v, lf, of, seen, swapped):  # the first group claimed every start
                     return None, *sized
         layer = ahead
     return None, len(seen), transitions
@@ -440,7 +442,18 @@ class _Moves(dict):
         return got
 
 
-def _bit_walk(v: _NormalView, ins: list, outs: list, lf: Nfa, of: Nfa, keys: set) -> Optional[tuple[int, int]]:
+def _plain(edges: tuple, nxt: list, i: int) -> bool:
+    """Does each edge chained from ``i`` carry one letter on one tape or one on each, none twice?"""
+    seen: dict = {}  # (input, output, target) -> the first edge with them
+    while i >= 0:
+        _, x, y, q = edges[i]
+        if not x and not y or len(x) > 1 or len(y) > 1 or seen.setdefault((x, y, q), i) != i:
+            return False
+        i = nxt[i]
+    return True
+
+
+def _bit_walk(v: _NormalView, lf: Nfa, of: Nfa, keys: set, swapped: bool) -> Optional[tuple[int, int]]:
     """``(states, transitions)`` of the product of ``restriction_search``
     when no triple reachable from the packed ``keys`` is final, else None.
     A start copy ``~key`` of ``nonempty`` passes its bits on once and counts
@@ -452,39 +465,56 @@ def _bit_walk(v: _NormalView, ins: list, outs: list, lf: Nfa, of: Nfa, keys: set
     bits, so each bit crosses each move once and the counts of the masks
     passed sum to the transitions.  A move is one ``_Moves`` lookup keyed by
     the mask; a miss reads it a byte at a time, so past ``_BIT_PAIRS`` pairs
-    the walk loses.  A chain state (id n or more: one move, never final)
-    passes its new bits on at once, not through ``todo``.
+    the walk loses.  An unfilled *plain* state (``_plain``) is read off the
+    view's edge links, its edge i of one letter per tape through chain state
+    ``n + i``; any other is filled.  A final state of T that gains an
+    accepting bit ends the walk; an epsilon closure's flag is read at a pop.
     """
     l_sym, o_sym = lf.adjacency()[1], of.adjacency()[1]
     nlo = max(lf.n_states, 1) * (no := max(of.n_states, 1))
     t_in = {a: _Moves([[q * no + i % no for q in l_sym[i // no].get(a, ())] for i in range(nlo)]) for a in lf.alphabet}
     t_out = {a: _Moves([[i - i % no + q for q in o_sym[i % no].get(a, ())] for i in range(nlo)]) for a in lf.alphabet}
+    ins, outs, xs, ys = (v.outs, v.ins, t_out, t_in) if swapped else (v.ins, v.outs, t_in, t_out)
     accept = sum(1 << ql * no + qo for ql in lf.final for qo in of.final)
-    n, final, fill = len(v._head), v.final, v.fill
-    masks, copied = [0] * len(ins), [0] * len(ins)
+    n, head, nxt, edges, t_final, final, fill = len(v._head), v._head, v._next, v._edges, v._final, v.final, v.fill
+    masks, todo, copied, plain = [0] * len(ins), {}, {}, bytearray(n)
     for key in keys:
-        packed, key = (masks, key) if key >= 0 else (copied, ~key)
-        packed[key // nlo] |= 1 << key % nlo
-    copies, transitions = sum(map(int.bit_count, copied)), 0
-    copied, todo = ({qt: mask for qt, mask in enumerate(packed) if mask} for packed in (copied, masks))
+        packed, key = (todo, key) if key >= 0 else (copied, ~key)
+        packed[key // nlo] = packed.get(key // nlo, 0) | 1 << key % nlo
+    for qt, mask in todo.items():
+        masks[qt] = mask
+    copies, transitions = sum(map(int.bit_count, copied.values())), 0
     while copied or todo:  # per state, the bits it has yet to pass on: a start copy's first, then the product's
         qt, new = (copied or todo).popitem()
-        if (fin := final[qt]) is None:
+        if (fin := final[qt]) is None and (plain[qt] or _plain(edges, nxt, head[qt])):
+            plain[qt], fin = 1, qt in t_final
+        elif fin is None:
             fin = fill(qt)
             masks += [0] * (len(ins) - len(masks))  # the chain states the fill made for long labels
         if fin and new & accept:
             return None
-        for tape, moves in ((t_in, ins[qt]), (t_out, outs[qt])):
+        i = -1 if final[qt] is not None else head[qt]  # a plain state's edges, else its filled moves
+        while i >= 0:
+            _, x, y, qt2 = edges[i]
+            succ, count = (xs[x] if x else ys[y])[new]
+            if x and y:  # the bits new to chain state n + i go on through its output letter
+                masks[n + i] |= (add := succ & ~masks[n + i])
+                transitions += count
+                succ, count = ys[y][add]
+            transitions += count
+            if add := succ & ~masks[qt2]:
+                if add & accept and qt2 in t_final:
+                    return None
+                masks[qt2] |= add
+                todo[qt2] = todo.get(qt2, 0) | add
+            i = nxt[i]
+        for tape, moves in ((t_in, ins[qt] or ()), (t_out, outs[qt] or ())):
             for a, qt2 in moves:
                 succ, count = tape[a][new]
                 transitions += count
-                while (add := succ & ~masks[qt2]) and qt2 >= n:
-                    masks[qt2] |= add
-                    chain = ins[qt2]
-                    (b, qt2), = chain or outs[qt2]
-                    succ, count = (t_in if chain else t_out)[b][add]
-                    transitions += count
-                if add:
+                if add := succ & ~masks[qt2]:
+                    if add & accept and qt2 in t_final:
+                        return None
                     masks[qt2] |= add
                     todo[qt2] = todo.get(qt2, 0) | add
     return sum(map(int.bit_count, masks)) + copies, transitions

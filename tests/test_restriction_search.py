@@ -415,3 +415,88 @@ def test_walk_keeps_to_its_cost_rule(monkeypatch):
     y, states, transitions = restriction_search(p.transducer, l, theta_image(l, p.theta), nonempty=True)
     assert y is None and states > transducers._BIT_AFTER
     assert calls == [(states, transitions)]
+
+
+def test_satisfied_walk_leaves_the_states_it_alone_reaches_unsplit(monkeypatch):
+    # A state whose edges each carry one letter on one tape or one on each,
+    # none twice, is read straight off the view's edge links.  Only states
+    # with an epsilon edge, and the members of their closures, are split.
+    p, l = _parity_instance(5, 4)
+    t, walked = p.transducer, []
+    walk = transducers._bit_walk
+
+    def spy(v, *args):
+        walked.append({q for q in range(t.n_states) if v.final[q] is not None})
+        return walk(v, *args)
+
+    monkeypatch.setattr(transducers, "_bit_walk", spy)
+    assert satisfies_S(p, l).satisfied and len(walked) == 1
+    assert t._normal_form is None, "no whole normal form is built"
+    # every state of T the whole product reaches, from a fresh copy searched without the walk
+    fresh = Transducer(t.alphabet, t.n_states, t.edges, t.initial, t.final)
+    assert _search_with(10**9, 10**9, fresh, l, _theta_l(p, l))[0] is None
+    reached = {q for q in range(t.n_states) if fresh.view().final[q] is not None}
+    labels = {q: [(x, y, r) for s, x, y, r in t.edges if s == q] for q in range(t.n_states)}
+    closed = {r for _, x, y, r in t.edges if not x and not y}
+    plain = {
+        q for q, out in labels.items()
+        if q not in closed and len(set(out)) == len(out) and all(x + y and len(x) < 2 > len(y) for x, y, _ in out)
+    }
+    v = t.view()
+    walk_only = reached - walked[0]
+    assert len(walk_only & plain) > t.n_states // 2  # 384 of 700; the grouped search filled 241
+    for q in walk_only & plain:
+        assert v.final[q] is None and v.ins[q] is None and v.outs[q] is None
+    split = {q for q in walk_only if v.final[q] is not None}
+    assert split and not split & plain, "the walk splits only the states it cannot read off the links"
+
+
+def _even(alphabet):
+    """The words of even length: a start that is also the one final state."""
+    edges = [(q, a, 1 - q) for q in (0, 1) for a in alphabet]
+    return Nfa(alphabet, 2, tuple(edges), frozenset({0}), frozenset({0}))
+
+
+def _zeros(alphabet):
+    """The words of the first letter alone, so that the two tapes' machines differ."""
+    return Nfa(alphabet, 1, ((0, alphabet.symbols[0], 0),), frozenset({0}), frozenset({0}))
+
+
+# The first group claims the start alone (with state 1 on swapped tapes, where
+# T's output is the search's input), so states 2-4 are the walk's.  ``split``:
+# the states that end up filled; ``unsplit``: states the walk must read off the
+# edge links.
+_WALK_CASES = {
+    "repeated letter edge": (
+        [(0, "", "0", 1), (1, "1", "", 2), (1, "1", "", 2), (1, "", "0", 3), (2, "0", "0", 3), (3, "1", "", 0)],
+        False, False, {1}, {2, 3},
+    ),
+    "epsilon edge among plain states": (
+        [(0, "", "0", 1), (1, "", "", 2), (1, "0", "", 3), (2, "", "0", 3), (3, "", "0", 4), (4, "0", "0", 1)],
+        False, False, {1, 2}, {3, 4},
+    ),
+    "label of three letters": (
+        [(0, "", "0", 1), (1, "011", "", 2), (1, "1", "0", 2), (2, "0", "", 3), (3, "1", "1", 0), (3, "", "0", 1)],
+        False, False, {1}, {2, 3},
+    ),
+    "nonempty on swapped tapes": (
+        [(0, "0", "", 1), (0, "", "1", 1), (1, "0", "1", 2), (1, "", "", 0), (2, "0", "", 3), (3, "", "1", 2)],
+        True, True, {0, 1}, {2, 3},
+    ),
+}
+
+
+@pytest.mark.parametrize("final", [frozenset(), frozenset({3})], ids=["satisfied", "violated"])
+@pytest.mark.parametrize("case", list(_WALK_CASES))
+def test_forced_walk_reads_each_kind_of_state_as_the_grouped_search(monkeypatch, case, final):
+    edges, nonempty, swapped, split, unsplit = _WALK_CASES[case]
+    calls = _spied(monkeypatch)
+    args = (_even(BINARY), _zeros(BINARY), nonempty, swapped)
+    t = Transducer(BINARY, 5, tuple(edges), frozenset({0}), final)
+    forced = _search_with(0, 10**9, t, *args)
+    assert forced == _search_with(0, 0, Transducer(BINARY, 5, tuple(edges), frozenset({0}), final), *args)
+    assert len(calls) == 1 and (calls[0] is None) == bool(final)
+    if not final:  # the walk sized the whole product
+        v = t.view()
+        assert all(v.final[q] is not None for q in split)
+        assert all(v.final[q] is None and v.ins[q] is None for q in unsplit)
