@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from .alphabets import Alphabet, Permutation
 from .errors import FormatError, ResourceLimitError
-from .graphs import INF, bit_image, distances_to, numbering, path_to, reachable, trim_keep
+from .graphs import bit_image, numbering, path_to, reachable, trim_keep
 
 DEFAULT_STATE_CAP = 1 << 20
 _LIST_WORDS, _LIST_MOVES = 64, 4096  # the most words ``list_words`` lists, and the most moves it makes
@@ -184,26 +184,29 @@ def accepts(m: Nfa, w: str) -> bool:
 
 
 def shortest_word(m: Nfa) -> Optional[str]:
-    """A shortest accepted word (lexicographically least among those), or None."""
-    back = distances_to(m.n_states, m.edges, m.final)  # letters to a final state
-    cur = m.closure(m.initial)
-    if not cur:
-        return None
-    remaining = min((back[q] for q in cur), default=INF)
-    if remaining == INF:
-        return None
-    out: list[str] = []
-    while remaining > 0:
-        for a in m.alphabet:
-            nxt = m.step(cur, a)
-            if nxt and min((back[q] for q in nxt), default=INF) == remaining - 1:
-                out.append(a)
-                cur = nxt
-                remaining -= 1
-                break
-        else:  # pragma: no cover - contradicts the distance invariant
-            raise AssertionError("inconsistent distance labelling")
-    return "".join(out)
+    """The shortlex-least accepted word, or None.
+
+    One group per word, in shortlex order: a group claims its unseen seeds,
+    closes them under epsilon moves and seeds one group per letter, so each
+    state lands in the group of the first word reaching it, and the first
+    group holding a final state spells the word.
+    """
+    eps_adj, sym_adj = m.adjacency()
+    seen: set[int] = set()
+    groups = [("", list(m.initial))]
+    for word, group in groups:  # the list grows while it is walked
+        moves: dict[str, list[int]] = {}
+        for q in group:  # seeds, then the epsilon moves found while walking
+            if q in seen:
+                continue
+            if q in m.final:
+                return word
+            seen.add(q)
+            group.extend(eps_adj[q])
+            for a, targets in sym_adj[q].items():
+                moves.setdefault(a, []).extend(targets)
+        groups.extend((word + a, moves[a]) for a in m.alphabet if a in moves)
+    return None
 
 
 def list_words(m: Nfa) -> Optional[list[str]]:

@@ -8,17 +8,17 @@ Per state, ``succ[q]`` lists either the targets of the edges leaving ``q``
 (target lists, which ``reachable`` reads) or those edges themselves, in
 edge order (the edge index ``leaving(n, edges)``, which ``topological_order``
 and ``shortest_path`` read; a product builds it once for all its walks).
-
-``numbering`` decides how the states of a product construction are
-numbered and where a state cap stops it.  The one exception is the
-restriction walk (``transducers._restriction``), which numbers its triples
-inline, in the same breadth-first order, to save a call per edge; a budget
-on product sizes has to be checked there as well.
+The searches are ``reachable``, ``search``/``shortest_path`` (breadth first,
+with the parents ``path_to`` reads), ``topological_order`` and ``numbering``;
+there is no weighted search.  ``numbering`` decides how the states of a product
+construction are numbered and where a state cap stops it.  The one exception is
+the restriction walk (``transducers._restriction``), which numbers its triples
+inline, in the same breadth-first order, to save a call per edge; a budget on
+product sizes has to be checked there as well.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Container, Hashable, Iterable, Optional, Sequence
 
 from .errors import ResourceLimitError
@@ -81,50 +81,28 @@ def topological_order(succ: list[list[tuple]]) -> Optional[list[int]]:
     return order if len(order) == len(succ) else None
 
 
+def search(starts: Iterable[Hashable], moves: Callable, goal: Callable) -> tuple[Optional[Hashable], dict]:
+    """``(node, parents)``: breadth first from ``starts``, the first node taken for which ``goal(node)``
+    holds, or None, and the parents ``path_to`` reads.  ``moves(node)`` yields ``(label, next)``; a node
+    is queued once, under the first label reaching it, and ``parents`` holds every node queued."""
+    parents: dict = dict.fromkeys(starts)
+    queue = list(parents)
+    for node in queue:  # the list grows while it is walked
+        if goal(node):
+            return node, parents
+        for label, nxt in moves(node):
+            if nxt not in parents:
+                parents[nxt] = (node, label)
+                queue.append(nxt)
+    return None, parents
+
+
 def shortest_path(succ: list[list[tuple]], start: int, goals: Container[int]) -> Optional[list[tuple]]:
     """The edges of a shortest path from ``start`` into ``goals``, breadth first
     over the edge index ``succ`` and the first found of that length; None if none."""
     last = _target(next(filter(None, succ), ()))
-    parents: dict = {start: None}
-    queue = [start]
-    for q in queue:  # the list grows while it is walked
-        if q in goals:
-            return path_to(parents, q)
-        for e in succ[q]:
-            if e[last] not in parents:
-                parents[e[last]] = (q, e)
-                queue.append(e[last])
-    return None
-
-
-def distances_to(n: int, edges: Sequence[tuple], targets: Iterable[int]) -> list[float]:
-    """Per state, the least cost of a path into ``targets`` (``INF`` if none).
-
-    0/1-BFS over the reversed edges: an edge whose first label is ``None``
-    (an NFA epsilon move) costs 0, every other edge costs 1.
-    """
-    rev: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    last = _target(edges)
-    for e in edges:
-        rev[e[last]].append((0 if e[1] is None else 1, e[0]))
-    dist = [INF] * n
-    dq: deque[tuple[float, int]] = deque()
-    for f in targets:
-        dist[f] = 0
-        dq.append((0, f))
-    while dq:
-        d, q = dq.popleft()
-        if d > dist[q]:
-            continue
-        for cost, p in rev[q]:
-            nd = d + cost
-            if nd < dist[p]:
-                dist[p] = nd
-                if cost:
-                    dq.append((nd, p))
-                else:
-                    dq.appendleft((nd, p))
-    return dist
+    node, parents = search((start,), lambda q: ((e, e[last]) for e in succ[q]), goals.__contains__)
+    return None if node is None else path_to(parents, node)
 
 
 def bit_image(rows: Sequence[int]) -> Callable[[int], int]:

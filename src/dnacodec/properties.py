@@ -201,10 +201,9 @@ def satisfies_W_general(p: PropertyDescriptor, l: Nfa) -> Verdict:
     an antimorphic theta (the witness is then the least offending pair),
     ``"mismatch"`` for the polynomial search; an empty S has no route.
     """
-    tl = _theta_l(p, l)
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_general expects a weak-kind descriptor")
-    return _weak(p, l, tl)
+    return _weak(p, l, _theta_l(p, l))
 
 
 def satisfies_W_preserving(p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6) -> Verdict:
@@ -215,10 +214,9 @@ def satisfies_W_preserving(p: PropertyDescriptor, l: Nfa, assertion_bound: int =
     itself comes from :func:`satisfies_W_general`, which is exact whether
     or not the assertion holds beyond the bound.
     """
-    tl = _theta_l(p, l)
     if p.kind != W_KIND:
         raise ValueError("satisfies_W_preserving expects a weak-kind descriptor")
-    return _decide(p, l, tl, INPUT_PRESERVING, assertion_bound)
+    return _decide(p, l, _theta_l(p, l), INPUT_PRESERVING, assertion_bound)
 
 
 def satisfies(p: PropertyDescriptor, l: Nfa, assertion_bound: int = 6) -> Verdict:
@@ -265,12 +263,12 @@ def is_maximal(
     with theta(w) in T(w), which the universe leaves out and the bounded assertion check let pass,
     refutes the assertion loudly.
     """
-    tl = _theta_l(p, l)
     if p.kind == S_KIND and p.asserted_class != INPUT_ALTERING:
         raise ValueError(
             "maximality for the strict kind is undecidable in general; "
             "it requires an input-altering class assertion"
         )
+    tl = _theta_l(p, l)
     base = _decide(p, l, tl, p.asserted_class, assertion_bound)
     if not base.satisfied:
         raise ValueError(

@@ -43,7 +43,8 @@ from .automata import (
     union,
 )
 from .errors import ResourceLimitError
-from .graphs import INF, bit_image, leaving, numbering, path_to, reachable, shortest_path, topological_order, trim_keep
+from .graphs import (INF, bit_image, leaving, numbering, path_to, reachable, search, shortest_path, topological_order,
+                     trim_keep)
 
 
 def _words_ok(alphabet: Alphabet, labels: set) -> bool:
@@ -617,12 +618,14 @@ def _mismatch(tn: Transducer, succ: list, theta: Permutation, lam: list[int]) ->
     carries an input edge reading a and an output edge writing b with
     ``b != pi(a)`` (pi the letter table) at matching positions: the i-th
     input against the i-th output for a morphic theta, against the i-th
-    output from the end for an antimorphic one.  Both searches are polynomial.
+    output from the end for an antimorphic one.  Each case is one polynomial
+    ``graphs.search``: its nodes, their moves and a goal.
 
     *Morphic.*  After the first of the two marks, at state r, a counter
     starts at ``lam[r]`` (input first, which needs ``lam[r] > 0``) or at
     ``lam[r]`` < 0 (output first) and moves toward 0 by one on each letter
-    of the other tape; the letter that brings it to 0 is the second mark.
+    of the other tape; the letter that brings it to 0 is the second mark,
+    and one off theta moves to the goal, the terminal node (state, "", 0).
     Nodes are (state, first letter, counter): N * |Sigma| * Lambda.
 
     *Antimorphic.*  Split the run as P e1 M e2 Q.  A forward head walks P
@@ -631,35 +634,30 @@ def _mismatch(tn: Transducer, succ: list, theta: Permutation, lam: list[int]) ->
     or d = lam[q] - lam[p'] (e1 writes, e2 reads; p' ends e1, q starts e2;
     M is fixed in balance by lam), and q is reachable from p'.  The heads
     move independently, so their moves can be interleaved to keep |d| at
-    most the spread Lambda of lam: N^2 * (2 Lambda + 1) nodes.
+    most the spread Lambda of lam: N^2 * (2 Lambda + 1) nodes (f, g, d), and
+    the goal is a node at which a pair of marks fits.
     """
     pi = theta.image
-    parents: dict = {}
     if not theta.antimorphic:
-        queue: list = [(q, None, 0) for q in sorted(tn.initial)]
-        seen = set(queue)
-        for node in queue:  # breadth first: the list grows while it is walked
+        def moves(node):
             q, first, c = node
+            if first == "":  # past the second mark: a terminal node
+                return
             for e in succ[q]:
                 _, x, y, r = e
                 if first is None:
-                    nexts = [(r, None, 0)]
+                    yield e, (r, None, 0)
                     if lam[r] and (x if lam[r] > 0 else y):  # this edge is the first mark
-                        nexts.append((r, x or y, lam[r]))
+                        yield e, (r, x or y, lam[r])
                 elif (y if c > 0 else x) == "":  # a letter on the tape of the first mark
-                    nexts = [(r, first, c)]
+                    yield e, (r, first, c)
                 elif abs(c) > 1:
-                    nexts = [(r, first, c - 1 if c > 0 else c + 1)]
-                else:  # the second mark
-                    if (y != pi(first)) if c > 0 else (first != pi(x)):
-                        return _words(path_to(parents, node) + [e] + shortest_path(succ, r, tn.final))
-                    continue
-                for nxt in nexts:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        parents[nxt] = (node, e)
-                        queue.append(nxt)
-        return None
+                    yield e, (r, first, c - 1 if c > 0 else c + 1)
+                elif (y != pi(first)) if c > 0 else (first != pi(x)):  # the second mark, off theta
+                    yield e, (r, "", 0)
+
+        node, parents = search([(q, None, 0) for q in sorted(tn.initial)], moves, lambda node: node[1] == "")
+        return None if node is None else _words(path_to(parents, node) + shortest_path(succ, node[0], tn.final))
 
     n = len(succ)
     pred: list[list[tuple[int, str, str, int]]] = [[] for _ in range(n)]
@@ -678,8 +676,8 @@ def _mismatch(tn: Transducer, succ: list, theta: Permutation, lam: list[int]) ->
         return reach(p)[q >> 3] >> (q & 7) & 1
 
     spread = max(lam, default=0) - min(lam, default=0)  # lam is [] on an empty product
-    fits: dict[tuple[int, int], dict] = {}
 
+    @cache
     def marks(f: int, g: int) -> dict:
         """Per offset d, a pair of marks (e1 leaving f, e2 entering g) that fits."""
         found: dict = {}
@@ -693,31 +691,23 @@ def _mismatch(tn: Transducer, succ: list, theta: Permutation, lam: list[int]) ->
                     found.setdefault(lam[e2[0]] - lam[e1[3]], (e1, e2))
         return found
 
-    queue = [(f, g, 0) for f in sorted(tn.initial) for g in sorted(tn.final) if reaches(f, g)]
-    seen = set(queue)
-    for node in queue:
+    def moves(node):
         f, g, d = node
-        if (f, g) not in fits:
-            fits[f, g] = marks(f, g)
-        hit = fits[f, g].get(d)
-        if hit is not None:
-            e1, e2 = hit
-            steps = path_to(parents, node)
-            forward = [e for head, e in steps if head == 0] + [e1] + shortest_path(succ, e1[3], (e2[0],))
-            return _words(forward + [e2] + [e for head, e in reversed(steps) if head == 1])
         for e in succ[f]:  # the forward head reads: d falls
-            nxt = (e[3], g, d - 1 if e[1] else d)
-            if nxt[2] >= -spread and reaches(e[3], g) and nxt not in seen:
-                seen.add(nxt)
-                parents[nxt] = (node, (0, e))
-                queue.append(nxt)
+            if (d2 := d - 1 if e[1] else d) >= -spread and reaches(e[3], g):
+                yield (0, e), (e[3], g, d2)
         for e in pred[g]:  # the backward head writes: d rises
-            nxt = (f, e[0], d + 1 if e[2] else d)
-            if nxt[2] <= spread and reaches(f, e[0]) and nxt not in seen:
-                seen.add(nxt)
-                parents[nxt] = (node, (1, e))
-                queue.append(nxt)
-    return None
+            if (d2 := d + 1 if e[2] else d) <= spread and reaches(f, e[0]):
+                yield (1, e), (f, e[0], d2)
+
+    starts = [(f, g, 0) for f in sorted(tn.initial) for g in sorted(tn.final) if reaches(f, g)]
+    node, parents = search(starts, moves, lambda node: node[2] in marks(node[0], node[1]))
+    if node is None:
+        return None
+    e1, e2 = marks(node[0], node[1])[node[2]]
+    steps = path_to(parents, node)
+    forward = [e for head, e in steps if head == 0] + [e1] + shortest_path(succ, e1[3], (e2[0],))
+    return _words(forward + [e2] + [e for head, e in reversed(steps) if head == 1])
 
 
 def is_partial_identity(t: Transducer) -> tuple[bool, Optional[tuple[str, str]]]:

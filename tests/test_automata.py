@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnacodec.alphabets import BINARY, DNA, dna_delta
+from dnacodec.alphabets import BINARY, DNA, Alphabet, dna_delta
 from dnacodec.automata import (
     Nfa,
     accepts,
@@ -27,7 +27,7 @@ from dnacodec.automata import (
 )
 from dnacodec.errors import FormatError, ResourceLimitError
 from dnacodec.graphs import numbering, path_to
-from oracles import is_empty, is_universal
+from oracles import accepts_word, is_empty, is_universal
 
 word_lists = st.lists(st.text(alphabet="ACGT", max_size=4), max_size=5)
 
@@ -61,6 +61,33 @@ def test_shortest_word_prefers_shortlex():
     assert shortest_word(Nfa.empty(DNA)) is None
     assert shortest_word(Nfa.epsilon(DNA)) == ""
     assert shortest_word(Nfa.finite(DNA, ["T", "C", "GG"])) == "C"
+
+
+@st.composite
+def epsilon_nfas(draw):
+    """NFAs of at most 8 states with epsilon edges over {a,b} or {a,b,c}, with zero, one or
+    several initial states; half of them have no final initial state, so their words run longer."""
+    alphabet = draw(st.sampled_from([Alphabet.of("ab"), Alphabet.of("abc")]))
+    n = draw(st.integers(1, 8))
+    states = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(states, st.sampled_from((None,) + alphabet.symbols), states), max_size=2 * n))
+    edges += [(q, a, draw(states)) for q in range(n) for a in alphabet if draw(st.integers(0, 3))]
+    k = draw(st.sampled_from([1, 0, 1, 2, 3]))
+    initial = frozenset(draw(st.lists(states, min_size=k, max_size=k)))
+    final = draw(st.frozensets(states, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        final -= initial
+    return Nfa(alphabet, n, tuple(edges), initial, final)
+
+
+@settings(max_examples=300, deadline=None)
+@given(epsilon_nfas())
+def test_shortest_word_is_the_shortlex_first_accepted_word(m):
+    expected = None
+    if not is_empty(m):  # then some word of fewer than n_states letters is accepted
+        words = ("".join(w) for k in range(m.n_states) for w in itertools.product(m.alphabet, repeat=k))
+        expected = next(w for w in words if accepts_word(m, w))
+    assert shortest_word(m) == expected
 
 
 def test_complement_and_universality():

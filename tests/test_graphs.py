@@ -9,11 +9,11 @@ from dnacodec.errors import ResourceLimitError
 from dnacodec.graphs import (
     INF,
     bit_image,
-    distances_to,
     leaving,
     numbering,
     path_to,
     reachable,
+    search,
     shortest_path,
     topological_order,
     trim_keep,
@@ -87,17 +87,6 @@ def test_topological_order_and_cycle_states(graph):
         assert all(position[s] < position[d] for s, _sym, d in edges)
 
 
-@settings(max_examples=300)
-@given(digraphs().flatmap(lambda g: st.tuples(st.just(g), state_sets(g[0]))))
-def test_distances_match_bellman_ford(case):
-    (n, edges), targets = case
-    dist = [0 if q in targets else INF for q in range(n)]
-    for _ in range(n):
-        for s, sym, d in edges:
-            dist[s] = min(dist[s], dist[d] + (0 if sym is None else 1))
-    assert distances_to(n, edges, targets) == dist
-
-
 @settings(max_examples=200)
 @given(
     digraphs(min_states=1).flatmap(
@@ -167,6 +156,37 @@ def test_path_to_follows_bfs_parents(case):
         assert all(src == hops[i] for i, (src, _dst) in enumerate(steps))
         assert hops[-1] == node
         assert len(steps) == hops_to[node]
+
+
+@settings(max_examples=300)
+@given(
+    digraphs(min_states=1).flatmap(
+        lambda g: st.tuples(st.just(g), st.lists(st.integers(0, g[0] - 1), max_size=4), state_sets(g[0]))
+    )
+)
+def test_search_takes_the_first_goal_in_breadth_first_order(case):
+    (n, edges), starts, goals = case
+    succ = target_lists(n, edges)
+    order = list(dict.fromkeys(starts))  # reference: FIFO discovery order
+    for q in order:
+        order.extend(r for r in dict.fromkeys(succ[q]) if r not in order)
+    depth = dict.fromkeys(starts, 0)  # brute force: hops from the nearest start, by relaxation
+    for _ in range(n):
+        for s, _sym, d in edges:
+            if s in depth and depth[s] + 1 < depth.get(d, INF):
+                depth[d] = depth[s] + 1
+    index = leaving(n, edges)
+    node, parents = search(starts, lambda q: ((e, e[-1]) for e in index[q]), goals.__contains__)
+    first = next((q for q in order if q in goals), None)
+    assert node == first
+    if node is None:
+        assert set(parents) == set(order) == set(depth)
+        return
+    path = path_to(parents, node)
+    assert len(path) == depth[node] and all(e in edges for e in path)
+    ends = [path[0][0] if path else node] + [d for _s, _sym, d in path]
+    assert ends[0] in starts and ends[-1] == node
+    assert all(s == ends[i] for i, (s, _sym, _d) in enumerate(path))
 
 
 @settings(max_examples=200)

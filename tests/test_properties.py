@@ -163,6 +163,21 @@ def test_language_alphabet_must_match():
         satisfies_S(p, Nfa.finite(ZO, ["0"]))
 
 
+def test_wrong_kind_is_refused_before_theta_of_l_is_built(monkeypatch):
+    def fail(p, l):
+        raise AssertionError("theta(L) built for a descriptor of the wrong kind")
+
+    monkeypatch.setattr(properties, "_theta_l", fail)
+    strict = PropertyDescriptor(Transducer.identity(DNA), DELTA, kind=S_KIND)
+    language = dna_lang(["AC", "GT"])
+    with pytest.raises(ValueError, match="satisfies_W_general expects a weak-kind descriptor"):
+        satisfies_W_general(strict, language)
+    with pytest.raises(ValueError, match="satisfies_W_preserving expects a weak-kind descriptor"):
+        satisfies_W_preserving(strict, language)
+    with pytest.raises(ValueError, match="requires an input-altering class assertion"):
+        is_maximal(strict, language)
+
+
 # -- weak kind, preserving route ----------------------------------------------
 
 
