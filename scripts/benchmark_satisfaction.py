@@ -45,17 +45,28 @@ last two phases are timed on every code, as a decider that always builds
 the universe would run them; ``is_maximal`` runs them only on the codes
 whose empty word is blocked, which the ``built`` column counts.
 
+``--handover N[,N...]`` times ``satisfies_S`` instead, on the cases of the
+default mode, once per threshold N at which the grouped restriction search
+hands a satisfied search over to the bit walk (``transducers._BIT_AFTER``,
+set here for the sweep and restored after it).  The thresholds take turns
+per case, each call on a fresh copy of the machines, and every threshold
+must give the same verdict, witness and stats.  Per threshold it prints
+the median and summed time of the satisfied and of the violated calls, how
+many of them entered the walk, and the p50 and p90 of all the calls.
+
 Usage:
     python scripts/benchmark_satisfaction.py
     python scripts/benchmark_satisfaction.py --transducer-edges 5000 --cases 8
     python scripts/benchmark_satisfaction.py --universality 13
     python scripts/benchmark_satisfaction.py --maximality 12
+    python scripts/benchmark_satisfaction.py --handover 1500,800,400,300,200 --cases 60
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import math
 import random
 import statistics
 import time
@@ -132,6 +143,55 @@ def even_language(rng: random.Random, n_states: int) -> Nfa:
     edges = [(q, a, rng.choice(even if par[q] else odd)) for q in range(n_states) for a in letters]
     finals = frozenset(rng.sample(even, len(even) // 2 + 1))
     return Nfa(DNA, n_states, tuple(edges), frozenset({0}), finals)
+
+
+def case(rng: random.Random, i: int, args: argparse.Namespace) -> tuple[Transducer, Nfa]:
+    """Case ``i`` of the default mode: every third one a satisfied parity pair, the rest random."""
+    if i % 3 == 2:  # satisfied: the whole product is explored
+        t = parity_transducer(rng, args.transducer_states, args.transducer_edges)
+        return t, even_language(rng, max(args.language_states, 2))
+    t = random_transducer(rng, args.transducer_states, args.transducer_edges)
+    return t, random_language(rng, args.language_states, dense=i % 2 == 0)
+
+
+def handover(thresholds: list[int], args: argparse.Namespace) -> None:
+    rng, theta = random.Random(args.seed), dna_delta()
+    times: dict[int, dict[str, list[float]]] = {n: {"satisfied": [], "violated": []} for n in thresholds}
+    walks = {n: {"satisfied": 0, "violated": 0} for n in thresholds}  # calls that entered the walk
+    walk, after, walked = transducers._bit_walk, transducers._BIT_AFTER, []
+
+    def counted_walk(*walk_args):
+        walked.append(None)
+        return walk(*walk_args)
+
+    transducers._bit_walk = counted_walk  # restriction_search looks both up when it runs
+    try:
+        for i in range(args.cases):
+            t, m = case(rng, i, args)
+            outcomes = set()
+            for n in thresholds[i % len(thresholds):] + thresholds[: i % len(thresholds)]:
+                transducers._BIT_AFTER = n
+                fresh = Transducer(DNA, t.n_states, t.edges, t.initial, t.final)
+                language = Nfa(DNA, m.n_states, m.edges, m.initial, m.final)
+                walked.clear()
+                verdict, seconds = timed(satisfies_S, PropertyDescriptor(fresh, theta, kind=S_KIND), language)
+                label = "satisfied" if verdict else "violated"
+                times[n][label].append(seconds)
+                walks[n][label] += bool(walked)
+                outcomes.add((verdict.satisfied, verdict.witness, tuple(sorted(verdict.stats.items()))))
+            if len(outcomes) != 1:
+                raise RuntimeError(f"case {i}: the thresholds disagree: {sorted(outcomes)}")
+    finally:
+        transducers._bit_walk, transducers._BIT_AFTER = walk, after
+    for n in thresholds:
+        split = "; ".join(
+            f"{label} {statistics.median(ts) * 1e3:.2f} ms median, {sum(ts) * 1e3:.1f} ms summed, "
+            f"walked {walks[n][label]}/{len(ts)}"
+            for label, ts in times[n].items() if ts
+        )
+        plan = sorted(t for ts in times[n].values() for t in ts)
+        p90 = plan[math.ceil(0.9 * len(plan)) - 1]
+        print(f"handover {n:,}: {split}; plan p50 {statistics.median(plan) * 1e3:.2f} ms, p90 {p90 * 1e3:.2f} ms")
 
 
 def near_universal(k: int, letter: str) -> Nfa:
@@ -254,7 +314,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--language-states", type=int, default=4)
     parser.add_argument("--universality", type=int, default=0, metavar="K")
     parser.add_argument("--maximality", type=int, default=0, metavar="N")
+    parser.add_argument("--handover", type=lambda s: [int(n) for n in s.split(",")], default=[],
+                        metavar="N[,N...]")
     args = parser.parse_args(argv)
+    if args.handover:
+        handover(args.handover, args)
+        return 0
     if args.universality or args.maximality:
         if args.universality:
             universality(args.universality)
@@ -271,12 +336,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     total_words = 0
     start = time.perf_counter()
     for i in range(args.cases):
-        if i % 3 == 2:  # satisfied: the whole product is explored
-            t = parity_transducer(rng, args.transducer_states, args.transducer_edges)
-            language = even_language(rng, max(args.language_states, 2))
-        else:
-            t = random_transducer(rng, args.transducer_states, args.transducer_edges)
-            language = random_language(rng, args.language_states, dense=i % 2 == 0)
+        t, language = case(rng, i, args)
         strict = PropertyDescriptor(t, theta, kind=S_KIND)
         verdict, decide_time = timed(satisfies_S, strict, language)
         view = t.view()

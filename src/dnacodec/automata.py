@@ -353,7 +353,7 @@ def _subset_walk(m: Nfa):
     """
     n = m.n_states
     eps_adj, sym_adj = m.adjacency()
-    closed = [sum(1 << r for r in reachable(eps_adj, [q])) for q in range(n)]
+    closed = [sum(1 << r for r in reachable(eps_adj, [q])) if eps_adj[q] else 1 << q for q in range(n)]
     lanes = [(a, i * n) for i, a in enumerate(m.alphabet)]
     rows = [0] * n
     for q in range(n):

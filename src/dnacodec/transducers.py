@@ -362,10 +362,10 @@ def restriction_search(
     so only the states the walk reaches are filled.
 
     A satisfied call has no group to stop at: after ``_BIT_AFTER`` triples
-    with no hit, ``_bit_walk`` runs once from the triples seen, and
-    either sizes the whole product, none of it final, or
-    leaves the grouped search to go on.  It runs only where the (m, outputs)
-    state pairs fit ``_BIT_PAIRS`` bits.
+    with no hit, ``_bit_walk`` runs once from the triples seen and either
+    sizes the whole product, none of it final, or leaves the grouped search
+    to go on, the walk lost; most violated searches hit before that.  It
+    runs only where the (m, outputs) state pairs fit ``_BIT_PAIRS`` bits.
     """
     v = t.view()
     ins, outs = (v.outs, v.ins) if swapped else (v.ins, v.outs)
@@ -427,7 +427,7 @@ def restriction_search(
     return None, len(seen), transitions
 
 
-_BIT_AFTER = 1500  # the triples the grouped search claims with no hit before ``_bit_walk`` runs
+_BIT_AFTER = 300  # triples claimed with no hit before ``_bit_walk`` runs: past most violated hits
 _BIT_PAIRS = 64  # the most (m, outputs) state pairs a mask of ``_bit_walk`` holds
 
 

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dnacodec import automata
 from dnacodec.alphabets import BINARY, DNA, Alphabet, dna_delta
 from dnacodec.automata import (
     Nfa,
@@ -504,6 +505,26 @@ def test_missing_word_near_universal_family(letter):
     m = _near_universal_dna(13, letter)
     assert missing_word(m) == letter + "A" * 13
     assert missing_word(_reverse(m)) == "A" * 13 + letter
+
+
+def test_subset_walk_searches_closures_only_from_epsilon_edges(monkeypatch):
+    # A state with no epsilon edge closes to itself; the frozenset
+    # differentials above check the subsets, this the searches run.
+    sources = []
+    search = automata.reachable
+
+    def spy(succ, starts):
+        sources.append(sorted(starts))
+        return search(succ, starts)
+
+    monkeypatch.setattr(automata, "reachable", spy)
+    m = _near_universal_dna(3, "C")
+    automata._subset_walk(m)
+    assert sources == [sorted(m.initial)], "the start subset alone"
+    sources.clear()
+    one = Nfa(DNA, m.n_states, m.edges + ((2, None, 7),), m.initial, m.final)
+    automata._subset_walk(one)
+    assert sources == [[2], sorted(one.initial)]
 
 
 @settings(max_examples=300, deadline=None)

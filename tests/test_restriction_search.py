@@ -417,6 +417,22 @@ def test_walk_keeps_to_its_cost_rule(monkeypatch):
     assert calls == [(states, transitions)]
 
 
+def test_violated_search_that_hits_before_the_handover_never_walks(monkeypatch):
+    # Most violated searches hit within a few hundred triples; a handover
+    # below their hit would pay a walk that reaches a final triple and is lost.
+    calls = _spied(monkeypatch)
+    script = _benchmark_script()
+    rng = random.Random(2)
+    t = script.random_transducer(rng, 400, 1500)
+    p = PropertyDescriptor(t, dna_delta(), kind=S_KIND)
+    l = script.random_language(rng, 4, dense=True)
+    verdict = satisfies_S(p, l)
+    pairs = remove_epsilon(l).n_states * remove_epsilon(_theta_l(p, l)).n_states
+    assert not verdict.satisfied and pairs <= transducers._BIT_PAIRS
+    assert 200 < verdict.stats["restriction_states"] < transducers._BIT_AFTER
+    assert calls == []
+
+
 def test_satisfied_walk_leaves_the_states_it_alone_reaches_unsplit(monkeypatch):
     # A state whose edges each carry one letter on one tape or one on each,
     # none twice, is read straight off the view's edge links.  Only states
@@ -444,7 +460,7 @@ def test_satisfied_walk_leaves_the_states_it_alone_reaches_unsplit(monkeypatch):
     }
     v = t.view()
     walk_only = reached - walked[0]
-    assert len(walk_only & plain) > t.n_states // 2  # 384 of 700; the grouped search filled 241
+    assert len(walk_only & plain) > t.n_states // 2  # 523 of 700; the grouped search filled 58
     for q in walk_only & plain:
         assert v.final[q] is None and v.ins[q] is None and v.outs[q] is None
     split = {q for q in walk_only if v.final[q] is not None}

@@ -26,6 +26,9 @@ def _script(name: str):
         ("property_hierarchy_demo", []),
         # the default mode, with one satisfied case (every third) and its phase split
         ("benchmark_satisfaction", ["--cases", "3", "--transducer-states", "50", "--transducer-edges", "120"]),
+        # the handover sweep, one threshold forcing the walk after the first group
+        ("benchmark_satisfaction", ["--cases", "3", "--transducer-states", "50", "--transducer-edges", "120",
+                                    "--handover", "1500,0"]),
     ],
 )
 def test_script_main_returns_0_on_tiny_arguments(name, argv, capsys):
