@@ -54,29 +54,42 @@ must give the same verdict, witness and stats.  Per threshold it prints
 the median and summed time of the satisfied and of the violated calls, how
 many of them entered the walk, and the p50 and p90 of all the calls.
 
+``--parse N`` times ``parse_fado`` instead, as ``dnacodec satisfies`` reads its
+inputs, over DNA: on N seeded code files of four DNA words (lengths 6, 8, 10
+and 12, as the benchmark's ``dna-cli`` codes) and on the benchmark's 27
+``dna-cli`` descriptor transducers: every named property in every variant and
+three trajectory pairs, as ``build-property`` writes them, and the two Hamming
+machines.  Beside each median time per parse it prints the document's lines.
+
 Usage:
     python scripts/benchmark_satisfaction.py
     python scripts/benchmark_satisfaction.py --transducer-edges 5000 --cases 8
     python scripts/benchmark_satisfaction.py --universality 13
     python scripts/benchmark_satisfaction.py --maximality 12
     python scripts/benchmark_satisfaction.py --handover 1500,800,400,300,200 --cases 60
+    python scripts/benchmark_satisfaction.py --parse 50
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import io
+import json
 import math
 import random
 import statistics
 import time
+import timeit
+from contextlib import redirect_stdout
 from typing import Optional
 
-from dnacodec import automata, properties, transducers
+from dnacodec import automata, cli, properties, transducers
 from dnacodec.alphabets import DNA, dna_delta
 from dnacodec.automata import Nfa, missing_word
-from dnacodec.dna import NORMAL, PROPERTY_NAMES, WEAK, named_property
+from dnacodec.dna import NORMAL, PROPERTY_NAMES, STRICT, VARIANTS, WEAK, hamming_property, named_property
 from dnacodec.errors import DnaCodecError
+from dnacodec.fado import parse_fado, serialize_fado
 from dnacodec.properties import S_KIND, W_KIND, PropertyDescriptor, satisfies_S, satisfies_W_general
 from dnacodec.transducers import Transducer, restriction_search
 
@@ -293,6 +306,44 @@ def maximality(n_codes: int, seed: int) -> None:
             print(f"{name}.{variant}: {split}; built {built}/{n_codes}")
 
 
+TRAJECTORY_PAIRS = (("1*0+1*", "0+", True), ("1*0+1*", "0+", False), ("0+", "0+", True))  # as dna-cli's
+
+
+def descriptor_texts() -> list[tuple[str, str]]:
+    """``(name, transducer text)`` of each ``dna-cli`` descriptor, built as that workload builds it."""
+    argvs = [(f"{name}.{variant}", ["--dna", name, "--variant", variant])
+             for name in PROPERTY_NAMES for variant in VARIANTS if name != "nonoverlapping" or variant == STRICT]
+    argvs += [(f"trajectory.{i}", ["--trajectory", e1, e2] + ["--strict"] * strict)
+              for i, (e1, e2, strict) in enumerate(TRAJECTORY_PAIRS)]
+    texts = []
+    for name, argv in argvs:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli.main(["build-property", *argv])
+        texts.append((name, json.loads(out.getvalue())["transducer"]))
+    return texts + [(f"hamming.ge2{'-min-len-2' * m}", serialize_fado(hamming_property(m, dna_delta()).transducer))
+                    for m in (False, True)]
+
+
+def parse(n_codes: int, seed: int) -> None:
+    rng = random.Random(seed)
+    codes = [serialize_fado(Nfa.finite(DNA, ["".join(rng.choice("ACGT") for _ in range(n)) for n in (6, 8, 10, 12)]))
+             for _ in range(n_codes)]
+
+    def micros(text: str) -> float:
+        """The median of five runs of 50 parses, in microseconds per parse (timeit keeps the collector off)."""
+        return statistics.median(timeit.repeat(lambda: parse_fado(text, DNA), number=50, repeat=5)) / 50 * 1e6
+
+    print(f"codes: {n_codes} files, median {statistics.median(len(c.splitlines()) for c in codes):g} lines, "
+          f"median {statistics.median(map(micros, codes)):.1f} us per parse")
+    descriptors = descriptor_texts()
+    times = []
+    for name, text in descriptors:
+        times.append(micros(text))
+        print(f"{name}: {len(text.splitlines())} lines, {times[-1]:.1f} us")
+    print(f"descriptors: {len(descriptors)}, median {statistics.median(times):.1f} us, summed {sum(times):.1f} us")
+
+
 def timed(decide, *args):
     """``(result, seconds)`` of one call, with the garbage collector off."""
     gc.collect()  # no collection lands in the timed call
@@ -316,9 +367,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--maximality", type=int, default=0, metavar="N")
     parser.add_argument("--handover", type=lambda s: [int(n) for n in s.split(",")], default=[],
                         metavar="N[,N...]")
+    parser.add_argument("--parse", type=int, default=0, metavar="N")
     args = parser.parse_args(argv)
     if args.handover:
         handover(args.handover, args)
+        return 0
+    if args.parse:
+        parse(args.parse, args.seed)
         return 0
     if args.universality or args.maximality:
         if args.universality:

@@ -211,7 +211,8 @@ def shortest_word(m: Nfa) -> Optional[str]:
 
 def list_words(m: Nfa) -> Optional[list[str]]:
     """The words of ``m`` in depth-first order, or None once the walk meets an epsilon edge, a cycle
-    (a word of ``n_states`` letters), more than ``_LIST_WORDS`` words or more than ``_LIST_MOVES`` moves."""
+    (a self-loop or a word of ``n_states`` letters), more than ``_LIST_WORDS`` words or more than
+    ``_LIST_MOVES`` moves."""
     (eps_adj, sym_adj), final, n = m.adjacency(), m.final, m.n_states
     words, stack, moves = {}, [(q, "") for q in m.initial], _LIST_MOVES
     while stack:
@@ -221,6 +222,8 @@ def list_words(m: Nfa) -> Optional[list[str]]:
         for a, targets in sym_adj[q].items():
             moves -= len(targets)
             for r in targets:
+                if r == q:  # a self-loop, which would end the walk at depth n_states anyway
+                    return None
                 stack.append((r, w + a))
         if eps_adj[q] or len(w) >= n or moves < 0 or len(words) > _LIST_WORDS:
             return None

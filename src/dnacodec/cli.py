@@ -112,16 +112,16 @@ def _machine(
 
     Under ``inline``, ``source`` is the document itself, literal \\n sequences
     unescaped, when it holds a line break or starts with ``@``; otherwise it is a
-    path, relative to ``base_dir``.  A parse or kind error names ``where``.
+    path, relative to ``base_dir``.  A parse, decoding or kind error names ``where``.
     """
-    if inline and ("\n" in source or source.lstrip().startswith("@")):
-        text = unescape_cli_text(source)
-    else:
-        with open(os.path.join(base_dir, source), encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if inline and ("\n" in source or source.lstrip().startswith("@")):
+            text = unescape_cli_text(source)
+        else:
+            with open(os.path.join(base_dir, source), encoding="utf-8") as fh:
+                text = fh.read()
         machine = parse_fado(text, alphabet)
-    except FormatError as exc:
+    except (FormatError, UnicodeDecodeError) as exc:
         raise FormatError(f"{where}: {exc}") from None
     if not isinstance(machine, kind):
         want, got = ("an NFA", "a transducer") if kind is Nfa else ("a transducer", "an NFA")
@@ -221,13 +221,18 @@ def _refuse(args, where: str, owners: dict) -> None:
             raise FormatError(f"{flag} applies only to {owner}, not {where}")
 
 
-def _json_arg(arg: str) -> tuple[object, str]:
-    """The JSON document that ``arg`` holds inline or names by path, and the
-    directory that relative paths inside it start from."""
-    if arg.lstrip().startswith("{"):
-        return json.loads(arg), os.getcwd()
-    with open(arg, encoding="utf-8") as fh:
-        return json.load(fh), os.path.dirname(os.path.abspath(arg))
+def _json_arg(arg: str, flag: str) -> tuple[object, str]:
+    """The JSON document that ``arg``, the value of ``flag``, holds inline or names
+    by path, and the directory that relative paths inside it start from."""
+    inline = arg.lstrip().startswith("{")
+    try:
+        if inline:
+            return json.loads(arg), os.getcwd()
+        with open(arg, encoding="utf-8") as fh:
+            return json.load(fh), os.path.dirname(os.path.abspath(arg))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        where = flag if inline else f"{flag} file {arg!r}"
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def _write_json(doc: dict, output: Optional[str]) -> None:
@@ -241,7 +246,7 @@ def _write_json(doc: dict, output: Optional[str]) -> None:
 
 
 def _load_descriptor(arg: str) -> PropertyDescriptor:
-    return _descriptor_from_doc(*_json_arg(arg))
+    return _descriptor_from_doc(*_json_arg(arg, "--property"))
 
 
 def _language_files(arg: str) -> list[str]:
@@ -318,7 +323,7 @@ def _cmd_build_property(args) -> int:
 
 
 def _load_instance(arg: str):
-    doc = _object(_json_arg(arg)[0], "instance document")
+    doc = _object(_json_arg(arg, "--instance")[0], "instance document")
     theta = _theta_from_spec(doc["theta"]) if "theta" in doc else None
     alpha, beta = _tiles(doc, "alpha", theta), _tiles(doc, "beta", theta)
     if len(alpha) != len(beta):

@@ -13,6 +13,14 @@ the empty label.  State names are arbitrary tokens; labels must be single
 characters.  The alphabet is inferred from the labels unless given
 explicitly (an explicit alphabet must cover the inferred one).  Machines
 with no labelled transitions and no explicit alphabet default to {a, b}.
+
+``parse_fado`` checks, in this order: the header's kind and its one ``*``;
+each transition line's field count and one-character labels, reporting the
+first line at fault; then that a given alphabet holds every label, reporting
+the first line with one outside it.  States are numbered as they first appear
+(the header's finals, its initials, then each line's source before its
+target), so every edge is in range, and the machine is built through
+``_trusted``: the constructor does not check it a second time.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .errors import FormatError
 from .transducers import Transducer, normalize
 
 _EPSILON = "@epsilon"
+_ARITY = {"@NFA": 3, "@Transducer": 4}  # the fields of a transition line
 
 
 def unescape_cli_text(text: str) -> str:
@@ -37,76 +46,70 @@ def unescape_cli_text(text: str) -> str:
 
 
 def parse_fado(text: str, alphabet: Optional[Alphabet] = None) -> Machine:
-    """Parse a machine document; returns an Nfa or Transducer by header."""
-    numbered = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    if not numbered:
+    """Parse a machine document; returns an Nfa or Transducer by header.
+
+    One pass reads the lines in order and checks each once, so the first malformed line
+    is the one reported; the machine is built unchecked (see the module docstring).
+    """
+    lines = enumerate(text.splitlines(), start=1)
+    for header_no, line in lines:
+        tokens = line.split()
+        if tokens:
+            break
+    else:
         raise FormatError("empty document", 1)
-    header_no, header = numbered[0]
-    tokens = header.split()
     kind = tokens[0]
-    if kind not in ("@Transducer", "@NFA"):
+    if kind not in _ARITY:
         raise FormatError(f"unknown machine kind {kind!r}", header_no)
     if tokens.count("*") != 1:
         raise FormatError("header needs exactly one '*' separating finals from initials", header_no)
     sep = tokens.index("*")
-    final_names = tokens[1:sep]
-    initial_names = tokens[sep + 1 :]
-
-    names: dict[str, int] = {}
-
-    def state(name: str) -> int:
-        if name not in names:
-            names[name] = len(names)
-        return names[name]
-
-    finals = frozenset(state(n) for n in final_names)
-    initials = frozenset(state(n) for n in initial_names)
-
-    arity = 4 if kind == "@Transducer" else 3
-    rows: list[tuple] = []
-    labels: dict[str, int] = {}  # each label -> the line it first appears on
-    for lineno, line in numbered[1:]:
+    names: dict[str, int] = {}  # each state name -> its number, in order of first appearance
+    number = names.setdefault
+    final = [number(q, len(names)) for q in tokens[1:sep]]
+    initial = [number(q, len(names)) for q in tokens[sep + 1 :]]
+    edges: list[tuple] = []
+    add, arity = edges.append, _ARITY[kind]
+    labels: dict[str, int] = {}  # each label, @epsilon too -> the line it first appears on
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != arity:
-            raise FormatError(
-                f"expected {arity} fields per transition, got {len(parts)}", lineno
-            )
-        for label in parts[1:-1]:
-            if label != _EPSILON and len(label) != 1:
-                raise FormatError(f"multi-symbol label {label!r}", lineno)
-            if label != _EPSILON:
-                labels.setdefault(label, lineno)
-        rows.append((state(parts[0]),) + tuple(parts[1:-1]) + (state(parts[-1]),))
-
+            if parts:
+                fault = FormatError(f"expected {arity} fields per transition, got {len(parts)}", lineno)
+                raise _first_fault(labels, fault)
+        elif arity == 3:
+            src, a, dst = parts
+            if a not in labels:
+                labels[a] = lineno
+            add((number(src, len(names)), None if a == _EPSILON else a, number(dst, len(names))))
+        else:
+            src, a, b, dst = parts
+            if a not in labels:
+                labels[a] = lineno
+            if b not in labels:
+                labels[b] = lineno
+            a, b = "" if a == _EPSILON else a, "" if b == _EPSILON else b
+            add((number(src, len(names)), a, b, number(dst, len(names))))
+    fault = _first_fault(labels)
+    if fault:
+        raise fault
     if alphabet is None:
-        alphabet = Alphabet.of(sorted(labels)) if labels else Alphabet.of("ab")
+        alphabet = Alphabet.of(sorted(labels.keys() - {_EPSILON}) or "ab")
     else:
-        missing = labels.keys() - set(alphabet.symbols)
+        missing = labels.keys() - {_EPSILON, *alphabet.symbols}
         if missing:
-            raise FormatError(
-                f"labels {sorted(missing)} not in the given alphabet", min(labels[a] for a in missing)
-            )
-    n_states = max(len(names), 1)
+            raise FormatError(f"labels {sorted(missing)} not in the given alphabet", min(map(labels.get, missing)))
+    return (Nfa if arity == 3 else Transducer)._trusted(alphabet, max(len(names), 1), edges, initial, final)
 
-    if kind == "@NFA":
-        edges = tuple(
-            (src, None if sym == _EPSILON else sym, dst) for src, sym, dst in rows
-        )
-        return Nfa(alphabet, n_states, edges, initials, finals)
-    edges_t = tuple(
-        (
-            src,
-            "" if inp == _EPSILON else inp,
-            "" if out == _EPSILON else out,
-            dst,
-        )
-        for src, inp, out, dst in rows
-    )
-    return Transducer(alphabet, n_states, edges_t, initials, finals)
+
+def _first_fault(labels: dict[str, int], fault: Optional[FormatError] = None) -> Optional[FormatError]:
+    """``fault``, found on the line being read, unless a line before it carries a
+    multi-symbol label: then the error for the first such label."""
+    bad = [a for a in labels if len(a) != 1 and a != _EPSILON]
+    if not bad:
+        return fault
+    first = min(bad, key=labels.__getitem__)  # ties keep line order: labels holds first appearances
+    return FormatError(f"multi-symbol label {first!r}", labels[first])
 
 
 def serialize_fado(machine: Machine) -> str:
@@ -116,25 +119,10 @@ def serialize_fado(machine: Machine) -> str:
     single symbol or ``@epsilon``; output ordering is deterministic.
     """
     if isinstance(machine, Transducer):
-        machine = normalize(machine)
-        kind = "@Transducer"
-        body = sorted(
-            (src, inp if inp else _EPSILON, out if out else _EPSILON, dst)
-            for src, inp, out, dst in machine.edges
-        )
+        machine, kind = normalize(machine), "@Transducer"
+        body = sorted((src, inp or _EPSILON, out or _EPSILON, dst) for src, inp, out, dst in machine.edges)
     else:
         kind = "@NFA"
-        body = sorted(
-            (src, sym if sym is not None else _EPSILON, dst)
-            for src, sym, dst in machine.edges
-        )
-    header = " ".join(
-        [kind]
-        + [str(q) for q in sorted(machine.final)]
-        + ["*"]
-        + [str(q) for q in sorted(machine.initial)]
-    )
-    lines = [header]
-    for row in body:
-        lines.append(" ".join(str(part) for part in row))
-    return "\n".join(lines) + "\n"
+        body = sorted((src, _EPSILON if sym is None else sym, dst) for src, sym, dst in machine.edges)
+    header = (kind, *sorted(machine.final), "*", *sorted(machine.initial))
+    return "\n".join(" ".join(map(str, row)) for row in (header, *body)) + "\n"

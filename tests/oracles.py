@@ -13,8 +13,9 @@ import itertools
 import re
 from typing import Iterable, Optional
 
-from dnacodec.alphabets import Permutation
-from dnacodec.automata import Nfa, missing_word
+from dnacodec.alphabets import Alphabet, Permutation
+from dnacodec.automata import Machine, Nfa, missing_word
+from dnacodec.errors import FormatError
 from dnacodec.transducers import Transducer
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,89 @@ def accepts_word(m: Nfa, w: str) -> bool:
 def is_universal(m: Nfa, state_cap: Optional[int] = None) -> bool:
     """Does the machine accept every word?  The library's subset search."""
     return missing_word(m, state_cap) is None
+
+
+# ---------------------------------------------------------------------------
+# machine text
+
+_EPSILON = "@epsilon"
+
+
+def reference_parse_fado(text: str, alphabet: Optional[Alphabet] = None) -> Machine:
+    """Parse a machine document; returns an Nfa or Transducer by header.
+
+    The two-pass reader ``dnacodec.fado.parse_fado`` replaced, kept as it was: it numbers
+    the lines, checks each label as it reads it and builds the machine through the
+    checking constructors, so the one-pass reader must give the same machine or error."""
+    numbered = [
+        (lineno, line.strip())
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
+    if not numbered:
+        raise FormatError("empty document", 1)
+    header_no, header = numbered[0]
+    tokens = header.split()
+    kind = tokens[0]
+    if kind not in ("@Transducer", "@NFA"):
+        raise FormatError(f"unknown machine kind {kind!r}", header_no)
+    if tokens.count("*") != 1:
+        raise FormatError("header needs exactly one '*' separating finals from initials", header_no)
+    sep = tokens.index("*")
+    final_names = tokens[1:sep]
+    initial_names = tokens[sep + 1 :]
+
+    names: dict[str, int] = {}
+
+    def state(name: str) -> int:
+        if name not in names:
+            names[name] = len(names)
+        return names[name]
+
+    finals = frozenset(state(n) for n in final_names)
+    initials = frozenset(state(n) for n in initial_names)
+
+    arity = 4 if kind == "@Transducer" else 3
+    rows: list[tuple] = []
+    labels: dict[str, int] = {}  # each label -> the line it first appears on
+    for lineno, line in numbered[1:]:
+        parts = line.split()
+        if len(parts) != arity:
+            raise FormatError(
+                f"expected {arity} fields per transition, got {len(parts)}", lineno
+            )
+        for label in parts[1:-1]:
+            if label != _EPSILON and len(label) != 1:
+                raise FormatError(f"multi-symbol label {label!r}", lineno)
+            if label != _EPSILON:
+                labels.setdefault(label, lineno)
+        rows.append((state(parts[0]),) + tuple(parts[1:-1]) + (state(parts[-1]),))
+
+    if alphabet is None:
+        alphabet = Alphabet.of(sorted(labels)) if labels else Alphabet.of("ab")
+    else:
+        missing = labels.keys() - set(alphabet.symbols)
+        if missing:
+            raise FormatError(
+                f"labels {sorted(missing)} not in the given alphabet", min(labels[a] for a in missing)
+            )
+    n_states = max(len(names), 1)
+
+    if kind == "@NFA":
+        edges = tuple(
+            (src, None if sym == _EPSILON else sym, dst) for src, sym, dst in rows
+        )
+        return Nfa(alphabet, n_states, edges, initials, finals)
+    edges_t = tuple(
+        (
+            src,
+            "" if inp == _EPSILON else inp,
+            "" if out == _EPSILON else out,
+            dst,
+        )
+        for src, inp, out, dst in rows
+    )
+    return Transducer(alphabet, n_states, edges_t, initials, finals)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,17 @@ def test_list_words_meets_a_cycle_within_n_states_letters(edges, final):
     assert _CountingMoves.reads <= 4 * m.n_states
 
 
+def test_list_words_stops_at_the_first_self_loop_it_walks():
+    """A self-loop on state 3 of a ten-state chain ends the walk once state 3's moves are read,
+    not after the walk has gone round it down to depth ``n_states``."""
+    m = Nfa(DNA, 10, tuple((q, "A", q + 1) for q in range(9)) + ((3, "C", 3),), {0}, {9})
+    eps_adj, sym_adj = m.adjacency()
+    m._adj = (eps_adj, [_CountingMoves(moves) for moves in sym_adj])
+    _CountingMoves.reads = 0
+    assert list_words(m) is None
+    assert _CountingMoves.reads == 4  # states 0, 1, 2 and 3
+
+
 def test_regex_grammar():
     assert is_empty(parse_regex("∅", DNA))
     assert enumerate_words(parse_regex("@epsilon", DNA), 1) == [""]

@@ -611,12 +611,31 @@ def test_bad_arguments_are_format_errors_naming_the_flag(argv, named, capsys):
 
 
 def test_bad_file_in_a_language_directory_is_named(tmp_path, capsys):
-    write_language(tmp_path, "code0.fa", ["AC"])
-    (tmp_path / "code1.fa").write_text("@NFA 1 * 0\n0 x 1\n")
-    rc = main(["satisfies", "--property", fixture("maximal", "desc_hamming_w.json"), "--language", str(tmp_path)])
-    assert rc == 2
+    # a foreign label, then a file that is not UTF-8
+    for folder, content, fault in (
+        ("foreign", b"@NFA 1 * 0\n0 x 1\n", "labels ['x']"),
+        ("undecodable", b"\xff@NFA 1 * 0\n0 A 1\n", "'utf-8' codec can't decode byte 0xff"),
+    ):
+        (tmp_path / folder).mkdir()
+        write_language(tmp_path / folder, "code0.fa", ["AC"])
+        (tmp_path / folder / "code1.fa").write_bytes(content)
+        argv = ["satisfies", "--property", fixture("maximal", "desc_hamming_w.json"), "--language"]
+        assert main(argv + [str(tmp_path / folder)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: language file ") and "code1.fa" in err and fault in err
+
+
+@pytest.mark.parametrize("argv, content, fault", [
+    (["satisfies", "--language", "l.fa", "--property"], b'{"kind": ', "Expecting value: line 1 column 10 (char 9)"),
+    (["satisfies", "--language", "l.fa", "--property"], b'\xff{}', "'utf-8' codec can't decode byte 0xff"),
+    (["pcp", "solve", "--instance"], b'{"alpha": ["0"]', "Expecting ',' delimiter"),
+])
+def test_unreadable_json_file_names_its_flag(tmp_path, capsys, argv, content, fault):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(argv + [str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: language file ") and "code1.fa" in err and "labels ['x']" in err
+    assert err.startswith(f"error: {argv[-1]} file {str(path)!r}: ") and fault in err
 
 
 def test_descriptor_with_a_foreign_label_is_rejected(tmp_path, capsys):
@@ -657,6 +676,7 @@ def test_main_builds_its_parser_once(capsys):
 def test_malformed_inline_descriptor(capsys):
     rc = main(["satisfies", "--property", "{not json", "--language", "whatever.fa"])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --property: Expecting property name")
 
 
 def test_missing_language_file(capsys):

@@ -29,6 +29,8 @@ def _script(name: str):
         # the handover sweep, one threshold forcing the walk after the first group
         ("benchmark_satisfaction", ["--cases", "3", "--transducer-states", "50", "--transducer-edges", "120",
                                     "--handover", "1500,0"]),
+        # parse timings on one code file and the benchmark's descriptor transducers
+        ("benchmark_satisfaction", ["--parse", "1"]),
     ],
 )
 def test_script_main_returns_0_on_tiny_arguments(name, argv, capsys):
