@@ -18,7 +18,9 @@ instead of thrashing; the default cap can be overridden with the
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Optional
 
 from .alphabets import Alphabet, Permutation
@@ -58,28 +60,30 @@ class Machine:
     final: frozenset[int]
 
     def __post_init__(self):
-        """Raise ``ValueError`` naming an edge, label or state out of place.
+        """Raise ``ValueError`` naming the state count, or an edge, label or state out of place.
 
-        One pass checks each edge's states and gathers the distinct labels for one
-        ``_labels_ok`` call; only its failure costs a search.
+        One pass checks each edge's length and states and gathers the distinct labels for
+        one ``_labels_ok`` call; only its failure costs a search.
         """
         self.initial = frozenset(self.initial)
         self.final = frozenset(self.final)
         self.edges = edges = tuple(self.edges)
-        n, labels_ok = self.n_states, self._labels_ok
+        n, arity, labels_ok = self.n_states, self._arity, self._labels_ok
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n_states must be a non-negative int, not {n!r}")
         labels: set = set()
         add = labels.add
         for e in edges:
-            if not (0 <= e[0] < n and 0 <= e[-1] < n):
-                raise ValueError(f"edge {e} out of range for {n} states")
+            if len(e) != arity or not (type(e[0]) is type(e[-1]) is int and 0 <= e[0] < n and 0 <= e[-1] < n):
+                raise ValueError(f"edge {e} is not {arity} parts with int states in range({n})")
             add(e[1])
             add(e[-2])  # a transducer's output; on an NFA edge the same label again
         if not labels_ok(self.alphabet, labels):
             e, a = next((e, a) for e in edges for a in e[1:-1] if not labels_ok(self.alphabet, {a}))
             raise ValueError(f"edge {e}: label {a!r} is not over {''.join(self.alphabet)!r}")
         for q in self.initial | self.final:
-            if not 0 <= q < n:
-                raise ValueError(f"state {q} out of range for {n} states")
+            if type(q) is not int or not 0 <= q < n:
+                raise ValueError(f"state {q!r} is not an int in range({n})")
 
     @classmethod
     def _trusted(cls, alphabet, n_states, edges, initial, final):
@@ -102,6 +106,7 @@ class Nfa(Machine):
     """An NFA over ``alphabet``; epsilon edges carry the symbol ``None``."""
 
     _adj: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _arity = 3  # (src, sym, dst)
     _labels_ok = staticmethod(_symbols_ok)
 
     # -- adjacency -------------------------------------------------------
@@ -490,41 +495,29 @@ def theta_image(m: Nfa, theta: Permutation) -> Nfa:
 
 # -- regular expressions -------------------------------------------------
 
-_META = set("()|*+")
-
-
-def _tokenize_regex(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "@":
-            if text.startswith("@epsilon", i):
-                tokens.append("@epsilon")
-                i += len("@epsilon")
-            else:
-                raise FormatError(f"unknown escape at position {i} in regex {text!r}")
-        elif ch in _META or ch == "∅":
-            tokens.append(ch)
-            i += 1
-        else:
-            tokens.append("sym:" + ch)
-            i += 1
-    return tokens
-
 
 def parse_regex(text: str, alphabet: Optional[Alphabet] = None) -> Nfa:
     """Parse a small regular-expression dialect into an NFA.
 
     Grammar: union ``|``, juxtaposition for concatenation, postfix ``*``
     and ``+``, parentheses, ``@epsilon`` for the empty word and ``∅`` for
-    the empty language.  Any other non-space character is a literal symbol.
-    When no alphabet is given it is inferred from the symbols that occur.
+    the empty language.  Whitespace is ignored; any other character is a
+    literal symbol.  When no alphabet is given it is inferred from the
+    symbols that occur.
+
+    Errors, in the order they are checked: ``FormatError`` for the first
+    ``@`` that does not begin ``@epsilon``; then ``FormatError`` when no
+    alphabet is given and no symbol occurs, or ``ValueError`` for the least
+    symbol outside the given alphabet; then, reading from the left,
+    ``FormatError`` for an empty sub-expression, a ``*`` or ``+`` with nothing
+    to repeat, an unclosed ``(`` or an unopened ``)``.
     """
-    tokens = _tokenize_regex(text)
-    syms = sorted({t[4:] for t in tokens if t.startswith("sym:")})
+    tokens = []
+    for match in re.finditer(r"@epsilon|\S", text):
+        if match.group() == "@":
+            raise FormatError(f"unknown escape at position {match.start()} in regex {text!r}")
+        tokens.append(match.group())
+    syms = sorted(set(tokens).difference(("(", ")", "|", "*", "+", "∅", "@epsilon")))
     if alphabet is None:
         if not syms:
             raise FormatError(f"cannot infer an alphabet from regex {text!r}")
@@ -532,59 +525,43 @@ def parse_regex(text: str, alphabet: Optional[Alphabet] = None) -> Nfa:
     else:
         for s in syms:
             alphabet.check_word(s)
+    tokens.append(None)  # ends every look-ahead
+    tokens.reverse()  # so the next token is popped off the end
 
-    pos = 0
+    def alternatives() -> Nfa:
+        machine = sequence()
+        while tokens[-1] == "|":
+            tokens.pop()
+            machine = union(machine, sequence())
+        return machine
 
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_union() -> Nfa:
-        left = parse_seq()
-        while peek() == "|":
-            take()
-            left = union(left, parse_seq())
-        return left
-
-    def parse_seq() -> Nfa:
-        parts: list[Nfa] = []
-        while peek() is not None and peek() not in (")", "|"):
-            parts.append(parse_postfix())
+    def sequence() -> Nfa:
+        parts = []
+        while tokens[-1] not in (None, ")", "|"):
+            parts.append(item())
         if not parts:
             raise FormatError(f"empty sub-expression in regex {text!r}")
-        result = parts[0]
-        for part in parts[1:]:
-            result = concat(result, part)
-        return result
+        return reduce(concat, parts)
 
-    def parse_postfix() -> Nfa:
-        item = parse_atom()
-        while peek() in ("*", "+"):
-            item = star(item) if take() == "*" else plus(item)
-        return item
-
-    def parse_atom() -> Nfa:
-        tok = take()
+    def item() -> Nfa:
+        tok = tokens.pop()
         if tok == "(":
-            inner = parse_union()
-            if peek() != ")":
+            machine = alternatives()
+            if tokens.pop() != ")":
                 raise FormatError(f"unbalanced parenthesis in regex {text!r}")
-            take()
-            return inner
-        if tok == "∅":
-            return Nfa.empty(alphabet)
-        if tok == "@epsilon":
-            return Nfa.epsilon(alphabet)
-        if tok.startswith("sym:"):
-            return Nfa.word(alphabet, tok[4:])
-        raise FormatError(f"unexpected {tok!r} in regex {text!r}")
+        elif tok == "∅":
+            machine = Nfa.empty(alphabet)
+        elif tok == "@epsilon":
+            machine = Nfa.epsilon(alphabet)
+        elif tok in syms:
+            machine = Nfa.word(alphabet, tok)
+        else:
+            raise FormatError(f"unexpected {tok!r} in regex {text!r}")
+        while tokens[-1] in ("*", "+"):
+            machine = star(machine) if tokens.pop() == "*" else plus(machine)
+        return machine
 
-    result = parse_union()
-    if pos != len(tokens):
-        raise FormatError(f"trailing {tokens[pos]!r} in regex {text!r}")
-    return result
+    machine = alternatives()
+    if tokens[-1] is not None:
+        raise FormatError(f"trailing {tokens[-1]!r} in regex {text!r}")
+    return machine

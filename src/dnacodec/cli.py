@@ -278,7 +278,7 @@ def _run_over_languages(args, decide) -> int:
         results.append((path, decide(p, lang, assertion_bound=args.assertion_bound)))
     if args.json:
         payload = [dict(_verdict_payload(v), file=path) for path, v in results]
-        print(json.dumps(payload[0] if len(payload) == 1 else {"results": payload}, indent=2))
+        _write_json(payload[0] if len(payload) == 1 else {"results": payload}, None)
     else:
         for path, v in results:
             prefix = f"{path}: " if len(results) > 1 else ""

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .alphabets import Alphabet, Permutation
+from .alphabets import BINARY, Alphabet, Permutation
 from .automata import Nfa, intersect as nfa_intersect, parse_regex, remove_epsilon
 from .properties import PropertyDescriptor, S_KIND, UNRESTRICTED
 from .transducers import (
@@ -34,8 +34,6 @@ from .transducers import (
     trim,
     union as t_union,
 )
-
-_BINARY = Alphabet.of("01")
 
 
 def shuffle_on_trajectory(x: str, t: str, w: str) -> Optional[str]:
@@ -75,18 +73,18 @@ class TrajectoryPair:
 
     def __post_init__(self):
         for expr in (self.e1, self.e2):
-            parse_regex(expr, _BINARY)
+            parse_regex(expr, BINARY)
 
 
 def trajectory_nfa(e: str) -> Nfa:
     """Compile a trajectory regular expression to a trimmed ε-free NFA."""
-    return trim(remove_epsilon(parse_regex(e, _BINARY)))
+    return trim(remove_epsilon(parse_regex(e, BINARY)))
 
 
 _OPS = ("T1", "T2", "T3", "T4")
 
 # Trajectories that hold a 1: state 0 is "no 1 yet", state 1 "a 1 seen".
-_ONE_SEEN = Nfa(_BINARY, 2, ((0, "0", 0), (0, "1", 1), (1, "0", 1), (1, "1", 1)), {0}, {1})
+_ONE_SEEN = Nfa(BINARY, 2, ((0, "0", 0), (0, "1", 1), (1, "0", 1), (1, "1", 1)), {0}, {1})
 
 
 def build_op_transducer(which: str, e: str, alphabet: Alphabet) -> Transducer:

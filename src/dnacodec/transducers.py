@@ -48,8 +48,8 @@ from .graphs import (INF, bit_image, leaving, numbering, path_to, reachable, sea
 
 
 def _words_ok(alphabet: Alphabet, labels: set) -> bool:
-    """Is every label a word over ``alphabet``?  Their concatenation strips to ""."""
-    return not "".join(labels).strip("".join(alphabet.symbols))
+    """Is every label a word over ``alphabet``?  They are strings, and their concatenation strips to ""."""
+    return all(type(a) is str for a in labels) and not "".join(labels).strip("".join(alphabet.symbols))
 
 
 @dataclass(eq=False)
@@ -57,6 +57,7 @@ class Transducer(Machine):
     _normal_form: Optional["Transducer"] = field(default=None, repr=False, compare=False)
     _view: Optional["_NormalView"] = field(default=None, repr=False, compare=False)
     _checks: Optional[dict] = field(default=None, repr=False, compare=False)
+    _arity = 4  # (src, inp, out, dst)
     _labels_ok = staticmethod(_words_ok)
 
     @classmethod

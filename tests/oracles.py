@@ -3,8 +3,10 @@
 Everything here is deliberately naive: raw edge-list searches, exhaustive
 enumeration over positions and letters, stdlib ``re`` for trajectory
 expressions.  None of it shares code with the package, apart from
-``is_universal``, a name for the library's own subset search, so agreement
-between the two sides is meaningful evidence of correctness.
+``is_universal``, a name for the library's own subset search, and the
+reference parsers, which build their machines with the library's
+constructors and Thompson operations, so agreement between the two sides
+is meaningful evidence of correctness.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 from typing import Iterable, Optional
 
 from dnacodec.alphabets import Alphabet, Permutation
-from dnacodec.automata import Machine, Nfa, missing_word
+from dnacodec.automata import Machine, Nfa, concat, missing_word, plus, star, union
 from dnacodec.errors import FormatError
 from dnacodec.transducers import Transducer
 
@@ -217,6 +219,110 @@ def reference_parse_fado(text: str, alphabet: Optional[Alphabet] = None) -> Mach
         for src, inp, out, dst in rows
     )
     return Transducer(alphabet, n_states, edges_t, initials, finals)
+
+
+_REGEX_META = set("()|*+")
+
+
+def _reference_tokenize_regex(text: str) -> list[str]:
+    tokens: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch == "@":
+            if text.startswith("@epsilon", i):
+                tokens.append("@epsilon")
+                i += len("@epsilon")
+            else:
+                raise FormatError(f"unknown escape at position {i} in regex {text!r}")
+        elif ch in _REGEX_META or ch == "∅":
+            tokens.append(ch)
+            i += 1
+        else:
+            tokens.append("sym:" + ch)
+            i += 1
+    return tokens
+
+
+def reference_parse_regex(text: str, alphabet: Optional[Alphabet] = None) -> Nfa:
+    """Parse a small regular-expression dialect into an NFA.
+
+    The two-pass parser ``dnacodec.automata.parse_regex`` replaced, kept as it was: a
+    tokenizer marks each literal ``"sym:"``, then a recursive descent reads the tokens,
+    so the one-scan parser must give the same machine or error.
+
+    Grammar: union ``|``, juxtaposition for concatenation, postfix ``*``
+    and ``+``, parentheses, ``@epsilon`` for the empty word and ``∅`` for
+    the empty language.  Any other non-space character is a literal symbol.
+    When no alphabet is given it is inferred from the symbols that occur.
+    """
+    tokens = _reference_tokenize_regex(text)
+    syms = sorted({t[4:] for t in tokens if t.startswith("sym:")})
+    if alphabet is None:
+        if not syms:
+            raise FormatError(f"cannot infer an alphabet from regex {text!r}")
+        alphabet = Alphabet.of(syms)
+    else:
+        for s in syms:
+            alphabet.check_word(s)
+
+    pos = 0
+
+    def peek() -> Optional[str]:
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take() -> str:
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_union() -> Nfa:
+        left = parse_seq()
+        while peek() == "|":
+            take()
+            left = union(left, parse_seq())
+        return left
+
+    def parse_seq() -> Nfa:
+        parts: list[Nfa] = []
+        while peek() is not None and peek() not in (")", "|"):
+            parts.append(parse_postfix())
+        if not parts:
+            raise FormatError(f"empty sub-expression in regex {text!r}")
+        result = parts[0]
+        for part in parts[1:]:
+            result = concat(result, part)
+        return result
+
+    def parse_postfix() -> Nfa:
+        item = parse_atom()
+        while peek() in ("*", "+"):
+            item = star(item) if take() == "*" else plus(item)
+        return item
+
+    def parse_atom() -> Nfa:
+        tok = take()
+        if tok == "(":
+            inner = parse_union()
+            if peek() != ")":
+                raise FormatError(f"unbalanced parenthesis in regex {text!r}")
+            take()
+            return inner
+        if tok == "∅":
+            return Nfa.empty(alphabet)
+        if tok == "@epsilon":
+            return Nfa.epsilon(alphabet)
+        if tok.startswith("sym:"):
+            return Nfa.word(alphabet, tok[4:])
+        raise FormatError(f"unexpected {tok!r} in regex {text!r}")
+
+    result = parse_union()
+    if pos != len(tokens):
+        raise FormatError(f"trailing {tokens[pos]!r} in regex {text!r}")
+    return result
 
 
 # ---------------------------------------------------------------------------

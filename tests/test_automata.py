@@ -1,6 +1,7 @@
 """NFA construction, boolean operations, and the regex front end."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ from dnacodec.automata import (
 )
 from dnacodec.errors import FormatError, ResourceLimitError
 from dnacodec.graphs import numbering, path_to
-from oracles import accepts_word, is_empty, is_universal
+from oracles import accepts_word, is_empty, is_universal, reference_parse_regex
 
 word_lists = st.lists(st.text(alphabet="ACGT", max_size=4), max_size=5)
 
@@ -274,6 +275,73 @@ def test_regex_errors():
 def test_regex_infers_alphabet():
     m = parse_regex("ab|ba")
     assert sorted(m.alphabet.symbols) == ["a", "b"]
+
+
+# Literals, some foreign to every given alphabet; Unicode spaces, which are skipped, and a
+# zero-width space, which is not a space and so is a literal; and escapes, valid and bare.
+REGEX_LITERALS = ("0", "1", "A", "C", "G", "T", "a", "b", "x", "é", "\u200b")
+REGEX_SPACES = (" ", "\t", "\n", "\r\n", "\x1c", "\x85", "\u00a0", "\u2003", "\u3000")
+REGEX_OPERATORS = ("(", ")", "|", "*", "+", "∅", "@epsilon", "@", "@eps", "@@epsilon")
+REGEX_ALPHABETS = (None, None, BINARY, DNA, Alphabet.of("ab"), Alphabet.of("01AC"))
+# the start of each error message, in the order the parser checks
+REGEX_ERRORS = ("unknown escape", "cannot infer", "symbol", "empty sub-expression", "unexpected", "unbalanced", "trailing")
+
+
+def random_regex(rng, letters, depth=0) -> list[str]:
+    """The tokens of a well-formed expression over ``letters``, up to five parentheses deep."""
+    roll, postfix = rng.random(), rng.choice(([], [], [], ["*"], ["+"], ["*", "+"]))
+    if depth < 5 and roll < 0.2:
+        return ["(", *random_regex(rng, letters, depth + 1), ")", *postfix]
+    if depth < 5 and roll < 0.45:
+        glue = rng.choice(([], ["|"]))
+        tokens = random_regex(rng, letters, depth + 1)
+        for _ in range(rng.randint(1, 2)):
+            tokens += glue + random_regex(rng, letters, depth + 1)
+        return tokens
+    return [rng.choice(letters + ("∅", "@epsilon") if roll < 0.55 else letters), *postfix]
+
+
+def random_regex_text(rng, alphabet) -> str:
+    """An expression to parse, mostly over ``alphabet``'s letters: well formed or token soup,
+    then perhaps mutated, and spaced out."""
+    symbols = REGEX_LITERALS[:8] if alphabet is None else alphabet.symbols
+    letters = tuple(rng.sample(symbols, rng.randint(1, min(4, len(symbols)))))
+    if rng.random() < 0.6:
+        tokens = random_regex(rng, letters)
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            at = rng.randint(0, len(tokens))
+            pool = rng.choice((REGEX_LITERALS, REGEX_OPERATORS, REGEX_OPERATORS))
+            tokens[at:at + rng.randint(0, 1)] = [rng.choice(pool)]
+    else:
+        pool = letters * 4 + REGEX_LITERALS + REGEX_OPERATORS + ("(", ")", "|", "*", "+") * 2
+        tokens = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
+    text = ""
+    for token in tokens:
+        text += rng.choice(REGEX_SPACES) * (rng.random() < 0.15) + token
+    return text + rng.choice(REGEX_SPACES) * (rng.random() < 0.1)
+
+
+def regex_outcome(parse, text, alphabet) -> tuple:
+    """The parts of the machine ``parse`` builds, or its error's type and message."""
+    try:
+        m = parse(text, alphabet)
+    except (FormatError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    return ("machine", m.alphabet, m.n_states, m.edges, m.initial, m.final)
+
+
+def test_regex_parser_matches_the_reference_on_random_expressions():
+    rng = random.Random(4242)
+    seen = {}
+    for _ in range(20000):
+        alphabet = rng.choice(REGEX_ALPHABETS)
+        text = random_regex_text(rng, alphabet)
+        got = regex_outcome(parse_regex, text, alphabet)
+        assert got == regex_outcome(reference_parse_regex, text, alphabet), (text, alphabet)
+        kind = got[0] if got[0] == "machine" else next(k for k in REGEX_ERRORS if got[1].startswith(k))
+        seen[kind] = seen.get(kind, 0) + 1
+    # every kind of outcome is drawn: machines, and errors of each check
+    assert seen["machine"] >= 5000 and all(seen.get(k, 0) >= 100 for k in REGEX_ERRORS), seen
 
 
 @settings(max_examples=60)

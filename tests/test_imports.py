@@ -1,6 +1,7 @@
-"""Every module-level import, private helper and private class member in the
-package is used, and so is every public module-level function and class that
-is neither exported nor named by the benchmark (no linter is required)."""
+"""Every module-level import, private helper, private constant and private
+class member in the package is used, and so is every public module-level
+function, class and constant that is neither exported nor named by the
+benchmark (no linter is required)."""
 
 import ast
 import glob
@@ -48,10 +49,15 @@ def _reference(node):
 
 
 def _definitions(tree):
-    """``(label, name, nodes)`` for each module-level function and class and
-    each method, property and annotated field of a module-level class, with
-    every node that defines the name (a property's getter and setter are one)."""
+    """``(label, name, nodes)`` for each module-level function, class and
+    assigned name and each method, property and annotated field of a
+    module-level class, with every node that defines the name (a property's
+    getter and setter are one)."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)):
+                yield name, name, [node]
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         yield node.name, node.name, [node]
@@ -96,8 +102,8 @@ def dead_private_helpers(sources: dict[str, str]) -> list[str]:
 
 
 def dead_public_names(sources: dict[str, str], exempt: set[str]) -> list[str]:
-    """Unreferenced public module-level functions and classes not in
-    ``exempt``.  A method or attribute of the same name, such as
+    """Unreferenced public module-level functions, classes and assigned names
+    not in ``exempt``.  A method or attribute of the same name, such as
     ``list.reverse``, does not count as a reference to one of them."""
     return _unreferenced(
         sources, _imported_or_named, lambda label, name: label == name and name[0] != "_" and name not in exempt
@@ -129,6 +135,16 @@ def test_checker_flags_a_dead_helper():
     helpers = "def _dead(n):\n    return _dead(n - 1)\n\n\nclass _Used:\n    pass\n"
     caller = "from helpers import _Used\n\nx = _Used()\n"
     assert dead_private_helpers({"helpers.py": helpers, "caller.py": caller}) == ["helpers.py: _dead"]
+
+
+def test_checker_flags_a_dead_constant():
+    helpers = (
+        "_DEAD = set('()')\n_SEEN, _LEFT = 1, 2\n_TYPED: int = 3\n\n\n"
+        "def _used():\n    return _SEEN + _TYPED\n"
+    )
+    caller = "from helpers import _used\n\n_used()\n"
+    dead = dead_private_helpers({"helpers.py": helpers, "caller.py": caller})
+    assert dead == ["helpers.py: _DEAD", "helpers.py: _LEFT"]
 
 
 def test_checker_flags_a_dead_accessor():

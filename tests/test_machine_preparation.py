@@ -44,7 +44,7 @@ AB = Alphabet.of("ab")
 # -- constructor rejection --------------------------------------------------
 
 # (states, edges, initial, final, pattern the message must match); the
-# pattern names the offending edge, state or symbol.
+# pattern names the offending edge, state, symbol or state count.
 BAD_TRANSDUCERS = {
     "bad source": (2, ((0, "a", "b", 1), (5, "a", "b", 0)), {0}, {1}, r"\(5, ?'a', ?'b', ?0\)"),
     "bad target": (2, ((0, "a", "b", 7),), {0}, {1}, r"\(0, ?'a', ?'b', ?7\)"),
@@ -55,6 +55,10 @@ BAD_TRANSDUCERS = {
     "foreign input letter": (1, ((0, "a", "a", 0), (0, "x", "a", 0)), {0}, {0}, r"'x'"),
     "foreign letter inside an input word": (1, ((0, "ax", "", 0),), {0}, {0}, r"'a?x'"),
     "foreign output letter": (1, ((0, "a", "z", 0),), {0}, {0}, r"'z'"),
+    "label None": (1, ((0, None, "a", 0),), {0}, {0}, r"\(0, None, 'a', 0\)"),
+    "label int": (1, ((0, "a", 7, 0),), {0}, {0}, r"\(0, 'a', 7, 0\)"),
+    "edge of 3": (1, ((0, "a", 0),), {0}, {0}, r"\(0, 'a', 0\) is not 4 parts"),
+    "fractional count": (2.5, (), {0}, {1}, r"n_states .* 2\.5\b"),
 }
 
 BAD_NFAS = {
@@ -65,6 +69,12 @@ BAD_NFAS = {
     "final out of range": (2, ((0, "a", 1),), {0}, {2}, r"state 2\b"),
     "foreign symbol": (2, ((0, "a", 1), (1, "x", 0)), {0}, {1}, r"'x'"),
     "multi-letter symbol": (2, ((0, "ab", 1),), {0}, {1}, r"'ab'"),
+    "edge of 4": (1, ((0, "a", "a", 0),), {0}, {0}, r"\(0, 'a', 'a', 0\) is not 3 parts"),
+    "edge of 2": (1, ((0, "a"),), {0}, {0}, r"\(0, 'a'\) is not 3 parts"),
+    "float state": (2, ((0, "a", 1.0),), {0}, {1}, r"\(0, 'a', 1\.0\)"),
+    "float initial state": (2, ((0, "a", 1),), {0.0}, {1}, r"state 0\.0\b"),
+    "negative count": (-1, (), set(), set(), r"n_states .* -1\b"),
+    "string count": ("2", (), set(), set(), r"n_states .* '2'"),
 }
 
 
