@@ -63,7 +63,8 @@ class Machine:
         """Raise ``ValueError`` naming the state count, or an edge, label or state out of place.
 
         One pass checks each edge's length and states and gathers the distinct labels for
-        one ``_labels_ok`` call; only its failure costs a search.
+        one ``_labels_ok`` call; only its failure costs a search.  An edge the pass cannot
+        read (no length, no items, an unhashable label) is named too.
         """
         self.initial = frozenset(self.initial)
         self.final = frozenset(self.final)
@@ -73,11 +74,14 @@ class Machine:
             raise ValueError(f"n_states must be a non-negative int, not {n!r}")
         labels: set = set()
         add = labels.add
-        for e in edges:
-            if len(e) != arity or not (type(e[0]) is type(e[-1]) is int and 0 <= e[0] < n and 0 <= e[-1] < n):
-                raise ValueError(f"edge {e} is not {arity} parts with int states in range({n})")
-            add(e[1])
-            add(e[-2])  # a transducer's output; on an NFA edge the same label again
+        try:
+            for e in edges:
+                if len(e) != arity or not (type(e[0]) is type(e[-1]) is int and 0 <= e[0] < n and 0 <= e[-1] < n):
+                    raise ValueError(f"edge {e} is not {arity} parts with int states in range({n})")
+                add(e[1])
+                add(e[-2])  # a transducer's output; on an NFA edge the same label again
+        except TypeError:  # ``e`` has no length or no items, or an unhashable label
+            raise ValueError(f"edge {e!r} is not {arity} parts with int states and hashable labels") from None
         if not labels_ok(self.alphabet, labels):
             e, a = next((e, a) for e in edges for a in e[1:-1] if not labels_ok(self.alphabet, {a}))
             raise ValueError(f"edge {e}: label {a!r} is not over {''.join(self.alphabet)!r}")
@@ -105,7 +109,7 @@ class Machine:
 class Nfa(Machine):
     """An NFA over ``alphabet``; epsilon edges carry the symbol ``None``."""
 
-    _adj: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _adj: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _arity = 3  # (src, sym, dst)
     _labels_ok = staticmethod(_symbols_ok)
 
@@ -510,7 +514,8 @@ def parse_regex(text: str, alphabet: Optional[Alphabet] = None) -> Nfa:
     alphabet is given and no symbol occurs, or ``ValueError`` for the least
     symbol outside the given alphabet; then, reading from the left,
     ``FormatError`` for an empty sub-expression, a ``*`` or ``+`` with nothing
-    to repeat, an unclosed ``(`` or an unopened ``)``.
+    to repeat, an unclosed ``(`` or an unopened ``)``; ``FormatError`` when the
+    parentheses nest deeper than the interpreter's recursion limit allows.
     """
     tokens = []
     for match in re.finditer(r"@epsilon|\S", text):
@@ -561,7 +566,10 @@ def parse_regex(text: str, alphabet: Optional[Alphabet] = None) -> Nfa:
             machine = star(machine) if tokens.pop() == "*" else plus(machine)
         return machine
 
-    machine = alternatives()
+    try:
+        machine = alternatives()
+    except RecursionError:
+        raise FormatError("regex nests its parentheses too deeply") from None
     if tokens[-1] is not None:
         raise FormatError(f"trailing {tokens[-1]!r} in regex {text!r}")
     return machine

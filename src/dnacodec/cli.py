@@ -67,6 +67,14 @@ _REQUIRED = object()
 _TYPE_NAMES = {str: "a string", dict: "an object", list: "a list", bool: "a boolean"}
 
 
+def _named(where: str, make, *args):
+    """``make(*args)``; a ``FormatError`` or ``ValueError`` it raises becomes a ``FormatError`` naming ``where``."""
+    try:
+        return make(*args)
+    except (FormatError, ValueError) as exc:
+        raise FormatError(f"{where}: {exc}") from None
+
+
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise FormatError(f"{what} must be a JSON object, not {type(value).__name__}")
@@ -91,18 +99,6 @@ def _field(doc: dict, name: str, types: tuple, default=_REQUIRED, path: str = ""
     if choices is not None and value not in choices:
         raise FormatError(f"field {path + name!r} must be one of {', '.join(choices)}, not {value!r}")
     return value
-
-
-def _tiles(doc: dict, name: str, theta: Optional[Permutation]) -> tuple[str, ...]:
-    """Field ``name`` of a correspondence instance: nonempty words, over theta's letters if given."""
-    tiles, letters = _field(doc, name, (list,)), "".join(theta.alphabet.symbols) if theta else ""
-    for w in tiles:
-        if not isinstance(w, str) or not w or letters and w.strip(letters):
-            over = f" over {letters!r}" if letters else ""
-            raise FormatError(f"field {name!r} must list nonempty words{over}, not {w!r}")
-    if not tiles:
-        raise FormatError(f"field {name!r} must list at least one tile")
-    return tuple(tiles)
 
 
 def _machine(
@@ -132,7 +128,7 @@ def _machine(
 def _theta_from_spec(spec, hint: Optional[Alphabet] = None, where: str = "field 'theta'") -> Permutation:
     if isinstance(spec, str):
         name, _, alpha_part = spec.partition(":")
-        alphabet = Alphabet.of(alpha_part) if alpha_part else hint
+        alphabet = _named(where, Alphabet.of, alpha_part) if alpha_part else hint
         if name == "dna-delta":
             if alphabet not in (None, DNA):
                 raise FormatError(f"{where} dna-delta acts on ACGT, not {''.join(alphabet)!r}")
@@ -148,12 +144,12 @@ def _theta_from_spec(spec, hint: Optional[Alphabet] = None, where: str = "field 
         if not all(isinstance(img, str) for img in table.values()):
             raise FormatError("field 'theta.table' must map symbols to strings")
         symbols = _field(spec, "alphabet", (str,), None, "theta.")
-        alphabet = Alphabet.of(symbols if symbols is not None else sorted(table))
+        if symbols is None:
+            alphabet = _named("field 'theta.table'", Alphabet.of, sorted(table))
+        else:
+            alphabet = _named("field 'theta.alphabet'", Alphabet.of, symbols)
         mode = _field(spec, "mode", (str,), "antimorphic", "theta.", ("antimorphic", "morphic"))
-        try:
-            return Permutation.from_mapping(alphabet, table, antimorphic=mode == "antimorphic")
-        except ValueError as exc:
-            raise FormatError(f"field 'theta.table': {exc}") from None
+        return _named("field 'theta.table'", Permutation.from_mapping, alphabet, table, mode == "antimorphic")
     raise FormatError(f"field 'theta' must be a string or an object, not {type(spec).__name__}")
 
 
@@ -169,10 +165,7 @@ def _theta_first(spec, source: str, where: str, alphabet=None, base_dir="", thet
 def _trajectory_property(e1: str, e2: str, strict: bool, theta: Permutation, where: str) -> PropertyDescriptor:
     """Compile a trajectory pair; an error in E1 or E2 names it as ``where.format(1)`` or ``(2)``."""
     for i, expr in enumerate((e1, e2), 1):
-        try:
-            parse_regex(expr, BINARY)
-        except (FormatError, ValueError) as exc:
-            raise FormatError(f"{where.format(i)}: {exc}") from None
+        _named(where.format(i), parse_regex, expr, BINARY)
     return compile_trajectory_property(TrajectoryPair(e1, e2, strict), theta)
 
 
@@ -180,7 +173,7 @@ def _descriptor_from_doc(doc, base_dir: str) -> PropertyDescriptor:
     doc = _object(doc, "descriptor document")
     source = _field(doc, "transducer", (str, dict))
     symbols = _field(doc, "alphabet", (str,), None)
-    alphabet = Alphabet.of(symbols) if symbols is not None else None
+    alphabet = _named("field 'alphabet'", Alphabet.of, symbols) if symbols is not None else None
     theta_spec = _field(doc, "theta", (str, dict), "dna-delta")
 
     if isinstance(source, dict) and "dna" in source:
@@ -300,7 +293,7 @@ def _theta_spec_payload(theta: Permutation) -> dict:
 
 def _cmd_build_property(args) -> int:
     _refuse(args, "--dna" if args.dna else "--trajectory", {"--strict": "--trajectory", "--variant": "--dna"})
-    alphabet = Alphabet.of(args.alphabet) if args.alphabet else DNA
+    alphabet = DNA if args.alphabet is None else _named("--alphabet", Alphabet.of, args.alphabet)
     theta = _theta_from_spec(args.theta, alphabet, "--theta")
     if args.dna:
         variant = "strict" if args.variant is None else args.variant
@@ -323,12 +316,14 @@ def _cmd_build_property(args) -> int:
 
 
 def _load_instance(arg: str):
+    """The instance that ``--instance`` holds, built by the constructor, which checks the tiles."""
     doc = _object(_json_arg(arg, "--instance")[0], "instance document")
-    theta = _theta_from_spec(doc["theta"]) if "theta" in doc else None
-    alpha, beta = _tiles(doc, "alpha", theta), _tiles(doc, "beta", theta)
-    if len(alpha) != len(beta):
-        raise FormatError(f"field 'beta' must list as many tiles as field 'alpha' ({len(alpha)}), not {len(beta)}")
-    return PcpInstance(alpha, beta) if theta is None else ThetaPcpInstance(alpha, beta, theta)
+    theta = (_theta_from_spec(doc["theta"]),) if "theta" in doc else ()
+    try:
+        return (ThetaPcpInstance if theta else PcpInstance)(doc.get("alpha"), doc.get("beta"), *theta)
+    except ValueError as exc:  # each message names its field; an absent one is rejected first, as None
+        name = str(exc).split("'")[1]
+        raise FormatError(str(exc) if name in doc else f"missing field {name!r}") from None
 
 
 def _cmd_pcp(args) -> int:

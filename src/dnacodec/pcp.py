@@ -5,6 +5,11 @@ a nonempty index sequence whose alpha- and beta-concatenations agree.  The
 theta variant instead demands that the alpha-concatenation equal the
 theta-image of the beta-concatenation.
 
+The instance constructors validate alpha, then beta: a list or tuple (not a
+str) of nonempty str tiles, over theta's letters for a theta instance, and at
+least one; last, equally many of both.  Each failure is a ``ValueError`` that
+names the field, e.g. ``field 'beta' must list nonempty words over '01', not '2'``.
+
 Besides bounded solvers (complete solving is impossible), this module
 builds two transducer encodings: a classic instance becomes a transducer
 whose input-preserving failures are exactly the encodings of solutions,
@@ -25,14 +30,21 @@ from .automata import Nfa, complement, concat, plus, union as nfa_union
 from .transducers import Transducer, union as t_union
 
 
-def _check_tiles(inst) -> None:
-    """Store the tiles as tuples; require equally many nonempty alpha and beta tiles."""
-    object.__setattr__(inst, "alpha", tuple(inst.alpha))
-    object.__setattr__(inst, "beta", tuple(inst.beta))
-    if len(inst.alpha) != len(inst.beta) or not inst.alpha:
-        raise ValueError("need equally many alpha and beta tiles, at least one pair")
-    if any(not w for w in inst.alpha + inst.beta):
-        raise ValueError("tiles must be nonempty words")
+def _check_tiles(inst, letters: str = "") -> None:
+    """The module docstring's checks, in its order, over ``letters`` if given; stores tuples."""
+    for name in ("alpha", "beta"):
+        tiles = getattr(inst, name)
+        if not isinstance(tiles, (list, tuple)):
+            raise ValueError(f"field {name!r} must be a list, not {type(tiles).__name__}")
+        for w in tiles:
+            if not isinstance(w, str) or not w or letters and w.strip(letters):
+                over = f" over {letters!r}" if letters else ""
+                raise ValueError(f"field {name!r} must list nonempty words{over}, not {w!r}")
+        if not tiles:
+            raise ValueError(f"field {name!r} must list at least one tile")
+        object.__setattr__(inst, name, tuple(tiles))
+    if len(inst.beta) != len(inst):
+        raise ValueError(f"field 'beta' must list as many tiles as field 'alpha' ({len(inst)}), not {len(inst.beta)}")
 
 
 @dataclass(frozen=True)
@@ -58,9 +70,7 @@ class ThetaPcpInstance:
     theta: Permutation
 
     def __post_init__(self):
-        _check_tiles(self)
-        for w in self.alpha + self.beta:
-            self.theta.alphabet.check_word(w)
+        _check_tiles(self, "".join(self.theta.alphabet.symbols))
 
     __len__ = PcpInstance.__len__
 
@@ -105,42 +115,29 @@ def solve_bounded(inst: AnyInstance, max_seq_len: int) -> Optional[tuple[int, ..
     """
     if max_seq_len < 1:
         raise ValueError("max_seq_len must be at least 1")
-    ell = len(inst)
     themed = isinstance(inst, ThetaPcpInstance)
     if themed:
         deltas = [len(a) - len(b) for a, b in zip(inst.alpha, inst.beta)]
         lo, hi = min(deltas), max(deltas)
 
-    for depth in range(1, max_seq_len + 1):
-
-        def walk(seq: list[int], a: str, b: str) -> Optional[tuple[int, ...]]:
-            if len(seq) == depth:
-                if themed:
-                    if a == inst.theta(b):
-                        return tuple(seq)
-                elif a == b:
-                    return tuple(seq)
-                return None
-            remaining = depth - len(seq)
-            for j in range(ell):
-                na, nb = a + inst.alpha[j], b + inst.beta[j]
-                if themed:
-                    diff = len(na) - len(nb)
-                    if diff + (remaining - 1) * hi < 0 or diff + (remaining - 1) * lo > 0:
-                        continue
-                elif not (na.startswith(nb) or nb.startswith(na)):
+    def walk(seq: tuple[int, ...], a: str, b: str, left: int) -> Optional[tuple[int, ...]]:
+        """The first solution that extends ``seq`` by exactly ``left`` tiles."""
+        if not left:
+            return seq if a == (inst.theta(b) if themed else b) else None
+        for j, (x, y) in enumerate(zip(inst.alpha, inst.beta)):
+            na, nb = a + x, b + y
+            if themed:
+                diff = len(na) - len(nb)
+                if diff + (left - 1) * hi < 0 or diff + (left - 1) * lo > 0:
                     continue
-                seq.append(j)
-                found = walk(seq, na, nb)
-                if found is not None:
-                    return found
-                seq.pop()
-            return None
+            elif not (na.startswith(nb) or nb.startswith(na)):
+                continue
+            found = walk(seq + (j,), na, nb, left - 1)
+            if found is not None:
+                return found
+        return None
 
-        found = walk([], "", "")
-        if found is not None:
-            return found
-    return None
+    return next(filter(None, (walk((), "", "", depth) for depth in range(1, max_seq_len + 1))), None)
 
 
 def reduce_pcp_to_theta_pcp(inst: PcpInstance, theta: Permutation) -> ThetaPcpInstance:
@@ -185,18 +182,15 @@ def map_solution(inst: PcpInstance, seq) -> tuple[int, ...]:
     return tuple(seq) + tail
 
 
-def _block_code(inst: PcpInstance, theta: Permutation):
-    """Fixed-width binary block code over theta's first two letters for the
-    instance's letters followed by its tile indices."""
-    sigma = sorted(set("".join(inst.alpha) + "".join(inst.beta)))
-    keys = [("s", c) for c in sigma] + [("i", j) for j in range(len(inst))]
-    m = max(1, math.ceil(math.log2(len(keys))))
+def _block_code(inst: PcpInstance, theta: Permutation) -> tuple[dict[str, str], list[str]]:
+    """Fixed-width binary blocks over theta's first two letters, numbered first for the
+    instance's letters in sorted order, then for its tile indices: ``(letter -> block, index blocks)``."""
+    sigma = sorted(set("".join(inst.alpha + inst.beta)))
+    n = len(sigma) + len(inst)
+    m = max(1, math.ceil(math.log2(n)))
     b = theta.alphabet.symbols[:2]
-    h = {
-        key: "".join(b[(idx >> (m - 1 - bit)) & 1] for bit in range(m))
-        for idx, key in enumerate(keys)
-    }
-    return sigma, h
+    blocks = ["".join(b[(idx >> (m - 1 - bit)) & 1] for bit in range(m)) for idx in range(n)]
+    return dict(zip(sigma, blocks)), blocks[len(sigma):]
 
 
 def pcp_to_preserving_transducer(inst: PcpInstance, theta: Permutation) -> Transducer:
@@ -215,18 +209,14 @@ def pcp_to_preserving_transducer(inst: PcpInstance, theta: Permutation) -> Trans
     if len(theta.alphabet) < 2:
         raise ValueError("need at least two letters to block-code the instance")
     alphabet = theta.alphabet
-    sigma, h = _block_code(inst, theta)
-    ell = len(inst)
+    letter, index = _block_code(inst, theta)
 
     def h_sigma(w: str) -> str:
-        return "".join(h[("s", c)] for c in w)
-
-    idx_keys = [("i", j) for j in range(ell)]
-    all_keys = [("s", c) for c in sigma] + idx_keys
+        return "".join(letter[c] for c in w)
 
     # Component 1: full relation on inputs outside the h(Σ⁺ A_ℓ⁺) format.
-    sigma_blocks = reduce(nfa_union, [Nfa.word(alphabet, h[("s", c)]) for c in sigma])
-    index_blocks = reduce(nfa_union, [Nfa.word(alphabet, h[k]) for k in idx_keys])
+    sigma_blocks = reduce(nfa_union, [Nfa.word(alphabet, x) for x in letter.values()])
+    index_blocks = reduce(nfa_union, [Nfa.word(alphabet, x) for x in index])
     formatted = concat(plus(sigma_blocks), plus(index_blocks))
     outside = complement(formatted)
     edges: list[tuple[int, str, str, int]] = [
@@ -243,30 +233,30 @@ def pcp_to_preserving_transducer(inst: PcpInstance, theta: Permutation) -> Trans
 
     def chain_component(tiles: tuple[str, ...]) -> Transducer:
         e: list[tuple[int, str, str, int]] = []
-        for j, tile in enumerate(tiles):
-            out_block = theta(h[("i", j)])
+        for tile, block in zip(tiles, index):
+            out_block = theta(block)
             # on-track loop: consume the tile's chain part, emit its index
             e.append((0, h_sigma(tile), out_block, 0))
             # escapes: the letter word ran out while index output remains…
-            for key in idx_keys:
-                e.append((0, h[key], out_block, 1))
+            for x in index:
+                e.append((0, x, out_block, 1))
             # …or it continues with a wrong letter, read up to its first
             # deviation from the tile; state 1 absorbs whatever follows…
-            for k, c in itertools.product(range(len(tile)), sigma):
+            for k, c in itertools.product(range(len(tile)), letter):
                 if c != tile[k]:
                     e.append((0, h_sigma(tile[:k] + c), out_block, 1))
             # …or it stops partway into the tile at an index block.
             for cut in range(1, len(tile)):
                 prefix = h_sigma(tile[:cut])
-                for key in idx_keys:
-                    e.append((0, prefix + h[key], out_block, 1))
-        for a, b in itertools.product(sigma, repeat=2):
+                for x in index:
+                    e.append((0, prefix + x, out_block, 1))
+        for x, y in itertools.product(letter.values(), repeat=2):
             # letter-vs-letter position: the index outputs were exhausted
             # before the letter word was, which no solution encoding allows
-            e.append((0, h[("s", a)], theta(h[("s", b)]), 1))
-        for key in all_keys:
-            e.append((1, h[key], "", 1))
-            e.append((1, "", theta(h[key]), 1))
+            e.append((0, x, theta(y), 1))
+        for x in [*letter.values(), *index]:
+            e.append((1, x, "", 1))
+            e.append((1, "", theta(x), 1))
         return Transducer(alphabet, 2, tuple(e), frozenset({0}), frozenset({1}))
 
     return t_union(t_r, t_union(chain_component(inst.alpha), chain_component(inst.beta)))

@@ -54,9 +54,9 @@ def _words_ok(alphabet: Alphabet, labels: set) -> bool:
 
 @dataclass(eq=False)
 class Transducer(Machine):
-    _normal_form: Optional["Transducer"] = field(default=None, repr=False, compare=False)
-    _view: Optional["_NormalView"] = field(default=None, repr=False, compare=False)
-    _checks: Optional[dict] = field(default=None, repr=False, compare=False)
+    _normal_form: Optional["Transducer"] = field(default=None, init=False, repr=False, compare=False)
+    _view: Optional["_NormalView"] = field(default=None, init=False, repr=False, compare=False)
+    _checks: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _arity = 4  # (src, inp, out, dst)
     _labels_ok = staticmethod(_words_ok)
 

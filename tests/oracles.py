@@ -3,10 +3,12 @@
 Everything here is deliberately naive: raw edge-list searches, exhaustive
 enumeration over positions and letters, stdlib ``re`` for trajectory
 expressions.  None of it shares code with the package, apart from
-``is_universal``, a name for the library's own subset search, and the
+``is_universal``, a name for the library's own subset search, the
 reference parsers, which build their machines with the library's
-constructors and Thompson operations, so agreement between the two sides
-is meaningful evidence of correctness.
+constructors and Thompson operations, and the reference instance reader,
+which reads its document and theta with the command line's own helpers
+and builds with the library's instance constructors, so agreement between
+the two sides is meaningful evidence of correctness.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from typing import Iterable, Optional
 
 from dnacodec.alphabets import Alphabet, Permutation
 from dnacodec.automata import Machine, Nfa, concat, missing_word, plus, star, union
+from dnacodec.cli import _field, _json_arg, _object, _theta_from_spec
 from dnacodec.errors import FormatError
+from dnacodec.pcp import PcpInstance, ThetaPcpInstance
 from dnacodec.transducers import Transducer
 
 # ---------------------------------------------------------------------------
@@ -552,6 +556,28 @@ def brute_pcp_solution(
             if left == right:
                 return seq
     return None
+
+
+def _tiles(doc: dict, name: str, theta: Optional[Permutation]) -> tuple[str, ...]:
+    """Field ``name`` of a correspondence instance: nonempty words, over theta's letters if given."""
+    tiles, letters = _field(doc, name, (list,)), "".join(theta.alphabet.symbols) if theta else ""
+    for w in tiles:
+        if not isinstance(w, str) or not w or letters and w.strip(letters):
+            over = f" over {letters!r}" if letters else ""
+            raise FormatError(f"field {name!r} must list nonempty words{over}, not {w!r}")
+    if not tiles:
+        raise FormatError(f"field {name!r} must list at least one tile")
+    return tuple(tiles)
+
+
+def reference_load_instance(arg: str):
+    """The command line's instance reader as it was when it checked the tiles itself."""
+    doc = _object(_json_arg(arg, "--instance")[0], "instance document")
+    theta = _theta_from_spec(doc["theta"]) if "theta" in doc else None
+    alpha, beta = _tiles(doc, "alpha", theta), _tiles(doc, "beta", theta)
+    if len(alpha) != len(beta):
+        raise FormatError(f"field 'beta' must list as many tiles as field 'alpha' ({len(alpha)}), not {len(beta)}")
+    return PcpInstance(alpha, beta) if theta is None else ThetaPcpInstance(alpha, beta, theta)
 
 
 # ---------------------------------------------------------------------------

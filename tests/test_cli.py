@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,7 +17,9 @@ from dnacodec.dna import PROPERTY_NAMES, VARIANTS
 from dnacodec.errors import FormatError
 from dnacodec.fado import parse_fado, serialize_fado
 from dnacodec.graphs import trim_keep
+from dnacodec.pcp import check_solution
 from dnacodec.transducers import Transducer
+from oracles import reference_load_instance
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -488,6 +491,96 @@ def test_malformed_instance_names_the_field(doc, named, capsys):
     assert named in capsys.readouterr().err
 
 
+# (theta spec, its letters) for an instance document; None leaves the field out.
+INSTANCE_THETAS = (
+    (None, "01"), (None, "01"), (None, "ACG"), ("mirror:01", "01"), ("identity:012", "012"), ("dna-delta", "ACGT"),
+    ({"table": {"0": "1", "1": "0"}, "mode": "morphic"}, "01"),
+)
+# malformed: each is an error of field 'theta', raised before any tile is read
+BAD_THETAS = (
+    5, "bogus", "mirror", "mirror:001", {"table": {"0": 1}}, {"table": {}}, {"table": {"0": "0"}, "mode": "x"},
+)
+NON_LISTS = ("01", "", 0, 1.5, True, None, {"0": "1"})
+BAD_TILES = (0, None, True, ["0"], {}, "")
+
+
+def random_instance_document(rng):
+    """``(json text, faults)``: an instance document, well formed or with one or more faults drawn
+    from the missing fields, non-lists, bad tiles, foreign letters, empty sides and unequal counts."""
+    theta, letters = rng.choice(INSTANCE_THETAS)
+    faults = set()
+    if rng.random() < 0.05:
+        theta = rng.choice(BAD_THETAS)
+        faults.add("theta")
+    doc = {} if theta is None else {"theta": theta}
+    n = rng.randint(1, 4)
+    for name in rng.sample(("alpha", "beta"), 2):  # the order the fields are written in
+        roll = rng.random()
+        if roll < 0.05:
+            faults.add("missing")
+            continue
+        if roll < 0.1:
+            doc[name] = rng.choice(NON_LISTS)
+            faults.add("non-list")
+            continue
+        count = n if rng.random() < 0.9 else rng.randint(0, 5)
+        faults |= {"no tiles"} if count == 0 else {"counts"} if count != n else set()
+        tiles = ["".join(rng.choices(letters, k=rng.randint(1, 3))) for _ in range(count)]
+        for _ in range(count and rng.choice((0, 0, 0, 0, 0, 1, 1, 2))):
+            at, roll = rng.randrange(count), rng.random()
+            if roll < 0.5:
+                tiles[at] = rng.choice(BAD_TILES)
+                faults.add("bad tile")
+            else:
+                word = "".join(rng.choices(letters, k=rng.randint(0, 2)))
+                tiles[at] = word[: rng.randint(0, 2)] + rng.choice("xA2 ") + word
+                faults.add("foreign letter")
+        doc[name] = tiles
+    if rng.random() < 0.05:
+        doc["comment"] = "not read"
+    return json.dumps(doc, sort_keys=rng.random() < 0.5), faults
+
+
+# The errors an instance document can give, each message matched by its first entry here.
+INSTANCE_ERRORS = (
+    "missing field", "must be a list", "nonempty words over", "nonempty words,", "at least one tile", "as many tiles",
+    "field 'theta",
+)
+
+
+def instance_outcome(load, text):
+    """The instance ``load`` reads from ``text``, or its error's type and message."""
+    try:
+        inst = load(text)
+    except Exception as exc:  # any other exception must match too
+        return ("error", type(exc).__name__, str(exc))
+    return (type(inst).__name__, inst.alpha, inst.beta, getattr(inst, "theta", None))
+
+
+def test_instance_reader_matches_the_reference_on_random_documents(capsys):
+    rng = random.Random(2718)
+    seen, several = {}, 0
+    for _ in range(5000):
+        text, faults = random_instance_document(rng)
+        want = instance_outcome(reference_load_instance, text)
+        assert instance_outcome(cli._load_instance, text) == want, text
+        # through main: the same exit code and message
+        rc = main(["pcp", "check", "--instance", text, "--solution", "0"])
+        out, err = capsys.readouterr()
+        if want[0] == "error":
+            assert (rc, out, err) == (2, "", f"error: {want[2]}\n"), text
+        else:
+            chk = check_solution(reference_load_instance(text), (0,))
+            printed = f"{'valid' if chk.ok else 'invalid'}: {chk.left!r} vs {chk.right!r}\n"
+            assert (rc, out, err) == (0 if chk.ok else 1, printed, ""), text
+        kind = "instance" if want[0] != "error" else next(k for k in INSTANCE_ERRORS if k in want[2])
+        seen[kind] = seen.get(kind, 0) + 1
+        several += len(faults) > 1
+    # every outcome is drawn: instances, each error of the tiles, and theta errors
+    assert seen["instance"] >= 1000 and several >= 500, (seen, several)
+    assert all(seen.get(kind, 0) >= 50 for kind in INSTANCE_ERRORS), seen
+
+
 # -- transducer check -----------------------------------------------------------
 
 
@@ -600,6 +693,20 @@ THETA_INSTANCE = json.dumps({"alpha": ["0"], "beta": ["1"], "theta": "mirror:01"
         (["build-property", "--trajectory", "0+2", "0+"], "--trajectory E1: symbol '2' not in alphabet '01'"),
         (["build-property", "--trajectory", "0+(", "0+"], "--trajectory E1: empty sub-expression in regex '0+('"),
         (["build-property", "--trajectory", "0+", "(1", "--strict"], "--trajectory E2: unbalanced parenthesis"),
+        # groups nested past the parser's reach
+        (["build-property", "--trajectory", "(" * 400 + "0" + ")" * 400, "0"],
+         "--trajectory E1: regex nests its parentheses too deeply"),
+        (["build-property", "--trajectory", "0+", "(" * 5000 + "0" + ")" * 5000],
+         "--trajectory E2: regex nests its parentheses too deeply"),
+        # a malformed alphabet names its flag; an empty --alphabet is one
+        (["build-property", "--dna", "compliant", "--alphabet", "AAC"], "--alphabet: duplicate symbols in alphabet"),
+        (["build-property", "--dna", "compliant", "--alphabet", ""], "--alphabet: alphabet needs at least one symbol"),
+        (["build-property", "--dna", "compliant", "--theta", "identity:AAC"], "--theta: duplicate symbols in alphabet"),
+        (["pcp", "reduce", "--instance", SOLVABLE, "--theta", "mirror:001"], "--theta: duplicate symbols in alphabet"),
+        (["transducer", "check", PARTIAL, "--mode", "altering", "--theta", "mirror:AAC"],
+         "--theta: duplicate symbols in alphabet"),
+        (["pcp", "solve", "--instance", THETA_INSTANCE.replace("mirror:01", "mirror:001")],
+         "field 'theta': duplicate symbols in alphabet"),
     ],
 )
 def test_bad_arguments_are_format_errors_naming_the_flag(argv, named, capsys):
@@ -720,6 +827,19 @@ DNA_PROPERTY = {"dna": {"name": "compliant", "variant": "weak"}}
          "field 'transducer.trajectory.e1': symbol '2' not in alphabet '01'"),
         ({"transducer": {"trajectory": {"e1": "0+", "e2": "0+("}}},
          "field 'transducer.trajectory.e2': empty sub-expression in regex '0+('"),
+        ({"transducer": {"trajectory": {"e1": "(" * 400 + "0" + ")" * 400, "e2": "0+"}}},
+         "field 'transducer.trajectory.e1': regex nests its parentheses too deeply"),
+        ({"transducer": {"trajectory": {"e1": "0+", "e2": "(" * 5000 + "0" + ")" * 5000}}},
+         "field 'transducer.trajectory.e2': regex nests its parentheses too deeply"),
+        # a malformed alphabet names its field
+        ({"alphabet": "AAC", "theta": "identity", "transducer": DNA_PROPERTY},
+         "field 'alphabet': duplicate symbols in alphabet"),
+        ({"alphabet": "", "transducer": DNA_PROPERTY}, "field 'alphabet': alphabet needs at least one symbol"),
+        ({"theta": "identity:AAC", "transducer": DNA_PROPERTY}, "field 'theta': duplicate symbols in alphabet"),
+        ({"theta": {"table": {"A": "A"}, "alphabet": "AA"}, "transducer": DNA_PROPERTY},
+         "field 'theta.alphabet': duplicate symbols in alphabet"),
+        ({"theta": {"table": {}}, "transducer": DNA_PROPERTY},
+         "field 'theta.table': alphabet needs at least one symbol"),
     ],
 )
 def test_malformed_descriptor_names_the_field(tmp_path, capsys, doc, field):

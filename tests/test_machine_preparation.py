@@ -1,6 +1,7 @@
 """Machine preparation: constructor checks, the normal form and its on-demand view."""
 
 import gc
+import inspect
 import random
 
 import pytest
@@ -59,6 +60,8 @@ BAD_TRANSDUCERS = {
     "label int": (1, ((0, "a", 7, 0),), {0}, {0}, r"\(0, 'a', 7, 0\)"),
     "edge of 3": (1, ((0, "a", 0),), {0}, {0}, r"\(0, 'a', 0\) is not 4 parts"),
     "fractional count": (2.5, (), {0}, {1}, r"n_states .* 2\.5\b"),
+    "unhashable output": (1, ((0, "a", ["a"], 0),), {0}, {0}, r"edge \(0, 'a', \['a'\], 0\) .* hashable labels"),
+    "edge that is no sequence": (1, (None,), {0}, {0}, r"edge None is not 4 parts"),
 }
 
 BAD_NFAS = {
@@ -75,6 +78,9 @@ BAD_NFAS = {
     "float initial state": (2, ((0, "a", 1),), {0.0}, {1}, r"state 0\.0\b"),
     "negative count": (-1, (), set(), set(), r"n_states .* -1\b"),
     "string count": ("2", (), set(), set(), r"n_states .* '2'"),
+    "unhashable symbol": (1, ((0, ["A"], 0),), {0}, {0}, r"edge \(0, \['A'\], 0\) .* hashable labels"),
+    "edge that is no sequence": (1, (5,), {0}, {0}, r"edge 5 is not 3 parts"),
+    "edge that is a set": (2, ({0, 1, 2},), {0}, {0}, r"edge \{0, 1, 2\} is not 3 parts"),
 }
 
 
@@ -97,6 +103,17 @@ def test_nfa_constructor_names_the_offender(case, pad):
     n, edges, initial, final, pattern = BAD_NFAS[case]
     with pytest.raises(ValueError, match=pattern):
         Nfa(AB, n, ((0, "b", 0),) * pad + edges, initial, final)
+
+
+def test_constructors_take_the_five_parts_and_no_memo():
+    # the memo fields are set by the library alone: a planted one would answer for the machine
+    for kind in (Nfa, Transducer):
+        assert list(inspect.signature(kind).parameters) == ["alphabet", "n_states", "edges", "initial", "final"]
+    with pytest.raises(TypeError, match="_checks"):
+        Transducer(DNA, 1, [(0, "A", "T", 0)], {0}, {0}, _checks={(dna_delta(), "altering", 3): None})
+    t = Transducer(DNA, 1, [(0, "A", "T", 0)], {0}, {0})
+    assert t._normal_form is t._view is t._checks is None
+    assert bounded_counterexample(t, dna_delta(), "altering", 3) == "A"
 
 
 @pytest.mark.parametrize("pad", PADS)

@@ -1,6 +1,9 @@
 """Correspondence problems, bounded solving, and transducer encodings."""
 
 import itertools
+import math
+import random
+import re
 from functools import reduce
 
 import pytest
@@ -33,6 +36,7 @@ from oracles import (
 
 ZO = Alphabet.of("01")
 MIRROR = Permutation.identity(ZO, antimorphic=True)
+SWAP = Permutation.from_mapping(ZO, {"0": "1", "1": "0"})  # morphic
 THREE = Alphabet.of("012")
 SWAP3 = Permutation.from_mapping(THREE, {"0": "1", "1": "0", "2": "2"}, antimorphic=True)
 
@@ -53,6 +57,49 @@ def test_instance_validation():
         PcpInstance(("0", ""), ("1", "0"))
     with pytest.raises(ValueError):
         ThetaPcpInstance(("0",), ("2",), MIRROR)  # letter outside the alphabet
+
+
+def test_instance_rejects_tiles_that_are_not_words():
+    # accepted once, and solve_bounded then failed concatenating str and int
+    with pytest.raises(ValueError, match=r"^field 'alpha' must list nonempty words, not 5$"):
+        PcpInstance((5,), (6,))
+
+
+def test_instance_rejects_a_str_for_its_tiles():
+    # "01" was split into the tiles '0' and '1'
+    with pytest.raises(ValueError, match=r"^field 'alpha' must be a list, not str$"):
+        PcpInstance("01", "10")
+
+
+def test_theta_instance_rejects_tiles_that_are_not_words():
+    # raised TypeError: 'int' object is not iterable
+    with pytest.raises(ValueError, match=r"^field 'alpha' must list nonempty words over '01', not 5$"):
+        ThetaPcpInstance((5,), (6,), MIRROR)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, theta, message",
+    [
+        # alpha is checked before beta, each side in full before the counts
+        (("0", ""), None, None, "field 'alpha' must list nonempty words, not ''"),
+        ((), ["0", 1], None, "field 'alpha' must list at least one tile"),
+        (["0", "1"], "01", None, "field 'beta' must be a list, not str"),
+        (("0",), ("1", b"0"), None, "field 'beta' must list nonempty words, not b'0'"),
+        (("0",), [], None, "field 'beta' must list at least one tile"),
+        (("0", "1"), ("1",), None, "field 'beta' must list as many tiles as field 'alpha' (2), not 1"),
+        (("01", "2"), ("x",), MIRROR, "field 'alpha' must list nonempty words over '01', not '2'"),
+        (("012",), ("0", "3"), SWAP3, "field 'beta' must list nonempty words over '012', not '3'"),
+        (("0",), ("1", "0"), MIRROR, "field 'beta' must list as many tiles as field 'alpha' (1), not 2"),
+    ],
+)
+def test_instance_checks_run_in_order(alpha, beta, theta, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PcpInstance(alpha, beta) if theta is None else ThetaPcpInstance(alpha, beta, theta)
+
+
+def test_instance_stores_tuples():
+    inst = ThetaPcpInstance(["01", "1"], ("10", "0"), MIRROR)
+    assert inst.alpha == ("01", "1") and inst.beta == ("10", "0") and len(inst) == 2
 
 
 def test_check_solution_classic():
@@ -91,15 +138,20 @@ def test_solve_bounded_theta_instances():
     assert solve_bounded(unsolvable, 8) is None
 
 
-tiles = st.lists(
-    st.tuples(st.text("01", min_size=1, max_size=2), st.text("01", min_size=1, max_size=2)),
-    min_size=1,
-    max_size=3,
+def tiles_over(letters):
+    word = st.text(letters, min_size=1, max_size=2)
+    return st.lists(st.tuples(word, word), min_size=1, max_size=3)
+
+
+tiles = tiles_over("01")
+# a permutation, mirror, the morphic swap or the three-letter one, and tiles over its letters
+theta_tiles = st.sampled_from([MIRROR, SWAP, SWAP3]).flatmap(
+    lambda theta: st.tuples(st.just(theta), tiles_over("".join(theta.alphabet.symbols)))
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(tiles)
+@given(st.one_of(tiles, tiles_over("012")))
 def test_solver_matches_brute_force_classic(pairs):
     alpha = tuple(a for a, _ in pairs)
     beta = tuple(b for _, b in pairs)
@@ -111,14 +163,15 @@ def test_solver_matches_brute_force_classic(pairs):
         assert check_solution(inst, got).ok
 
 
-@settings(max_examples=60, deadline=None)
-@given(tiles)
-def test_solver_matches_brute_force_theta(pairs):
+@settings(max_examples=150, deadline=None)
+@given(theta_tiles)
+def test_solver_matches_brute_force_theta(case):
+    theta, pairs = case
     alpha = tuple(a for a, _ in pairs)
     beta = tuple(b for _, b in pairs)
-    inst = ThetaPcpInstance(alpha, beta, MIRROR)
+    inst = ThetaPcpInstance(alpha, beta, theta)
     got = solve_bounded(inst, 4)
-    want = brute_pcp_solution(alpha, beta, 4, MIRROR)
+    want = brute_pcp_solution(alpha, beta, 4, theta)
     assert got == want
     if got is not None:
         assert check_solution(inst, got).ok
@@ -197,10 +250,39 @@ def test_preserving_encoding_of_unsolvable_instance():
     assert bounded_counterexample(t, MIRROR, "preserving", 12) is None
 
 
+def reference_block_code(inst, theta):
+    """The block code as first built, keyed by ``("s", letter)`` and ``("i", index)``:
+    ``(sorted letters, key -> block)``."""
+    sigma = sorted(set("".join(inst.alpha) + "".join(inst.beta)))
+    keys = [("s", c) for c in sigma] + [("i", j) for j in range(len(inst))]
+    m = max(1, math.ceil(math.log2(len(keys))))
+    b = theta.alphabet.symbols[:2]
+    h = {
+        key: "".join(b[(idx >> (m - 1 - bit)) & 1] for bit in range(m))
+        for idx, key in enumerate(keys)
+    }
+    return sigma, h
+
+
+def test_block_code_matches_the_reference():
+    rng = random.Random(31)
+    for theta in (MIRROR, SWAP, SWAP3):
+        letters = "".join(theta.alphabet.symbols)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            words = [["".join(rng.choices(letters, k=rng.randint(1, 4))) for _ in range(n)] for _ in "ab"]
+            inst = PcpInstance(*words)
+            sigma, h = reference_block_code(inst, theta)
+            letter, index = _block_code(inst, theta)
+            assert list(letter) == sigma
+            assert letter == {c: h[("s", c)] for c in sigma}
+            assert index == [h[("i", j)] for j in range(n)]
+
+
 def wrong_sequence_encoding(inst, theta):
     """The preserving encoding as first built: one escape edge per wrong letter sequence of up to
     a tile's length, not per first deviation.  The reference for the relation of the current one."""
-    alphabet, (sigma, h) = theta.alphabet, _block_code(inst, theta)
+    alphabet, (sigma, h) = theta.alphabet, reference_block_code(inst, theta)
     idx_keys = [("i", j) for j in range(len(inst))]
     all_keys = [("s", c) for c in sigma] + idx_keys
 
@@ -263,15 +345,16 @@ def test_one_state_encoding_altering_iff_unsolvable():
     assert bounded_counterexample(t2, MIRROR, "altering", 8) is None
 
 
-@settings(max_examples=40, deadline=None)
-@given(tiles)
-def test_one_state_encoding_matches_solver(pairs):
+@settings(max_examples=100, deadline=None)
+@given(theta_tiles)
+def test_one_state_encoding_matches_solver(case):
+    theta, pairs = case
     alpha = tuple(a for a, _ in pairs)
     beta = tuple(b for _, b in pairs)
-    inst = ThetaPcpInstance(alpha, beta, MIRROR)
+    inst = ThetaPcpInstance(alpha, beta, theta)
     t = theta_pcp_to_one_state_transducer(inst)
     max_word = 3 * max(len(a) for a in alpha)
-    witness = bounded_counterexample(t, MIRROR, "altering", max_word)
+    witness = bounded_counterexample(t, theta, "altering", max_word)
     solution = solve_bounded(inst, 3)
     if solution is not None:
         assert witness is not None and len(witness) <= max_word

@@ -72,6 +72,19 @@ def test_trajectory_pair_validation():
         TrajectoryPair("0*2", "0*")
 
 
+def nested(depth: int) -> str:
+    return "(" * depth + "0" + ")" * depth
+
+
+def test_trajectory_pair_names_groups_nested_too_deeply():
+    assert TrajectoryPair(nested(200), "0").e1 == nested(200)
+    for depth in (400, 5000):  # these raised RecursionError
+        with pytest.raises(FormatError, match="regex nests its parentheses too deeply"):
+            TrajectoryPair(nested(depth), "0")
+        with pytest.raises(FormatError, match="regex nests its parentheses too deeply"):
+            TrajectoryPair("0+", "0|" + nested(depth) + "*")
+
+
 @pytest.mark.parametrize("expr", ["0*", "1*0+1*", "(0|1)*", "0*1", "(01)+"])
 def test_trajectory_nfa_matches_re(expr):
     m = trajectory_nfa(expr)
